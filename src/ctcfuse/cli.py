@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Failures print one machine-parsable line to stderr:
-``error kind=<usage|data|numeric> msg="..."``.
+``error kind=<usage|data|numeric> msg="..."``, the message JSON-encoded.
 
 Environment overrides: ``CTCFUSE_OUTDIR`` replaces the output directory,
 ``CTCFUSE_THREADS`` pins the numeric thread pools (exported before the
@@ -243,17 +243,27 @@ def _load_model_and_vocab(args):
     return model, vocab, corpus
 
 
+def _decode_config(args):
+    """The decode flags as a ``DecodeConfig``; bad values are usage errors."""
+    from ctcfuse.decode import DecodeConfig
+
+    flags = {
+        "method": args.method, "beam": args.beam, "lambda_dec": args.lambda_dec,
+        "max_len_factor": args.max_len_factor,
+    }
+    return _build_dataclass(DecodeConfig, flags, "decode flags")
+
+
 def cmd_decode(args) -> int:
     import numpy as np
 
     from ctcfuse.ctc import CtcPosterior, format_nbest, prefix_beam_nbest
-    from ctcfuse.decode import DecodeConfig, attention_beam_decode, ctc_rescore_decode, format_hypothesis
+    from ctcfuse.decode import attention_beam_decode, ctc_rescore_decode, format_hypothesis
 
+    cfg = _decode_config(args)
+    if args.nbest < 0:
+        raise UsageError("--nbest must be >= 0")
     model, vocab, corpus = _load_model_and_vocab(args)
-    cfg = DecodeConfig(
-        method=args.method, beam=args.beam, lambda_dec=args.lambda_dec,
-        max_len_factor=args.max_len_factor,
-    )
     lines = []
     nbest_lines = []
     for utt in corpus:
@@ -306,7 +316,7 @@ def _read_hypothesis_file(path, vocab):
 
 def cmd_eval(args) -> int:
     from ctcfuse.data import DataError, build_vocab, load_manifest, load_vocab_file
-    from ctcfuse.decode import DecodeConfig, evaluate, make_decoder
+    from ctcfuse.decode import evaluate, make_decoder
 
     if (args.ckpt is None) == (args.hyp is None):
         raise UsageError("eval needs exactly one of --ckpt or --hyp")
@@ -324,11 +334,8 @@ def cmd_eval(args) -> int:
             raise DataError(f"hypothesis file missing utterances: {missing[:5]}")
         decode_fn = lambda utt: hyps[utt.utt_id]
     else:
+        cfg = _decode_config(args)
         model, vocab, corpus = _load_model_and_vocab(args)
-        cfg = DecodeConfig(
-            method=args.method, beam=args.beam, lambda_dec=args.lambda_dec,
-            max_len_factor=args.max_len_factor,
-        )
         decode_fn = make_decoder(model, cfg, vocab)
 
     report = evaluate(corpus, decode_fn)
@@ -631,6 +638,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _print_error(kind: str, err: Exception) -> None:
+    # JSON-encoding keeps quotes and newlines in the message parsable
+    msg = json.dumps(str(err), ensure_ascii=False)
+    print(f"error kind={kind} msg={msg}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     _apply_thread_env()
     parser = _build_parser()
@@ -638,20 +651,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.handler(args)
     except UsageError as err:
-        print(f'error kind=usage msg="{err}"', file=sys.stderr)
+        _print_error("usage", err)
         return 1
     except FileNotFoundError as err:
-        print(f'error kind=data msg="{err}"', file=sys.stderr)
+        _print_error("data", err)
         return 2
     except Exception as err:  # noqa: BLE001 - mapped to documented exit codes
         from ctcfuse.data import DataError
         from ctcfuse.training import NumericError
 
         if isinstance(err, DataError):
-            print(f'error kind=data msg="{err}"', file=sys.stderr)
+            _print_error("data", err)
             return 2
         if isinstance(err, NumericError):
-            print(f'error kind=numeric msg="{err}"', file=sys.stderr)
+            _print_error("numeric", err)
             return 3
         raise
 

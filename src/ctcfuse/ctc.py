@@ -212,48 +212,83 @@ def prefix_beam_nbest(
     collapse to the prefix. ``beam_width=None`` disables pruning, making
     the ranking exact. Returns the top ``n`` prefixes; if fewer distinct
     prefixes are reachable the list is shorter and flagged ``incomplete``.
+
+    Each frame scores the K live prefixes at once. A prefix stays with
+    ``total + p[blank]`` (blank mass) and ``pnb + p[last]`` (repeat
+    collapse, non-blank mass). Its extensions form one ``[K, V]`` array
+    ``total + p[k]``, except ``pb + p[last]`` in its last-token column
+    (only a blank-separated path may repeat a token); the blank column is
+    not an extension. An extension that equals a live prefix, which needs
+    that prefix's parent to be live too, is merged into the prefix's
+    non-blank mass and dropped. Every mass is thus a ``logaddexp`` of at
+    most two terms, so scores do not depend on the order in which
+    prefixes are visited.
+
+    Pruning keeps the ``beam_width`` best candidates under the key
+    ``(-score, length, tokens)``: equal scores go to the shorter, then
+    the lexicographically smaller prefix. A partition finds the cut
+    score; only candidates at or above it become token tuples, and they
+    are sorted only when ties at the cut overfill the beam.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if beam_width is not None and beam_width < n:
         raise ValueError("beam_width must be >= n")
-    lp = posterior.log_probs
     blank = posterior.blank_id
-    t_frames, vocab = lp.shape
+    t_frames, vocab = posterior.log_probs.shape
+    # column ``vocab`` is a sentinel "last token" of the empty prefix; its
+    # log-probability of -inf removes the repeat terms that prefix lacks
+    lp = np.concatenate([posterior.log_probs, np.full((t_frames, 1), NEG_INF)], axis=1)
 
-    # prefix -> (log mass of paths ending in blank, ending in non-blank)
-    beams: dict[TokenSeq, tuple[float, float]] = {(): (0.0, NEG_INF)}
-    for t in range(t_frames):
-        frame = lp[t]
-        grown: dict[TokenSeq, tuple[float, float]] = {}
+    # live prefixes; log mass of their paths ending in blank / non-blank;
+    # their last token
+    prefixes: list[TokenSeq] = [()]
+    pb = np.zeros(1)
+    pnb = np.full(1, NEG_INF)
+    last = np.full(1, vocab)
+    for frame in lp:
+        live = len(prefixes)
+        total = np.logaddexp(pb, pnb)
+        stay_b = total + frame[blank]
+        stay_nb = pnb + frame[last]
+        ext = total[:, None] + frame
+        ext[np.arange(live), last] = pb + frame[last]
+        is_ext = np.ones(ext.shape, dtype=bool)
+        is_ext[:, [blank, vocab]] = False
 
-        def bump(prefix: TokenSeq, add_blank: float, add_nonblank: float) -> None:
-            pb, pnb = grown.get(prefix, (NEG_INF, NEG_INF))
-            grown[prefix] = (np.logaddexp(pb, add_blank), np.logaddexp(pnb, add_nonblank))
+        index = {prefix: i for i, prefix in enumerate(prefixes)}
+        parent = np.array([index.get(prefix[:-1], -1) if prefix else -1 for prefix in prefixes])
+        child = np.flatnonzero(parent >= 0)
+        if child.size:
+            src_row, src_col = parent[child], last[child]
+            stay_nb[child] = np.logaddexp(stay_nb[child], ext[src_row, src_col])
+            is_ext[src_row, src_col] = False
 
-        for prefix, (pb, pnb) in beams.items():
-            total = np.logaddexp(pb, pnb)
-            for k in range(vocab):
-                p = frame[k]
-                if k == blank:
-                    bump(prefix, total + p, NEG_INF)
-                elif prefix and k == prefix[-1]:
-                    # repeat merges into the same prefix; a blank-separated
-                    # path is the only way to extend with the same token
-                    bump(prefix, NEG_INF, pnb + p)
-                    bump(prefix + (k,), NEG_INF, pb + p)
-                else:
-                    bump(prefix + (k,), NEG_INF, total + p)
+        # candidates: the live prefixes first, then the remaining extensions
+        ext_row, ext_col = np.nonzero(is_ext)
+        cand_pb = np.concatenate([stay_b, np.full(ext_col.size, NEG_INF)])
+        cand_pnb = np.concatenate([stay_nb, ext[ext_row, ext_col]])
+        cand_last = np.concatenate([last, ext_col])
+        scores = np.logaddexp(cand_pb, cand_pnb)
+        kept = np.arange(scores.size)
+        if beam_width is not None and scores.size > beam_width:
+            cut = np.partition(scores, scores.size - beam_width)[scores.size - beam_width]
+            kept = np.flatnonzero(scores >= cut)
+        ext_row_l, ext_col_l = ext_row.tolist(), ext_col.tolist()
+        prefixes = [
+            prefixes[c] if c < live else prefixes[ext_row_l[c - live]] + (ext_col_l[c - live],)
+            for c in kept.tolist()
+        ]
+        if beam_width is not None and kept.size > beam_width:
+            # ties at the cut score: the exact key decides who stays
+            keys = [(-sc, len(seq), seq) for sc, seq in zip(scores[kept].tolist(), prefixes)]
+            order = sorted(range(kept.size), key=keys.__getitem__)[:beam_width]
+            kept = kept[order]
+            prefixes = [prefixes[i] for i in order]
+        pb, pnb, last = cand_pb[kept], cand_pnb[kept], cand_last[kept]
 
-        if beam_width is not None and len(grown) > beam_width:
-            ranked = sorted(
-                grown.items(), key=lambda kv: (-np.logaddexp(*kv[1]), len(kv[0]), kv[0])
-            )
-            grown = dict(ranked[:beam_width])
-        beams = grown
-
-    scored = [(prefix, float(np.logaddexp(pb, pnb))) for prefix, (pb, pnb) in beams.items()]
-    scored = [(p, s) for p, s in scored if s > NEG_INF]
+    final = np.logaddexp(pb, pnb).tolist()
+    scored = [(prefix, s) for prefix, s in zip(prefixes, final) if s > NEG_INF]
     scored.sort(key=lambda ps: (-ps[1], len(ps[0]), ps[0]))
     top = scored[:n]
     return NBestList(hypotheses=top, requested=n, incomplete=len(top) < n)

@@ -19,7 +19,14 @@ import numpy as np
 
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, gate
-from ctcfuse.ctc import CtcPosterior, ctc_loss_op, greedy_1best, min_frames, prefix_beam_nbest
+from ctcfuse.ctc import (
+    CtcPosterior,
+    NBestList,
+    ctc_loss_op,
+    greedy_1best,
+    min_frames,
+    prefix_beam_nbest,
+)
 from ctcfuse.data import Batch, Utterance, Vocabulary, make_batches
 from ctcfuse.model import (
     METHOD_ALIGNED,
@@ -102,12 +109,17 @@ class EpochMetrics:
     blanks_inserted: int
     pathway_counts: dict[str, int]
     ctc_unreachable: int
+    nbest_incomplete: int  # utterances whose CTC N-best came back short
     utterances: int
     train_cer: float | None
     wall_time_s: float
 
     def to_json_record(self) -> str:
-        """Deterministic serialization: wall time stays out of the record."""
+        """Deterministic serialization: wall time stays out of the record.
+
+        So does ``nbest_incomplete``, which keeps records byte-comparable
+        with those of runs made before it was counted.
+        """
         payload = {
             "epoch": self.epoch,
             "joint_loss": self.joint_loss,
@@ -398,6 +410,7 @@ class StepStats:
     blanks_inserted: int
     pathway_counts: dict[str, int]
     unreachable: int
+    nbest_incomplete: int
     size: int
     reachable: int
 
@@ -443,6 +456,7 @@ def run_training_step(
         blanks_inserted=dec.blanks_inserted,
         pathway_counts=dec.pathway_counts,
         unreachable=sum(not ok for ok in dec.ctc_reachable),
+        nbest_incomplete=sum(isinstance(h, NBestList) and h.incomplete for h in hyps),
         size=batch.size,
         reachable=sum(dec.ctc_reachable),
     )
@@ -464,7 +478,7 @@ def train_epoch(
         corpus, cfg.batch_size, vocab, policy=cfg.batch_policy, seed=cfg.seed * 100003 + epoch
     )
     totals = {"joint": 0.0, "ctc": 0.0, "att": 0.0}
-    blanks = unreachable = seen = reachable = 0
+    blanks = unreachable = incomplete = seen = reachable = 0
     counts = {d.value: 0 for d in PathwayDecision}
     for batch_idx, batch in enumerate(batches):
         try:
@@ -478,6 +492,7 @@ def train_epoch(
         totals["ctc"] += stats.ctc * stats.reachable
         blanks += stats.blanks_inserted
         unreachable += stats.unreachable
+        incomplete += stats.nbest_incomplete
         seen += stats.size
         reachable += stats.reachable
         for key, val in stats.pathway_counts.items():
@@ -491,6 +506,7 @@ def train_epoch(
         blanks_inserted=blanks,
         pathway_counts=counts,
         ctc_unreachable=unreachable,
+        nbest_incomplete=incomplete,
         utterances=seen,
         train_cer=None,
         wall_time_s=time.perf_counter() - start,
@@ -570,6 +586,7 @@ def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch)
         emit(
             f"epoch {epoch:3d} joint={metrics.joint_loss:.4f} ctc={metrics.ctc_loss:.4f} "
             f"att={metrics.att_loss:.4f} blanks={metrics.blanks_inserted} "
+            f"nbest_incomplete={metrics.nbest_incomplete} "
             f"cer={'-' if metrics.train_cer is None else f'{metrics.train_cer:.4f}'} "
             f"wall={metrics.wall_time_s:.2f}s"
         )

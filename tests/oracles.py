@@ -1,12 +1,18 @@
 """Independent brute-force oracles shared by unit and acceptance tests.
 
-Everything here is deliberately naive (full enumeration, full DP tables)
-and kept separate from the library's own algorithms.
+Everything here is deliberately naive (full enumeration, full DP tables,
+per-prefix dictionaries) and kept separate from the library's own
+algorithms.
 """
 
+import math
 from itertools import product
 
 import numpy as np
+
+from ctcfuse.ctc import CtcPosterior, NBestList, TokenSeq
+
+NEG_INF = -math.inf
 
 
 def exhaustive_ctc_scores(log_probs: np.ndarray, blank: int) -> dict[tuple, float]:
@@ -62,3 +68,63 @@ def random_posterior(rng: np.random.Generator, t_frames: int, vocab: int) -> np.
     logits -= logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(logits).sum(axis=1, keepdims=True))
     return logits - log_z
+
+
+def prefix_beam_reference(
+    posterior: CtcPosterior,
+    beam_width: int | None,
+    n: int,
+) -> NBestList:
+    """Prefix beam search over collapsed sequences, one dict entry per prefix.
+
+    The scalar loop that ``ctcfuse.ctc.prefix_beam_nbest`` vectorizes;
+    both must return the same list with bit-equal scores. Maintains per-prefix blank/non-blank path mass in the log domain;
+    scores are total log-probabilities summed over all frame paths that
+    collapse to the prefix. ``beam_width=None`` disables pruning, making
+    the ranking exact. Returns the top ``n`` prefixes; if fewer distinct
+    prefixes are reachable the list is shorter and flagged ``incomplete``.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if beam_width is not None and beam_width < n:
+        raise ValueError("beam_width must be >= n")
+    lp = posterior.log_probs
+    blank = posterior.blank_id
+    t_frames, vocab = lp.shape
+
+    # prefix -> (log mass of paths ending in blank, ending in non-blank)
+    beams: dict[TokenSeq, tuple[float, float]] = {(): (0.0, NEG_INF)}
+    for t in range(t_frames):
+        frame = lp[t]
+        grown: dict[TokenSeq, tuple[float, float]] = {}
+
+        def bump(prefix: TokenSeq, add_blank: float, add_nonblank: float) -> None:
+            pb, pnb = grown.get(prefix, (NEG_INF, NEG_INF))
+            grown[prefix] = (np.logaddexp(pb, add_blank), np.logaddexp(pnb, add_nonblank))
+
+        for prefix, (pb, pnb) in beams.items():
+            total = np.logaddexp(pb, pnb)
+            for k in range(vocab):
+                p = frame[k]
+                if k == blank:
+                    bump(prefix, total + p, NEG_INF)
+                elif prefix and k == prefix[-1]:
+                    # repeat merges into the same prefix; a blank-separated
+                    # path is the only way to extend with the same token
+                    bump(prefix, NEG_INF, pnb + p)
+                    bump(prefix + (k,), NEG_INF, pb + p)
+                else:
+                    bump(prefix + (k,), NEG_INF, total + p)
+
+        if beam_width is not None and len(grown) > beam_width:
+            ranked = sorted(
+                grown.items(), key=lambda kv: (-np.logaddexp(*kv[1]), len(kv[0]), kv[0])
+            )
+            grown = dict(ranked[:beam_width])
+        beams = grown
+
+    scored = [(prefix, float(np.logaddexp(pb, pnb))) for prefix, (pb, pnb) in beams.items()]
+    scored = [(p, s) for p, s in scored if s > NEG_INF]
+    scored.sort(key=lambda ps: (-ps[1], len(ps[0]), ps[0]))
+    top = scored[:n]
+    return NBestList(hypotheses=top, requested=n, incomplete=len(top) < n)

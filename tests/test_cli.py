@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,16 @@ from ctcfuse.cli import main
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def error_lines(err: str) -> list[tuple[str, str]]:
+    """``(kind, message)`` of every error line, the message JSON-decoded."""
+    found = []
+    for line in err.splitlines():
+        match = re.fullmatch(r"error kind=(\w+) msg=(.*)", line)
+        if match:
+            found.append((match.group(1), json.loads(match.group(2))))
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +141,18 @@ class TestTrain:
         assert run_cli("train", "--no-such-flag") == 1
         assert "kind=usage" in capsys.readouterr().err
 
+    def test_error_message_with_quote_parses_back(self, tmp_path, capsys):
+        config = str(tmp_path / 'no"q.json')
+        assert run_cli("train", "--config", config) == 2
+        assert error_lines(capsys.readouterr().err) == [
+            ("data", f"config file not found: {config}")
+        ]
+
+    def test_plain_error_message_unchanged(self, capsys):
+        assert run_cli("stats") == 1
+        err = capsys.readouterr().err
+        assert err == 'error kind=usage msg="stats needs exactly one of --manifest or --text"\n'
+
 
 class TestDecodeEval:
     def test_decode_writes_hypotheses(self, trained, corpus_dir, tmp_path):
@@ -188,6 +211,28 @@ class TestDecodeEval:
 
     def test_eval_needs_one_source(self, corpus_dir, capsys):
         assert run_cli("eval", "--manifest", str(corpus_dir / "manifest.tsv")) == 1
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("decode", "--beam", "0"),
+            ("decode", "--nbest", "-1"),
+            ("decode", "--max-len-factor", "0"),
+            ("eval", "--beam", "0"),
+            ("eval", "--max-len-factor", "0"),
+        ],
+    )
+    def test_bad_decode_flag_is_usage_error(self, trained, corpus_dir, capsys, command, flag, value):
+        code = run_cli(
+            command, "--ckpt", str(trained / "model.ckpt"),
+            "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--vocab", str(corpus_dir / "vocab.txt"),
+            flag, value,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert [kind for kind, _ in error_lines(err)] == ["usage"]
+        assert len(err.splitlines()) == 1
 
 
 class TestAlign:

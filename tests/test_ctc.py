@@ -8,7 +8,12 @@ from ctcfuse import ctc
 from ctcfuse.ctc import CtcPosterior, collapse, ctc_loss, greedy_1best, prefix_beam_nbest
 from ctcfuse.tensor import Tensor
 
-from oracles import exhaustive_ctc_loss, exhaustive_ctc_scores, random_posterior
+from oracles import (
+    exhaustive_ctc_loss,
+    exhaustive_ctc_scores,
+    prefix_beam_reference,
+    random_posterior,
+)
 
 BLANK = 0
 A, B, C = 1, 2, 3
@@ -248,3 +253,61 @@ class TestPrefixBeam:
         lines = text.splitlines()
         assert lines[0].startswith("utt1\t1\t")
         assert lines[0].endswith("\ta")
+
+
+POSTERIOR_KINDS = ["random", "quantized", "uniform"]
+BEAM_WIDTHS = [None, "n", 3, 5, 10]
+
+
+def _posterior_of_kind(rng, kind: str, t_frames: int, vocab: int) -> np.ndarray:
+    if kind == "random":
+        return random_posterior(rng, t_frames, vocab)
+    if kind == "quantized":
+        # integer logits: many equal scores, so pruning meets ties
+        logits = rng.integers(0, 3, size=(t_frames, vocab)).astype(np.float64)
+        return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    return np.full((t_frames, vocab), -np.log(vocab))
+
+
+def _assert_same_as_reference(post: CtcPosterior, beam_width, n: int) -> None:
+    ours = prefix_beam_nbest(post, beam_width, n)
+    ref = prefix_beam_reference(post, beam_width, n)
+    assert ours.sequences() == ref.sequences()
+    # bit-equal scores, not merely close ones
+    assert [s for _, s in ours.hypotheses] == [s for _, s in ref.hypotheses]
+    assert ours.incomplete == ref.incomplete
+    assert ours.requested == ref.requested
+
+
+class TestPrefixBeamMatchesReference:
+    @pytest.mark.parametrize("beam_width", BEAM_WIDTHS)
+    @pytest.mark.parametrize("kind", POSTERIOR_KINDS)
+    def test_small_posteriors(self, kind, beam_width):
+        rng = np.random.default_rng(
+            [2, POSTERIOR_KINDS.index(kind), BEAM_WIDTHS.index(beam_width)]
+        )
+        for _ in range(40):
+            t_frames = int(rng.integers(1, 9))
+            vocab = int(rng.integers(2, 7))
+            if beam_width is None:
+                # unpruned search keeps every prefix: bound their number
+                while (vocab - 1) ** t_frames > 2000:
+                    t_frames -= 1
+                width, n = None, int(rng.integers(1, 30))
+            elif beam_width == "n":
+                n = int(rng.integers(1, 6))
+                width = n
+            else:
+                width, n = beam_width, int(rng.integers(1, beam_width + 1))
+            lp = _posterior_of_kind(rng, kind, t_frames, vocab)
+            post = CtcPosterior(lp, int(rng.integers(0, vocab)))
+            _assert_same_as_reference(post, width, n)
+
+    @pytest.mark.parametrize("beam_width,n", [(5, 3), (10, 10)])
+    @pytest.mark.parametrize("kind", ["random", "quantized"])
+    def test_desk_shaped_posteriors(self, kind, beam_width, n):
+        rng = np.random.default_rng([3, beam_width, POSTERIOR_KINDS.index(kind)])
+        for _ in range(20):
+            lp = _posterior_of_kind(rng, kind, int(rng.integers(9, 17)), 20)
+            _assert_same_as_reference(CtcPosterior(lp, BLANK), beam_width, n)
+

@@ -342,6 +342,26 @@ class TestTrainingLoop:
         assert np.isfinite(metrics.joint_loss)
         assert sum(metrics.pathway_counts.values()) == len(corpus)
 
+    def test_short_nbest_lists_counted(self):
+        # four frames subsample to one encoder frame, from which only the
+        # empty prefix and the single tokens are reachable: fewer than n
+        synth = SynthConfig(
+            vocab_size=2, count=4, min_len=1, max_len=1, min_frames_per_token=4,
+            max_frames_per_token=4, feature_dim=4, seed=1,
+        )
+        vocab, corpus = synth_corpus(synth)
+        cfg = TrainConfig(
+            model=ModelConfig.toy(vocab_size=vocab.size),
+            fusion=FusionConfig(method=METHOD_NBEST, n=vocab.size + 1, beam_width=vocab.size + 1),
+            epochs=1, batch_size=2, seed=1, eval_every=100,
+        )
+        lines = []
+        result = train(corpus, vocab, cfg, log=lines.append)
+        metrics = result.history[0]
+        assert metrics.nbest_incomplete == len(corpus)
+        assert f"nbest_incomplete={len(corpus)}" in lines[0]
+        assert "nbest_incomplete" not in metrics.to_json_record()
+
 
 class TestCheckpoints:
     def test_save_load_save_byte_identical(self, tmp_path):
