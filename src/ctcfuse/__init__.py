@@ -20,7 +20,7 @@ from ctcfuse.data import (
     synth_corpus,
 )
 from ctcfuse.decode import DecodeConfig, attention_beam_decode, ctc_rescore_decode, evaluate
-from ctcfuse.model import FusionConfig, Model, ModelConfig, count_params, fuse_embeddings
+from ctcfuse.model import FusionConfig, Model, ModelConfig, count_params
 from ctcfuse.tensor import Tensor, grad_check, load_tensors, save_tensors
 from ctcfuse.training import (
     Adam,
@@ -65,7 +65,6 @@ __all__ = [
     "desk_train_config",
     "edit_distance",
     "evaluate",
-    "fuse_embeddings",
     "gate",
     "grad_check",
     "greedy_1best",

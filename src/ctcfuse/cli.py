@@ -81,14 +81,7 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
     Returns ``(vocab, corpus, train_config, resolved_dict)``.
     """
     from ctcfuse.alignment import GatingConfig
-    from ctcfuse.data import (
-        DataError,
-        SynthConfig,
-        build_vocab,
-        load_manifest,
-        load_vocab_file,
-        synth_corpus,
-    )
+    from ctcfuse.data import SynthConfig, load_manifest, synth_corpus
     from ctcfuse.model import FusionConfig, ModelConfig
     from ctcfuse.training import TrainConfig
 
@@ -108,14 +101,7 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
         data_resolved = {"synth": dataclasses.asdict(synth_cfg)}
     else:
         manifest = data_sec["manifest"]
-        if not os.path.exists(manifest):
-            raise DataError(f"manifest not found: {manifest}")
-        if data_sec.get("vocab"):
-            vocab = load_vocab_file(data_sec["vocab"])
-        else:
-            with open(manifest, "r", encoding="utf-8") as fh:
-                texts = [line.split("\t")[3] for line in fh.read().splitlines() if line]
-            vocab = build_vocab(texts)
+        vocab = _vocab_for(manifest, data_sec.get("vocab"))
         corpus = load_manifest(manifest, vocab)
         data_resolved = {"manifest": manifest, "vocab": data_sec.get("vocab")}
 
@@ -160,23 +146,28 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
     return vocab, corpus, train_cfg, resolved
 
 
+def _vocab_for(manifest, vocab_path):
+    """The vocab file if one is given, else the vocabulary of the manifest's transcripts."""
+    from ctcfuse.data import build_vocab, load_vocab_file, read_manifest
+
+    if vocab_path:
+        return load_vocab_file(vocab_path)
+    return build_vocab(transcript for *_, transcript in read_manifest(manifest))
+
+
 def _input_content_hash(data_resolved: dict) -> str:
+    from ctcfuse.data import read_manifest
+
     digest = hashlib.sha256()
     if "synth" in data_resolved:
         digest.update(json.dumps(data_resolved["synth"], sort_keys=True).encode())
         return digest.hexdigest()
     manifest = data_resolved["manifest"]
-    base = os.path.dirname(os.path.abspath(manifest))
     with open(manifest, "rb") as fh:
         digest.update(fh.read())
-    with open(manifest, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            feat = line.split("\t")[1]
-            full = feat if os.path.isabs(feat) else os.path.join(base, feat)
-            with open(full, "rb") as ffh:
-                digest.update(ffh.read())
+    for _, feat_path, _, _ in read_manifest(manifest):
+        with open(feat_path, "rb") as ffh:
+            digest.update(ffh.read())
     return digest.hexdigest()
 
 
@@ -225,21 +216,26 @@ def cmd_train(args) -> int:
 
 
 def _load_model_and_vocab(args):
-    from ctcfuse.data import DataError, build_vocab, load_manifest, load_vocab_file
+    """Checkpoint, vocabulary and corpus for decoding; every utterance is long enough."""
+    from ctcfuse.data import DataError, load_manifest
     from ctcfuse.training import load_checkpoint
 
-    model, _, sidecar = load_checkpoint(args.ckpt)
-    if args.vocab:
-        vocab = load_vocab_file(args.vocab)
-    else:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            texts = [line.split("\t")[3] for line in fh.read().splitlines() if line]
-        vocab = build_vocab(texts)
-    if vocab.content_hash() != sidecar["vocab_hash"]:
+    try:
+        model, _, sidecar = load_checkpoint(args.ckpt)
+    except (ValueError, TypeError, KeyError) as err:
+        raise DataError(f"{args.ckpt}: unreadable checkpoint: {err}") from err
+    vocab = _vocab_for(args.manifest, args.vocab)
+    if vocab.content_hash() != sidecar.get("vocab_hash"):
         raise DataError(
             "vocabulary does not match the checkpoint (pass the training vocab with --vocab)"
         )
     corpus = load_manifest(args.manifest, vocab)
+    need = model.config.subsample_factor
+    for utt in corpus:
+        if utt.num_frames < need:
+            raise DataError(
+                f"utterance {utt.utt_id}: {utt.num_frames} frames, the model needs at least {need}"
+            )
     return model, vocab, corpus
 
 
@@ -315,18 +311,13 @@ def _read_hypothesis_file(path, vocab):
 
 
 def cmd_eval(args) -> int:
-    from ctcfuse.data import DataError, build_vocab, load_manifest, load_vocab_file
+    from ctcfuse.data import DataError, load_manifest
     from ctcfuse.decode import evaluate, make_decoder
 
     if (args.ckpt is None) == (args.hyp is None):
         raise UsageError("eval needs exactly one of --ckpt or --hyp")
     if args.hyp:
-        if args.vocab:
-            vocab = load_vocab_file(args.vocab)
-        else:
-            with open(args.manifest, "r", encoding="utf-8") as fh:
-                texts = [line.split("\t")[3] for line in fh.read().splitlines() if line]
-            vocab = build_vocab(texts)
+        vocab = _vocab_for(args.manifest, args.vocab)
         corpus = load_manifest(args.manifest, vocab)
         hyps = _read_hypothesis_file(args.hyp, vocab)
         missing = [u.utt_id for u in corpus if u.utt_id not in hyps]
@@ -392,15 +383,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from ctcfuse.data import DataError, corpus_stats
+    from ctcfuse.data import DataError, corpus_stats, read_manifest
 
     if (args.manifest is None) == (args.text is None):
         raise UsageError("stats needs exactly one of --manifest or --text")
     if args.manifest:
-        if not os.path.exists(args.manifest):
-            raise DataError(f"manifest not found: {args.manifest}")
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            texts = [line.split("\t")[3] for line in fh.read().splitlines() if line]
+        texts = [transcript for *_, transcript in read_manifest(args.manifest)]
     else:
         if not os.path.exists(args.text):
             raise DataError(f"text file not found: {args.text}")

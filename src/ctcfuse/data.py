@@ -102,24 +102,17 @@ class Utterance:
 
 @dataclass
 class Batch:
-    """Utterances padded to a common frame/label length, with exact masks."""
+    """Utterances with frames zero-padded to a common length."""
 
     utt_ids: list[str]
     features: np.ndarray  # [B, Tmax, F] float64, padded with 0.0
     feat_lengths: np.ndarray  # [B] int64
-    targets: np.ndarray  # [B, Lmax] int64, padded with pad_id
-    target_lengths: np.ndarray  # [B] int64
     transcripts: list[TokenSeq]
     pad_id: int
 
     @property
     def size(self) -> int:
         return len(self.utt_ids)
-
-    def feature_mask(self) -> np.ndarray:
-        """[B, Tmax] 1.0 on real frames, 0.0 on padding."""
-        t_max = self.features.shape[1]
-        return (np.arange(t_max)[None, :] < self.feat_lengths[:, None]).astype(np.float64)
 
 
 # -- feature file format ------------------------------------------------------
@@ -156,14 +149,17 @@ def read_features(path) -> np.ndarray:
 # -- manifest ----------------------------------------------------------------
 
 
-def load_manifest(path, vocab: Vocabulary) -> list[Utterance]:
-    """Read ``utt_id<TAB>feature_path<TAB>num_frames<TAB>transcript`` lines.
+def read_manifest(path):
+    """Yield ``(utt_id, feature_path, num_frames, transcript)`` per manifest line.
 
-    Feature paths are resolved relative to the manifest's directory.
-    Frame counts are cross-checked against the feature files.
+    Lines are ``utt_id<TAB>feature_path<TAB>num_frames<TAB>transcript``;
+    blank lines are skipped. Relative feature paths come back resolved
+    against the manifest's directory, unchecked: only :func:`load_manifest`
+    needs the files to exist.
     """
+    if not os.path.exists(path):
+        raise DataError(f"manifest not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
-    utterances = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -173,18 +169,33 @@ def load_manifest(path, vocab: Vocabulary) -> list[Utterance]:
             if len(parts) != 4:
                 raise DataError(f"{path}:{line_no}: expected 4 tab-separated fields")
             utt_id, feat_path, num_frames, transcript = parts
-            full = feat_path if os.path.isabs(feat_path) else os.path.join(base, feat_path)
-            if not os.path.exists(full):
-                raise DataError(f"utterance {utt_id}: missing feature file {feat_path}")
-            features = read_features(full)
-            if features.shape[0] != int(num_frames):
+            try:
+                frames = int(num_frames)
+            except ValueError:
                 raise DataError(
-                    f"utterance {utt_id}: manifest says {num_frames} frames, "
-                    f"file has {features.shape[0]}"
-                )
-            utterances.append(
-                Utterance(utt_id=utt_id, features=features, transcript=vocab.tokenize(transcript))
+                    f"{path}:{line_no}: frame count {num_frames!r} is not an integer"
+                ) from None
+            yield utt_id, os.path.join(base, feat_path), frames, transcript
+
+
+def load_manifest(path, vocab: Vocabulary) -> list[Utterance]:
+    """Utterances of a manifest (see :func:`read_manifest`) with their features.
+
+    Frame counts are cross-checked against the feature files.
+    """
+    utterances = []
+    for utt_id, feat_path, num_frames, transcript in read_manifest(path):
+        if not os.path.exists(feat_path):
+            raise DataError(f"utterance {utt_id}: missing feature file {feat_path}")
+        features = read_features(feat_path)
+        if features.shape[0] != num_frames:
+            raise DataError(
+                f"utterance {utt_id}: manifest says {num_frames} frames, "
+                f"file has {features.shape[0]}"
             )
+        utterances.append(
+            Utterance(utt_id=utt_id, features=features, transcript=vocab.tokenize(transcript))
+        )
     if not utterances:
         raise DataError(f"{path}: empty manifest")
     return utterances
@@ -308,7 +319,7 @@ def make_batches(
     policy: str = "shuffle",
     seed: int = 0,
 ) -> list[Batch]:
-    """Deterministic batch assembly; padding is 0.0 frames / pad-id labels."""
+    """Deterministic batch assembly; frames are padded with 0.0."""
     if not corpus:
         raise DataError("cannot batch an empty corpus")
     if policy not in ("none", "shuffle", "sort"):
@@ -324,19 +335,14 @@ def make_batches(
     for start in range(0, len(order), batch_size):
         group = [corpus[i] for i in order[start : start + batch_size]]
         t_max = max(u.num_frames for u in group)
-        l_max = max(len(u.transcript) for u in group)
         feats = np.zeros((len(group), t_max, group[0].features.shape[1]), dtype=np.float64)
-        targets = np.full((len(group), l_max), vocab.pad_id, dtype=np.int64)
         for row, utt in enumerate(group):
             feats[row, : utt.num_frames] = utt.features
-            targets[row, : len(utt.transcript)] = utt.transcript
         batches.append(
             Batch(
                 utt_ids=[u.utt_id for u in group],
                 features=feats,
                 feat_lengths=np.array([u.num_frames for u in group], dtype=np.int64),
-                targets=targets,
-                target_lengths=np.array([len(u.transcript) for u in group], dtype=np.int64),
                 transcripts=[u.transcript for u in group],
                 pad_id=vocab.pad_id,
             )

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ctcfuse import tensor as tz
 from ctcfuse.alignment import edit_distance
 from ctcfuse.ctc import CtcPosterior, prefix_beam_nbest
 from ctcfuse.data import Utterance, Vocabulary
@@ -35,28 +36,28 @@ class DecodeConfig:
             raise ValueError("max_len_factor must be positive")
 
 
-def _log_softmax_np(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def _tile_encoder(enc: EncoderOutput, count: int) -> EncoderOutput:
-    return EncoderOutput(
+def _tile(
+    enc: EncoderOutput, ne_memory: Tensor | None, count: int
+) -> tuple[EncoderOutput, Tensor | None]:
+    """One utterance's encoder output and N-best memory repeated for ``count`` decoder rows."""
+    enc_b = EncoderOutput(
         h_s=Tensor(np.repeat(enc.h_s.data, count, axis=0)),
         lengths=np.repeat(enc.lengths, count),
         key_bias=np.repeat(enc.key_bias, count, axis=0),
     )
+    mem_b = None if ne_memory is None else Tensor(np.repeat(ne_memory.data, count, axis=0))
+    return enc_b, mem_b
 
 
-def _ne_memory_for(model: Model, enc: EncoderOutput, vocab: Vocabulary) -> Tensor | None:
+def _posterior(model: Model, enc: EncoderOutput, vocab: Vocabulary) -> CtcPosterior:
+    return CtcPosterior(model.ctc_head(enc).data[0, : int(enc.lengths[0])], vocab.blank_id)
+
+
+def _ne_memory_for(model: Model, post: CtcPosterior, vocab: Vocabulary) -> Tensor:
     """Encode the utterance's CTC N-best once; attended at every decode step."""
-    if not model.uses_ne_memory:
-        return None
-    posterior = model.ctc_head(enc)
-    post = CtcPosterior(posterior.data[0, : int(enc.lengths[0])], vocab.blank_id)
     nbest = prefix_beam_nbest(post, model.fusion.beam_width, model.fusion.n)
     max_len = max(1, max((len(s) for s in nbest.sequences()), default=1))
-    return model.ne_encode(model.ne_input_batch([nbest], max_len, vocab.pad_id))
+    return model.ne_encode(model.ne_input([nbest], max_len, vocab.pad_id))
 
 
 def attention_beam_decode(
@@ -75,7 +76,9 @@ def attention_beam_decode(
     model.train(False)
     feats = np.asarray(features, dtype=np.float64)
     enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
-    ne_memory = _ne_memory_for(model, enc, vocab)
+    ne_memory = None
+    if model.uses_ne_memory:
+        ne_memory = _ne_memory_for(model, _posterior(model, enc, vocab), vocab)
     max_len = max(1, int(round(cfg.max_len_factor * int(enc.lengths[0]))))
 
     # (tokens, raw log-prob, finished); finished entries ride along in the
@@ -86,12 +89,9 @@ def attention_beam_decode(
         if not live:
             break
         ids = np.array([(vocab.sos_id,) + b[0] for _, b in live], dtype=np.int64)
-        enc_b = _tile_encoder(enc, len(live))
-        mem_b = None
-        if ne_memory is not None:
-            mem_b = Tensor(np.repeat(ne_memory.data, len(live), axis=0))
+        enc_b, mem_b = _tile(enc, ne_memory, len(live))
         logits = model.decoder_forward(model.embed_tokens(ids), enc_b, mem_b)
-        logp = _log_softmax_np(logits.data[:, -1, :])
+        logp = tz.log_softmax(Tensor(logits.data[:, -1, :])).data
         grown: list[tuple[tuple[int, ...], float, bool]] = [b for b in beams if b[2]]
         for row, (_, (toks, score, _)) in enumerate(live):
             for k in range(vocab.size):
@@ -131,12 +131,8 @@ def teacher_forced_scores(
         tgt_row = cand + (vocab.eos_id,)
         tgt[i, : len(tgt_row)] = tgt_row
         mask[i, : len(tgt_row)] = 1.0
-    enc_b = _tile_encoder(enc, len(candidates))
-    mem_b = None
-    if ne_memory is not None:
-        mem_b = Tensor(np.repeat(ne_memory.data, len(candidates), axis=0))
-    logits = model.decoder_forward(model.embed_tokens(ids), enc_b, mem_b).data
-    logp = _log_softmax_np(logits)
+    enc_b, mem_b = _tile(enc, ne_memory, len(candidates))
+    logp = tz.log_softmax(model.decoder_forward(model.embed_tokens(ids), enc_b, mem_b)).data
     rows = np.arange(len(candidates))[:, None]
     cols = np.arange(l_max)[None, :]
     picked = logp[rows, cols, tgt] * mask
@@ -158,10 +154,9 @@ def ctc_rescore_decode(
     model.train(False)
     feats = np.asarray(features, dtype=np.float64)
     enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
-    posterior = model.ctc_head(enc)
-    post = CtcPosterior(posterior.data[0, : int(enc.lengths[0])], vocab.blank_id)
+    post = _posterior(model, enc, vocab)
     nbest = prefix_beam_nbest(post, cfg.beam, cfg.beam)
-    ne_memory = _ne_memory_for(model, enc, vocab)
+    ne_memory = _ne_memory_for(model, post, vocab) if model.uses_ne_memory else None
 
     candidates = nbest.sequences()
     ctc_scores = np.array([score for _, score in nbest.hypotheses])

@@ -385,15 +385,8 @@ class Model:
 
     # -- N-best memory -------------------------------------------------------------
 
-    def ne_input(self, nbest: NBestList, max_len: int, pad_id: int) -> Tensor:
-        """Project the concatenated hypothesis embeddings to model width, [max_len, d]."""
-        ids = nbest_id_matrix(nbest, self.fusion.n, max_len, pad_id)
-        emb = self.embed_tokens(ids)  # [n, max_len, d]
-        n, L, d = emb.shape
-        flat = emb.transpose(1, 0, 2).reshape(L, n * d)
-        return self._linear(flat, "ne.proj")
-
-    def ne_input_batch(self, nbests: list[NBestList], max_len: int, pad_id: int) -> Tensor:
+    def ne_input(self, nbests: list[NBestList], max_len: int, pad_id: int) -> Tensor:
+        """Project each utterance's concatenated hypothesis embeddings, [B, max_len, d]."""
         ids = np.stack(
             [nbest_id_matrix(nb, self.fusion.n, max_len, pad_id) for nb in nbests], axis=0
         )  # [B, n, L]
@@ -403,19 +396,15 @@ class Model:
         return self._linear(flat, "ne.proj")
 
     def ne_encode(self, x: Tensor) -> Tensor:
-        """Self-attention blocks over the hypothesis memory (no causal mask)."""
+        """Self-attention blocks over the hypothesis memory [B, L, d] (no causal mask)."""
         if self.config.ne_layers < 1:
             raise ValueError("ne_encode requires ne_layers >= 1")
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape(1, *x.shape)
         for i in range(self.config.ne_layers):
             h = self._norm(x, f"ne.layer{i}.ln1")
             x = x + self._drop(self._mha(f"ne.layer{i}.attn", h, h, None))
             h = self._norm(x, f"ne.layer{i}.ln2")
             x = x + self._drop(self._ffn(h, f"ne.layer{i}.ffn"))
-        x = self._norm(x, "ne.ln")
-        return x.reshape(*x.shape[1:]) if squeeze else x
+        return self._norm(x, "ne.ln")
 
     # -- decoder ----------------------------------------------------------------
 
@@ -436,12 +425,6 @@ class Model:
             raise ValueError("ne_memory supplied to a model without the N-best method")
         if ne_memory is None and self.uses_ne_memory:
             raise ValueError("this model requires ne_memory")
-        squeeze = input_emb.ndim == 2
-        if squeeze:
-            input_emb = input_emb.reshape(1, *input_emb.shape)
-            if ne_memory is not None and ne_memory.ndim == 2:
-                ne_memory = ne_memory.reshape(1, *ne_memory.shape)
-
         x = self._drop(input_emb)
         causal = _causal_bias(x.shape[1])
         for i in range(self.config.decoder_layers):
@@ -456,8 +439,7 @@ class Model:
             h = self._norm(x, f"decoder.layer{i}.ln3")
             x = x + self._drop(self._ffn(h, f"decoder.layer{i}.ffn"))
         x = self._norm(x, "decoder.ln")
-        logits = self._linear(x, "decoder.out")
-        return logits.reshape(*logits.shape[1:]) if squeeze else logits
+        return self._linear(x, "decoder.out")
 
 
 def nbest_id_matrix(nbest: NBestList, n: int, max_len: int, pad_id: int) -> np.ndarray:
@@ -474,20 +456,3 @@ def nbest_id_matrix(nbest: NBestList, n: int, max_len: int, pad_id: int) -> np.n
         clipped = seq[:max_len]
         ids[row, : len(clipped)] = clipped
     return ids
-
-
-def fuse_embeddings(emb_y: Tensor, emb_w: Tensor, alpha: float) -> Tensor:
-    """Convex combination ``alpha * emb_w + (1 - alpha) * emb_y``.
-
-    The endpoints return the operand itself, so ``alpha == 0`` is exactly
-    (bitwise) the plain teacher-forcing input.
-    """
-    if emb_y.shape != emb_w.shape:
-        raise ValueError(f"fusion operands differ in shape: {emb_y.shape} vs {emb_w.shape}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if alpha == 0.0:
-        return emb_y
-    if alpha == 1.0:
-        return emb_w
-    return emb_w * alpha + emb_y * (1.0 - alpha)

@@ -292,15 +292,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tensors, grad_fn)
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-
-    def grad_fn(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
-
-    return Tensor._result(np.stack([t.data for t in tensors], axis=axis), tensors, grad_fn)
-
-
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
     return Tensor._result(out_data, (a,), lambda g: (g * out_data,))

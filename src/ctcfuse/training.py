@@ -367,7 +367,7 @@ def build_decoder_input(
                 mask[i, pos] = 0.0
 
     emb_y = model.embed_tokens(y_ids)
-    if np.all(alphas == 0.0):
+    if np.all(alphas == 0.0):  # plain teacher forcing, bit for bit (acceptance criterion 6)
         input_emb = emb_y
     else:
         emb_w = model.embed_tokens(w_ids)
@@ -379,9 +379,7 @@ def build_decoder_input(
         max_hyp = max(
             (len(seq) for nb in hyps for seq in nb.sequences()[: cfg.fusion.n]), default=0
         )
-        ne_memory = model.ne_encode(
-            model.ne_input_batch(hyps, max(1, max_hyp), vocab.pad_id)
-        )
+        ne_memory = model.ne_encode(model.ne_input(hyps, max(1, max_hyp), vocab.pad_id))
 
     return DecoderInputs(
         input_emb=input_emb,
@@ -531,6 +529,9 @@ def train(
 ) -> TrainResult:
     """Full run: init (optionally from a donor checkpoint), epochs, metrics.
 
+    A fresh run truncates ``out_dir/metrics.jsonl``; :func:`resume` appends
+    to it.
+
     Train CER is measured by greedy attention decoding every
     ``eval_every`` epochs (and on the final epoch); when
     ``stop_at_train_cer`` is set the run stops at the first measurement
@@ -542,6 +543,9 @@ def train(
             model, cfg.pretrain_path, cfg.pretrain_selection or "encoder", vocab.content_hash()
         )
     optimizer = Adam(model.params, cfg)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8").close()
     return _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch=1)
 
 

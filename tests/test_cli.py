@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ctcfuse.cli import main
+from ctcfuse.data import write_features
 
 
 def run_cli(*argv):
@@ -20,6 +21,29 @@ def error_lines(err: str) -> list[tuple[str, str]]:
         if match:
             found.append((match.group(1), json.loads(match.group(2))))
     return found
+
+
+def one_data_error(err: str) -> str:
+    """The message of the single error line, which must be of kind data."""
+    assert len(err.splitlines()) == 1, err
+    [(kind, msg)] = error_lines(err)
+    assert kind == "data"
+    return msg
+
+
+def edited_manifest(corpus_dir, tmp_path, line_no, edit):
+    """Copy of the corpus manifest, absolute feature paths, one line rewritten."""
+    rows = [l.split("\t") for l in (corpus_dir / "manifest.tsv").read_text().splitlines()]
+    for row in rows:
+        row[1] = str(corpus_dir / row[1])
+    rows[line_no - 1] = edit(rows[line_no - 1])
+    path = tmp_path / "edited.tsv"
+    path.write_text("".join("\t".join(row) + "\n" for row in rows))
+    return path
+
+
+def three_fields(row):
+    return [row[0], row[1], row[3]]
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +257,79 @@ class TestDecodeEval:
         err = capsys.readouterr().err
         assert [kind for kind, _ in error_lines(err)] == ["usage"]
         assert len(err.splitlines()) == 1
+
+
+class TestDataErrors:
+    def test_stats_three_field_line(self, corpus_dir, tmp_path, capsys):
+        manifest = edited_manifest(corpus_dir, tmp_path, 3, three_fields)
+        assert run_cli("stats", "--manifest", str(manifest)) == 2
+        assert f"{manifest}:3:" in one_data_error(capsys.readouterr().err)
+
+    def test_decode_three_field_line_without_vocab(self, trained, corpus_dir, tmp_path, capsys):
+        manifest = edited_manifest(corpus_dir, tmp_path, 3, three_fields)
+        code = run_cli("decode", "--ckpt", str(trained / "model.ckpt"), "--manifest", str(manifest))
+        assert code == 2
+        assert f"{manifest}:3:" in one_data_error(capsys.readouterr().err)
+
+    def test_train_three_field_line_without_vocab(self, base_config, corpus_dir, tmp_path, capsys):
+        manifest = edited_manifest(corpus_dir, tmp_path, 3, three_fields)
+        payload = json.loads(base_config.read_text())
+        payload["data"] = {"manifest": str(manifest)}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", str(config)) == 2
+        assert f"{manifest}:3:" in one_data_error(capsys.readouterr().err)
+
+    def test_decode_non_integer_frame_count(self, trained, corpus_dir, tmp_path, capsys):
+        manifest = edited_manifest(
+            corpus_dir, tmp_path, 4, lambda row: [row[0], row[1], "ten", row[3]]
+        )
+        code = run_cli(
+            "decode", "--ckpt", str(trained / "model.ckpt"), "--manifest", str(manifest),
+            "--vocab", str(corpus_dir / "vocab.txt"),
+        )
+        assert code == 2
+        assert f"{manifest}:4:" in one_data_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("part", ["container", "sidecar"])
+    def test_corrupt_checkpoint(self, trained, corpus_dir, tmp_path, capsys, part):
+        blob = (trained / "model.ckpt").read_bytes()
+        sidecar = (trained / "model.ckpt.json").read_text()
+        if part == "container":
+            blob = blob[: len(blob) // 2]
+        else:
+            sidecar = sidecar[:-5]
+        (tmp_path / "model.ckpt").write_bytes(blob)
+        (tmp_path / "model.ckpt.json").write_text(sidecar)
+        code = run_cli(
+            "decode", "--ckpt", str(tmp_path / "model.ckpt"),
+            "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--vocab", str(corpus_dir / "vocab.txt"),
+        )
+        assert code == 2
+        assert str(tmp_path / "model.ckpt") in one_data_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_too_short_utterance(
+        self, trained, corpus_dir, tmp_path, capsys, monkeypatch, command
+    ):
+        from ctcfuse import decode
+
+        def never(*args, **kwargs):
+            raise AssertionError("decoded before every utterance was checked")
+
+        monkeypatch.setattr(decode, "attention_beam_decode", never)
+        short = tmp_path / "short.feat"
+        write_features(short, np.zeros((3, 4), dtype=np.float32))
+        manifest = edited_manifest(
+            corpus_dir, tmp_path, 10, lambda row: ["tiny", str(short), "3", row[3]]
+        )
+        code = run_cli(
+            command, "--ckpt", str(trained / "model.ckpt"), "--manifest", str(manifest),
+            "--vocab", str(corpus_dir / "vocab.txt"),
+        )
+        assert code == 2
+        assert "utterance tiny" in one_data_error(capsys.readouterr().err)
 
 
 class TestAlign:

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 
 from ctcfuse import tensor as tz
+from ctcfuse.alignment import GatingConfig
 from ctcfuse.ctc import NBestList
+from ctcfuse.data import SynthConfig, make_batches, synth_corpus
 from ctcfuse.model import (
     METHOD_BASELINE,
+    METHOD_FUSION,
     METHOD_NBEST,
     FusionConfig,
     Model,
     ModelConfig,
     count_params,
-    fuse_embeddings,
     nbest_id_matrix,
     param_specs,
     subsampled_length,
 )
 from ctcfuse.tensor import Tensor
+from ctcfuse.training import TrainConfig, build_decoder_input
 
 PAD = 3  # eos id in the reserved layout
 
@@ -155,34 +158,58 @@ class TestEmbedTokens:
 
 
 class TestFusion:
+    """The per-row mix of reference and hypothesis embeddings in build_decoder_input.
+
+    Every reference has 3 tokens. With ``t_l=1`` a 3-token hypothesis
+    fuses at ``alpha``, a 2-token one replaces the reference input
+    (alpha 1) and a 6-token one leaves plain teacher forcing (alpha 0).
+    """
+
+    def decoder_input(self, alpha, transcripts, hyps):
+        vocab, corpus = synth_corpus(
+            SynthConfig(vocab_size=5, count=len(transcripts), min_len=3, max_len=3,
+                        feature_dim=4, seed=0)
+        )
+        cfg = TrainConfig(
+            model=ModelConfig.toy(vocab_size=vocab.size),
+            fusion=FusionConfig(method=METHOD_FUSION, alpha=alpha),
+            gating=GatingConfig(mode="absolute", t_l=1),
+        )
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        batch = make_batches(corpus, len(corpus), vocab, policy="none")[0]
+        batch.transcripts[:] = transcripts
+        enc_lengths = np.full(len(transcripts), 20)
+        dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc_lengths)
+        return model, dec
+
     def test_alpha_zero_returns_reference_operand(self):
-        a = Tensor(np.ones((2, 2)))
-        b = Tensor(np.zeros((2, 2)))
-        assert fuse_embeddings(a, b, 0.0) is a
+        model, dec = self.decoder_input(0.5, [(4, 5, 6), (7, 8, 4)], [(4,) * 6, (5,) * 6])
+        assert dec.pathway_counts["ground_truth_only"] == 2
+        expected = model.embed_tokens(np.array(dec.y_rows))
+        assert dec.input_emb.data.tobytes() == expected.data.tobytes()
 
     def test_alpha_one_returns_hypothesis_operand(self):
-        a = Tensor(np.ones((2, 2)))
-        b = Tensor(np.zeros((2, 2)))
-        assert fuse_embeddings(a, b, 1.0) is b
+        model, dec = self.decoder_input(0.5, [(4, 5, 6), (7, 8, 4)], [(6, 5, 4), (5, 7)])
+        assert list(dec.alphas) == [0.5, 1.0]
+        emb_w = model.embed_tokens(np.array(dec.w_rows)).data
+        np.testing.assert_array_equal(dec.input_emb.data[1], emb_w[1])
 
     def test_midpoint_is_elementwise_mean(self):
-        a = Tensor(np.array([[2.0, 4.0], [6.0, 8.0]]))
-        b = Tensor(np.array([[0.0, 0.0], [0.0, 0.0]]))
-        out = fuse_embeddings(a, b, 0.5)
-        np.testing.assert_allclose(out.data, a.data / 2.0)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            fuse_embeddings(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))), 0.5)
+        model, dec = self.decoder_input(0.5, [(4, 5, 6), (7, 8, 4)], [(6, 5, 4), (4,) * 6])
+        emb_y = model.embed_tokens(np.array(dec.y_rows)).data
+        emb_w = model.embed_tokens(np.array(dec.w_rows)).data
+        np.testing.assert_allclose(dec.input_emb.data[0], (emb_y[0] + emb_w[0]) / 2.0)
+        np.testing.assert_array_equal(dec.input_emb.data[1], emb_y[1])
 
     def test_gradient_flows_through_both_terms(self):
-        table = Tensor(np.random.default_rng(0).normal(size=(4, 2)), requires_grad=True)
-        emb_y = tz.embedding(table, np.array([0]))
-        emb_w = tz.embedding(table, np.array([1]))
-        fuse_embeddings(emb_y, emb_w, 0.3).sum().backward()
-        assert np.all(table.grad[0] != 0.0) and np.all(table.grad[1] != 0.0)
-        np.testing.assert_allclose(table.grad[0], 0.7)
-        np.testing.assert_allclose(table.grad[1], 0.3)
+        # token 4 only in the reference, token 5 only in the hypothesis
+        model, dec = self.decoder_input(0.3, [(4, 4, 4)], [(5, 5, 5)])
+        table = model.params["embed.table"]
+        model.zero_grad()
+        dec.input_emb.sum().backward()
+        scale = 3 * math.sqrt(model.config.d_model)  # three positions, scaled lookup
+        np.testing.assert_allclose(table.grad[4], 0.7 * scale)
+        np.testing.assert_allclose(table.grad[5], 0.3 * scale)
 
 
 class TestNeModule:
@@ -203,18 +230,19 @@ class TestNeModule:
 
     def test_single_hypothesis_is_plain_linear_map(self):
         model = toy_model(method=METHOD_NBEST, n=1)
-        nbest = self.make_nbest([(4, 5)])
-        out = model.ne_input(nbest, max_len=2, pad_id=PAD)
-        emb = model.embed_tokens(np.array([4, 5]))
-        manual = emb.data @ model.params["ne.proj.w"].data + model.params["ne.proj.b"].data
-        np.testing.assert_allclose(out.data, manual, atol=1e-12)
+        rows = [(4, 5), (6, 4)]
+        out = model.ne_input([self.make_nbest([row]) for row in rows], max_len=2, pad_id=PAD)
+        for i, row in enumerate(rows):
+            emb = model.embed_tokens(np.array(row))
+            manual = emb.data @ model.params["ne.proj.w"].data + model.params["ne.proj.b"].data
+            np.testing.assert_allclose(out.data[i], manual, atol=1e-12)
 
     def test_output_shape_fixed_by_max_len(self):
         for n in (1, 2, 3):
             model = toy_model(method=METHOD_NBEST, n=n)
-            nbest = self.make_nbest([(4 + k,) for k in range(n)])
-            out = model.ne_input(nbest, max_len=5, pad_id=PAD)
-            assert out.shape == (5, model.config.d_model)
+            nbests = [self.make_nbest([(4 + k,) for k in range(n)]), self.make_nbest([(5, 6)])]
+            out = model.ne_input(nbests, max_len=5, pad_id=PAD)
+            assert out.shape == (2, 5, model.config.d_model)
 
     def test_gradient_reaches_table_through_every_hypothesis(self):
         model = toy_model(method=METHOD_NBEST, n=2)
@@ -222,14 +250,14 @@ class TestNeModule:
         nbest = self.make_nbest([(4, 5), (6, 5)])
         table = model.params["embed.table"]
         model.zero_grad()
-        out = model.ne_encode(model.ne_input(nbest, max_len=2, pad_id=PAD))
+        out = model.ne_encode(model.ne_input([nbest], max_len=2, pad_id=PAD))
         out.sum().backward()
         assert np.any(table.grad[6] != 0.0)
         assert np.any(table.grad[4] != 0.0)
 
     def test_ne_encode_preserves_shape_and_is_deterministic(self):
         model = toy_model(method=METHOD_NBEST, n=2)
-        x = Tensor(np.random.default_rng(1).normal(size=(3, model.config.d_model)))
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 3, model.config.d_model)))
         a = model.ne_encode(x)
         b = model.ne_encode(x)
         assert a.shape == x.shape
@@ -369,7 +397,7 @@ class TestFullModelGradients:
             emb = model.embed_tokens(ids)
             mem = None
             if method == METHOD_NBEST:
-                mem = model.ne_encode(model.ne_input_batch([nbest], 2, PAD))
+                mem = model.ne_encode(model.ne_input([nbest], 2, PAD))
             logits = model.decoder_forward(emb, enc, mem)
             return (tz.log_softmax(logits, axis=-1) * 0.1).sum()
 

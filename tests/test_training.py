@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 
@@ -391,6 +392,19 @@ class TestCheckpoints:
         expected = [m.joint_loss for m in straight.history[2:]]
         assert len(tail) == 2
         np.testing.assert_allclose(tail, expected, rtol=1e-6)
+
+    def test_fresh_run_overwrites_metrics_and_resume_appends(self, tmp_path):
+        vocab, corpus, cfg = tiny_setup(count=8)
+        single, twice = tmp_path / "single", tmp_path / "twice"
+        train(corpus, vocab, cfg, out_dir=str(single))
+        for _ in range(2):
+            train(corpus, vocab, cfg, out_dir=str(twice))
+        assert (twice / "metrics.jsonl").read_bytes() == (single / "metrics.jsonl").read_bytes()
+
+        cfg3 = dataclasses.replace(cfg, epochs=3)
+        tr.resume(corpus, vocab, str(twice / "model.ckpt"), cfg3, out_dir=str(twice))
+        records = (twice / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in records] == [1, 2, 3]
 
     def test_corrupt_format_version(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
