@@ -176,37 +176,42 @@ def _input_content_hash(data_resolved: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
+def _train_run(payload: dict, seed: int | None, out_dir: str | None, echo: bool):
+    """Resolve a run config and train it; the one writer of a run directory.
+
+    Log lines go to ``train.log`` in ``out_dir``, and to stdout if ``echo``.
+    """
     from ctcfuse.training import train
 
-    payload = _load_json(args.config)
-    vocab, corpus, cfg, resolved = resolve_run_config(payload, seed_override=args.seed)
-    out_dir = _outdir(args)
+    vocab, corpus, cfg, resolved = resolve_run_config(payload, seed_override=seed)
     log_lines: list[str] = []
 
     def log(line: str) -> None:
         log_lines.append(line)
-        if not args.quiet:
+        if echo:
             print(line)
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
-            json.dump(resolved, fh, indent=2, sort_keys=True)
-            fh.write("\n")
         meta = {
             "seed": cfg.seed,
             "input_content_hash": _input_content_hash(resolved["data"]),
             "vocab_hash": vocab.content_hash(),
         }
-        with open(os.path.join(out_dir, "run_meta.json"), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        for name, record in (("resolved_config.json", resolved), ("run_meta.json", meta)):
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                json.dump(record, fh, indent=2, sort_keys=True)
+                fh.write("\n")
 
     result = train(corpus, vocab, cfg, out_dir=out_dir, log=log)
     if out_dir:
         with open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(log_lines) + "\n")
+    return result
+
+
+def cmd_train(args) -> int:
+    result = _train_run(_load_json(args.config), args.seed, _outdir(args), echo=not args.quiet)
     final = result.history[-1]
     print(
         f"done epochs={final.epoch} joint={final.joint_loss:.4f} "
@@ -220,10 +225,7 @@ def _load_model_and_vocab(args):
     from ctcfuse.data import DataError, load_manifest
     from ctcfuse.training import load_checkpoint
 
-    try:
-        model, _, sidecar = load_checkpoint(args.ckpt)
-    except (ValueError, TypeError, KeyError) as err:
-        raise DataError(f"{args.ckpt}: unreadable checkpoint: {err}") from err
+    model, _, sidecar = load_checkpoint(args.ckpt)
     vocab = _vocab_for(args.manifest, args.vocab)
     if vocab.content_hash() != sidecar.get("vocab_hash"):
         raise DataError(
@@ -253,8 +255,9 @@ def _decode_config(args):
 def cmd_decode(args) -> int:
     import numpy as np
 
-    from ctcfuse.ctc import CtcPosterior, format_nbest, prefix_beam_nbest
-    from ctcfuse.decode import attention_beam_decode, ctc_rescore_decode, format_hypothesis
+    from ctcfuse.ctc import format_nbest, prefix_beam_nbest
+    from ctcfuse.decode import (_posterior, attention_beam_decode, ctc_rescore_decode,
+                                format_hypothesis)
 
     cfg = _decode_config(args)
     if args.nbest < 0:
@@ -272,10 +275,9 @@ def cmd_decode(args) -> int:
             enc = model.encode(
                 utt.features[None].astype(np.float64), np.array([utt.num_frames])
             )
-            post = CtcPosterior(
-                model.ctc_head(enc).data[0, : int(enc.lengths[0])], vocab.blank_id
+            nb = prefix_beam_nbest(
+                _posterior(model, enc, vocab), max(args.beam, args.nbest), args.nbest
             )
-            nb = prefix_beam_nbest(post, max(args.beam, args.nbest), args.nbest)
             nbest_lines.append(format_nbest(utt.utt_id, nb, vocab.id_to_token))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -455,8 +457,6 @@ def _apply_grid_point(payload: dict, point: dict[str, str]) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    from ctcfuse.training import train
-
     payload = _load_json(args.config)
     grid = _parse_grid(args.grid)
     out_dir = _outdir(args)
@@ -470,13 +470,7 @@ def cmd_sweep(args) -> int:
         point = dict(zip(keys, combo))
         name = "run_" + "_".join(f"{k}={v}" for k, v in sorted(point.items()))
         run_dir = os.path.join(out_dir, name)
-        point_payload = _apply_grid_point(payload, point)
-        vocab, corpus, cfg, resolved = resolve_run_config(point_payload, seed_override=args.seed)
-        os.makedirs(run_dir, exist_ok=True)
-        with open(os.path.join(run_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
-            json.dump(resolved, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        result = train(corpus, vocab, cfg, out_dir=run_dir)
+        result = _train_run(_apply_grid_point(payload, point), args.seed, run_dir, echo=False)
         final = result.history[-1]
         rows.append(
             {

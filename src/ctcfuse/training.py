@@ -27,7 +27,8 @@ from ctcfuse.ctc import (
     min_frames,
     prefix_beam_nbest,
 )
-from ctcfuse.data import Batch, Utterance, Vocabulary, make_batches
+from ctcfuse.data import Batch, DataError, Utterance, Vocabulary, make_batches
+from ctcfuse.decode import DecodeConfig, evaluate, make_decoder
 from ctcfuse.model import (
     METHOD_ALIGNED,
     METHOD_BASELINE,
@@ -44,6 +45,10 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 class NumericError(Exception):
     """Raised when a loss or update turns non-finite."""
+
+
+class CheckpointError(DataError, ValueError):
+    """A checkpoint pair that cannot be read, rebuilt or used; the message names its path."""
 
 
 @dataclass(frozen=True)
@@ -581,7 +586,8 @@ def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch)
         metrics = train_epoch(corpus, vocab, model, optimizer, cfg, epoch)
         measure = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
         if measure:
-            metrics.train_cer = _greedy_train_cer(corpus, vocab, model, cfg)
+            greedy = make_decoder(model, DecodeConfig(beam=1), vocab)
+            metrics.train_cer = evaluate(corpus, greedy).corpus_cer
             final_cer = metrics.train_cer
         history.append(metrics)
         if metrics_path:
@@ -611,32 +617,24 @@ def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch)
     )
 
 
-def _greedy_train_cer(corpus, vocab, model, cfg) -> float:
-    from ctcfuse import decode as decode_mod
-    from ctcfuse.alignment import edit_distance
-
-    dcfg = decode_mod.DecodeConfig(method="attention", beam=1)
-    total_edits = 0
-    total_ref = 0
-    model.train(False)
-    for utt in corpus:
-        hyp, _, _ = decode_mod.attention_beam_decode(utt.features, model, dcfg, vocab)
-        total_edits += edit_distance(utt.transcript, hyp)[0]
-        total_ref += len(utt.transcript)
-    return total_edits / total_ref
-
-
 # ---------------------------------------------------------------------------
 # checkpoints and selective initialization
 # ---------------------------------------------------------------------------
 
 
+# the TrainConfig fields a sidecar's "optimizer" object stores
+_OPTIMIZER_SETTINGS = ("lr_base", "warmup_steps", "beta1", "beta2", "adam_eps")
+
+
 def save_checkpoint(path, model: Model, optimizer: Adam, cfg: TrainConfig,
                     vocab: Vocabulary, epoch: int) -> None:
-    """Binary tensor container plus a JSON sidecar at ``path`` / ``path.json``."""
+    """Binary tensor container plus a JSON sidecar at ``path`` / ``path.json``.
+
+    Each is written to a temporary name beside its target, then moved into
+    place; a failed save leaves the previous pair and no temporary behind.
+    """
     arrays = model.state_arrays()
     arrays.update(optimizer.state_arrays())
-    save_tensors(path, arrays)
     sidecar = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_config": asdict(model.config),
@@ -652,37 +650,49 @@ def save_checkpoint(path, model: Model, optimizer: Adam, cfg: TrainConfig,
             "adam_eps": optimizer.eps,
         },
     }
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    targets = (str(path), str(path) + ".json")
+    temps = tuple(target + ".tmp" for target in targets)
+    try:
+        save_tensors(temps[0], arrays)
+        with open(temps[1], "w", encoding="utf-8") as fh:
+            json.dump(sidecar, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    except BaseException:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+        raise
 
 
 def load_checkpoint(path, cfg: TrainConfig | None = None) -> tuple[Model, Adam, dict]:
-    """Rebuild model and optimizer state from a checkpoint pair."""
-    with open(str(path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    if sidecar.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(
-            f"checkpoint format version {sidecar.get('format_version')} unsupported"
-        )
-    model_cfg = ModelConfig(**sidecar["model_config"])
-    fusion = FusionConfig(**sidecar["fusion"])
-    model = Model(model_cfg, fusion, seed=0)
-    arrays = load_tensors(path)
-    model.load_state_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
-    if cfg is None:
-        opt_meta = sidecar["optimizer"]
-        cfg = TrainConfig(
-            model=model_cfg,
-            fusion=fusion,
-            lr_base=opt_meta["lr_base"],
-            warmup_steps=opt_meta["warmup_steps"],
-            beta1=opt_meta["beta1"],
-            beta2=opt_meta["beta2"],
-            adam_eps=opt_meta["adam_eps"],
-        )
-    optimizer = Adam(model.params, cfg)
-    optimizer.load_state_arrays(arrays)
+    """Rebuild model and optimizer state from a checkpoint pair.
+
+    Any failure to read or rebuild the pair raises :class:`CheckpointError`.
+    """
+    try:
+        with open(str(path) + ".json", "r", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        if not isinstance(sidecar, dict):
+            raise ValueError("sidecar is not a JSON object")
+        if sidecar.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(
+                f"checkpoint format version {sidecar.get('format_version')} unsupported"
+            )
+        model_cfg = ModelConfig(**sidecar["model_config"])
+        fusion = FusionConfig(**sidecar["fusion"])
+        model = Model(model_cfg, fusion, seed=0)
+        arrays = load_tensors(path)
+        model.load_state_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
+        if cfg is None:
+            opt_meta = sidecar["optimizer"]
+            settings = {key: opt_meta[key] for key in _OPTIMIZER_SETTINGS}
+            cfg = TrainConfig(model=model_cfg, fusion=fusion, **settings)
+        optimizer = Adam(model.params, cfg)
+        optimizer.load_state_arrays(arrays)
+    except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as err:
+        raise CheckpointError(f"{path}: unreadable checkpoint: {err}") from err
     return model, optimizer, sidecar
 
 
@@ -707,27 +717,21 @@ def init_from_pretrained(
     """
     if selection not in _SELECTION_PREFIXES:
         raise ValueError(f"unknown selection {selection!r}")
-    with open(str(checkpoint_path) + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    if vocab_hash is not None and sidecar.get("vocab_hash") != vocab_hash:
-        raise ValueError("donor checkpoint was trained with a different vocabulary")
-    arrays = load_tensors(checkpoint_path)
+    donor, _, sidecar = load_checkpoint(checkpoint_path)
     prefixes = _SELECTION_PREFIXES[selection]
-    mismatched = []
-    missing = []
-    for name, p in model.params.items():
-        if _is_ne_param(name) or not name.startswith(prefixes):
-            continue
-        if name not in arrays:
-            missing.append(name)
-        elif arrays[name].shape != p.shape:
-            mismatched.append(name)
-    if missing:
-        raise ValueError(f"donor checkpoint missing parameters: {sorted(missing)}")
-    if mismatched:
-        raise ValueError(f"shape mismatch loading parameters: {sorted(mismatched)}")
-    for name, p in model.params.items():
-        if _is_ne_param(name) or not name.startswith(prefixes):
-            continue
-        p.data = arrays[name].astype(p.data.dtype)
-    return model
+    selected = [n for n in model.params if n.startswith(prefixes) and not _is_ne_param(n)]
+    missing = sorted(n for n in selected if n not in donor.params)
+    mismatched = sorted(
+        n for n in selected if n in donor.params and donor.params[n].shape != model.params[n].shape
+    )
+    if vocab_hash is not None and sidecar.get("vocab_hash") != vocab_hash:
+        problem = "donor checkpoint was trained with a different vocabulary"
+    elif missing:
+        problem = f"donor checkpoint missing parameters: {missing}"
+    elif mismatched:
+        problem = f"shape mismatch loading parameters: {mismatched}"
+    else:
+        for name in selected:
+            model.params[name].data = donor.params[name].data.astype(model.params[name].data.dtype)
+        return model
+    raise CheckpointError(f"{checkpoint_path}: {problem}")

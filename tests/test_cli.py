@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from ctcfuse.cli import main
-from ctcfuse.data import write_features
+from ctcfuse.cli import _apply_grid_point, main
+from ctcfuse.data import build_vocab, load_vocab_file, write_features
+from ctcfuse.model import FusionConfig, Model, ModelConfig
+from ctcfuse.training import Adam, TrainConfig, save_checkpoint
 
 
 def run_cli(*argv):
@@ -291,14 +293,16 @@ class TestDataErrors:
         assert code == 2
         assert f"{manifest}:4:" in one_data_error(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("part", ["container", "sidecar"])
+    @pytest.mark.parametrize("part", ["container", "sidecar", "sidecar_list"])
     def test_corrupt_checkpoint(self, trained, corpus_dir, tmp_path, capsys, part):
         blob = (trained / "model.ckpt").read_bytes()
         sidecar = (trained / "model.ckpt.json").read_text()
         if part == "container":
             blob = blob[: len(blob) // 2]
-        else:
+        elif part == "sidecar":
             sidecar = sidecar[:-5]
+        else:
+            sidecar = "[]\n"
         (tmp_path / "model.ckpt").write_bytes(blob)
         (tmp_path / "model.ckpt.json").write_text(sidecar)
         code = run_cli(
@@ -308,6 +312,41 @@ class TestDataErrors:
         )
         assert code == 2
         assert str(tmp_path / "model.ckpt") in one_data_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "sidecar_not_json", "format_version", "vocabulary", "width"]
+    )
+    def test_unusable_donor(self, base_config, trained, corpus_dir, tmp_path, capsys, damage):
+        donor = tmp_path / "donor.ckpt"
+        if damage in ("vocabulary", "width"):
+            vocab = load_vocab_file(corpus_dir / "vocab.txt")
+            if damage == "vocabulary":
+                vocab = build_vocab(["xyz"])
+            model_cfg = ModelConfig(
+                d_model=16 if damage == "width" else 8, num_heads=2, ffn_dim=16,
+                encoder_layers=1, decoder_layers=1, ne_layers=1,
+                vocab_size=vocab.size, feature_dim=4,
+            )
+            model = Model(model_cfg, FusionConfig(), seed=0)
+            cfg = TrainConfig(model=model_cfg)
+            save_checkpoint(donor, model, Adam(model.params, cfg), cfg, vocab, epoch=1)
+        else:
+            blob = (trained / "model.ckpt").read_bytes()
+            sidecar = (trained / "model.ckpt.json").read_text()
+            if damage == "truncated":
+                blob = blob[:100]
+            elif damage == "sidecar_not_json":
+                sidecar = sidecar[:-5]
+            else:
+                sidecar = sidecar.replace('"format_version": 1', '"format_version": 9')
+            donor.write_bytes(blob)
+            (tmp_path / "donor.ckpt.json").write_text(sidecar)
+        payload = json.loads(base_config.read_text())
+        payload["train"].update(pretrain_path=str(donor), pretrain_selection="encoder")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", str(config), "--quiet") == 2
+        assert str(donor) in one_data_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["decode", "eval"])
     def test_too_short_utterance(
@@ -366,6 +405,20 @@ class TestSweepReport:
         table = (out / "comparison.tsv").read_text().splitlines()
         assert len(table) == 3  # header + 2 rows
         assert table[0].split("\t")[0] == "run"
+
+        # each run directory is the one `train` writes for the same grid point
+        payload = json.loads(base_config.read_text())
+        for alpha in ("0.0", "0.5"):
+            point = {"alpha": alpha, "method": "embed_fusion"}
+            run = out / f"run_alpha={alpha}_method=embed_fusion"
+            assert (run / "train.log").exists()
+            config = tmp_path / f"point_{alpha}.json"
+            config.write_text(json.dumps(_apply_grid_point(payload, point)))
+            single = tmp_path / f"single_{alpha}"
+            assert run_cli("train", "--config", str(config), "--out", str(single), "--quiet") == 0
+            for name in ("metrics.jsonl", "model.ckpt", "model.ckpt.json",
+                         "resolved_config.json", "run_meta.json"):
+                assert (run / name).read_bytes() == (single / name).read_bytes(), name
 
     def test_sweep_rejects_unknown_key(self, base_config, tmp_path, capsys):
         assert (

@@ -21,6 +21,7 @@ from ctcfuse.tensor import Tensor
 from ctcfuse import training as tr
 from ctcfuse.training import (
     Adam,
+    CheckpointError,
     NumericError,
     TrainConfig,
     adam_step,
@@ -406,6 +407,23 @@ class TestCheckpoints:
         records = (twice / "metrics.jsonl").read_text().splitlines()
         assert [json.loads(line)["epoch"] for line in records] == [1, 2, 3]
 
+    def test_failed_save_keeps_previous_pair(self, tmp_path, monkeypatch):
+        vocab, corpus, cfg = tiny_setup()
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        opt = Adam(model.params, cfg)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, opt, cfg, vocab, epoch=0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        train_epoch(corpus, vocab, model, opt, cfg, epoch=1)
+
+        def disk_full(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tr.json, "dump", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, opt, cfg, vocab, epoch=1)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_corrupt_format_version(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
         model = Model(cfg.model, cfg.fusion, seed=0)
@@ -483,6 +501,17 @@ class TestInitFromPretrained:
         target = Model(cfg.model, cfg.fusion, seed=0)
         with pytest.raises(ValueError, match="vocabulary"):
             init_from_pretrained(target, path, "encoder", "deadbeef")
+
+    def test_unsupported_format_version(self, tmp_path):
+        vocab, corpus, cfg = tiny_setup()
+        donor, path = self.make_donor(tmp_path, vocab, corpus, cfg)
+        sidecar = tmp_path / "donor.ckpt.json"
+        sidecar.write_text(
+            sidecar.read_text().replace('"format_version": 1', '"format_version": 9')
+        )
+        target = Model(cfg.model, cfg.fusion, seed=0)
+        with pytest.raises(CheckpointError, match="version 9"):
+            init_from_pretrained(target, path, "encoder", vocab.content_hash())
 
     def test_unknown_selection(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
