@@ -15,6 +15,7 @@ effect first.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -241,6 +242,17 @@ def _load_model_and_vocab(args):
     return model, vocab, corpus
 
 
+@contextlib.contextmanager
+def _numeric_failure_names(utt_id: str):
+    """Turn a non-finite value while decoding ``utt_id`` into a NumericError naming it."""
+    from ctcfuse.training import NumericError
+
+    try:
+        yield
+    except FloatingPointError as err:
+        raise NumericError(f"utterance {utt_id}: {err}") from err
+
+
 def _decode_config(args):
     """The decode flags as a ``DecodeConfig``; bad values are usage errors."""
     from ctcfuse.decode import DecodeConfig
@@ -255,6 +267,7 @@ def _decode_config(args):
 def cmd_decode(args) -> int:
     import numpy as np
 
+    from ctcfuse import tensor as tz
     from ctcfuse.ctc import format_nbest, prefix_beam_nbest
     from ctcfuse.decode import (_posterior, attention_beam_decode, ctc_rescore_decode,
                                 format_hypothesis)
@@ -266,19 +279,20 @@ def cmd_decode(args) -> int:
     lines = []
     nbest_lines = []
     for utt in corpus:
-        if cfg.method == "attention":
-            hyp, score, _ = attention_beam_decode(utt.features, model, cfg, vocab)
-        else:
-            hyp, score = ctc_rescore_decode(utt.features, model, cfg, vocab)
-        lines.append(format_hypothesis(utt.utt_id, hyp, score, vocab))
-        if args.nbest:
-            enc = model.encode(
-                utt.features[None].astype(np.float64), np.array([utt.num_frames])
-            )
-            nb = prefix_beam_nbest(
-                _posterior(model, enc, vocab), max(args.beam, args.nbest), args.nbest
-            )
-            nbest_lines.append(format_nbest(utt.utt_id, nb, vocab.id_to_token))
+        with _numeric_failure_names(utt.utt_id):
+            if cfg.method == "attention":
+                hyp, score, _ = attention_beam_decode(utt.features, model, cfg, vocab)
+            else:
+                hyp, score = ctc_rescore_decode(utt.features, model, cfg, vocab)
+            lines.append(format_hypothesis(utt.utt_id, hyp, score, vocab))
+            if args.nbest:
+                with tz.inference():
+                    enc = model.encode(
+                        utt.features[None].astype(np.float64), np.array([utt.num_frames])
+                    )
+                    post = _posterior(model, enc, vocab)
+                nb = prefix_beam_nbest(post, max(args.beam, args.nbest), args.nbest)
+                nbest_lines.append(format_nbest(utt.utt_id, nb, vocab.id_to_token))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -329,7 +343,11 @@ def cmd_eval(args) -> int:
     else:
         cfg = _decode_config(args)
         model, vocab, corpus = _load_model_and_vocab(args)
-        decode_fn = make_decoder(model, cfg, vocab)
+        decoder = make_decoder(model, cfg, vocab)
+
+        def decode_fn(utt):
+            with _numeric_failure_names(utt.utt_id):
+                return decoder(utt)
 
     report = evaluate(corpus, decode_fn)
     print(report.render_table())
@@ -628,10 +646,15 @@ def _print_error(kind: str, err: Exception) -> None:
 
 def main(argv=None) -> int:
     _apply_thread_env()
+    import numpy as np  # after the thread pins
+
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        # every op checks its result for non-finite values, and a failure is
+        # one error line; numpy's overflow warnings would add lines before it
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except UsageError as err:
         _print_error("usage", err)
         return 1

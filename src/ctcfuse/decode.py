@@ -11,7 +11,7 @@ from ctcfuse import tensor as tz
 from ctcfuse.alignment import edit_distance
 from ctcfuse.ctc import CtcPosterior, prefix_beam_nbest
 from ctcfuse.data import Utterance, Vocabulary
-from ctcfuse.model import EncoderOutput, Model
+from ctcfuse.model import DecoderCache, EncoderOutput, Model
 from ctcfuse.tensor import Tensor
 
 METHOD_ATTENTION = "attention"
@@ -34,19 +34,6 @@ class DecodeConfig:
             raise ValueError("lambda_dec must lie in [0, 1]")
         if self.max_len_factor <= 0:
             raise ValueError("max_len_factor must be positive")
-
-
-def _tile(
-    enc: EncoderOutput, ne_memory: Tensor | None, count: int
-) -> tuple[EncoderOutput, Tensor | None]:
-    """One utterance's encoder output and N-best memory repeated for ``count`` decoder rows."""
-    enc_b = EncoderOutput(
-        h_s=Tensor(np.repeat(enc.h_s.data, count, axis=0)),
-        lengths=np.repeat(enc.lengths, count),
-        key_bias=np.repeat(enc.key_bias, count, axis=0),
-    )
-    mem_b = None if ne_memory is None else Tensor(np.repeat(ne_memory.data, count, axis=0))
-    return enc_b, mem_b
 
 
 def _posterior(model: Model, enc: EncoderOutput, vocab: Vocabulary) -> CtcPosterior:
@@ -72,39 +59,48 @@ def attention_beam_decode(
     log-probability normalized by output length at the final ranking
     only. If nothing reaches eos within the length cap the best partial
     hypothesis comes back flagged.
+
+    Each step feeds the decoder only the newest token of every live beam;
+    a :class:`DecoderCache` holds the earlier positions, one row per live
+    beam, and the encoder output and N-best memory stay one row.
     """
     model.train(False)
-    feats = np.asarray(features, dtype=np.float64)
-    enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
-    ne_memory = None
-    if model.uses_ne_memory:
-        ne_memory = _ne_memory_for(model, _posterior(model, enc, vocab), vocab)
-    max_len = max(1, int(round(cfg.max_len_factor * int(enc.lengths[0]))))
+    with tz.inference():
+        feats = np.asarray(features, dtype=np.float64)
+        enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
+        ne_memory = None
+        if model.uses_ne_memory:
+            ne_memory = _ne_memory_for(model, _posterior(model, enc, vocab), vocab)
+        max_len = max(1, int(round(cfg.max_len_factor * int(enc.lengths[0]))))
+        cache = DecoderCache()
 
-    # (tokens, raw log-prob, finished); finished entries ride along in the
-    # beam so beam=1 terminates exactly where stepwise argmax does
-    beams: list[tuple[tuple[int, ...], float, bool]] = [((), 0.0, False)]
-    for _ in range(max_len):
-        live = [(i, b) for i, b in enumerate(beams) if not b[2]]
-        if not live:
-            break
-        ids = np.array([(vocab.sos_id,) + b[0] for _, b in live], dtype=np.int64)
-        enc_b, mem_b = _tile(enc, ne_memory, len(live))
-        logits = model.decoder_forward(model.embed_tokens(ids), enc_b, mem_b)
-        logp = tz.log_softmax(Tensor(logits.data[:, -1, :])).data
-        grown: list[tuple[tuple[int, ...], float, bool]] = [b for b in beams if b[2]]
-        for row, (_, (toks, score, _)) in enumerate(live):
-            for k in range(vocab.size):
-                cand = score + float(logp[row, k])
-                if k == vocab.eos_id:
-                    grown.append((toks, cand, True))
-                else:
-                    grown.append((toks + (k,), cand, False))
-        grown.sort(key=lambda tsf: (-tsf[1], tsf[0]))
-        beams = grown[: cfg.beam]
+        # (tokens, raw log-prob, finished, cache row of the live parent);
+        # finished entries ride along in the beam so beam=1 terminates
+        # exactly where stepwise argmax does
+        beams: list[tuple[tuple[int, ...], float, bool, int]] = [((), 0.0, False, 0)]
+        for _ in range(max_len):
+            live = [b for b in beams if not b[2]]
+            if not live:
+                break
+            cache.reorder([b[3] for b in live])
+            ids = np.array([[b[0][-1] if b[0] else vocab.sos_id] for b in live], dtype=np.int64)
+            logits = model.decoder_forward(
+                model.embed_tokens(ids, cache.length), enc, ne_memory, cache=cache
+            )
+            logp = tz.log_softmax(Tensor(logits.data[:, -1, :])).data
+            grown = [b for b in beams if b[2]]
+            for row, (toks, score, _, _) in enumerate(live):
+                for k in range(vocab.size):
+                    cand = score + float(logp[row, k])
+                    if k == vocab.eos_id:
+                        grown.append((toks, cand, True, row))
+                    else:
+                        grown.append((toks + (k,), cand, False, row))
+            grown.sort(key=lambda entry: (-entry[1], entry[0]))
+            beams = grown[: cfg.beam]
 
     def normalized(entry) -> float:
-        toks, score, _ = entry
+        toks, score = entry[0], entry[1]
         return score / (len(toks) + 1)  # +1 counts the eos emission
 
     finished = [b for b in beams if b[2]]
@@ -131,8 +127,7 @@ def teacher_forced_scores(
         tgt_row = cand + (vocab.eos_id,)
         tgt[i, : len(tgt_row)] = tgt_row
         mask[i, : len(tgt_row)] = 1.0
-    enc_b, mem_b = _tile(enc, ne_memory, len(candidates))
-    logp = tz.log_softmax(model.decoder_forward(model.embed_tokens(ids), enc_b, mem_b)).data
+    logp = tz.log_softmax(model.decoder_forward(model.embed_tokens(ids), enc, ne_memory)).data
     rows = np.arange(len(candidates))[:, None]
     cols = np.arange(l_max)[None, :]
     picked = logp[rows, cols, tgt] * mask
@@ -152,15 +147,15 @@ def ctc_rescore_decode(
     like any other hypothesis.
     """
     model.train(False)
-    feats = np.asarray(features, dtype=np.float64)
-    enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
-    post = _posterior(model, enc, vocab)
-    nbest = prefix_beam_nbest(post, cfg.beam, cfg.beam)
-    ne_memory = _ne_memory_for(model, post, vocab) if model.uses_ne_memory else None
-
-    candidates = nbest.sequences()
+    with tz.inference():
+        feats = np.asarray(features, dtype=np.float64)
+        enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
+        post = _posterior(model, enc, vocab)
+        nbest = prefix_beam_nbest(post, cfg.beam, cfg.beam)
+        ne_memory = _ne_memory_for(model, post, vocab) if model.uses_ne_memory else None
+        candidates = nbest.sequences()
+        att_scores = teacher_forced_scores(model, enc, candidates, vocab, ne_memory)
     ctc_scores = np.array([score for _, score in nbest.hypotheses])
-    att_scores = teacher_forced_scores(model, enc, candidates, vocab, ne_memory)
     combined = cfg.lambda_dec * ctc_scores + (1.0 - cfg.lambda_dec) * att_scores
     best = int(np.argmax(combined))
     return candidates[best], float(combined[best])

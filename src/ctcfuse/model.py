@@ -298,20 +298,37 @@ class Model:
     def _drop(self, x: Tensor) -> Tensor:
         return tz.dropout(x, self.config.dropout, self.rng, self.training)
 
-    def _mha(self, prefix: str, q_in: Tensor, kv_in: Tensor, bias: np.ndarray | None) -> Tensor:
+    def _mha(self, prefix: str, q_in: Tensor, kv_in: Tensor, bias: np.ndarray | None,
+             cache: "DecoderCache | None" = None) -> Tensor:
+        """Multi-head attention of ``q_in`` [B, Lq, d] over ``kv_in`` [Bk, Lk, d].
+
+        Keys and values keep the batch size of ``kv_in``, so a ``kv_in`` of
+        one row serves every query row. With a ``cache``, keys and values
+        come from :meth:`DecoderCache.keys_values`.
+        """
         d, heads = self.config.d_model, self.config.num_heads
         dh = d // heads
         b, lq = q_in.shape[0], q_in.shape[1]
-        lk = kv_in.shape[1]
         q = self._linear(q_in, f"{prefix}.q").reshape(b, lq, heads, dh).transpose(0, 2, 1, 3)
-        k = self._linear(kv_in, f"{prefix}.k").reshape(b, lk, heads, dh).transpose(0, 2, 3, 1)
-        v = self._linear(kv_in, f"{prefix}.v").reshape(b, lk, heads, dh).transpose(0, 2, 1, 3)
+        if cache is None:
+            k, v = self._keys_values(prefix, kv_in)
+        else:
+            k, v = cache.keys_values(prefix, kv_in, self._keys_values)
         scores = tz.matmul(q, k) * (1.0 / math.sqrt(dh))
         if bias is not None:
             scores = scores + Tensor(bias)
         weights = tz.softmax(scores, axis=-1)
         ctx = tz.matmul(weights, v).transpose(0, 2, 1, 3).reshape(b, lq, d)
         return self._linear(ctx, f"{prefix}.o")
+
+    def _keys_values(self, prefix: str, kv_in: Tensor) -> tuple[Tensor, Tensor]:
+        """Per-head keys [Bk, H, dh, Lk] and values [Bk, H, Lk, dh] of ``kv_in``."""
+        heads = self.config.num_heads
+        dh = self.config.d_model // heads
+        bk, lk = kv_in.shape[0], kv_in.shape[1]
+        k = self._linear(kv_in, f"{prefix}.k").reshape(bk, lk, heads, dh).transpose(0, 2, 3, 1)
+        v = self._linear(kv_in, f"{prefix}.v").reshape(bk, lk, heads, dh).transpose(0, 2, 1, 3)
+        return k, v
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
         return self._linear(tz.relu(self._linear(x, f"{prefix}.fc1")), f"{prefix}.fc2")
@@ -373,15 +390,17 @@ class Model:
 
     # -- token embeddings ---------------------------------------------------------
 
-    def embed_tokens(self, ids: np.ndarray) -> Tensor:
+    def embed_tokens(self, ids: np.ndarray, offset: int = 0) -> Tensor:
         """Scaled table lookup plus sinusoidal positions over the last axis.
 
-        The blank id embeds through its own learned row like any other
-        token; aligned fusion relies on that.
+        The last axis holds positions ``offset``, ``offset + 1``, ... The
+        blank id embeds through its own learned row like any other token;
+        aligned fusion relies on that.
         """
         ids = np.asarray(ids, dtype=np.int64)
         emb = tz.embedding(self.params["embed.table"], ids) * math.sqrt(self.config.d_model)
-        return emb + Tensor(_sinusoidal_pe(ids.shape[-1], self.config.d_model))
+        pe = _sinusoidal_pe(offset + ids.shape[-1], self.config.d_model)[offset:]
+        return emb + Tensor(pe)
 
     # -- N-best memory -------------------------------------------------------------
 
@@ -413,33 +432,81 @@ class Model:
         input_emb: Tensor,
         enc: EncoderOutput,
         ne_memory: Tensor | None = None,
+        cache: "DecoderCache | None" = None,
     ) -> Tensor:
         """Causal decoder over ``input_emb`` attending encoder states; [B, L, V] logits.
 
         When the model carries an N-best memory, every layer runs a second
         attention over it in parallel with self-attention; the two outputs
         are concatenated and projected back to model width before
-        encoder-decoder attention.
+        encoder-decoder attention. ``enc`` and ``ne_memory`` may hold one
+        row shared by all B input rows.
+
+        With a ``cache``, ``input_emb`` holds only the positions after the
+        ``cache.length`` already fed (embedded at that offset); earlier
+        positions are attended through the cached keys and values, and the
+        cache grows by L positions.
         """
         if ne_memory is not None and not self.uses_ne_memory:
             raise ValueError("ne_memory supplied to a model without the N-best method")
         if ne_memory is None and self.uses_ne_memory:
             raise ValueError("this model requires ne_memory")
         x = self._drop(input_emb)
-        causal = _causal_bias(x.shape[1])
+        past = 0 if cache is None else cache.length
+        causal = _causal_bias(past + x.shape[1])[:, :, past:, :]
         for i in range(self.config.decoder_layers):
             h = self._norm(x, f"decoder.layer{i}.ln1")
-            a = self._mha(f"decoder.layer{i}.self", h, h, causal)
+            a = self._mha(f"decoder.layer{i}.self", h, h, causal, cache)
             if ne_memory is not None:
-                side = self._mha(f"decoder.layer{i}.ne", h, ne_memory, None)
+                side = self._mha(f"decoder.layer{i}.ne", h, ne_memory, None, cache)
                 a = self._linear(tz.concat([a, side], axis=-1), f"decoder.layer{i}.nproj")
             x = x + self._drop(a)
             h = self._norm(x, f"decoder.layer{i}.ln2")
-            x = x + self._drop(self._mha(f"decoder.layer{i}.cross", h, enc.h_s, enc.key_bias))
+            x = x + self._drop(
+                self._mha(f"decoder.layer{i}.cross", h, enc.h_s, enc.key_bias, cache)
+            )
             h = self._norm(x, f"decoder.layer{i}.ln3")
             x = x + self._drop(self._ffn(h, f"decoder.layer{i}.ffn"))
+        if cache is not None:
+            cache.length += x.shape[1]
         x = self._norm(x, "decoder.ln")
         return self._linear(x, "decoder.out")
+
+
+class DecoderCache:
+    """Attention keys and values of one utterance's decoder, for decoding step by step.
+
+    Self-attention keys and values grow by the positions of each
+    :meth:`Model.decoder_forward` call, one row per hypothesis. Encoder and
+    N-best-memory keys and values are projected on first use and reused
+    by every later step.
+    """
+
+    def __init__(self):
+        self.length = 0  # positions fed so far
+        self._grown: dict[str, tuple[Tensor, Tensor]] = {}  # self-attention, per layer
+        self._fixed: dict[str, tuple[Tensor, Tensor]] = {}  # encoder and memory, per layer
+
+    def keys_values(self, prefix: str, kv_in: Tensor, project) -> tuple[Tensor, Tensor]:
+        """Keys and values for attention ``prefix``; ``project(prefix, kv_in)`` makes new ones."""
+        if not prefix.endswith(".self"):
+            if prefix not in self._fixed:
+                self._fixed[prefix] = project(prefix, kv_in)
+            return self._fixed[prefix]
+        k, v = project(prefix, kv_in)
+        if prefix in self._grown:
+            old_k, old_v = self._grown[prefix]
+            k, v = tz.concat([old_k, k], axis=-1), tz.concat([old_v, v], axis=-2)
+        self._grown[prefix] = (k, v)
+        return k, v
+
+    def reorder(self, rows) -> None:
+        """Keep self-attention row ``rows[j]`` as row ``j``, e.g. each survivor's parent beam."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self._grown = {
+            prefix: (Tensor(k.data[rows]), Tensor(v.data[rows]))
+            for prefix, (k, v) in self._grown.items()
+        }
 
 
 def nbest_id_matrix(nbest: NBestList, n: int, max_len: int, pad_id: int) -> np.ndarray:

@@ -3,18 +3,37 @@
 Small tape-based engine over numpy arrays: every operation records its
 inputs and a closure that maps the upstream gradient to per-input
 gradients. ``backward`` walks the recorded graph in reverse topological
-order. Float64 is the default precision; float32 arrays are accepted and
-kept as-is.
+order. Inside :func:`inference` no graph is recorded. Float64 is the
+default precision; float32 arrays are accepted and kept as-is.
 """
 
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# False inside inference(): ops keep no parents or grad_fn
+_recording: ContextVar[bool] = ContextVar("ctcfuse_tensor_recording", default=True)
+
+
+@contextmanager
+def inference():
+    """Ops inside record no graph: results have no parents, no ``grad_fn``, no gradient.
+
+    Every op still checks its output for non-finite values. Nests, and the
+    previous mode comes back on exit, also after an exception.
+    """
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -62,13 +81,13 @@ class Tensor:
 
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"], grad_fn) -> "Tensor":
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise FloatingPointError("non-finite value produced by a forward op")
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
         out._done = False
-        if any(p.requires_grad for p in parents):
+        if _recording.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._grad_fn = grad_fn

@@ -680,6 +680,9 @@ def load_checkpoint(path, cfg: TrainConfig | None = None) -> tuple[Model, Adam, 
             raise ValueError(
                 f"checkpoint format version {sidecar.get('format_version')} unsupported"
             )
+        epoch = sidecar["epoch"]
+        if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
+            raise ValueError(f"epoch {epoch!r} is not a non-negative integer")
         model_cfg = ModelConfig(**sidecar["model_config"])
         fusion = FusionConfig(**sidecar["fusion"])
         model = Model(model_cfg, fusion, seed=0)

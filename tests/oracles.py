@@ -10,7 +10,11 @@ from itertools import product
 
 import numpy as np
 
+from ctcfuse import tensor as tz
 from ctcfuse.ctc import CtcPosterior, NBestList, TokenSeq
+from ctcfuse.decode import _ne_memory_for, _posterior
+from ctcfuse.model import EncoderOutput
+from ctcfuse.tensor import Tensor
 
 NEG_INF = -math.inf
 
@@ -128,3 +132,57 @@ def prefix_beam_reference(
     scored.sort(key=lambda ps: (-ps[1], len(ps[0]), ps[0]))
     top = scored[:n]
     return NBestList(hypotheses=top, requested=n, incomplete=len(top) < n)
+
+
+def attention_beam_reference(features, model, cfg, vocab):
+    """Attention beam search that re-runs the decoder over every full prefix.
+
+    The search that ``ctcfuse.decode.attention_beam_decode`` runs
+    incrementally: each step decodes sos plus the whole prefix of every
+    live beam, with the encoder output and N-best memory repeated per
+    beam. Same ``(tokens, score, reached_eos)`` contract.
+    """
+    model.train(False)
+    feats = np.asarray(features, dtype=np.float64)
+    enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
+    ne_memory = None
+    if model.uses_ne_memory:
+        ne_memory = _ne_memory_for(model, _posterior(model, enc, vocab), vocab)
+    max_len = max(1, int(round(cfg.max_len_factor * int(enc.lengths[0]))))
+
+    # (tokens, raw log-prob, finished); finished entries ride along in the
+    # beam so beam=1 terminates exactly where stepwise argmax does
+    beams: list[tuple[tuple[int, ...], float, bool]] = [((), 0.0, False)]
+    for _ in range(max_len):
+        live = [(i, b) for i, b in enumerate(beams) if not b[2]]
+        if not live:
+            break
+        ids = np.array([(vocab.sos_id,) + b[0] for _, b in live], dtype=np.int64)
+        count = len(live)
+        enc_b = EncoderOutput(
+            h_s=Tensor(np.repeat(enc.h_s.data, count, axis=0)),
+            lengths=np.repeat(enc.lengths, count),
+            key_bias=np.repeat(enc.key_bias, count, axis=0),
+        )
+        mem_b = None if ne_memory is None else Tensor(np.repeat(ne_memory.data, count, axis=0))
+        logits = model.decoder_forward(model.embed_tokens(ids), enc_b, mem_b)
+        logp = tz.log_softmax(Tensor(logits.data[:, -1, :])).data
+        grown: list[tuple[tuple[int, ...], float, bool]] = [b for b in beams if b[2]]
+        for row, (_, (toks, score, _)) in enumerate(live):
+            for k in range(vocab.size):
+                cand = score + float(logp[row, k])
+                if k == vocab.eos_id:
+                    grown.append((toks, cand, True))
+                else:
+                    grown.append((toks + (k,), cand, False))
+        grown.sort(key=lambda tsf: (-tsf[1], tsf[0]))
+        beams = grown[: cfg.beam]
+
+    def normalized(entry) -> float:
+        toks, score, _ = entry
+        return score / (len(toks) + 1)  # +1 counts the eos emission
+
+    finished = [b for b in beams if b[2]]
+    pool = finished if finished else beams
+    best = max(pool, key=lambda b: (normalized(b), b[0]))
+    return best[0], normalized(best), bool(finished)

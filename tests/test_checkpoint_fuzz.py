@@ -131,6 +131,24 @@ def test_sidecar_key_set_to_small_value(reference, path, value):
 
 
 @fuzz
+@given(value=st.one_of(SMALL_JSON, st.floats(allow_nan=False, allow_infinity=False)))
+@example(value=True)
+@example(value="2")
+@example(value=-1)
+@example(value=0)
+@example(value=2.0)
+def test_epoch_loads_only_as_a_non_negative_int(reference, value):
+    valid = isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    sidecar = mutated(reference["sidecar"], ("epoch",), value)
+    assert loads(write_pair(reference, reference["blob"], sidecar)) == valid
+
+
+def test_dropped_epoch_is_rejected(reference):
+    path = write_pair(reference, reference["blob"], mutated(reference["sidecar"], ("epoch",), DROP))
+    assert not loads(path)
+
+
+@fuzz
 @given(value=NOT_AN_OBJECT)
 def test_sidecar_not_an_object_is_rejected(reference, value):
     assert not loads(write_pair(reference, reference["blob"], value))

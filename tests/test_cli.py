@@ -1,13 +1,18 @@
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctcfuse
 from ctcfuse.cli import _apply_grid_point, main
 from ctcfuse.data import build_vocab, load_vocab_file, write_features
 from ctcfuse.model import FusionConfig, Model, ModelConfig
+from ctcfuse.tensor import load_tensors, save_tensors
 from ctcfuse.training import Adam, TrainConfig, save_checkpoint
 
 
@@ -31,6 +36,16 @@ def one_data_error(err: str) -> str:
     [(kind, msg)] = error_lines(err)
     assert kind == "data"
     return msg
+
+
+def run_cli_process(*argv, cwd):
+    """``ctcfuse`` in a child process, so numpy's warnings reach its real stderr."""
+    src = str(Path(ctcfuse.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ctcfuse.cli", *argv], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
 
 
 def edited_manifest(corpus_dir, tmp_path, line_no, edit):
@@ -259,6 +274,47 @@ class TestDecodeEval:
         err = capsys.readouterr().err
         assert [kind for kind, _ in error_lines(err)] == ["usage"]
         assert len(err.splitlines()) == 1
+
+
+class TestNumericErrors:
+    """A non-finite value is exit 3 and stderr is that one error line."""
+
+    @pytest.fixture(scope="class")
+    def overflowing(self, trained, tmp_path_factory):
+        """The trained checkpoint with an output layer whose logits overflow."""
+        out = tmp_path_factory.mktemp("overflow")
+        arrays = load_tensors(trained / "model.ckpt")
+        arrays["decoder.out.w"] = np.full_like(arrays["decoder.out.w"], 1e308)
+        save_tensors(out / "model.ckpt", arrays)
+        (out / "model.ckpt.json").write_bytes((trained / "model.ckpt.json").read_bytes())
+        return out / "model.ckpt"
+
+    @pytest.mark.parametrize(
+        "command,method",
+        [("decode", "attention"), ("decode", "ctc_rescore"), ("eval", "attention")],
+    )
+    def test_decoding_overflow(self, overflowing, corpus_dir, tmp_path, command, method):
+        proc = run_cli_process(
+            command, "--ckpt", str(overflowing), "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--vocab", str(corpus_dir / "vocab.txt"), "--method", method, "--beam", "2",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        [(kind, msg)] = error_lines(proc.stderr)
+        first = (corpus_dir / "manifest.tsv").read_text().split("\t", 1)[0]
+        assert kind == "numeric" and f"utterance {first}:" in msg
+
+    def test_training_overflow(self, base_config, tmp_path):
+        payload = json.loads(base_config.read_text())
+        payload["train"]["lr_base"] = 1e300
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        proc = run_cli_process("train", "--config", str(config), "--quiet", cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        [(kind, msg)] = error_lines(proc.stderr)
+        assert kind == "numeric" and "epoch 1 batch" in msg
 
 
 class TestDataErrors:

@@ -16,6 +16,7 @@ from ctcfuse.decode import (
 )
 from ctcfuse.model import METHOD_NBEST, FusionConfig, Model, ModelConfig
 from ctcfuse.training import Adam, TrainConfig, train_epoch
+from oracles import attention_beam_reference
 
 
 def _log_softmax(x):
@@ -124,6 +125,72 @@ class TestAttentionBeam:
         assert len(hyp) <= 1
         if not finished:
             assert len(hyp) == 1
+
+
+@pytest.fixture(scope="module")
+def nbest_setup():
+    """A briefly trained toy N-best-memory model and 12 utterances."""
+    synth = SynthConfig(
+        vocab_size=3, count=12, min_len=1, max_len=3,
+        min_frames_per_token=8, max_frames_per_token=10,
+        noise=0.05, feature_dim=4, seed=4,
+    )
+    vocab, corpus = synth_corpus(synth)
+    cfg = TrainConfig(
+        model=ModelConfig.toy(vocab_size=vocab.size),
+        fusion=FusionConfig(method=METHOD_NBEST, n=2, beam_width=3),
+        epochs=4, batch_size=4, seed=4, lr_base=0.02, warmup_steps=20,
+    )
+    model = Model(cfg.model, cfg.fusion, seed=4)
+    opt = Adam(model.params, cfg)
+    for epoch in range(1, 5):
+        train_epoch(corpus, vocab, model, opt, cfg, epoch)
+    model.train(False)
+    return vocab, corpus, model
+
+
+@pytest.fixture(params=["plain", "nbest_memory"])
+def either_setup(request, setup, nbest_setup):
+    return setup if request.param == "plain" else nbest_setup
+
+
+class TestIncrementalSearch:
+    """The cached search against the full-recompute search it replaced."""
+
+    @pytest.mark.parametrize("beam", [1, 3, 10])
+    def test_matches_full_recompute_reference(self, either_setup, beam):
+        vocab, corpus, model = either_setup
+        cfg = DecodeConfig(beam=beam)
+        assert len(corpus) >= 12
+        for utt in corpus:
+            hyp, score, finished = attention_beam_decode(utt.features, model, cfg, vocab)
+            ref_hyp, ref_score, ref_finished = attention_beam_reference(
+                utt.features, model, cfg, vocab
+            )
+            assert (hyp, finished) == (ref_hyp, ref_finished), utt.utt_id
+            assert score == pytest.approx(ref_score, rel=1e-12, abs=0.0), utt.utt_id
+
+    @pytest.mark.parametrize("beam", [1, 3, 10])
+    def test_one_decoder_position_per_live_beam(self, either_setup, beam, monkeypatch):
+        # the reference feeds the whole prefix of every live beam, so its
+        # batch sizes are the live-beam counts of each step
+        vocab, corpus, model = either_setup
+        shapes = []
+        original = Model.decoder_forward
+
+        def recording(self, input_emb, *args, **kwargs):
+            shapes.append(input_emb.shape[:2])
+            return original(self, input_emb, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "decoder_forward", recording)
+        cfg = DecodeConfig(beam=beam)
+        for utt in corpus[:6]:
+            shapes.clear()
+            attention_beam_reference(utt.features, model, cfg, vocab)
+            live_per_step = [rows for rows, _ in shapes]
+            shapes.clear()
+            attention_beam_decode(utt.features, model, cfg, vocab)
+            assert shapes == [(rows, 1) for rows in live_per_step]
 
 
 class TestRescore:

@@ -11,6 +11,8 @@ from ctcfuse.model import (
     METHOD_BASELINE,
     METHOD_FUSION,
     METHOD_NBEST,
+    DecoderCache,
+    EncoderOutput,
     FusionConfig,
     Model,
     ModelConfig,
@@ -328,6 +330,47 @@ class TestDecoder:
         out = model.decoder_forward(bumped, enc).data
         np.testing.assert_allclose(out[0, :2], base[0, :2], atol=1e-6)
         assert np.max(np.abs(out[0, 2:] - base[0, 2:])) > 1e-3
+
+
+    @pytest.mark.parametrize("method", [METHOD_BASELINE, METHOD_NBEST])
+    def test_cached_steps_match_full_prefix(self, method):
+        # one position per call with a cache of one-row encoder output and
+        # memory, rows reordered midway as beam search does, against the
+        # full prefix with the encoder output and memory repeated per row
+        model = toy_model(vocab=8, method=method, n=2, seed=5)
+        rng = np.random.default_rng(13)
+        feats = random_features(rng, 1, 12)
+        enc = model.encode(feats, np.array([12]))
+        mem = mem_rows = None
+        if method == METHOD_NBEST:
+            nbest = NBestList(hypotheses=[((4,), -0.5), ((5, 6), -1.0)], requested=2)
+            mem = model.ne_encode(model.ne_input([nbest], 2, PAD))
+            mem_rows = Tensor(np.repeat(mem.data, 3, axis=0))
+        enc_rows = EncoderOutput(
+            h_s=Tensor(np.repeat(enc.h_s.data, 3, axis=0)),
+            lengths=np.repeat(enc.lengths, 3),
+            key_bias=np.repeat(enc.key_bias, 3, axis=0),
+        )
+        seqs = rng.integers(0, 8, size=(3, 6))
+        cache = DecoderCache()
+        for t in range(seqs.shape[1]):
+            if t == 3:
+                parents = np.array([2, 0, 0])
+                cache.reorder(parents)
+                seqs[:, :t] = seqs[parents, :t]
+            step = model.decoder_forward(
+                model.embed_tokens(seqs[:, t : t + 1], t), enc, mem, cache=cache
+            )
+            full = model.decoder_forward(model.embed_tokens(seqs[:, : t + 1]), enc_rows, mem_rows)
+            assert step.shape == (3, 1, model.config.vocab_size)
+            np.testing.assert_allclose(step.data[:, 0], full.data[:, -1], rtol=1e-12, atol=1e-12)
+        assert cache.length == seqs.shape[1]
+
+    def test_embedding_offset_continues_positions(self):
+        model = toy_model()
+        ids = np.array([[2, 4, 5, 6, 7]])
+        whole = model.embed_tokens(ids).data
+        assert model.embed_tokens(ids[:, 3:], 3).data.tobytes() == whole[:, 3:].tobytes()
 
 
 class TestCountParams:

@@ -281,6 +281,43 @@ class TestOps:
         assert report["passed"], report
 
 
+class TestInference:
+    def test_records_no_graph(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with T.inference():
+            out = T.softmax(T.matmul(Tensor(np.eye(2)), w) + 1.0)
+        assert not out.requires_grad
+        assert out._parents == () and out._grad_fn is None
+        recorded = T.softmax(T.matmul(Tensor(np.eye(2)), w) + 1.0)
+        assert recorded.requires_grad and recorded._parents and recorded._grad_fn is not None
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+    def test_non_finite_still_raises(self):
+        big = Tensor(np.full((1, 2), 1e308))
+        with T.inference():
+            with pytest.raises(FloatingPointError):
+                T.log(Tensor([0.0]))
+            with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+                T.matmul(big, Tensor(np.full((2, 1), 10.0)))
+
+    def test_nests_and_restores_after_exception(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with T.inference():
+            with T.inference():
+                assert not (w * 2.0).requires_grad
+            assert not (w * 2.0).requires_grad
+            with pytest.raises(RuntimeError):
+                with T.inference():
+                    raise RuntimeError("inside")
+            assert not (w * 2.0).requires_grad
+        assert (w * 2.0).requires_grad
+        with pytest.raises(FloatingPointError):
+            with T.inference():
+                T.log(Tensor([0.0]))
+        (w * 2.0).sum().backward()
+        np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
+
+
 class TestContainer:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)

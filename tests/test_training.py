@@ -289,6 +289,32 @@ class TestTrainingLoop:
         for m in result.history:
             assert sum(m.pathway_counts.values()) == m.utterances
 
+    @pytest.mark.parametrize("method", [METHOD_BASELINE, METHOD_NBEST])
+    def test_step_after_evaluate_fills_every_gradient(self, method, monkeypatch):
+        # the train-CER decode runs without a tape; the next step must not
+        fusion_kw = {"n": 2, "beam_width": 3} if method == METHOD_NBEST else {}
+        vocab, corpus, cfg = tiny_setup(method=method, **fusion_kw)
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        opt = Adam(model.params, cfg)
+        train_epoch(corpus, vocab, model, opt, cfg, epoch=1)
+        tr.evaluate(corpus, tr.make_decoder(model, tr.DecodeConfig(beam=1), vocab))
+
+        grads = {}
+        original = Adam.step
+
+        def keep_grads(self):
+            grads.update({name: p.grad for name, p in self.params.items()})
+            return original(self)
+
+        monkeypatch.setattr(Adam, "step", keep_grads)
+        batch = tr.make_batches(corpus, 8, vocab, seed=1)[0]
+        model.train(True)
+        run_training_step(batch, model, opt, cfg, vocab)
+        assert set(grads) == set(model.params)
+        assert all(g is not None and np.any(g != 0.0) for g in grads.values()), [
+            name for name, g in grads.items() if g is None or not np.any(g != 0.0)
+        ]
+
     def test_epoch_metrics_json_excludes_wall_time(self):
         vocab, corpus, cfg = tiny_setup()
         result = train(corpus, vocab, cfg)
@@ -423,6 +449,21 @@ class TestCheckpoints:
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, model, opt, cfg, vocab, epoch=1)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("epoch", ["2", True, -1, 1.5, None, "drop"])
+    def test_bad_epoch_is_rejected(self, tmp_path, epoch):
+        vocab, corpus, cfg = tiny_setup()
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        path = tmp_path / "e.ckpt"
+        save_checkpoint(path, model, Adam(model.params, cfg), cfg, vocab, epoch=2)
+        sidecar = json.loads((tmp_path / "e.ckpt.json").read_text())
+        if epoch == "drop":
+            del sidecar["epoch"]
+        else:
+            sidecar["epoch"] = epoch
+        (tmp_path / "e.ckpt.json").write_text(json.dumps(sidecar))
+        with pytest.raises(CheckpointError, match="epoch"):
+            tr.resume(corpus, vocab, str(path), dataclasses.replace(cfg, epochs=3))
 
     def test_corrupt_format_version(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
