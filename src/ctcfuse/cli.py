@@ -5,8 +5,8 @@ Failures print one machine-parsable line to stderr:
 ``error kind=<usage|data|numeric> msg="..."``, the message JSON-encoded.
 
 Environment overrides: ``CTCFUSE_OUTDIR`` replaces the output directory,
-``CTCFUSE_THREADS`` pins the numeric thread pools (exported before the
-numeric stack loads).
+``CTCFUSE_THREADS`` sizes the numeric thread pools, 1 when unset (exported
+before the numeric stack loads; a pool variable already set wins).
 
 Heavy imports happen inside the handlers so thread pinning can take
 effect first.
@@ -34,10 +34,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_thread_env() -> None:
-    threads = os.environ.get("CTCFUSE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+    threads = os.environ.get("CTCFUSE_THREADS") or "1"
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, threads)
 
 
 def _outdir(args) -> str | None:
@@ -177,14 +176,29 @@ def _input_content_hash(data_resolved: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+# every file a training run writes into its directory
+_RUN_FILES = (
+    "model.ckpt",
+    "model.ckpt.json",
+    "metrics.jsonl",
+    "train.log",
+    "resolved_config.json",
+    "run_meta.json",
+)
+
+
 def _train_run(payload: dict, seed: int | None, out_dir: str | None, echo: bool):
     """Resolve a run config and train it; the one writer of a run directory.
 
-    Log lines go to ``train.log`` in ``out_dir``, and to stdout if ``echo``.
+    The config and any donor checkpoint (which may be the directory's own
+    ``model.ckpt``) are read before the previous run's files are removed,
+    so the directory never mixes two runs. Log lines go to ``train.log``
+    in ``out_dir``, and to stdout if ``echo``.
     """
-    from ctcfuse.training import train
+    from ctcfuse.training import initial_model, train
 
     vocab, corpus, cfg, resolved = resolve_run_config(payload, seed_override=seed)
+    model = initial_model(cfg, vocab)
     log_lines: list[str] = []
 
     def log(line: str) -> None:
@@ -193,18 +207,21 @@ def _train_run(payload: dict, seed: int | None, out_dir: str | None, echo: bool)
             print(line)
 
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         meta = {
             "seed": cfg.seed,
             "input_content_hash": _input_content_hash(resolved["data"]),
             "vocab_hash": vocab.content_hash(),
         }
+        os.makedirs(out_dir, exist_ok=True)
+        for name in _RUN_FILES:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
         for name, record in (("resolved_config.json", resolved), ("run_meta.json", meta)):
             with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=2, sort_keys=True)
                 fh.write("\n")
 
-    result = train(corpus, vocab, cfg, out_dir=out_dir, log=log)
+    result = train(corpus, vocab, cfg, out_dir=out_dir, log=log, model=model)
     if out_dir:
         with open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(log_lines) + "\n")

@@ -1,8 +1,10 @@
 """CTC machinery: collapse, forward-backward loss, greedy and prefix beam search.
 
-All functions are pure and operate on per-utterance log-probability
-matrices in the log domain. The loss gradient is derived analytically
-from the forward/backward lattice over the blank-augmented target.
+All functions work in the log domain. ``ctc_loss`` and the searches take
+one utterance's log-probability matrix; ``ctc_loss_op``, the training
+loss, runs the same lattice over a padded batch as one autodiff op. The
+loss gradient is derived analytically from the forward/backward lattice
+over the blank-augmented target.
 """
 
 from __future__ import annotations
@@ -31,15 +33,20 @@ class CtcPosterior:
             raise ValueError("posterior must be a [T, V] matrix with T >= 1")
         if not 0 <= self.blank_id < self.log_probs.shape[1]:
             raise ValueError("blank id outside the posterior vocabulary")
-        # guard against raw logits; the bound leaves room for the
-        # finite-difference probes the tests run on single entries
-        sums = np.exp(self.log_probs).sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-5):
-            raise ValueError("posterior rows must exponentiate to a distribution")
+        _check_distribution(self.log_probs)
 
     @property
     def num_frames(self) -> int:
         return self.log_probs.shape[0]
+
+
+def _check_distribution(log_probs: np.ndarray) -> None:
+    """Reject rows (last axis) that do not exponentiate to a distribution."""
+    # guard against raw logits; the bound leaves room for the
+    # finite-difference probes the tests run on single entries
+    sums = np.exp(log_probs).sum(axis=-1)
+    if np.any(np.abs(sums - 1.0) > 1e-5):
+        raise ValueError("posterior rows must exponentiate to a distribution")
 
 
 @dataclass
@@ -76,6 +83,21 @@ class CtcLossResult:
     loss: float
     grad: np.ndarray
     reachable: bool
+
+
+@dataclass
+class CtcBatchLoss:
+    """Per-row CTC losses of a padded batch, with the gradient of each row's own loss.
+
+    ``losses[i]`` is +inf where no frame path can collapse to row ``i``'s
+    target. ``grad[i]`` is the gradient of ``losses[i]`` w.r.t. the
+    log-probabilities for the rows ``used`` marks, zero past the row's
+    frames, and all zero for every other row.
+    """
+
+    losses: np.ndarray  # [B]
+    grad: np.ndarray  # [B, T, V]
+    used: np.ndarray  # [B] bool
 
 
 def collapse(path, blank: int) -> TokenSeq:
@@ -177,19 +199,110 @@ def ctc_loss(posterior: CtcPosterior, target) -> CtcLossResult:
     return CtcLossResult(float(-log_p), grad, reachable=True)
 
 
-def ctc_loss_op(posterior_tensor: Tensor, target, blank_id: int) -> tuple[Tensor, CtcLossResult]:
-    """Autodiff wrapper: scalar loss tensor whose backward uses the analytic gradient.
+def ctc_loss_op(
+    posterior_tensor: Tensor, lengths, targets, use, blank_id: int
+) -> tuple[Tensor, CtcBatchLoss]:
+    """Mean CTC loss over the rows ``use`` selects, as one autodiff op over a padded batch.
 
-    The caller must have checked reachability; an unreachable target is a
-    contract violation here (the training loop screens such utterances out).
+    ``posterior_tensor`` holds [B, T, V] log-probabilities; row ``i`` has
+    ``lengths[i]`` real frames and the target ``targets[i]``. One log-domain
+    lattice over the blank-augmented targets, padded to [B, T, S], runs one
+    loop over T forward and one backward, and the gradient is one scatter
+    over S; every real frame's row must be a distribution, and no target may
+    hold the blank. The mean sums the used rows' losses in row order. A used
+    row whose target no frame path reaches is a contract violation (the
+    training loop screens such utterances out); rows left out contribute an
+    all-zero gradient.
     """
-    result = ctc_loss(CtcPosterior(posterior_tensor.data, blank_id), target)
-    if not result.reachable:
+    lp = posterior_tensor.data
+    if lp.ndim != 3:
+        raise ValueError("posterior must be a [B, T, V] array")
+    b, t_max, _ = lp.shape
+    lengths = np.asarray(lengths, dtype=np.int64)
+    use = np.asarray(use, dtype=bool)
+    if lengths.shape != (b,) or use.shape != (b,) or len(targets) != b:
+        raise ValueError("lengths, targets and use must each give one entry per row")
+    if b and (lengths.min() < 1 or lengths.max() > t_max):
+        raise ValueError("row lengths must lie in [1, T]")
+    if not 0 <= blank_id < lp.shape[2]:
+        raise ValueError("blank id outside the posterior vocabulary")
+    _check_distribution(lp[np.arange(t_max) < lengths[:, None]])
+    targets = [tuple(int(t) for t in y) for y in targets]
+    if any(blank_id in y for y in targets):
+        raise ValueError("CTC target must not contain the blank token")
+
+    s_len = np.array([2 * len(y) + 1 for y in targets], dtype=np.int64)
+    s_max = int(s_len.max(initial=1))
+    # padding slots hold the blank and allow no skip: forward mass leaking
+    # into them only moves up, away from the two slots a row's loss reads,
+    # and backward mass starts at or below those slots, so their occupancy
+    # is zero
+    aug = np.full((b, s_max), blank_id, dtype=np.int64)
+    for i, y in enumerate(targets):
+        aug[i, : s_len[i]] = _augment(y, blank_id)
+    emit = np.take_along_axis(lp, aug[:, None, :], axis=2)  # [B, T, S]
+    # skip transition s-2 -> s allowed for non-blank labels that differ from
+    # the label two slots back
+    can_skip = np.zeros((b, s_max), dtype=bool)
+    can_skip[:, 2:] = (aug[:, 2:] != blank_id) & (aug[:, 2:] != aug[:, :-2])
+
+    alpha = np.full((b, t_max, s_max), NEG_INF)
+    alpha[:, 0, :2] = emit[:, 0, :2]
+    step = np.full((b, s_max), NEG_INF)
+    skip = np.full((b, s_max), NEG_INF)
+    for t in range(1, t_max):
+        prev = alpha[:, t - 1]
+        step[:, 1:] = prev[:, :-1]
+        skip[:, 2:] = np.where(can_skip[:, 2:], prev[:, :-2], NEG_INF)
+        alpha[:, t] = np.logaddexp(np.logaddexp(prev, step), skip) + emit[:, t]
+    rows, last = np.arange(b), lengths - 1
+    end = alpha[rows, last, s_len - 1]
+    log_p = np.where(
+        s_len == 1, end, np.logaddexp(end, alpha[rows, last, np.maximum(s_len - 2, 0)])
+    )
+    if np.any(use & (log_p == NEG_INF)):
         raise ValueError("ctc_loss_op called with an unreachable target")
+
+    kept = np.flatnonzero(use)
+    grad = np.zeros_like(lp)
+    if kept.size:
+        em, t_end, s_end = emit[kept], last[kept], s_len[kept]
+        at = np.arange(kept.size)
+        beta = np.full(em.shape, NEG_INF)
+        beta[at, t_end, s_end - 1] = em[at, t_end, s_end - 1]
+        two = s_end > 1
+        beta[at[two], t_end[two], s_end[two] - 2] = em[at[two], t_end[two], s_end[two] - 2]
+        skip_back = can_skip[kept, 2:]
+        step = np.full((kept.size, s_max), NEG_INF)
+        skip = np.full((kept.size, s_max), NEG_INF)
+        for t in range(t_max - 2, -1, -1):
+            nxt = beta[:, t + 1]
+            step[:, :-1] = nxt[:, 1:]
+            skip[:, :-2] = np.where(skip_back, nxt[:, 2:], NEG_INF)
+            live = (t < t_end)[:, None]
+            beta[:, t] = np.where(
+                live, np.logaddexp(np.logaddexp(nxt, step), skip) + em[:, t], beta[:, t]
+            )
+        # occupancy of lattice slot s at frame t; both passes include the
+        # frame's emission, so divide it out once
+        log_gamma = alpha[kept] + beta - em
+        gamma = np.exp(log_gamma - log_p[kept, None, None])
+        # rows of a slot's token accumulate in slot order
+        np.add.at(
+            grad,
+            (kept[:, None, None], np.arange(t_max)[None, :, None], aug[kept, None, :]),
+            -gamma,
+        )
+
+    result = CtcBatchLoss(losses=-log_p, grad=grad, used=use)
+    if not kept.size:
+        return Tensor(np.asarray(0.0)), result
+    total = float(result.losses[kept[0]])
+    for i in kept[1:]:
+        total += float(result.losses[i])
+    scale = 1.0 / kept.size
     out = Tensor._result(
-        np.asarray(result.loss),
-        (posterior_tensor,),
-        lambda g: (g * result.grad,),
+        np.asarray(total * scale), (posterior_tensor,), lambda g: ((g * scale) * grad,)
     )
     return out, result
 

@@ -127,7 +127,9 @@ class Tensor:
         a, b = self, other
 
         def grad_fn(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+            ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+            gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+            return ga, gb
 
         return Tensor._result(a.data + b.data, (a, b), grad_fn)
 
@@ -142,7 +144,9 @@ class Tensor:
         a, b = self, other
 
         def grad_fn(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+            ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+            gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
+            return ga, gb
 
         return Tensor._result(a.data - b.data, (a, b), grad_fn)
 
@@ -154,7 +158,9 @@ class Tensor:
         a, b = self, other
 
         def grad_fn(g):
-            return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+            ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+            gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+            return ga, gb
 
         return Tensor._result(a.data * b.data, (a, b), grad_fn)
 
@@ -165,8 +171,8 @@ class Tensor:
         a, b = self, other
 
         def grad_fn(g):
-            ga = _unbroadcast(g / b.data, a.shape)
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+            ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
             return ga, gb
 
         return Tensor._result(a.data / b.data, (a, b), grad_fn)
@@ -291,8 +297,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
 
     def grad_fn(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
     return Tensor._result(np.matmul(a.data, b.data), (a, b), grad_fn)
@@ -436,14 +445,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, pad: int = 
     out_data = out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def grad_fn(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(b, ho * wo, cout)
-        gw = np.einsum("bnc,bnk->ck", gmat, cols).reshape(weight.shape)
-        gb = gmat.sum(axis=(0, 1))
-        gcols = (gmat @ wmat).reshape(b, ho * wo, cin, kh * kw).transpose(0, 2, 1, 3)
-        gxp = np.zeros((b, cin, hp * wp), dtype=g.dtype)
-        np.add.at(gxp, (slice(None), slice(None), idx), gcols)
-        gx = gxp.reshape(b, cin, hp, wp)[:, :, pad : pad + h, pad : pad + w]
-        return np.ascontiguousarray(gx), gw, gb
+        gmat = g.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
+        gw = gb = gx = None
+        if weight.requires_grad:
+            gw = (gmat.T @ cols.reshape(b * ho * wo, cin * kh * kw)).reshape(weight.shape)
+        if bias.requires_grad:
+            gb = gmat.sum(axis=0)
+        if x.requires_grad:
+            # col2im: each kernel offset adds its window values into the
+            # padded plane as one strided slice
+            gcols = (gmat @ wmat).reshape(b, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+            gxp = np.zeros((b, cin, hp, wp), dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+            gx = np.ascontiguousarray(gxp[:, :, pad : pad + h, pad : pad + w])
+        return gx, gw, gb
 
     return Tensor._result(np.ascontiguousarray(out_data), (x, weight, bias), grad_fn)
 
@@ -462,7 +479,8 @@ def grad_check(
     """Compare analytic gradients of ``f()`` against central finite differences.
 
     ``f`` must rebuild the graph from the current ``params`` data on each
-    call and be deterministic. Returns a report with per-parameter max
+    call and be deterministic; the perturbed calls run inside
+    :func:`inference`. Returns a report with per-parameter max
     relative deviation and the list of failures; deviations above
     tolerance are reported, not raised.
     """
@@ -480,14 +498,16 @@ def grad_check(
     for name, p in params.items():
         flat = p.data.reshape(-1)
         num = np.zeros_like(flat)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = f().item()
-            flat[i] = keep - step
-            down = f().item()
-            flat[i] = keep
-            num[i] = (up - down) / (2.0 * step)
+        # the perturbed losses need values only, so they record no graph
+        with inference():
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + step
+                up = f().item()
+                flat[i] = keep - step
+                down = f().item()
+                flat[i] = keep
+                num[i] = (up - down) / (2.0 * step)
         ana = analytic[name].reshape(-1)
         denom = np.maximum(np.maximum(np.abs(ana), np.abs(num)), 1e-6)
         rel = float(np.max(np.abs(ana - num) / denom)) if flat.size else 0.0

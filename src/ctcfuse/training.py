@@ -113,17 +113,22 @@ class EpochMetrics:
     att_loss: float
     blanks_inserted: int
     pathway_counts: dict[str, int]
-    ctc_unreachable: int
+    ctc_unreachable_ids: list[str]  # utterances no CTC path could reach, in batch order
     nbest_incomplete: int  # utterances whose CTC N-best came back short
     utterances: int
     train_cer: float | None
     wall_time_s: float
 
+    @property
+    def ctc_unreachable(self) -> int:
+        return len(self.ctc_unreachable_ids)
+
     def to_json_record(self) -> str:
         """Deterministic serialization: wall time stays out of the record.
 
-        So does ``nbest_incomplete``, which keeps records byte-comparable
-        with those of runs made before it was counted.
+        So do ``nbest_incomplete`` and the unreachable utterance ids (only
+        their count is recorded), which keeps records byte-comparable with
+        those of runs made before they were reported.
         """
         payload = {
             "epoch": self.epoch,
@@ -412,10 +417,14 @@ class StepStats:
     att: float
     blanks_inserted: int
     pathway_counts: dict[str, int]
-    unreachable: int
+    unreachable_ids: list[str]  # utterances left out of the CTC term
     nbest_incomplete: int
     size: int
     reachable: int
+
+    @property
+    def unreachable(self) -> int:
+        return len(self.unreachable_ids)
 
 
 def run_training_step(
@@ -430,20 +439,9 @@ def run_training_step(
     hyps = compute_ctc_hypotheses(posterior.data, enc.lengths, cfg.fusion, vocab.blank_id)
     dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc.lengths)
 
-    ctc_terms = []
-    for i, ok in enumerate(dec.ctc_reachable):
-        if ok:
-            sliced = posterior[i, : int(enc.lengths[i])]
-            term, _ = ctc_loss_op(sliced, batch.transcripts[i], vocab.blank_id)
-            ctc_terms.append(term)
-    if ctc_terms:
-        ctc_mean = ctc_terms[0]
-        for term in ctc_terms[1:]:
-            ctc_mean = ctc_mean + term
-        ctc_mean = ctc_mean * (1.0 / len(ctc_terms))
-    else:
-        ctc_mean = Tensor(np.asarray(0.0))
-
+    ctc_mean, ctc = ctc_loss_op(
+        posterior, enc.lengths, batch.transcripts, dec.ctc_reachable, vocab.blank_id
+    )
     logits = model.decoder_forward(dec.input_emb, enc, dec.ne_memory)
     att = smoothed_cross_entropy(logits, dec.targets, dec.loss_mask, cfg.label_smoothing)
     total = joint_loss(ctc_mean, att, cfg.ctc_weight)
@@ -458,10 +456,10 @@ def run_training_step(
         att=att.item(),
         blanks_inserted=dec.blanks_inserted,
         pathway_counts=dec.pathway_counts,
-        unreachable=sum(not ok for ok in dec.ctc_reachable),
+        unreachable_ids=[batch.utt_ids[i] for i in np.flatnonzero(~ctc.used)],
         nbest_incomplete=sum(isinstance(h, NBestList) and h.incomplete for h in hyps),
         size=batch.size,
-        reachable=sum(dec.ctc_reachable),
+        reachable=int(ctc.used.sum()),
     )
 
 
@@ -481,7 +479,8 @@ def train_epoch(
         corpus, cfg.batch_size, vocab, policy=cfg.batch_policy, seed=cfg.seed * 100003 + epoch
     )
     totals = {"joint": 0.0, "ctc": 0.0, "att": 0.0}
-    blanks = unreachable = incomplete = seen = reachable = 0
+    blanks = incomplete = seen = reachable = 0
+    unreachable_ids: list[str] = []
     counts = {d.value: 0 for d in PathwayDecision}
     for batch_idx, batch in enumerate(batches):
         try:
@@ -494,7 +493,7 @@ def train_epoch(
         totals["att"] += stats.att * stats.size
         totals["ctc"] += stats.ctc * stats.reachable
         blanks += stats.blanks_inserted
-        unreachable += stats.unreachable
+        unreachable_ids += stats.unreachable_ids
         incomplete += stats.nbest_incomplete
         seen += stats.size
         reachable += stats.reachable
@@ -508,7 +507,7 @@ def train_epoch(
         att_loss=totals["att"] / seen,
         blanks_inserted=blanks,
         pathway_counts=counts,
-        ctc_unreachable=unreachable,
+        ctc_unreachable_ids=unreachable_ids,
         nbest_incomplete=incomplete,
         utterances=seen,
         train_cer=None,
@@ -525,28 +524,37 @@ class TrainResult:
     final_train_cer: float | None
 
 
+def initial_model(cfg: TrainConfig, vocab: Vocabulary) -> Model:
+    """A fresh model from ``cfg.seed``, with the donor's groups if ``cfg`` names a donor."""
+    model = Model(cfg.model, cfg.fusion, seed=cfg.seed)
+    if cfg.pretrain_path:
+        init_from_pretrained(
+            model, cfg.pretrain_path, cfg.pretrain_selection or "encoder", vocab.content_hash()
+        )
+    return model
+
+
 def train(
     corpus: list[Utterance],
     vocab: Vocabulary,
     cfg: TrainConfig,
     out_dir: str | None = None,
     log=None,
+    model: Model | None = None,
 ) -> TrainResult:
     """Full run: init (optionally from a donor checkpoint), epochs, metrics.
 
-    A fresh run truncates ``out_dir/metrics.jsonl``; :func:`resume` appends
-    to it.
+    ``model`` is the :func:`initial_model` of ``cfg``, built here unless
+    the caller built it already. A fresh run truncates
+    ``out_dir/metrics.jsonl``; :func:`resume` appends to it.
 
     Train CER is measured by greedy attention decoding every
     ``eval_every`` epochs (and on the final epoch); when
     ``stop_at_train_cer`` is set the run stops at the first measurement
     at or below it.
     """
-    model = Model(cfg.model, cfg.fusion, seed=cfg.seed)
-    if cfg.pretrain_path:
-        init_from_pretrained(
-            model, cfg.pretrain_path, cfg.pretrain_selection or "encoder", vocab.content_hash()
-        )
+    if model is None:
+        model = initial_model(cfg, vocab)
     optimizer = Adam(model.params, cfg)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -597,6 +605,7 @@ def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch)
             f"epoch {epoch:3d} joint={metrics.joint_loss:.4f} ctc={metrics.ctc_loss:.4f} "
             f"att={metrics.att_loss:.4f} blanks={metrics.blanks_inserted} "
             f"nbest_incomplete={metrics.nbest_incomplete} "
+            f"ctc_unreachable={','.join(metrics.ctc_unreachable_ids) or '-'} "
             f"cer={'-' if metrics.train_cer is None else f'{metrics.train_cer:.4f}'} "
             f"wall={metrics.wall_time_s:.2f}s"
         )

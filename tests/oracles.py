@@ -14,7 +14,7 @@ from ctcfuse import tensor as tz
 from ctcfuse.ctc import CtcPosterior, NBestList, TokenSeq
 from ctcfuse.decode import _ne_memory_for, _posterior
 from ctcfuse.model import EncoderOutput
-from ctcfuse.tensor import Tensor
+from ctcfuse.tensor import Tensor, _window_index
 
 NEG_INF = -math.inf
 
@@ -186,3 +186,38 @@ def attention_beam_reference(features, model, cfg, vocab):
     pool = finished if finished else beams
     best = max(pool, key=lambda b: (normalized(b), b[0]))
     return best[0], normalized(best), bool(finished)
+
+
+def conv2d_reference(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, pad: int = 1) -> Tensor:
+    """The convolution ``tz.conv2d`` had before its backward became a matmul and slice-adds.
+
+    Weight gradient by ``np.einsum``, col2im by ``np.add.at`` over the
+    im2col window indices, and a gradient for every input.
+    """
+    b, cin, h, w = x.shape
+    cout, cin_w, kh, kw = weight.shape
+    if cin != cin_w:
+        raise ValueError(f"conv2d channel mismatch: input {cin}, kernel {cin_w}")
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    xp = np.zeros((b, cin, hp, wp), dtype=x.data.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x.data
+    idx = _window_index(h, w, kh, kw, stride, pad)
+    # cols: [B, Ho*Wo, Cin*kh*kw]
+    cols = xp.reshape(b, cin, hp * wp)[:, :, idx].transpose(0, 2, 1, 3).reshape(b, ho * wo, cin * kh * kw)
+    wmat = weight.data.reshape(cout, cin * kh * kw)
+    out = cols @ wmat.T + bias.data
+    out_data = out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+
+    def grad_fn(g):
+        gmat = g.transpose(0, 2, 3, 1).reshape(b, ho * wo, cout)
+        gw = np.einsum("bnc,bnk->ck", gmat, cols).reshape(weight.shape)
+        gb = gmat.sum(axis=(0, 1))
+        gcols = (gmat @ wmat).reshape(b, ho * wo, cin, kh * kw).transpose(0, 2, 1, 3)
+        gxp = np.zeros((b, cin, hp * wp), dtype=g.dtype)
+        np.add.at(gxp, (slice(None), slice(None), idx), gcols)
+        gx = gxp.reshape(b, cin, hp, wp)[:, :, pad : pad + h, pad : pad + w]
+        return np.ascontiguousarray(gx), gw, gb
+
+    return Tensor._result(np.ascontiguousarray(out_data), (x, weight, bias), grad_fn)

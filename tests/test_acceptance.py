@@ -247,14 +247,10 @@ def gradient_reports():
             enc = model.encode(batch.features, batch.feat_lengths)
             post = model.ctc_head(enc)
             dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc.lengths)
-            terms = []
-            for i, ok in enumerate(dec.ctc_reachable):
-                assert ok, "toy instances must keep CTC reachable"
-                term, _ = ctc_loss_op(
-                    post[i, : int(enc.lengths[i])], batch.transcripts[i], BLANK
-                )
-                terms.append(term)
-            ctc_mean = (terms[0] + terms[1]) * 0.5
+            assert all(dec.ctc_reachable), "toy instances must keep CTC reachable"
+            ctc_mean, _ = ctc_loss_op(
+                post, enc.lengths, batch.transcripts, dec.ctc_reachable, BLANK
+            )
             logits = model.decoder_forward(dec.input_emb, enc, dec.ne_memory)
             att = smoothed_cross_entropy(logits, dec.targets, dec.loss_mask, 0.1)
             return joint_loss(ctc_mean, att, 0.3)
@@ -375,17 +371,9 @@ def test_criterion_6_fusion_degeneracy(desk):
             dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc.lengths)
             if cfg.fusion.method == METHOD_FUSION:
                 assert dec.pathway_counts["fuse"] == batch.size
-            terms = []
-            for i, ok in enumerate(dec.ctc_reachable):
-                if ok:
-                    term, _ = ctc_loss_op(
-                        post[i, : int(enc.lengths[i])], batch.transcripts[i], vocab.blank_id
-                    )
-                    terms.append(term)
-            ctc_mean = terms[0]
-            for t in terms[1:]:
-                ctc_mean = ctc_mean + t
-            ctc_mean = ctc_mean * (1.0 / len(terms))
+            ctc_mean, _ = ctc_loss_op(
+                post, enc.lengths, batch.transcripts, dec.ctc_reachable, vocab.blank_id
+            )
             logits = model.decoder_forward(dec.input_emb, enc, dec.ne_memory)
             att = smoothed_cross_entropy(logits, dec.targets, dec.loss_mask, 0.1)
             losses.append(joint_loss(ctc_mean, att, 0.3).item())

@@ -151,6 +151,41 @@ class TestTrain:
         assert (out1 / "metrics.jsonl").read_bytes() == (out2 / "metrics.jsonl").read_bytes()
         assert (out1 / "model.ckpt").read_bytes() == (out2 / "model.ckpt").read_bytes()
 
+    def test_failed_rerun_leaves_no_file_of_the_earlier_run(self, base_config, tmp_path):
+        out = tmp_path / "run"
+        payload = json.loads(base_config.read_text())
+        payload["train"]["epochs"] = 1
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", str(first), "--out", str(out), "--quiet") == 0
+        assert (out / "model.ckpt").exists() and (out / "train.log").exists()
+        payload["train"]["lr_base"] = 1e300
+        second = tmp_path / "second.json"
+        second.write_text(json.dumps(payload))
+        proc = run_cli_process("train", "--config", str(second), "--out", str(out), "--quiet",
+                               cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert sorted(os.listdir(out)) == ["metrics.jsonl", "resolved_config.json", "run_meta.json"]
+        assert (out / "metrics.jsonl").read_text() == ""
+        assert json.loads((out / "resolved_config.json").read_text())["train"]["lr_base"] == 1e300
+
+    def test_donor_may_be_the_directory_own_checkpoint(self, base_config, tmp_path):
+        out = tmp_path / "run"
+        payload = json.loads(base_config.read_text())
+        payload["train"]["epochs"] = 1
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", str(config), "--out", str(out), "--quiet") == 0
+        donor = load_tensors(out / "model.ckpt")
+        payload["train"].update(pretrain_path=str(out / "model.ckpt"), lr_base=0.0)
+        config.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", str(config), "--out", str(out), "--quiet") == 0
+        warm = load_tensors(out / "model.ckpt")
+        # lr 0 keeps the loaded encoder exactly as the donor left it
+        assert np.array_equal(warm["encoder.sub.proj.w"], donor["encoder.sub.proj.w"])
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 1
+
     def test_numeric_failure_maps_to_exit_3(self, base_config, capsys, monkeypatch):
         from ctcfuse import training as tr_mod
         from ctcfuse.training import NumericError

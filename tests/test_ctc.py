@@ -121,15 +121,97 @@ class TestCtcLoss:
 
     def test_autodiff_wrapper_backpropagates(self):
         rng = np.random.default_rng(8)
-        lp = Tensor(random_posterior(rng, 4, 3), requires_grad=True)
-        loss, res = ctc.ctc_loss_op(lp, (1,), BLANK)
+        lp = Tensor(random_posterior(rng, 4, 3)[None], requires_grad=True)
+        loss, res = ctc.ctc_loss_op(lp, [4], [(1,)], [True], BLANK)
         (loss * 2.0).backward()
         np.testing.assert_allclose(lp.grad, 2.0 * res.grad, rtol=1e-12)
 
     def test_autodiff_wrapper_rejects_unreachable(self):
-        lp = Tensor(uniform_posterior(2, 2).log_probs, requires_grad=True)
+        # the second row's target needs three frames
+        lp = Tensor(np.stack([uniform_posterior(2, 2).log_probs] * 2), requires_grad=True)
         with pytest.raises(ValueError, match="unreachable"):
-            ctc.ctc_loss_op(lp, (1, 1), BLANK)
+            ctc.ctc_loss_op(lp, [2, 2], [(1,), (1, 1)], [True, True], BLANK)
+        ctc.ctc_loss_op(lp, [2, 2], [(1,), (1, 1)], [True, False], BLANK)
+
+
+
+def padded_batch(rng, lengths, vocab, t_max=None):
+    """Random posteriors, one per length, stacked with random padding frames."""
+    t_max = t_max or max(lengths)
+    return np.stack([random_posterior(rng, t_max, vocab) for _ in lengths]), np.array(lengths)
+
+
+class TestBatchedLoss:
+    # mixed frame counts and target lengths, repeated tokens, a one-frame
+    # utterance, an empty target, an unreachable row and a reachable row
+    # that ``use`` leaves out
+    LENGTHS = [6, 1, 9, 4, 7, 3, 8, 5]
+    TARGETS = [(1, 2, 1), (2,), (3, 3, 1, 1), (), (1, 1, 1), (2, 2, 2), (3, 1, 2, 3), (1, 3)]
+    USE = [True, True, True, True, True, False, True, False]
+
+    def test_rows_match_per_utterance_loss(self):
+        rng = np.random.default_rng(11)
+        lp, lengths = padded_batch(rng, self.LENGTHS, 4)
+        _, res = ctc.ctc_loss_op(Tensor(lp), lengths, self.TARGETS, self.USE, BLANK)
+        for i, (t_i, target) in enumerate(zip(lengths, self.TARGETS)):
+            ref = ctc_loss(CtcPosterior(lp[i, :t_i], BLANK), target)
+            if not ref.reachable:
+                assert res.losses[i] == math.inf
+            else:
+                np.testing.assert_allclose(res.losses[i], ref.loss, rtol=1e-12)
+            if self.USE[i]:
+                np.testing.assert_allclose(res.grad[i, :t_i], ref.grad, rtol=1e-12, atol=1e-300)
+                assert np.all(res.grad[i, t_i:] == 0.0)
+            else:
+                assert np.all(res.grad[i] == 0.0)
+        # row 5 ((2, 2, 2) in 3 frames) is the unreachable one
+        assert res.losses[5] == math.inf and math.isfinite(res.losses[7])
+
+    def test_mean_sums_used_rows_in_order(self):
+        rng = np.random.default_rng(12)
+        lp, lengths = padded_batch(rng, self.LENGTHS, 4)
+        post = Tensor(lp, requires_grad=True)
+        loss, res = ctc.ctc_loss_op(post, lengths, self.TARGETS, self.USE, BLANK)
+        used = [i for i, ok in enumerate(self.USE) if ok]
+        total = 0.0
+        for i in used:
+            total += ctc_loss(CtcPosterior(lp[i, : lengths[i]], BLANK), self.TARGETS[i]).loss
+        np.testing.assert_allclose(loss.item(), total / len(used), rtol=1e-12)
+        (loss * 2.0).backward()
+        np.testing.assert_allclose(post.grad, res.grad * (2.0 / len(used)), rtol=1e-12)
+
+    def test_row_alone_equals_row_in_padded_batch(self):
+        rng = np.random.default_rng(13)
+        lp, lengths = padded_batch(rng, self.LENGTHS, 4, t_max=12)
+        use = [True] * 5 + [False] + [True, True]
+        _, batch = ctc.ctc_loss_op(Tensor(lp), lengths, self.TARGETS, use, BLANK)
+        for i in np.flatnonzero(use):
+            t_i = lengths[i]
+            _, alone = ctc.ctc_loss_op(Tensor(lp[i : i + 1, :t_i]), [t_i], [self.TARGETS[i]], [True], BLANK)
+            assert alone.losses[0] == batch.losses[i]
+            assert np.array_equal(alone.grad[0], batch.grad[i, :t_i])
+
+    def test_no_used_row_gives_constant_zero(self):
+        rng = np.random.default_rng(14)
+        lp, lengths = padded_batch(rng, [3, 4], 3)
+        post = Tensor(lp, requires_grad=True)
+        loss, res = ctc.ctc_loss_op(post, lengths, [(1,), (2,)], [False, False], BLANK)
+        assert loss.item() == 0.0 and not loss.requires_grad
+        assert np.all(res.grad == 0.0)
+
+    def test_blank_in_target_rejected(self):
+        lp = np.stack([uniform_posterior(3, 2).log_probs] * 2)
+        with pytest.raises(ValueError, match="blank"):
+            ctc.ctc_loss_op(Tensor(lp), [3, 3], [(1,), (BLANK,)], [True, True], BLANK)
+
+    def test_real_frames_must_be_distributions(self):
+        rng = np.random.default_rng(15)
+        lp, lengths = padded_batch(rng, [3, 4], 3, t_max=5)
+        lp[0, 4] += 1.0  # padding frame: not checked
+        ctc.ctc_loss_op(Tensor(lp), lengths, [(1,), (2,)], [True, True], BLANK)
+        lp[1, 3] += 1.0  # last real frame of row 1
+        with pytest.raises(ValueError, match="distribution"):
+            ctc.ctc_loss_op(Tensor(lp), lengths, [(1,), (2,)], [True, True], BLANK)
 
 
 class TestGreedy:

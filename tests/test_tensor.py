@@ -4,6 +4,8 @@ import pytest
 from ctcfuse import tensor as T
 from ctcfuse.tensor import Tensor
 
+from oracles import conv2d_reference
+
 
 def matmul_oracle(a, b):
     """Naive triple-loop matrix product, independent of the engine."""
@@ -194,6 +196,19 @@ class TestGradCheck:
         assert report["passed"]
         assert report["max_deviation"] < 1e-9
 
+    def test_perturbed_forwards_record_no_graph(self):
+        w = Tensor(np.array([0.5, -1.5]), requires_grad=True)
+        recorded = []
+
+        def f():
+            out = (w * w).sum()
+            recorded.append(out.requires_grad)
+            return out
+
+        report = T.grad_check(f, {"w": w})
+        assert report["passed"]
+        assert recorded == [True] + [False] * 4
+
     def test_failure_is_reported_not_raised(self):
         w = Tensor(np.array([1.0]), requires_grad=True)
 
@@ -279,6 +294,63 @@ class TestOps:
 
         report = T.grad_check(f, {"x": x, "w": w, "b": b}, step=1e-6, tolerance=1e-5)
         assert report["passed"], report
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, stride, pad",
+        [
+            ((2, 1, 9, 8), (3, 1, 3, 3), 2, 1),
+            ((2, 3, 7, 5), (2, 3, 3, 3), 2, 1),
+            ((1, 2, 6, 6), (2, 2, 2, 3), 1, 0),
+            ((3, 2, 8, 7), (4, 2, 3, 2), 3, 2),
+        ],
+    )
+    def test_conv2d_backward_matches_reference(self, x_shape, w_shape, stride, pad):
+        rng = np.random.default_rng(12)
+        data = [rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])]
+        grads = []
+        for conv in (T.conv2d, conv2d_reference):
+            x, w, b = (Tensor(d, requires_grad=True) for d in data)
+            out = conv(x, w, b, stride=stride, pad=pad)
+            (out * Tensor(np.cos(np.arange(out.size)).reshape(out.shape))).sum().backward()
+            grads.append((out.data, x.grad, w.grad, b.grad))
+        for new, ref in zip(*grads):
+            np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-14)
+
+    def test_conv2d_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(2, 1, 6, 4)))  # features need no gradient
+        w = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        out = T.conv2d(x, w, b)
+        gx, gw, gb = out._grad_fn(np.ones(out.shape))
+        assert gx is None and gw.shape == w.shape and gb.shape == b.shape
+        out.sum().backward()
+        assert x.grad is None and w.grad is not None
+
+
+class TestConstantOperands:
+    """A binary op returns no gradient for an operand that does not require one."""
+
+    OPS = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+        "matmul": T.matmul,
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("trainable", [0, 1])
+    def test_only_trainable_operand_gets_gradient(self, op, trainable):
+        rng = np.random.default_rng(14)
+        data = [rng.uniform(1.0, 2.0, size=(3, 3)), rng.uniform(1.0, 2.0, size=(3, 3))]
+        both = [Tensor(d, requires_grad=True) for d in data]
+        self.OPS[op](*both).sum().backward()
+        operands = [Tensor(d, requires_grad=i == trainable) for i, d in enumerate(data)]
+        out = self.OPS[op](*operands)
+        parts = out._grad_fn(np.ones(out.shape))
+        assert parts[1 - trainable] is None
+        np.testing.assert_array_equal(parts[trainable], both[trainable].grad)
 
 
 class TestInference:

@@ -2,12 +2,13 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from ctcfuse.alignment import GatingConfig
-from ctcfuse.data import SynthConfig, synth_corpus
+from ctcfuse.data import SynthConfig, Utterance, synth_corpus
 from ctcfuse.model import (
     METHOD_ALIGNED,
     METHOD_BASELINE,
@@ -336,15 +337,9 @@ class TestTrainingLoop:
         dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc.lengths)
         from ctcfuse.ctc import ctc_loss_op
 
-        terms = []
-        for i, ok in enumerate(dec.ctc_reachable):
-            if ok:
-                term, _ = ctc_loss_op(post[i, : int(enc.lengths[i])], batch.transcripts[i], vocab.blank_id)
-                terms.append(term)
-        ctc_mean = terms[0]
-        for t in terms[1:]:
-            ctc_mean = ctc_mean + t
-        ctc_mean = ctc_mean * (1.0 / len(terms))
+        ctc_mean, _ = ctc_loss_op(
+            post, enc.lengths, batch.transcripts, dec.ctc_reachable, vocab.blank_id
+        )
         logits = model.decoder_forward(dec.input_emb, enc, dec.ne_memory)
         att = smoothed_cross_entropy(logits, dec.targets, dec.loss_mask, 0.1)
         joint_loss(ctc_mean, att, 1.0).backward()
@@ -369,6 +364,25 @@ class TestTrainingLoop:
         metrics = train_epoch(corpus, vocab, model, opt, cfg, epoch=1)
         assert np.isfinite(metrics.joint_loss)
         assert sum(metrics.pathway_counts.values()) == len(corpus)
+
+    def test_unreachable_utterances_named_in_log(self):
+        vocab, corpus, cfg = tiny_setup(count=8)
+        cfg = dataclasses.replace(cfg, epochs=1)
+        # four frames subsample to one encoder frame: too few for two tokens
+        short = {1, 5}
+        corpus = [
+            Utterance(u.utt_id, u.features[:4], u.transcript) if i in short else u
+            for i, u in enumerate(corpus)
+        ]
+        lines = []
+        metrics = train(corpus, vocab, cfg, log=lines.append).history[0]
+        ids = sorted(corpus[i].utt_id for i in short)
+        assert sorted(metrics.ctc_unreachable_ids) == ids and metrics.ctc_unreachable == 2
+        [named] = re.findall(r"ctc_unreachable=(\S+)", lines[0])
+        assert sorted(named.split(",")) == ids
+        record = json.loads(metrics.to_json_record())
+        assert record["ctc_unreachable"] == 2
+        assert not any(utt_id in metrics.to_json_record() for utt_id in ids)
 
     def test_short_nbest_lists_counted(self):
         # four frames subsample to one encoder frame, from which only the
