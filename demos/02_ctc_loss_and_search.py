@@ -11,9 +11,17 @@ from itertools import product
 
 import numpy as np
 
-from ctcfuse.ctc import CtcPosterior, collapse, ctc_loss, greedy_1best, prefix_beam_nbest
+from ctcfuse.ctc import CtcPosterior, collapse, ctc_loss_op, greedy_1best, prefix_beam_nbest
+from ctcfuse.tensor import Tensor
 
 BLANK = 0
+
+
+def one_utterance_loss(log_probs, target):
+    """Loss and gradient of one utterance: the training loss on a batch of one."""
+    _, res = ctc_loss_op(Tensor(log_probs[None]), [len(log_probs)], [target], [True], BLANK)
+    return res.losses[0], res.grad[0]
+
 
 print("== collapse: merge repeats, then drop blanks ==")
 for path in ([1, 1, 0, 2], [0, 0], [1, 0, 1]):
@@ -23,9 +31,8 @@ print()
 print("== the classic two-frame example ==")
 # two frames, two symbols {blank, a}, all probabilities one half:
 # paths aa, a-, -a collapse to [a]  ->  P = 3/4
-post = CtcPosterior(np.full((2, 2), math.log(0.5)), BLANK)
-res = ctc_loss(post, (1,))
-print(f"loss = {res.loss:.6f}, -log(0.75) = {-math.log(0.75):.6f}")
+loss, _ = one_utterance_loss(np.full((2, 2), math.log(0.5)), (1,))
+print(f"loss = {loss:.6f}, -log(0.75) = {-math.log(0.75):.6f}")
 
 print()
 print("== loss equals the exhaustive path sum on a random instance ==")
@@ -33,13 +40,13 @@ rng = np.random.default_rng(3)
 logits = rng.normal(size=(4, 3))
 lp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 target = (1, 2)
-res = ctc_loss(CtcPosterior(lp, BLANK), target)
+loss, grad = one_utterance_loss(lp, target)
 
 total = 0.0
 for path in product(range(3), repeat=4):
     if collapse(path, BLANK) == target:
         total += math.exp(sum(lp[t, k] for t, k in enumerate(path)))
-print(f"forward-backward: {res.loss:.10f}")
+print(f"forward-backward: {loss:.10f}")
 print(f"enumeration:      {-math.log(total):.10f}")
 
 print()
@@ -55,4 +62,4 @@ print("the summed mass of [a] (0.64) beats the empty string (0.36)")
 
 print()
 print("== gradient sanity: rows of d(loss)/d(log p) sum to -1 ==")
-print(np.round(res.grad.sum(axis=1), 12))
+print(np.round(grad.sum(axis=1), 12))

@@ -6,7 +6,7 @@ built on a small numpy autodiff engine with oracle-verified numerics.
 """
 
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, cer, edit_distance, gate
-from ctcfuse.ctc import CtcPosterior, NBestList, collapse, ctc_loss, greedy_1best, prefix_beam_nbest
+from ctcfuse.ctc import CtcPosterior, NBestList, collapse, greedy_1best, prefix_beam_nbest
 from ctcfuse.data import (
     Batch,
     SynthConfig,
@@ -59,7 +59,6 @@ __all__ = [
     "collapse",
     "corpus_stats",
     "count_params",
-    "ctc_loss",
     "ctc_rescore_decode",
     "desk_synth_config",
     "desk_train_config",

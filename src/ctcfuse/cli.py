@@ -22,6 +22,7 @@ import itertools
 import json
 import os
 import sys
+import typing
 
 
 class UsageError(Exception):
@@ -49,10 +50,17 @@ def _outdir(args) -> str | None:
 
 
 def _build_dataclass(cls, payload: dict, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - names)
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(payload) - set(types))
     if unknown:
         raise UsageError(f"unknown keys in {where}: {', '.join(unknown)}")
+    for key, value in payload.items():
+        kinds = typing.get_args(types[key]) or (types[key],)
+        if float in kinds:
+            kinds += (int,)  # an integer fills a float field
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            kind = getattr(types[key], "__name__", str(types[key]))
+            raise UsageError(f"invalid {where}: {key} must be {kind}, not {value!r}")
     try:
         return cls(**payload)
     except (TypeError, ValueError) as err:
@@ -64,11 +72,24 @@ def _load_json(path) -> dict:
 
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as err:
+            payload = json.loads(fh.read())
+        except ValueError as err:  # not JSON, or not UTF-8
             raise UsageError(f"{path}: invalid JSON: {err}") from err
+    if not isinstance(payload, dict):
+        raise UsageError(f"{path}: a run config must be a JSON object")
+    return payload
+
+
+def _section(payload: dict, key: str, where: str) -> dict:
+    """A copy of the JSON-object section ``payload[key]``; absent or null is empty."""
+    section = payload.get(key)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise UsageError(f"{where} must be a JSON object")
+    return dict(section)
 
 
 _TOP_LEVEL_KEYS = {"data", "model", "fusion", "gating", "train"}
@@ -88,15 +109,21 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
     unknown = sorted(set(payload) - _TOP_LEVEL_KEYS)
     if unknown:
         raise UsageError(f"unknown top-level config keys: {', '.join(unknown)}")
-    data_sec = dict(payload.get("data") or {})
+    data_sec = _section(payload, "data", "data")
     unknown = sorted(set(data_sec) - {"manifest", "vocab", "synth"})
     if unknown:
         raise UsageError(f"unknown keys in data: {', '.join(unknown)}")
     if ("manifest" in data_sec) == ("synth" in data_sec):
         raise UsageError("data section needs exactly one of 'manifest' or 'synth'")
+    # a number here would be opened as a file descriptor
+    if not isinstance(data_sec.get("manifest", ""), str) or not isinstance(
+        data_sec.get("vocab"), (str, type(None))
+    ):
+        raise UsageError("data.manifest and data.vocab must be path strings")
 
     if "synth" in data_sec:
-        synth_cfg = _build_dataclass(SynthConfig, dict(data_sec["synth"]), "data.synth")
+        synth_sec = _section(data_sec, "synth", "data.synth")
+        synth_cfg = _build_dataclass(SynthConfig, synth_sec, "data.synth")
         vocab, corpus = synth_corpus(synth_cfg)
         data_resolved = {"synth": dataclasses.asdict(synth_cfg)}
     else:
@@ -105,7 +132,7 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
         corpus = load_manifest(manifest, vocab)
         data_resolved = {"manifest": manifest, "vocab": data_sec.get("vocab")}
 
-    model_sec = dict(payload.get("model") or {})
+    model_sec = _section(payload, "model", "model")
     model_sec.setdefault("vocab_size", vocab.size)
     model_sec.setdefault("feature_dim", corpus[0].features.shape[1])
     model_sec.setdefault("dropout", 0.0)
@@ -117,10 +144,10 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
     if model_cfg.feature_dim != corpus[0].features.shape[1]:
         raise UsageError("model.feature_dim does not match the corpus features")
 
-    fusion_cfg = _build_dataclass(FusionConfig, dict(payload.get("fusion") or {}), "fusion")
-    gating_cfg = _build_dataclass(GatingConfig, dict(payload.get("gating") or {}), "gating")
+    fusion_cfg = _build_dataclass(FusionConfig, _section(payload, "fusion", "fusion"), "fusion")
+    gating_cfg = _build_dataclass(GatingConfig, _section(payload, "gating", "gating"), "gating")
 
-    train_sec = dict(payload.get("train") or {})
+    train_sec = _section(payload, "train", "train")
     reserved = sorted(set(train_sec) & _NESTED_TRAIN_KEYS)
     if reserved:
         raise UsageError(f"train section must not nest: {', '.join(reserved)}")
@@ -192,20 +219,13 @@ def _train_run(payload: dict, seed: int | None, out_dir: str | None, echo: bool)
 
     The config and any donor checkpoint (which may be the directory's own
     ``model.ckpt``) are read before the previous run's files are removed,
-    so the directory never mixes two runs. Log lines go to ``train.log``
-    in ``out_dir``, and to stdout if ``echo``.
+    so the directory never mixes two runs. Each epoch's log line goes to
+    ``train.log`` in ``out_dir`` as the epoch ends, and to stdout if ``echo``.
     """
     from ctcfuse.training import initial_model, train
 
     vocab, corpus, cfg, resolved = resolve_run_config(payload, seed_override=seed)
     model = initial_model(cfg, vocab)
-    log_lines: list[str] = []
-
-    def log(line: str) -> None:
-        log_lines.append(line)
-        if echo:
-            print(line)
-
     if out_dir:
         meta = {
             "seed": cfg.seed,
@@ -221,11 +241,7 @@ def _train_run(payload: dict, seed: int | None, out_dir: str | None, echo: bool)
                 json.dump(record, fh, indent=2, sort_keys=True)
                 fh.write("\n")
 
-    result = train(corpus, vocab, cfg, out_dir=out_dir, log=log, model=model)
-    if out_dir:
-        with open(os.path.join(out_dir, "train.log"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(log_lines) + "\n")
-    return result
+    return train(corpus, vocab, cfg, out_dir=out_dir, log=print if echo else None, model=model)
 
 
 def cmd_train(args) -> int:
@@ -324,22 +340,20 @@ def cmd_decode(args) -> int:
 
 
 def _read_hypothesis_file(path, vocab):
-    from ctcfuse.data import DataError
+    from ctcfuse.data import DataError, read_text
 
     hyps = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{line_no}: expected utt_id<TAB>score<TAB>tokens")
-            utt_id, _, tokens = parts
-            ids = tuple(
-                vocab.token_to_id.get(tok, vocab.unk_id) for tok in tokens.split() if tok
-            )
-            hyps[utt_id] = ids
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{line_no}: expected utt_id<TAB>score<TAB>tokens")
+        utt_id, _, tokens = parts
+        ids = tuple(
+            vocab.token_to_id.get(tok, vocab.unk_id) for tok in tokens.split() if tok
+        )
+        hyps[utt_id] = ids
     return hyps
 
 
@@ -376,15 +390,13 @@ def cmd_eval(args) -> int:
 
 def cmd_align(args) -> int:
     from ctcfuse.alignment import aef_align, render_alignment
-    from ctcfuse.data import DataError, build_vocab
+    from ctcfuse.data import DataError, build_vocab, read_text
 
     for path in (args.ref, args.hyp):
         if not os.path.exists(path):
             raise DataError(f"file not found: {path}")
-    with open(args.ref, "r", encoding="utf-8") as fh:
-        refs = fh.read().splitlines()
-    with open(args.hyp, "r", encoding="utf-8") as fh:
-        hyps = fh.read().splitlines()
+    refs = read_text(args.ref).splitlines()
+    hyps = read_text(args.hyp).splitlines()
     if len(refs) != len(hyps):
         raise DataError(f"line count mismatch: {len(refs)} refs vs {len(hyps)} hyps")
     vocab = build_vocab([line for line in refs + hyps if line.strip()])
@@ -420,7 +432,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from ctcfuse.data import DataError, corpus_stats, read_manifest
+    from ctcfuse.data import DataError, corpus_stats, read_manifest, read_text
 
     if (args.manifest is None) == (args.text is None):
         raise UsageError("stats needs exactly one of --manifest or --text")
@@ -429,8 +441,7 @@ def cmd_stats(args) -> int:
     else:
         if not os.path.exists(args.text):
             raise DataError(f"text file not found: {args.text}")
-        with open(args.text, "r", encoding="utf-8") as fh:
-            texts = [line for line in fh.read().splitlines() if line.strip()]
+        texts = [line for line in read_text(args.text).splitlines() if line.strip()]
     lengths = [len([ch for ch in t if not ch.isspace()]) for t in texts]
     stats = corpus_stats(lengths)
     print(stats.render_table())
@@ -459,9 +470,8 @@ def _apply_grid_point(payload: dict, point: dict[str, str]) -> dict:
     from ctcfuse.model import METHODS
 
     out = json.loads(json.dumps(payload))  # deep copy
-    out.setdefault("fusion", {})
-    out.setdefault("gating", {})
-    out.setdefault("train", {})
+    for key in ("fusion", "gating", "train"):
+        out[key] = _section(out, key, key)
     for key, raw in point.items():
         if key == "method":
             if raw not in METHODS:
@@ -500,12 +510,17 @@ def cmd_sweep(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     keys = sorted(grid)
+    points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    # every grid point is checked before the first run starts
+    try:
+        configs = [_apply_grid_point(payload, point) for point in points]
+    except ValueError as err:  # a numeric grid value that is not a number
+        raise UsageError(f"grid value: {err}") from None
     rows = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        point = dict(zip(keys, combo))
+    for point, config in zip(points, configs):
         name = "run_" + "_".join(f"{k}={v}" for k, v in sorted(point.items()))
         run_dir = os.path.join(out_dir, name)
-        result = _train_run(_apply_grid_point(payload, point), args.seed, run_dir, echo=False)
+        result = _train_run(config, args.seed, run_dir, echo=False)
         final = result.history[-1]
         rows.append(
             {
@@ -531,8 +546,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# the fields ``report`` reads from a metrics record, and the JSON types training writes them as
+_REPORT_FIELDS = {
+    "epoch": int,
+    "joint_loss": float,
+    "ctc_loss": float,
+    "att_loss": float,
+    "blanks_inserted": int,
+    "train_cer": (float, type(None)),
+}
+
+
 def cmd_report(args) -> int:
-    from ctcfuse.data import DataError
+    from ctcfuse.data import DataError, read_text
 
     metrics_path = args.metrics or (os.path.join(args.run, "metrics.jsonl") if args.run else None)
     if not metrics_path:
@@ -540,10 +566,20 @@ def cmd_report(args) -> int:
     if not os.path.exists(metrics_path):
         raise DataError(f"metrics file not found: {metrics_path}")
     records = []
-    with open(metrics_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
+    for line_no, line in enumerate(read_text(metrics_path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"{metrics_path}:{line_no}"
+        try:
+            rec = json.loads(line)
+        except ValueError as err:
+            raise DataError(f"{where}: not a JSON record: {err}") from None
+        if not isinstance(rec, dict):
+            raise DataError(f"{where}: not a JSON object")
+        bad = [key for key, kind in _REPORT_FIELDS.items() if not isinstance(rec.get(key), kind)]
+        if bad:
+            raise DataError(f"{where}: missing or mistyped {', '.join(bad)}")
+        records.append(rec)
     if not records:
         raise DataError(f"{metrics_path}: no records")
 
@@ -675,7 +711,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         _print_error("usage", err)
         return 1
-    except FileNotFoundError as err:
+    except OSError as err:  # a missing or unreadable input, an unwritable output
         _print_error("data", err)
         return 2
     except Exception as err:  # noqa: BLE001 - mapped to documented exit codes

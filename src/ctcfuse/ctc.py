@@ -1,10 +1,10 @@
 """CTC machinery: collapse, forward-backward loss, greedy and prefix beam search.
 
-All functions work in the log domain. ``ctc_loss`` and the searches take
-one utterance's log-probability matrix; ``ctc_loss_op``, the training
-loss, runs the same lattice over a padded batch as one autodiff op. The
-loss gradient is derived analytically from the forward/backward lattice
-over the blank-augmented target.
+All functions work in the log domain. The searches take one utterance's
+log-probability matrix; ``ctc_loss_op``, the training loss, runs one
+lattice over a padded batch as one autodiff op. The loss gradient is
+derived analytically from the forward/backward lattice over the
+blank-augmented target.
 """
 
 from __future__ import annotations
@@ -73,19 +73,6 @@ class NBestList:
 
 
 @dataclass
-class CtcLossResult:
-    """Loss value plus the gradient w.r.t. the input log-probabilities.
-
-    ``reachable`` is False when no frame path can collapse to the target
-    (too few frames); the loss is then +inf and the gradient all zero.
-    """
-
-    loss: float
-    grad: np.ndarray
-    reachable: bool
-
-
-@dataclass
 class CtcBatchLoss:
     """Per-row CTC losses of a padded batch, with the gradient of each row's own loss.
 
@@ -122,81 +109,6 @@ def _augment(target, blank: int) -> np.ndarray:
     aug[::2] = blank
     aug[1::2] = target
     return aug
-
-
-def ctc_loss(posterior: CtcPosterior, target) -> CtcLossResult:
-    """Negative log-probability that any frame path collapses to ``target``.
-
-    Computed over the blank-augmented label lattice with log-domain
-    forward and backward passes; the returned gradient is w.r.t. the
-    posterior's log-probabilities and its rows each sum to -1 when the
-    target is reachable.
-    """
-    target = tuple(int(t) for t in target)
-    blank = posterior.blank_id
-    if blank in target:
-        raise ValueError("CTC target must not contain the blank token")
-    lp = posterior.log_probs
-    t_frames, vocab = lp.shape
-
-    if t_frames < min_frames(target):
-        return CtcLossResult(math.inf, np.zeros_like(lp), reachable=False)
-
-    aug = _augment(target, blank)
-    s_len = aug.size
-    emit = lp[:, aug]  # [T, S]
-
-    # skip transition s-2 -> s allowed for non-blank labels that differ from
-    # the label two slots back
-    can_skip = np.zeros(s_len, dtype=bool)
-    if s_len > 2:
-        can_skip[2:] = (aug[2:] != blank) & (aug[2:] != aug[:-2])
-
-    def shifted(prev: np.ndarray, by: int) -> np.ndarray:
-        out = np.full(s_len, NEG_INF)
-        out[by:] = prev[:-by]
-        return out
-
-    alpha = np.full((t_frames, s_len), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if s_len > 1:
-        alpha[0, 1] = emit[0, 1]
-    for t in range(1, t_frames):
-        prev = alpha[t - 1]
-        stay = prev
-        step = shifted(prev, 1)
-        skip = np.where(can_skip, shifted(prev, 2), NEG_INF)
-        alpha[t] = np.logaddexp(np.logaddexp(stay, step), skip) + emit[t]
-
-    log_p = alpha[-1, -1] if s_len == 1 else np.logaddexp(alpha[-1, -1], alpha[-1, -2])
-    if log_p == NEG_INF:
-        return CtcLossResult(math.inf, np.zeros_like(lp), reachable=False)
-
-    beta = np.full((t_frames, s_len), NEG_INF)
-    beta[-1, -1] = emit[-1, -1]
-    if s_len > 1:
-        beta[-1, -2] = emit[-1, -2]
-    can_skip_fwd = np.zeros(s_len, dtype=bool)
-    if s_len > 2:
-        can_skip_fwd[:-2] = can_skip[2:]
-    for t in range(t_frames - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        step = np.full(s_len, NEG_INF)
-        step[:-1] = nxt[1:]
-        skip = np.full(s_len, NEG_INF)
-        skip[:-2] = np.where(can_skip_fwd[:-2], nxt[2:], NEG_INF)
-        beta[t] = np.logaddexp(np.logaddexp(stay, step), skip) + emit[t]
-
-    # occupancy of lattice slot s at frame t; both passes include the frame's
-    # emission, so divide it out once
-    log_gamma = alpha + beta - emit
-    grad = np.zeros_like(lp)
-    with np.errstate(divide="ignore"):
-        for s in range(s_len):
-            col = np.exp(log_gamma[:, s] - log_p)
-            grad[:, aug[s]] -= col
-    return CtcLossResult(float(-log_p), grad, reachable=True)
 
 
 def ctc_loss_op(

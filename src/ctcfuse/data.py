@@ -115,6 +115,15 @@ class Batch:
         return len(self.utt_ids)
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; bytes that are not UTF-8 are a data error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text: {err}") from None
+
+
 # -- feature file format ------------------------------------------------------
 
 _FEATURE_MAGIC = b"FEAT"
@@ -160,22 +169,20 @@ def read_manifest(path):
     if not os.path.exists(path):
         raise DataError(f"manifest not found: {path}")
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{line_no}: expected 4 tab-separated fields")
-            utt_id, feat_path, num_frames, transcript = parts
-            try:
-                frames = int(num_frames)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{line_no}: frame count {num_frames!r} is not an integer"
-                ) from None
-            yield utt_id, os.path.join(base, feat_path), frames, transcript
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(f"{path}:{line_no}: expected 4 tab-separated fields")
+        utt_id, feat_path, num_frames, transcript = parts
+        try:
+            frames = int(num_frames)
+        except ValueError:
+            raise DataError(
+                f"{path}:{line_no}: frame count {num_frames!r} is not an integer"
+            ) from None
+        yield utt_id, os.path.join(base, feat_path), frames, transcript
 
 
 def load_manifest(path, vocab: Vocabulary) -> list[Utterance]:
@@ -220,8 +227,7 @@ def save_corpus(directory, corpus: list[Utterance], vocab: Vocabulary) -> str:
 
 
 def load_vocab_file(path) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
+    tokens = [line for line in read_text(path).split("\n") if line]
     if tuple(tokens[:4]) != SPECIALS:
         raise DataError(f"{path}: vocab file must start with the four reserved tokens")
     return Vocabulary(id_to_token=tuple(tokens), token_to_id={t: i for i, t in enumerate(tokens)})

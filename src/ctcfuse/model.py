@@ -127,12 +127,6 @@ class EncoderOutput:
     key_bias: np.ndarray  # [B, 1, 1, T'] additive attention mask
 
 
-def subsampled_length(length: int, stages: int) -> int:
-    for _ in range(stages):
-        length = (length + 1) // 2
-    return length
-
-
 @lru_cache(maxsize=64)
 def _sinusoidal_pe(length: int, d_model: int) -> np.ndarray:
     pos = np.arange(length)[:, None].astype(np.float64)

@@ -65,9 +65,7 @@ class TrainConfig:
     adam_eps: float = 1e-9
     epochs: int = 30
     batch_size: int = 8
-    batch_policy: str = "shuffle"
     seed: int = 7
-    aef_align_before_gate: bool = True
     pretrain_path: str | None = None
     pretrain_selection: str | None = None  # "encoder" | "encoder_decoder"
     eval_every: int = 5
@@ -78,6 +76,8 @@ class TrainConfig:
             raise ValueError("ctc_weight must lie in [0, 1]")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
+        if min(self.epochs, self.batch_size, self.eval_every) < 1:
+            raise ValueError("epochs, batch_size and eval_every must each be >= 1")
         if self.pretrain_selection not in (None, "encoder", "encoder_decoder"):
             raise ValueError(f"unknown pretrain selection {self.pretrain_selection!r}")
 
@@ -326,7 +326,7 @@ def build_decoder_input(
         if method in (METHOD_FUSION, METHOD_ALIGNED):
             w = list(hyps[i])
             pair = None
-            if method == METHOD_ALIGNED and cfg.aef_align_before_gate:
+            if method == METHOD_ALIGNED:
                 # align every utterance: the blank counter tracks raw CTC
                 # output quality, including utterances later demoted
                 pair = aef_align(tuple(y), tuple(w), blank)
@@ -335,15 +335,7 @@ def build_decoder_input(
             if not can_reach:
                 decision = PathwayDecision.GROUND_TRUTH_ONLY
             if decision is not PathwayDecision.GROUND_TRUTH_ONLY:
-                # with align-before-gate off, only exactly-equal lengths
-                # earn aligned fusion; close lengths feed the raw 1-best
-                use_aligned = method == METHOD_ALIGNED and (
-                    cfg.aef_align_before_gate or decision is PathwayDecision.FUSE
-                )
-                if use_aligned:
-                    if pair is None:
-                        pair = aef_align(tuple(y), tuple(w), blank)
-                        blanks_total += pair.blanks_inserted
+                if pair is not None:
                     y_in = [sos] + list(pair.y_align)
                     w_in = [sos] + list(pair.w_align)
                     tgt = list(pair.y_align) + [eos]
@@ -475,9 +467,7 @@ def train_epoch(
     start = time.perf_counter()
     model.train(True)
     model.rng = np.random.default_rng(cfg.seed * 7919 + epoch)
-    batches = make_batches(
-        corpus, cfg.batch_size, vocab, policy=cfg.batch_policy, seed=cfg.seed * 100003 + epoch
-    )
+    batches = make_batches(corpus, cfg.batch_size, vocab, seed=cfg.seed * 100003 + epoch)
     totals = {"joint": 0.0, "ctc": 0.0, "att": 0.0}
     blanks = incomplete = seen = reachable = 0
     unreachable_ids: list[str] = []
@@ -546,7 +536,8 @@ def train(
 
     ``model`` is the :func:`initial_model` of ``cfg``, built here unless
     the caller built it already. A fresh run truncates
-    ``out_dir/metrics.jsonl``; :func:`resume` appends to it.
+    ``out_dir/metrics.jsonl`` and ``out_dir/train.log``; :func:`resume`
+    appends to both.
 
     Train CER is measured by greedy attention decoding every
     ``eval_every`` epochs (and on the final epoch); when
@@ -558,7 +549,8 @@ def train(
     optimizer = Adam(model.params, cfg)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        open(os.path.join(out_dir, "metrics.jsonl"), "w", encoding="utf-8").close()
+        for name in _EPOCH_FILES:
+            open(os.path.join(out_dir, name), "w", encoding="utf-8").close()
     return _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch=1)
 
 
@@ -577,15 +569,13 @@ def resume(
     )
 
 
+# what every epoch appends to in a run directory: its record, its log line
+_EPOCH_FILES = ("metrics.jsonl", "train.log")
+
+
 def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch) -> TrainResult:
-    metrics_path = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, "metrics.jsonl")
-
-    def emit(line: str) -> None:
-        if log is not None:
-            log(line)
 
     history: list[EpochMetrics] = []
     first_at_target = None
@@ -598,10 +588,7 @@ def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch)
             metrics.train_cer = evaluate(corpus, greedy).corpus_cer
             final_cer = metrics.train_cer
         history.append(metrics)
-        if metrics_path:
-            with open(metrics_path, "a", encoding="utf-8") as fh:
-                fh.write(metrics.to_json_record() + "\n")
-        emit(
+        line = (
             f"epoch {epoch:3d} joint={metrics.joint_loss:.4f} ctc={metrics.ctc_loss:.4f} "
             f"att={metrics.att_loss:.4f} blanks={metrics.blanks_inserted} "
             f"nbest_incomplete={metrics.nbest_incomplete} "
@@ -609,6 +596,12 @@ def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch)
             f"cer={'-' if metrics.train_cer is None else f'{metrics.train_cer:.4f}'} "
             f"wall={metrics.wall_time_s:.2f}s"
         )
+        if out_dir:
+            for name, text in zip(_EPOCH_FILES, (metrics.to_json_record(), line)):
+                with open(os.path.join(out_dir, name), "a", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+        if log is not None:
+            log(line)
         if metrics.train_cer is not None and first_at_target is None:
             target = cfg.stop_at_train_cer
             if target is not None and metrics.train_cer <= target:

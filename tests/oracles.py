@@ -6,12 +6,13 @@ algorithms.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from ctcfuse import tensor as tz
-from ctcfuse.ctc import CtcPosterior, NBestList, TokenSeq
+from ctcfuse.ctc import CtcPosterior, NBestList, TokenSeq, _augment, min_frames
 from ctcfuse.decode import _ne_memory_for, _posterior
 from ctcfuse.model import EncoderOutput
 from ctcfuse.tensor import Tensor, _window_index
@@ -48,6 +49,95 @@ def exhaustive_ctc_loss(log_probs: np.ndarray, target, blank: int) -> float:
     totals = exhaustive_ctc_scores(log_probs, blank)
     p = totals.get(tuple(target), 0.0)
     return float("inf") if p == 0.0 else -float(np.log(p))
+
+
+@dataclass
+class CtcLossResult:
+    """Loss value plus the gradient w.r.t. the input log-probabilities.
+
+    ``reachable`` is False when no frame path can collapse to the target
+    (too few frames); the loss is then +inf and the gradient all zero.
+    """
+
+    loss: float
+    grad: np.ndarray
+    reachable: bool
+
+
+def ctc_loss_reference(posterior: CtcPosterior, target) -> CtcLossResult:
+    """The one-utterance CTC loss that ``ctcfuse.ctc.ctc_loss_op`` batches.
+
+    Negative log-probability that any frame path collapses to ``target``,
+    computed over the blank-augmented label lattice with log-domain
+    forward and backward passes; the returned gradient is w.r.t. the
+    posterior's log-probabilities and its rows each sum to -1 when the
+    target is reachable.
+    """
+    target = tuple(int(t) for t in target)
+    blank = posterior.blank_id
+    if blank in target:
+        raise ValueError("CTC target must not contain the blank token")
+    lp = posterior.log_probs
+    t_frames, vocab = lp.shape
+
+    if t_frames < min_frames(target):
+        return CtcLossResult(math.inf, np.zeros_like(lp), reachable=False)
+
+    aug = _augment(target, blank)
+    s_len = aug.size
+    emit = lp[:, aug]  # [T, S]
+
+    # skip transition s-2 -> s allowed for non-blank labels that differ from
+    # the label two slots back
+    can_skip = np.zeros(s_len, dtype=bool)
+    if s_len > 2:
+        can_skip[2:] = (aug[2:] != blank) & (aug[2:] != aug[:-2])
+
+    def shifted(prev: np.ndarray, by: int) -> np.ndarray:
+        out = np.full(s_len, NEG_INF)
+        out[by:] = prev[:-by]
+        return out
+
+    alpha = np.full((t_frames, s_len), NEG_INF)
+    alpha[0, 0] = emit[0, 0]
+    if s_len > 1:
+        alpha[0, 1] = emit[0, 1]
+    for t in range(1, t_frames):
+        prev = alpha[t - 1]
+        stay = prev
+        step = shifted(prev, 1)
+        skip = np.where(can_skip, shifted(prev, 2), NEG_INF)
+        alpha[t] = np.logaddexp(np.logaddexp(stay, step), skip) + emit[t]
+
+    log_p = alpha[-1, -1] if s_len == 1 else np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    if log_p == NEG_INF:
+        return CtcLossResult(math.inf, np.zeros_like(lp), reachable=False)
+
+    beta = np.full((t_frames, s_len), NEG_INF)
+    beta[-1, -1] = emit[-1, -1]
+    if s_len > 1:
+        beta[-1, -2] = emit[-1, -2]
+    can_skip_fwd = np.zeros(s_len, dtype=bool)
+    if s_len > 2:
+        can_skip_fwd[:-2] = can_skip[2:]
+    for t in range(t_frames - 2, -1, -1):
+        nxt = beta[t + 1]
+        stay = nxt
+        step = np.full(s_len, NEG_INF)
+        step[:-1] = nxt[1:]
+        skip = np.full(s_len, NEG_INF)
+        skip[:-2] = np.where(can_skip_fwd[:-2], nxt[2:], NEG_INF)
+        beta[t] = np.logaddexp(np.logaddexp(stay, step), skip) + emit[t]
+
+    # occupancy of lattice slot s at frame t; both passes include the frame's
+    # emission, so divide it out once
+    log_gamma = alpha + beta - emit
+    grad = np.zeros_like(lp)
+    with np.errstate(divide="ignore"):
+        for s in range(s_len):
+            col = np.exp(log_gamma[:, s] - log_p)
+            grad[:, aug[s]] -= col
+    return CtcLossResult(float(-log_p), grad, reachable=True)
 
 
 def levenshtein_oracle(a, b) -> int:

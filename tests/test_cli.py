@@ -30,12 +30,16 @@ def error_lines(err: str) -> list[tuple[str, str]]:
     return found
 
 
-def one_data_error(err: str) -> str:
-    """The message of the single error line, which must be of kind data."""
+def one_error(err: str, kind: str) -> str:
+    """The message of the single error line, which must be of ``kind``."""
     assert len(err.splitlines()) == 1, err
-    [(kind, msg)] = error_lines(err)
-    assert kind == "data"
+    [(found, msg)] = error_lines(err)
+    assert found == kind
     return msg
+
+
+def one_data_error(err: str) -> str:
+    return one_error(err, "data")
 
 
 def run_cli_process(*argv, cwd):
@@ -166,9 +170,32 @@ class TestTrain:
                                cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
-        assert sorted(os.listdir(out)) == ["metrics.jsonl", "resolved_config.json", "run_meta.json"]
+        assert sorted(os.listdir(out)) == [
+            "metrics.jsonl", "resolved_config.json", "run_meta.json", "train.log"
+        ]
         assert (out / "metrics.jsonl").read_text() == ""
+        assert (out / "train.log").read_text() == ""
         assert json.loads((out / "resolved_config.json").read_text())["train"]["lr_base"] == 1e300
+
+    def test_failed_epoch_leaves_the_log_of_earlier_epochs(
+        self, base_config, tmp_path, capsys, monkeypatch
+    ):
+        from ctcfuse import training as tr_mod
+        from ctcfuse.training import NumericError
+
+        real_epoch = tr_mod.train_epoch
+
+        def fail_in_epoch_2(corpus, vocab, model, optimizer, cfg, epoch):
+            if epoch == 2:
+                raise NumericError("epoch 2 batch 0 (x...): synthetic failure")
+            return real_epoch(corpus, vocab, model, optimizer, cfg, epoch)
+
+        monkeypatch.setattr(tr_mod, "train_epoch", fail_in_epoch_2)
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(base_config), "--out", str(out), "--quiet") == 3
+        one_error(capsys.readouterr().err, "numeric")
+        [line] = (out / "train.log").read_text().splitlines()
+        assert line.startswith("epoch   1 joint=")
 
     def test_donor_may_be_the_directory_own_checkpoint(self, base_config, tmp_path):
         out = tmp_path / "run"
@@ -532,3 +559,101 @@ class TestSweepReport:
 
     def test_report_missing_metrics_is_data_error(self, tmp_path, capsys):
         assert run_cli("report", "--metrics", str(tmp_path / "none.jsonl")) == 2
+
+
+class TestMalformedInput:
+    """Malformed input ends in its documented exit code and one error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[], 1, {"data": {"synth": "abc"}}, {"data": {"synth": {}}, "model": [1]}],
+        ids=["list", "number", "synth_not_object", "model_not_object"],
+    )
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, payload):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", str(config)) == 1
+        one_error(capsys.readouterr().err, "usage")
+
+    @pytest.mark.parametrize(
+        "key,value", [("aef_align_before_gate", False), ("batch_policy", "none")]
+    )
+    def test_removed_train_option_is_usage_error(
+        self, base_config, tmp_path, capsys, key, value
+    ):
+        payload = json.loads(base_config.read_text())
+        payload["train"][key] = value
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", str(config)) == 1
+        assert key in one_error(capsys.readouterr().err, "usage")
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("train", "epochs", 0),
+            ("train", "batch_size", 0),
+            ("train", "eval_every", 0),
+            ("train", "epochs", "3"),
+            ("train", "epochs", True),
+            ("train", "seed", "7"),
+            ("train", "lr_base", "0.1"),
+            ("train", "stop_at_train_cer", "x"),
+            ("fusion", "n", 2.5),
+            ("data", "manifest", ["x"]),
+            ("data", "vocab", ["x"]),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(
+        self, base_config, tmp_path, capsys, section, key, value
+    ):
+        payload = json.loads(base_config.read_text())
+        payload.setdefault(section, {})[key] = value
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", str(config)) == 1
+        assert key in one_error(capsys.readouterr().err, "usage")
+
+    def test_sweep_grid_value_not_a_number_is_usage_error(self, base_config, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--config", str(base_config), "--grid", "alpha=0.5,x", "--out", str(out)
+        )
+        assert code == 1
+        assert "'x'" in one_error(capsys.readouterr().err, "usage")
+        assert os.listdir(out) == []  # checked before the first run
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"epoch": 1, "joint_loss": 2.0\n',
+            json.dumps({"epoch": 1, "ctc_loss": 2.0, "att_loss": 1.0, "blanks_inserted": 0}),
+        ],
+        ids=["not_json", "no_joint_loss"],
+    )
+    def test_malformed_metrics_record_is_data_error(self, tmp_path, capsys, text):
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text(text)
+        assert run_cli("report", "--metrics", str(metrics)) == 2
+        assert f"{metrics}:1:" in one_data_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("source", ["manifest", "text", "align_ref", "align_hyp"])
+    def test_input_that_is_not_utf8_is_data_error(self, corpus_dir, tmp_path, capsys, source):
+        bad = tmp_path / "bad.txt"
+        good = corpus_dir / "manifest.tsv"
+        bad.write_bytes(good.read_bytes()[:40] + b"\xff\xfe" + good.read_bytes()[40:])
+        argv = {
+            "manifest": ["stats", "--manifest", str(bad)],
+            "text": ["stats", "--text", str(bad)],
+            "align_ref": ["align", str(bad), str(good)],
+            "align_hyp": ["align", str(good), str(bad)],
+        }[source]
+        assert run_cli(*argv) == 2
+        assert str(bad) in one_data_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "argv", [["stats", "--manifest"], ["stats", "--text"], ["report", "--metrics"]]
+    )
+    def test_directory_given_as_input_file_is_data_error(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, str(tmp_path)) == 2
+        assert str(tmp_path) in one_data_error(capsys.readouterr().err)

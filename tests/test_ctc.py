@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from ctcfuse import ctc
-from ctcfuse.ctc import CtcPosterior, collapse, ctc_loss, greedy_1best, prefix_beam_nbest
+from ctcfuse.ctc import CtcPosterior, collapse, greedy_1best, prefix_beam_nbest
 from ctcfuse.tensor import Tensor
 
 from oracles import (
+    ctc_loss_reference,
     exhaustive_ctc_loss,
     exhaustive_ctc_scores,
     prefix_beam_reference,
@@ -22,6 +23,16 @@ A, B, C = 1, 2, 3
 def uniform_posterior(t_frames: int, vocab: int) -> CtcPosterior:
     lp = np.full((t_frames, vocab), -np.log(vocab))
     return CtcPosterior(lp, BLANK)
+
+
+def op_loss(lp: np.ndarray, target) -> tuple[float, np.ndarray]:
+    """Loss and [T, V] gradient of ``ctc_loss_op`` on a batch of one.
+
+    As in training, the row is used only when it has enough frames for its target.
+    """
+    use = lp.shape[0] >= ctc.min_frames(target)
+    _, res = ctc.ctc_loss_op(Tensor(lp[None]), [lp.shape[0]], [target], [use], BLANK)
+    return float(res.losses[0]), res.grad[0]
 
 
 class TestCollapse:
@@ -41,27 +52,23 @@ class TestCollapse:
 class TestCtcLoss:
     def test_two_frame_uniform(self):
         # paths aa, a-, -a out of {a,-}^2, each 0.25 -> P=0.75
-        post = uniform_posterior(2, 2)
-        res = ctc_loss(post, (1,))
-        assert res.reachable
-        assert np.isclose(res.loss, -math.log(0.75), rtol=1e-12)
+        loss, _ = op_loss(uniform_posterior(2, 2).log_probs, (1,))
+        assert np.isclose(loss, -math.log(0.75), rtol=1e-12)
 
     def test_empty_target_is_all_blank_path(self):
         rng = np.random.default_rng(0)
         lp = random_posterior(rng, 4, 3)
-        res = ctc_loss(CtcPosterior(lp, BLANK), ())
-        assert np.isclose(res.loss, -lp[:, BLANK].sum(), rtol=1e-12)
+        loss, _ = op_loss(lp, ())
+        assert np.isclose(loss, -lp[:, BLANK].sum(), rtol=1e-12)
 
     def test_repeat_needs_separator(self):
-        post = uniform_posterior(2, 2)
-        res = ctc_loss(post, (1, 1))
-        assert not res.reachable
-        assert res.loss == math.inf
-        assert np.all(res.grad == 0.0)
+        loss, grad = op_loss(uniform_posterior(2, 2).log_probs, (1, 1))
+        assert loss == math.inf
+        assert np.all(grad == 0.0)
 
     def test_blank_in_target_rejected(self):
         with pytest.raises(ValueError, match="blank"):
-            ctc_loss(uniform_posterior(3, 2), (BLANK,))
+            op_loss(uniform_posterior(3, 2).log_probs, (BLANK,))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_exhaustive_enumeration(self, seed):
@@ -71,12 +78,14 @@ class TestCtcLoss:
         tgt_len = int(rng.integers(0, 4))
         target = tuple(int(x) for x in rng.integers(1, vocab, size=tgt_len))
         lp = random_posterior(rng, t_frames, vocab)
-        ours = ctc_loss(CtcPosterior(lp, BLANK), target)
         ref = exhaustive_ctc_loss(lp, target, BLANK)
-        if math.isinf(ref):
-            assert not ours.reachable
-        else:
-            assert np.isclose(ours.loss, ref, rtol=1e-9), (ours.loss, ref)
+        # the op, and the per-utterance reference TestBatchedLoss holds it to
+        reference = ctc_loss_reference(CtcPosterior(lp, BLANK), target).loss
+        for ours in (op_loss(lp, target)[0], reference):
+            if math.isinf(ref):
+                assert ours == math.inf
+            else:
+                assert np.isclose(ours, ref, rtol=1e-9), (ours, ref)
 
     def test_total_probability_conserved(self):
         # collapse partitions paths: summing exp(-loss) over every possible
@@ -84,13 +93,10 @@ class TestCtcLoss:
         rng = np.random.default_rng(42)
         for t_frames, vocab in [(2, 2), (3, 3), (4, 3)]:
             lp = random_posterior(rng, t_frames, vocab)
-            post = CtcPosterior(lp, BLANK)
             total = 0.0
             for length in range(t_frames + 1):
                 for target in product(range(1, vocab), repeat=length):
-                    res = ctc_loss(post, target)
-                    if res.reachable:
-                        total += math.exp(-res.loss)
+                    total += math.exp(-op_loss(lp, target)[0])
             assert abs(total - 1.0) < 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
@@ -98,7 +104,7 @@ class TestCtcLoss:
         rng = np.random.default_rng(100 + seed)
         lp = random_posterior(rng, 5, 3)
         target = (1, 2)
-        res = ctc_loss(CtcPosterior(lp, BLANK), target)
+        _, grad = op_loss(lp, target)
         step = 1e-6
         for t in range(lp.shape[0]):
             for k in range(lp.shape[1]):
@@ -106,18 +112,15 @@ class TestCtcLoss:
                 up[t, k] += step
                 down = lp.copy()
                 down[t, k] -= step
-                num = (
-                    ctc_loss(CtcPosterior(up, BLANK), target).loss
-                    - ctc_loss(CtcPosterior(down, BLANK), target).loss
-                ) / (2 * step)
-                denom = max(abs(num), abs(res.grad[t, k]), 1e-6)
-                assert abs(num - res.grad[t, k]) / denom < 1e-5
+                num = (op_loss(up, target)[0] - op_loss(down, target)[0]) / (2 * step)
+                denom = max(abs(num), abs(grad[t, k]), 1e-6)
+                assert abs(num - grad[t, k]) / denom < 1e-5
 
     def test_gradient_rows_sum_to_minus_one(self):
         rng = np.random.default_rng(7)
         lp = random_posterior(rng, 6, 4)
-        res = ctc_loss(CtcPosterior(lp, BLANK), (1, 3))
-        np.testing.assert_allclose(res.grad.sum(axis=1), -1.0, rtol=1e-10)
+        _, grad = op_loss(lp, (1, 3))
+        np.testing.assert_allclose(grad.sum(axis=1), -1.0, rtol=1e-10)
 
     def test_autodiff_wrapper_backpropagates(self):
         rng = np.random.default_rng(8)
@@ -154,7 +157,7 @@ class TestBatchedLoss:
         lp, lengths = padded_batch(rng, self.LENGTHS, 4)
         _, res = ctc.ctc_loss_op(Tensor(lp), lengths, self.TARGETS, self.USE, BLANK)
         for i, (t_i, target) in enumerate(zip(lengths, self.TARGETS)):
-            ref = ctc_loss(CtcPosterior(lp[i, :t_i], BLANK), target)
+            ref = ctc_loss_reference(CtcPosterior(lp[i, :t_i], BLANK), target)
             if not ref.reachable:
                 assert res.losses[i] == math.inf
             else:
@@ -175,7 +178,9 @@ class TestBatchedLoss:
         used = [i for i, ok in enumerate(self.USE) if ok]
         total = 0.0
         for i in used:
-            total += ctc_loss(CtcPosterior(lp[i, : lengths[i]], BLANK), self.TARGETS[i]).loss
+            total += ctc_loss_reference(
+                CtcPosterior(lp[i, : lengths[i]], BLANK), self.TARGETS[i]
+            ).loss
         np.testing.assert_allclose(loss.item(), total / len(used), rtol=1e-12)
         (loss * 2.0).backward()
         np.testing.assert_allclose(post.grad, res.grad * (2.0 / len(used)), rtol=1e-12)

@@ -19,7 +19,6 @@ from ctcfuse.model import (
     count_params,
     nbest_id_matrix,
     param_specs,
-    subsampled_length,
 )
 from ctcfuse.tensor import Tensor
 from ctcfuse.training import TrainConfig, build_decoder_input
@@ -46,9 +45,8 @@ class TestEncode:
         for t in (6, 7, 9, 16):
             feats = random_features(rng, 2, t)
             enc = model.encode(feats, np.array([t, t]))
-            expected = subsampled_length(t, model.config.conv_stages)
+            expected = math.ceil(t / model.config.subsample_factor)
             assert enc.h_s.shape == (2, expected, model.config.d_model)
-            assert expected == math.ceil(math.ceil(t / 2) / 2)
 
     def test_padding_invariance(self):
         # appending padded frames must leave states on real frames unchanged
@@ -59,7 +57,7 @@ class TestEncode:
         enc_alone = model.encode(feats, np.array([t_real]))
         padded = np.concatenate([feats, np.zeros((1, 7, 4))], axis=1)
         enc_padded = model.encode(padded, np.array([t_real]))
-        real = subsampled_length(t_real, model.config.conv_stages)
+        real = math.ceil(t_real / model.config.subsample_factor)
         np.testing.assert_allclose(
             enc_alone.h_s.data[0, :real], enc_padded.h_s.data[0, :real], atol=1e-5
         )
@@ -74,7 +72,7 @@ class TestEncode:
         batch[1, :7] = b[0]
         enc_batch = model.encode(batch, np.array([12, 7]))
         enc_b = model.encode(b, np.array([7]))
-        real = subsampled_length(7, model.config.conv_stages)
+        real = math.ceil(7 / model.config.subsample_factor)
         np.testing.assert_allclose(
             enc_batch.h_s.data[1, :real], enc_b.h_s.data[0, :real], atol=1e-10
         )

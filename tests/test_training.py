@@ -226,19 +226,6 @@ class TestBuildDecoderInput:
         assert dec.pathway_counts["ground_truth_only"] == 1
         assert dec.ctc_reachable == [False]
 
-    def test_align_before_gate_off_uses_raw_hypothesis_when_close(self):
-        vocab, corpus, cfg = tiny_setup(method=METHOD_ALIGNED, alpha=0.5)
-        cfg = dataclasses.replace(cfg, aef_align_before_gate=False)
-        model = Model(cfg.model, cfg.fusion, seed=0)
-        a, b, c = 4, 5, 6
-        batch = tr.make_batches([corpus[0]], 1, vocab, policy="none")[0]
-        batch.transcripts[0] = (a, b, c)
-        dec = build_decoder_input(batch, model, cfg, vocab, [(a, c)], np.array([10]))
-        # close but unequal: raw fitted hypothesis, no alignment, no blanks
-        assert dec.blanks_inserted == 0
-        assert dec.w_rows[0] == [vocab.sos_id, a, c, vocab.eos_id]
-        assert dec.alphas[0] == 1.0
-
 
 class TestFusionDegeneracy:
     def test_alpha_zero_bitwise_equal_to_baseline(self):
