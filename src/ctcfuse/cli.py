@@ -203,45 +203,23 @@ def _input_content_hash(data_resolved: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-# every file a training run writes into its directory
-_RUN_FILES = (
-    "model.ckpt",
-    "model.ckpt.json",
-    "metrics.jsonl",
-    "train.log",
-    "resolved_config.json",
-    "run_meta.json",
-)
-
-
 def _train_run(payload: dict, seed: int | None, out_dir: str | None, echo: bool):
-    """Resolve a run config and train it; the one writer of a run directory.
+    """Resolve a run config and train it into ``out_dir`` (see :func:`training.train`).
 
-    The config and any donor checkpoint (which may be the directory's own
-    ``model.ckpt``) are read before the previous run's files are removed,
-    so the directory never mixes two runs. Each epoch's log line goes to
-    ``train.log`` in ``out_dir`` as the epoch ends, and to stdout if ``echo``.
+    Each epoch's log line also goes to stdout if ``echo``.
     """
-    from ctcfuse.training import initial_model, train
+    from ctcfuse.training import train
 
     vocab, corpus, cfg, resolved = resolve_run_config(payload, seed_override=seed)
-    model = initial_model(cfg, vocab)
+    meta = None
     if out_dir:
         meta = {
             "seed": cfg.seed,
             "input_content_hash": _input_content_hash(resolved["data"]),
             "vocab_hash": vocab.content_hash(),
         }
-        os.makedirs(out_dir, exist_ok=True)
-        for name in _RUN_FILES:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, name))
-        for name, record in (("resolved_config.json", resolved), ("run_meta.json", meta)):
-            with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-
-    return train(corpus, vocab, cfg, out_dir=out_dir, log=print if echo else None, model=model)
+    return train(corpus, vocab, cfg, out_dir=out_dir, log=print if echo else None,
+                 resolved_config=resolved, run_meta=meta)
 
 
 def cmd_train(args) -> int:
@@ -363,7 +341,7 @@ def cmd_eval(args) -> int:
 
     if (args.ckpt is None) == (args.hyp is None):
         raise UsageError("eval needs exactly one of --ckpt or --hyp")
-    if args.hyp:
+    if args.hyp is not None:
         vocab = _vocab_for(args.manifest, args.vocab)
         corpus = load_manifest(args.manifest, vocab)
         hyps = _read_hypothesis_file(args.hyp, vocab)
@@ -411,6 +389,9 @@ def cmd_align(args) -> int:
 def cmd_synth(args) -> int:
     from ctcfuse.data import SynthConfig, save_corpus, synth_corpus
 
+    out_dir = _outdir(args)
+    if not out_dir:
+        raise UsageError("synth needs --out (or CTCFUSE_OUTDIR)")
     cfg = SynthConfig(
         vocab_size=args.vocab_size,
         count=args.count,
@@ -423,9 +404,6 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     vocab, corpus = synth_corpus(cfg)
-    out_dir = _outdir(args)
-    if not out_dir:
-        raise UsageError("synth needs --out (or CTCFUSE_OUTDIR)")
     manifest = save_corpus(out_dir, corpus, vocab)
     print(f"wrote {len(corpus)} utterances to {manifest}")
     return 0
@@ -436,7 +414,7 @@ def cmd_stats(args) -> int:
 
     if (args.manifest is None) == (args.text is None):
         raise UsageError("stats needs exactly one of --manifest or --text")
-    if args.manifest:
+    if args.manifest is not None:
         texts = [transcript for *_, transcript in read_manifest(args.manifest)]
     else:
         if not os.path.exists(args.text):
@@ -559,8 +537,9 @@ _REPORT_FIELDS = {
 
 def cmd_report(args) -> int:
     from ctcfuse.data import DataError, read_text
+    from ctcfuse.training import METRICS_FILE
 
-    metrics_path = args.metrics or (os.path.join(args.run, "metrics.jsonl") if args.run else None)
+    metrics_path = args.metrics or (os.path.join(args.run, METRICS_FILE) if args.run else None)
     if not metrics_path:
         raise UsageError("report needs --run or --metrics")
     if not os.path.exists(metrics_path):

@@ -149,10 +149,11 @@ def read_features(path) -> np.ndarray:
             raise DataError(f"{path}: feature file version {version} unsupported")
         if tag != 1:
             raise DataError(f"{path}: unknown dtype tag {tag}")
-        payload = fh.read(rows * cols * 4)
-        if len(payload) != rows * cols * 4:
+        size = rows * cols * 4
+        # checked before reading: a huge claimed size must not reach read()
+        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
             raise DataError(f"{path}: truncated feature payload")
-        return np.frombuffer(payload, dtype="<f4").reshape(rows, cols).copy()
+        return np.frombuffer(fh.read(size), dtype="<f4").reshape(rows, cols).copy()
 
 
 # -- manifest ----------------------------------------------------------------
@@ -268,6 +269,10 @@ class SynthConfig:
             raise DataError("degenerate frames-per-token range")
         if self.count < 1:
             raise DataError("corpus count must be >= 1")
+        if self.feature_dim < 1:
+            raise DataError("feature_dim must be >= 1")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
 
 
 def synth_corpus(cfg: SynthConfig) -> tuple[Vocabulary, list[Utterance]]:

@@ -32,7 +32,7 @@ class DecodeConfig:
             raise ValueError("beam must be >= 1")
         if not 0.0 <= self.lambda_dec <= 1.0:
             raise ValueError("lambda_dec must lie in [0, 1]")
-        if self.max_len_factor <= 0:
+        if not self.max_len_factor > 0:  # also rejects nan
             raise ValueError("max_len_factor must be positive")
 
 
@@ -43,8 +43,7 @@ def _posterior(model: Model, enc: EncoderOutput, vocab: Vocabulary) -> CtcPoster
 def _ne_memory_for(model: Model, post: CtcPosterior, vocab: Vocabulary) -> Tensor:
     """Encode the utterance's CTC N-best once; attended at every decode step."""
     nbest = prefix_beam_nbest(post, model.fusion.beam_width, model.fusion.n)
-    max_len = max(1, max((len(s) for s in nbest.sequences()), default=1))
-    return model.ne_encode(model.ne_input([nbest], max_len, vocab.pad_id))
+    return model.ne_memory([nbest], vocab.pad_id)
 
 
 def attention_beam_decode(

@@ -43,7 +43,6 @@ class ModelConfig:
     ne_layers: int = 1
     vocab_size: int = 20
     dropout: float = 0.1
-    pos_encoding: str = "sinusoidal"
     subsample_factor: int = 4
     feature_dim: int = 8
 
@@ -56,17 +55,10 @@ class ModelConfig:
             raise ValueError("ne_layers must be >= 0")
         if self.subsample_factor not in (2, 4):
             raise ValueError("subsample factor must be 2 or 4 (stride-2 conv stages)")
-        if self.pos_encoding != "sinusoidal":
-            raise ValueError(f"unknown positional encoding {self.pos_encoding!r}")
 
     @property
     def conv_stages(self) -> int:
         return 1 if self.subsample_factor == 2 else 2
-
-    @classmethod
-    def desk(cls, vocab_size: int, feature_dim: int = 8) -> "ModelConfig":
-        """Small configuration sized so the full test suite runs in minutes."""
-        return cls(vocab_size=vocab_size, feature_dim=feature_dim)
 
     @classmethod
     def reference(cls, vocab_size: int, feature_dim: int = 80) -> "ModelConfig":
@@ -398,15 +390,19 @@ class Model:
 
     # -- N-best memory -------------------------------------------------------------
 
-    def ne_input(self, nbests: list[NBestList], max_len: int, pad_id: int) -> Tensor:
-        """Project each utterance's concatenated hypothesis embeddings, [B, max_len, d]."""
-        ids = np.stack(
-            [nbest_id_matrix(nb, self.fusion.n, max_len, pad_id) for nb in nbests], axis=0
-        )  # [B, n, L]
+    def ne_memory(self, nbests: list[NBestList], pad_id: int) -> Tensor:
+        """Encoded N-best memory of each utterance's first ``n`` hypotheses, [B, L, d].
+
+        L is the longest of those hypotheses (at least 1). Each position
+        projects the concatenated embeddings of the ``n`` hypotheses there.
+        """
+        n = self.fusion.n
+        max_len = max(1, max((len(seq) for nb in nbests for seq in nb.sequences()[:n]), default=0))
+        ids = np.stack([nbest_id_matrix(nb, n, max_len, pad_id) for nb in nbests], axis=0)
         emb = self.embed_tokens(ids)  # [B, n, L, d]
         b, n, L, d = emb.shape
         flat = emb.transpose(0, 2, 1, 3).reshape(b, L, n * d)
-        return self._linear(flat, "ne.proj")
+        return self.ne_encode(self._linear(flat, "ne.proj"))
 
     def ne_encode(self, x: Tensor) -> Tensor:
         """Self-attention blocks over the hypothesis memory [B, L, d] (no causal mask)."""

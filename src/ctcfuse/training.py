@@ -9,6 +9,7 @@ masks keep padded and blank-target positions out of the loss.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -376,12 +377,7 @@ def build_decoder_input(
         coef = Tensor(alphas[:, None, None])
         input_emb = emb_w * coef + emb_y * (1.0 - coef)
 
-    ne_memory = None
-    if method == METHOD_NBEST:
-        max_hyp = max(
-            (len(seq) for nb in hyps for seq in nb.sequences()[: cfg.fusion.n]), default=0
-        )
-        ne_memory = model.ne_encode(model.ne_input(hyps, max(1, max_hyp), vocab.pad_id))
+    ne_memory = model.ne_memory(hyps, vocab.pad_id) if method == METHOD_NBEST else None
 
     return DecoderInputs(
         input_emb=input_emb,
@@ -514,14 +510,13 @@ class TrainResult:
     final_train_cer: float | None
 
 
-def initial_model(cfg: TrainConfig, vocab: Vocabulary) -> Model:
-    """A fresh model from ``cfg.seed``, with the donor's groups if ``cfg`` names a donor."""
-    model = Model(cfg.model, cfg.fusion, seed=cfg.seed)
-    if cfg.pretrain_path:
-        init_from_pretrained(
-            model, cfg.pretrain_path, cfg.pretrain_selection or "encoder", vocab.content_hash()
-        )
-    return model
+METRICS_FILE = "metrics.jsonl"
+# what every epoch appends to in a run directory: its record, its log line
+_EPOCH_FILES = (METRICS_FILE, "train.log")
+# every file a training run owns in its directory
+_RUN_FILES = (
+    "model.ckpt", "model.ckpt.json", *_EPOCH_FILES, "resolved_config.json", "run_meta.json"
+)
 
 
 def train(
@@ -530,13 +525,17 @@ def train(
     cfg: TrainConfig,
     out_dir: str | None = None,
     log=None,
-    model: Model | None = None,
+    resolved_config: dict | None = None,
+    run_meta: dict | None = None,
 ) -> TrainResult:
     """Full run: init (optionally from a donor checkpoint), epochs, metrics.
 
-    ``model`` is the :func:`initial_model` of ``cfg``, built here unless
-    the caller built it already. A fresh run truncates
-    ``out_dir/metrics.jsonl`` and ``out_dir/train.log``; :func:`resume`
+    The model is built from ``cfg.seed`` and the donor ``cfg`` names, if
+    any, is read (it may be ``out_dir``'s own ``model.ckpt``) before
+    ``out_dir`` is touched. Then every file a run owns there is removed,
+    so the directory never mixes two runs, also when this one fails;
+    ``resolved_config`` and ``run_meta``, when given, are written as JSON,
+    and ``metrics.jsonl`` and ``train.log`` start empty. :func:`resume`
     appends to both.
 
     Train CER is measured by greedy attention decoding every
@@ -544,11 +543,23 @@ def train(
     ``stop_at_train_cer`` is set the run stops at the first measurement
     at or below it.
     """
-    if model is None:
-        model = initial_model(cfg, vocab)
+    model = Model(cfg.model, cfg.fusion, seed=cfg.seed)
+    if cfg.pretrain_path:
+        init_from_pretrained(
+            model, cfg.pretrain_path, cfg.pretrain_selection or "encoder", vocab.content_hash()
+        )
     optimizer = Adam(model.params, cfg)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        for name in _RUN_FILES:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
+        records = {"resolved_config.json": resolved_config, "run_meta.json": run_meta}
+        for name, record in records.items():
+            if record is not None:
+                with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+                    json.dump(record, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
         for name in _EPOCH_FILES:
             open(os.path.join(out_dir, name), "w", encoding="utf-8").close()
     return _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch=1)
@@ -567,10 +578,6 @@ def resume(
     return _train_loop(
         corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch=meta["epoch"] + 1
     )
-
-
-# what every epoch appends to in a run directory: its record, its log line
-_EPOCH_FILES = ("metrics.jsonl", "train.log")
 
 
 def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch) -> TrainResult:
@@ -685,7 +692,12 @@ def load_checkpoint(path, cfg: TrainConfig | None = None) -> tuple[Model, Adam, 
         epoch = sidecar["epoch"]
         if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
             raise ValueError(f"epoch {epoch!r} is not a non-negative integer")
-        model_cfg = ModelConfig(**sidecar["model_config"])
+        model_sec = {**sidecar["model_config"]}
+        # sidecars written while ModelConfig had this option name its one value
+        pos_encoding = model_sec.pop("pos_encoding", "sinusoidal")
+        if pos_encoding != "sinusoidal":
+            raise ValueError(f"unknown positional encoding {pos_encoding!r}")
+        model_cfg = ModelConfig(**model_sec)
         fusion = FusionConfig(**sidecar["fusion"])
         model = Model(model_cfg, fusion, seed=0)
         arrays = load_tensors(path)

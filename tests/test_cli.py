@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +214,25 @@ class TestTrain:
         assert np.array_equal(warm["encoder.sub.proj.w"], donor["encoder.sub.proj.w"])
         assert len((out / "metrics.jsonl").read_text().splitlines()) == 1
 
+    def test_failed_python_rerun_leaves_no_file_of_the_cli_run(self, base_config, tmp_path):
+        from ctcfuse.cli import resolve_run_config
+        from ctcfuse.training import NumericError, train
+
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(base_config), "--out", str(out), "--quiet") == 0
+        assert sorted(os.listdir(out)) == [
+            "metrics.jsonl", "model.ckpt", "model.ckpt.json", "resolved_config.json",
+            "run_meta.json", "train.log",
+        ]
+        payload = json.loads(base_config.read_text())
+        payload["train"]["lr_base"] = 1e300
+        vocab, corpus, cfg, _ = resolve_run_config(payload)
+        with pytest.raises(NumericError):
+            train(corpus, vocab, cfg, out_dir=str(out))
+        assert sorted(os.listdir(out)) == ["metrics.jsonl", "train.log"]
+        assert (out / "metrics.jsonl").read_text() == ""
+        assert (out / "train.log").read_text() == ""
+
     def test_numeric_failure_maps_to_exit_3(self, base_config, capsys, monkeypatch):
         from ctcfuse import training as tr_mod
         from ctcfuse.training import NumericError
@@ -321,8 +341,10 @@ class TestDecodeEval:
             ("decode", "--beam", "0"),
             ("decode", "--nbest", "-1"),
             ("decode", "--max-len-factor", "0"),
+            ("decode", "--max-len-factor", "nan"),
             ("eval", "--beam", "0"),
             ("eval", "--max-len-factor", "0"),
+            ("eval", "--max-len-factor", "nan"),
         ],
     )
     def test_bad_decode_flag_is_usage_error(self, trained, corpus_dir, capsys, command, flag, value):
@@ -587,6 +609,41 @@ class TestMalformedInput:
         config.write_text(json.dumps(payload))
         assert run_cli("train", "--config", str(config)) == 1
         assert key in one_error(capsys.readouterr().err, "usage")
+
+    def test_removed_model_option_is_usage_error(self, base_config, tmp_path, capsys):
+        payload = json.loads(base_config.read_text())
+        payload["model"]["pos_encoding"] = "sinusoidal"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        assert run_cli("train", "--config", str(config)) == 1
+        assert "pos_encoding" in one_error(capsys.readouterr().err, "usage")
+
+    @pytest.mark.parametrize("flag", ["--seed", "--feature-dim"])
+    def test_negative_synth_flag_is_data_error(self, tmp_path, capsys, flag):
+        assert run_cli("synth", "--out", str(tmp_path / "c"), "--count", "1", flag, "-1") == 2
+        assert flag[2:].replace("-", "_") in one_data_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [["stats", "--manifest", ""], ["stats", "--text", ""]])
+    def test_empty_path_is_data_error(self, capsys, argv):
+        assert run_cli(*argv) == 2
+        one_data_error(capsys.readouterr().err)
+
+    def test_feature_header_claiming_more_than_the_file_is_data_error(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        # rows = cols = 2**32 - 1 claims a payload too large to read at all
+        feat = tmp_path / "huge.feat"
+        feat.write_bytes(b"FEAT" + struct.pack("<IIIB", 1, 2**32 - 1, 2**32 - 1, 1) + b"\0" * 8)
+        manifest = edited_manifest(
+            corpus_dir, tmp_path, 1, lambda row: [row[0], str(feat), row[2], row[3]]
+        )
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "data": {"manifest": str(manifest), "vocab": str(corpus_dir / "vocab.txt")},
+            "train": {"epochs": 1},
+        }))
+        assert run_cli("train", "--config", str(config), "--out", str(tmp_path / "run")) == 2
+        assert "truncated feature payload" in one_data_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "section,key,value",

@@ -228,21 +228,34 @@ class TestNeModule:
         with pytest.raises(ValueError, match="empty"):
             nbest_id_matrix(NBestList(hypotheses=[], requested=1), 1, 2, PAD)
 
+    def test_id_matrix_clips_to_max_len(self):
+        nbest = self.make_nbest([(5, 6, 7), (8,)])
+        ids = nbest_id_matrix(nbest, n=2, max_len=2, pad_id=PAD)
+        np.testing.assert_array_equal(ids, [[5, 6], [8, PAD]])
+
     def test_single_hypothesis_is_plain_linear_map(self):
         model = toy_model(method=METHOD_NBEST, n=1)
+        model.ne_encode = lambda x: x  # the projection ne_memory encodes
         rows = [(4, 5), (6, 4)]
-        out = model.ne_input([self.make_nbest([row]) for row in rows], max_len=2, pad_id=PAD)
+        out = model.ne_memory([self.make_nbest([row]) for row in rows], pad_id=PAD)
         for i, row in enumerate(rows):
             emb = model.embed_tokens(np.array(row))
             manual = emb.data @ model.params["ne.proj.w"].data + model.params["ne.proj.b"].data
             np.testing.assert_allclose(out.data[i], manual, atol=1e-12)
 
-    def test_output_shape_fixed_by_max_len(self):
+    def test_memory_length_is_longest_of_first_n(self):
         for n in (1, 2, 3):
             model = toy_model(method=METHOD_NBEST, n=n)
-            nbests = [self.make_nbest([(4 + k,) for k in range(n)]), self.make_nbest([(5, 6)])]
-            out = model.ne_input(nbests, max_len=5, pad_id=PAD)
-            assert out.shape == (2, 5, model.config.d_model)
+            # the (n+1)-th hypothesis is the longest, and lies past the first n
+            first = [(4 + k,) * (k + 1) for k in range(n)] + [(4,) * 9]
+            nbests = [self.make_nbest(first), self.make_nbest([(5, 6)])]
+            out = model.ne_memory(nbests, pad_id=PAD)
+            assert out.shape == (2, max(n, 2), model.config.d_model)
+
+    def test_memory_of_empty_hypotheses_has_length_one(self):
+        model = toy_model(method=METHOD_NBEST, n=2)
+        out = model.ne_memory([self.make_nbest([()])], pad_id=PAD)
+        assert out.shape == (1, 1, model.config.d_model)
 
     def test_gradient_reaches_table_through_every_hypothesis(self):
         model = toy_model(method=METHOD_NBEST, n=2)
@@ -250,7 +263,7 @@ class TestNeModule:
         nbest = self.make_nbest([(4, 5), (6, 5)])
         table = model.params["embed.table"]
         model.zero_grad()
-        out = model.ne_encode(model.ne_input([nbest], max_len=2, pad_id=PAD))
+        out = model.ne_memory([nbest], pad_id=PAD)
         out.sum().backward()
         assert np.any(table.grad[6] != 0.0)
         assert np.any(table.grad[4] != 0.0)
@@ -342,7 +355,7 @@ class TestDecoder:
         mem = mem_rows = None
         if method == METHOD_NBEST:
             nbest = NBestList(hypotheses=[((4,), -0.5), ((5, 6), -1.0)], requested=2)
-            mem = model.ne_encode(model.ne_input([nbest], 2, PAD))
+            mem = model.ne_memory([nbest], PAD)
             mem_rows = Tensor(np.repeat(mem.data, 3, axis=0))
         enc_rows = EncoderOutput(
             h_s=Tensor(np.repeat(enc.h_s.data, 3, axis=0)),
@@ -438,7 +451,7 @@ class TestFullModelGradients:
             emb = model.embed_tokens(ids)
             mem = None
             if method == METHOD_NBEST:
-                mem = model.ne_encode(model.ne_input([nbest], 2, PAD))
+                mem = model.ne_memory([nbest], PAD)
             logits = model.decoder_forward(emb, enc, mem)
             return (tz.log_softmax(logits, axis=-1) * 0.1).sum()
 

@@ -479,6 +479,25 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path, cfg)
 
+    @pytest.mark.parametrize("value", ["sinusoidal", "learned"])
+    def test_sidecar_naming_the_former_pos_encoding(self, tmp_path, value):
+        vocab, corpus, cfg = tiny_setup()
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(path, model, Adam(model.params, cfg), cfg, vocab, epoch=1)
+        sidecar = json.loads((tmp_path / "p.ckpt.json").read_text())
+        sidecar["model_config"]["pos_encoding"] = value
+        (tmp_path / "p.ckpt.json").write_text(json.dumps(sidecar))
+        if value != "sinusoidal":
+            with pytest.raises(CheckpointError, match="positional encoding 'learned'"):
+                load_checkpoint(path)
+            return
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded.config == cfg.model
+        assert loaded.state_arrays().keys() == model.state_arrays().keys()
+        for name, array in model.state_arrays().items():
+            assert loaded.params[name].data.tobytes() == array.tobytes()
+
 
 class TestInitFromPretrained:
     def make_donor(self, tmp_path, vocab, corpus, cfg):
