@@ -3,8 +3,18 @@
 Training-time fusion of CTC hypotheses into the attention decoder
 (plain fusion, edit-distance-aligned fusion, and an N-best side memory),
 built on a small numpy autodiff engine with oracle-verified numerics.
+
+Importing the package sizes the numeric thread pools before numpy loads:
+a pool variable already set wins, else ``CTCFUSE_THREADS``, else 1.
 """
 
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, os.environ.get("CTCFUSE_THREADS") or "1")
+del _var
+
+# the imports below load numpy, so they come after the pins
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, cer, edit_distance, gate
 from ctcfuse.ctc import CtcPosterior, NBestList, collapse, greedy_1best, prefix_beam_nbest
 from ctcfuse.data import (

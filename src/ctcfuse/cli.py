@@ -5,11 +5,12 @@ Failures print one machine-parsable line to stderr:
 ``error kind=<usage|data|numeric> msg="..."``, the message JSON-encoded.
 
 Environment overrides: ``CTCFUSE_OUTDIR`` replaces the output directory,
-``CTCFUSE_THREADS`` sizes the numeric thread pools, 1 when unset (exported
-before the numeric stack loads; a pool variable already set wins).
+``CTCFUSE_THREADS`` sizes the numeric thread pools, 1 when unset (pinned
+by ``import ctcfuse``, before numpy loads; a pool variable already set wins).
 
-Heavy imports happen inside the handlers so thread pinning can take
-effect first.
+The decode and synth flags are the fields of ``DecodeConfig`` and
+``SynthConfig``; their defaults are ``DecodeConfig()`` and
+``desk_synth_config()``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,20 @@ import os
 import sys
 import typing
 
+import numpy as np
+
+from ctcfuse import tensor as tz
+from ctcfuse.alignment import GatingConfig, aef_align, render_alignment
+from ctcfuse.ctc import format_nbest, prefix_beam_nbest
+from ctcfuse.data import (DataError, SynthConfig, build_vocab, corpus_stats, desk_synth_config,
+                          load_manifest, load_vocab_file, read_manifest, read_text, save_corpus,
+                          synth_corpus)
+from ctcfuse.decode import (METHOD_ATTENTION, METHOD_RESCORE, DecodeConfig, _posterior,
+                            attention_beam_decode, ctc_rescore_decode, evaluate,
+                            format_hypothesis, make_decoder)
+from ctcfuse.model import METHODS, FusionConfig, ModelConfig
+from ctcfuse.training import METRICS_FILE, NumericError, TrainConfig, load_checkpoint, train
+
 
 class UsageError(Exception):
     """Bad flags, malformed configs, unknown keys."""
@@ -32,12 +47,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); map to our code 1
         raise UsageError(message)
-
-
-def _apply_thread_env() -> None:
-    threads = os.environ.get("CTCFUSE_THREADS") or "1"
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
 
 
 def _outdir(args) -> str | None:
@@ -68,8 +77,6 @@ def _build_dataclass(cls, payload: dict, where: str):
 
 
 def _load_json(path) -> dict:
-    from ctcfuse.data import DataError
-
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
     with open(path, "rb") as fh:
@@ -101,11 +108,6 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
 
     Returns ``(vocab, corpus, train_config, resolved_dict)``.
     """
-    from ctcfuse.alignment import GatingConfig
-    from ctcfuse.data import SynthConfig, load_manifest, synth_corpus
-    from ctcfuse.model import FusionConfig, ModelConfig
-    from ctcfuse.training import TrainConfig
-
     unknown = sorted(set(payload) - _TOP_LEVEL_KEYS)
     if unknown:
         raise UsageError(f"unknown top-level config keys: {', '.join(unknown)}")
@@ -175,16 +177,12 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
 
 def _vocab_for(manifest, vocab_path):
     """The vocab file if one is given, else the vocabulary of the manifest's transcripts."""
-    from ctcfuse.data import build_vocab, load_vocab_file, read_manifest
-
     if vocab_path:
         return load_vocab_file(vocab_path)
     return build_vocab(transcript for *_, transcript in read_manifest(manifest))
 
 
 def _input_content_hash(data_resolved: dict) -> str:
-    from ctcfuse.data import read_manifest
-
     digest = hashlib.sha256()
     if "synth" in data_resolved:
         digest.update(json.dumps(data_resolved["synth"], sort_keys=True).encode())
@@ -208,8 +206,6 @@ def _train_run(payload: dict, seed: int | None, out_dir: str | None, echo: bool)
 
     Each epoch's log line also goes to stdout if ``echo``.
     """
-    from ctcfuse.training import train
-
     vocab, corpus, cfg, resolved = resolve_run_config(payload, seed_override=seed)
     meta = None
     if out_dir:
@@ -234,9 +230,6 @@ def cmd_train(args) -> int:
 
 def _load_model_and_vocab(args):
     """Checkpoint, vocabulary and corpus for decoding; every utterance is long enough."""
-    from ctcfuse.data import DataError, load_manifest
-    from ctcfuse.training import load_checkpoint
-
     model, _, sidecar = load_checkpoint(args.ckpt)
     vocab = _vocab_for(args.manifest, args.vocab)
     if vocab.content_hash() != sidecar.get("vocab_hash"):
@@ -256,33 +249,18 @@ def _load_model_and_vocab(args):
 @contextlib.contextmanager
 def _numeric_failure_names(utt_id: str):
     """Turn a non-finite value while decoding ``utt_id`` into a NumericError naming it."""
-    from ctcfuse.training import NumericError
-
     try:
         yield
     except FloatingPointError as err:
         raise NumericError(f"utterance {utt_id}: {err}") from err
 
 
-def _decode_config(args):
+def _decode_config(args) -> DecodeConfig:
     """The decode flags as a ``DecodeConfig``; bad values are usage errors."""
-    from ctcfuse.decode import DecodeConfig
-
-    flags = {
-        "method": args.method, "beam": args.beam, "lambda_dec": args.lambda_dec,
-        "max_len_factor": args.max_len_factor,
-    }
-    return _build_dataclass(DecodeConfig, flags, "decode flags")
+    return _build_dataclass(DecodeConfig, _field_values(DecodeConfig, args), "decode flags")
 
 
 def cmd_decode(args) -> int:
-    import numpy as np
-
-    from ctcfuse import tensor as tz
-    from ctcfuse.ctc import format_nbest, prefix_beam_nbest
-    from ctcfuse.decode import (_posterior, attention_beam_decode, ctc_rescore_decode,
-                                format_hypothesis)
-
     cfg = _decode_config(args)
     if args.nbest < 0:
         raise UsageError("--nbest must be >= 0")
@@ -291,7 +269,7 @@ def cmd_decode(args) -> int:
     nbest_lines = []
     for utt in corpus:
         with _numeric_failure_names(utt.utt_id):
-            if cfg.method == "attention":
+            if cfg.method == METHOD_ATTENTION:
                 hyp, score, _ = attention_beam_decode(utt.features, model, cfg, vocab)
             else:
                 hyp, score = ctc_rescore_decode(utt.features, model, cfg, vocab)
@@ -318,8 +296,6 @@ def cmd_decode(args) -> int:
 
 
 def _read_hypothesis_file(path, vocab):
-    from ctcfuse.data import DataError, read_text
-
     hyps = {}
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         if not line:
@@ -336,9 +312,6 @@ def _read_hypothesis_file(path, vocab):
 
 
 def cmd_eval(args) -> int:
-    from ctcfuse.data import DataError, load_manifest
-    from ctcfuse.decode import evaluate, make_decoder
-
     if (args.ckpt is None) == (args.hyp is None):
         raise UsageError("eval needs exactly one of --ckpt or --hyp")
     if args.hyp is not None:
@@ -367,9 +340,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_align(args) -> int:
-    from ctcfuse.alignment import aef_align, render_alignment
-    from ctcfuse.data import DataError, build_vocab, read_text
-
     for path in (args.ref, args.hyp):
         if not os.path.exists(path):
             raise DataError(f"file not found: {path}")
@@ -387,31 +357,16 @@ def cmd_align(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from ctcfuse.data import SynthConfig, save_corpus, synth_corpus
-
     out_dir = _outdir(args)
     if not out_dir:
         raise UsageError("synth needs --out (or CTCFUSE_OUTDIR)")
-    cfg = SynthConfig(
-        vocab_size=args.vocab_size,
-        count=args.count,
-        min_len=args.min_len,
-        max_len=args.max_len,
-        min_frames_per_token=args.min_frames,
-        max_frames_per_token=args.max_frames,
-        noise=args.noise,
-        feature_dim=args.feature_dim,
-        seed=args.seed,
-    )
-    vocab, corpus = synth_corpus(cfg)
+    vocab, corpus = synth_corpus(SynthConfig(**_field_values(SynthConfig, args)))
     manifest = save_corpus(out_dir, corpus, vocab)
     print(f"wrote {len(corpus)} utterances to {manifest}")
     return 0
 
 
 def cmd_stats(args) -> int:
-    from ctcfuse.data import DataError, corpus_stats, read_manifest, read_text
-
     if (args.manifest is None) == (args.text is None):
         raise UsageError("stats needs exactly one of --manifest or --text")
     if args.manifest is not None:
@@ -445,8 +400,6 @@ def _parse_grid(items: list[str]) -> dict[str, list[str]]:
 
 
 def _apply_grid_point(payload: dict, point: dict[str, str]) -> dict:
-    from ctcfuse.model import METHODS
-
     out = json.loads(json.dumps(payload))  # deep copy
     for key in ("fusion", "gating", "train"):
         out[key] = _section(out, key, key)
@@ -536,9 +489,6 @@ _REPORT_FIELDS = {
 
 
 def cmd_report(args) -> int:
-    from ctcfuse.data import DataError, read_text
-    from ctcfuse.training import METRICS_FILE
-
     metrics_path = args.metrics or (os.path.join(args.run, METRICS_FILE) if args.run else None)
     if not metrics_path:
         raise UsageError("report needs --run or --metrics")
@@ -595,6 +545,24 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_field_flags(p, default, **choices) -> None:
+    """One flag per field of the config ``default``, defaulting to that field's value.
+
+    A field ``min_frames_per_token`` is the flag ``--min-frames``.
+    """
+    types = typing.get_type_hints(type(default))
+    for f in dataclasses.fields(default):
+        name = f.name.removesuffix("_per_token")
+        p.add_argument("--" + name.replace("_", "-"), type=types[f.name], dest=f.name,
+                       default=getattr(default, f.name), choices=choices.get(f.name),
+                       metavar=None if f.name in choices else name.upper())
+
+
+def _field_values(cls, args) -> dict:
+    """The parsed values of the flags :func:`_add_field_flags` registered for ``cls``."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ctcfuse", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -610,10 +578,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", default=None)
-    p.add_argument("--method", choices=["attention", "ctc_rescore"], default="attention")
-    p.add_argument("--beam", type=int, default=10)
-    p.add_argument("--lambda-dec", type=float, default=0.3, dest="lambda_dec")
-    p.add_argument("--max-len-factor", type=float, default=1.0, dest="max_len_factor")
+    _add_field_flags(p, DecodeConfig(), method=(METHOD_ATTENTION, METHOD_RESCORE))
     p.add_argument("--nbest", type=int, default=0, help="also dump CTC N-best lists")
     p.add_argument("--out", default=None, help="hypothesis file (default: stdout)")
     p.set_defaults(handler=cmd_decode)
@@ -623,10 +588,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--hyp", default=None)
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", default=None)
-    p.add_argument("--method", choices=["attention", "ctc_rescore"], default="attention")
-    p.add_argument("--beam", type=int, default=10)
-    p.add_argument("--lambda-dec", type=float, default=0.3, dest="lambda_dec")
-    p.add_argument("--max-len-factor", type=float, default=1.0, dest="max_len_factor")
+    _add_field_flags(p, DecodeConfig(), method=(METHOD_ATTENTION, METHOD_RESCORE))
     p.add_argument("--out", default=None, help="JSON-lines report path")
     p.set_defaults(handler=cmd_eval)
 
@@ -637,15 +599,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", default=None, required=False)
-    p.add_argument("--vocab-size", type=int, default=16, dest="vocab_size")
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--min-len", type=int, default=3, dest="min_len")
-    p.add_argument("--max-len", type=int, default=6, dest="max_len")
-    p.add_argument("--min-frames", type=int, default=8, dest="min_frames")
-    p.add_argument("--max-frames", type=int, default=12, dest="max_frames")
-    p.add_argument("--noise", type=float, default=0.08)
-    p.add_argument("--feature-dim", type=int, default=8, dest="feature_dim")
-    p.add_argument("--seed", type=int, default=7)
+    _add_field_flags(p, desk_synth_config())
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("stats", help="transcript length distribution")
@@ -677,9 +631,6 @@ def _print_error(kind: str, err: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
-    import numpy as np  # after the thread pins
-
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -690,20 +641,12 @@ def main(argv=None) -> int:
     except UsageError as err:
         _print_error("usage", err)
         return 1
-    except OSError as err:  # a missing or unreadable input, an unwritable output
+    except (OSError, DataError) as err:  # OSError: an unreadable input, an unwritable output
         _print_error("data", err)
         return 2
-    except Exception as err:  # noqa: BLE001 - mapped to documented exit codes
-        from ctcfuse.data import DataError
-        from ctcfuse.training import NumericError
-
-        if isinstance(err, DataError):
-            _print_error("data", err)
-            return 2
-        if isinstance(err, NumericError):
-            _print_error("numeric", err)
-            return 3
-        raise
+    except NumericError as err:
+        _print_error("numeric", err)
+        return 3
 
 
 def entry() -> None:

@@ -108,7 +108,6 @@ class Batch:
     features: np.ndarray  # [B, Tmax, F] float64, padded with 0.0
     feat_lengths: np.ndarray  # [B] int64
     transcripts: list[TokenSeq]
-    pad_id: int
 
     @property
     def size(self) -> int:
@@ -326,7 +325,6 @@ def desk_synth_config(seed: int = 7) -> SynthConfig:
 def make_batches(
     corpus: list[Utterance],
     batch_size: int,
-    vocab: Vocabulary,
     policy: str = "shuffle",
     seed: int = 0,
 ) -> list[Batch]:
@@ -355,10 +353,24 @@ def make_batches(
                 features=feats,
                 feat_lengths=np.array([u.num_frames for u in group], dtype=np.int64),
                 transcripts=[u.transcript for u in group],
-                pad_id=vocab.pad_id,
             )
         )
     return batches
+
+
+def pad_id_rows(rows, pad_id: int, length: int | None = None) -> np.ndarray:
+    """Token-id rows as an int64 ``[B, L]`` array filled out with ``pad_id``.
+
+    ``L`` is the longest row's length, or ``length`` when given; rows
+    longer than ``length`` are clipped to it.
+    """
+    if length is None:
+        length = max(len(row) for row in rows)
+    ids = np.full((len(rows), length), pad_id, dtype=np.int64)
+    for i, row in enumerate(rows):
+        row = row[:length]
+        ids[i, : len(row)] = row
+    return ids
 
 
 # -- corpus statistics -------------------------------------------------------

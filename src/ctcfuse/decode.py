@@ -10,7 +10,7 @@ import numpy as np
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import edit_distance
 from ctcfuse.ctc import CtcPosterior, prefix_beam_nbest
-from ctcfuse.data import Utterance, Vocabulary
+from ctcfuse.data import Utterance, Vocabulary, pad_id_rows
 from ctcfuse.model import DecoderCache, EncoderOutput, Model
 from ctcfuse.tensor import Tensor
 
@@ -116,20 +116,12 @@ def teacher_forced_scores(
     ne_memory: Tensor | None,
 ) -> np.ndarray:
     """Total attention log-likelihood of each candidate (incl. its eos)."""
-    l_max = max(len(c) for c in candidates) + 1
-    ids = np.full((len(candidates), l_max), vocab.pad_id, dtype=np.int64)
-    tgt = np.full((len(candidates), l_max), vocab.pad_id, dtype=np.int64)
-    mask = np.zeros((len(candidates), l_max))
-    for i, cand in enumerate(candidates):
-        row = (vocab.sos_id,) + cand
-        ids[i, : len(row)] = row
-        tgt_row = cand + (vocab.eos_id,)
-        tgt[i, : len(tgt_row)] = tgt_row
-        mask[i, : len(tgt_row)] = 1.0
+    ids = pad_id_rows([(vocab.sos_id,) + c for c in candidates], vocab.pad_id)
+    tgt = pad_id_rows([c + (vocab.eos_id,) for c in candidates], vocab.pad_id)
+    cols = np.arange(tgt.shape[1])
+    mask = cols < np.array([len(c) + 1 for c in candidates])[:, None]
     logp = tz.log_softmax(model.decoder_forward(model.embed_tokens(ids), enc, ne_memory)).data
-    rows = np.arange(len(candidates))[:, None]
-    cols = np.arange(l_max)[None, :]
-    picked = logp[rows, cols, tgt] * mask
+    picked = logp[np.arange(len(candidates))[:, None], cols, tgt] * mask
     return picked.sum(axis=1)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from ctcfuse import tensor as tz
 from ctcfuse.ctc import NBestList
+from ctcfuse.data import pad_id_rows
 from ctcfuse.tensor import Tensor
 
 MASK_VALUE = -1e30
@@ -248,9 +249,6 @@ class Model:
     def train(self, flag: bool = True) -> "Model":
         self.training = flag
         return self
-
-    def eval(self) -> "Model":
-        return self.train(False)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -506,10 +504,5 @@ def nbest_id_matrix(nbest: NBestList, n: int, max_len: int, pad_id: int) -> np.n
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     seqs = nbest.sequences()[:n]
-    while len(seqs) < n:
-        seqs.append(seqs[-1])
-    ids = np.full((n, max_len), pad_id, dtype=np.int64)
-    for row, seq in enumerate(seqs):
-        clipped = seq[:max_len]
-        ids[row, : len(clipped)] = clipped
-    return ids
+    seqs += [seqs[-1]] * (n - len(seqs))
+    return pad_id_rows(seqs, pad_id, max_len)

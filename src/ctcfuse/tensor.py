@@ -9,6 +9,7 @@ default precision; float32 arrays are accepted and kept as-is.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -582,8 +583,10 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         if tag not in _DTYPE_TAGS:
             raise ValueError(f"unknown dtype tag {tag} for entry {name!r}")
         shape = struct.unpack(f"<{ndim}q", take(8 * ndim, "shape"))
+        if min(shape, default=0) < 0:
+            raise ValueError(f"negative dimension in the shape {shape} of entry {name!r}")
         dtype = _DTYPE_TAGS[tag]
-        n_bytes = int(np.prod(shape)) * dtype.itemsize if ndim else dtype.itemsize
+        n_bytes = math.prod(shape) * dtype.itemsize  # exact: no int64 wrap-around
         payload = take(n_bytes, f"payload of {name!r}")
         out[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
     return out

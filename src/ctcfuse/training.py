@@ -28,7 +28,7 @@ from ctcfuse.ctc import (
     min_frames,
     prefix_beam_nbest,
 )
-from ctcfuse.data import Batch, DataError, Utterance, Vocabulary, make_batches
+from ctcfuse.data import Batch, DataError, Utterance, Vocabulary, make_batches, pad_id_rows
 from ctcfuse.decode import DecodeConfig, evaluate, make_decoder
 from ctcfuse.model import (
     METHOD_ALIGNED,
@@ -234,10 +234,17 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.step_count = int(arrays["adam.step"][0])
-        for name in self.params:
-            self.m[name] = arrays[f"adam.m.{name}"].copy()
-            self.v[name] = arrays[f"adam.v.{name}"].copy()
+        """Restore the step count and moments; a malformed entry raises ``ValueError``."""
+        step = arrays["adam.step"]
+        if step.shape != (1,) or not step[0] >= 0:
+            raise ValueError("adam.step must hold one non-negative count")
+        self.step_count = int(step[0])
+        for key, p in self.params.items():
+            for kind, moments in (("m", self.m), ("v", self.v)):
+                entry = arrays[f"adam.{kind}.{key}"]
+                if entry.shape != p.shape:
+                    raise ValueError(f"adam.{kind}.{key} has shape {entry.shape}, not {p.shape}")
+                moments[key] = entry.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +320,7 @@ def build_decoder_input(
     y_rows: list[list[int]] = []
     w_rows: list[list[int]] = []
     tgt_rows: list[list[int]] = []
-    mask_blank_rows: list[list[bool]] = []
+    aligned = np.zeros(batch.size, dtype=bool)  # rows whose blank targets are masked
     alphas = np.zeros(batch.size)
 
     for i, y in enumerate(batch.transcripts):
@@ -321,7 +328,6 @@ def build_decoder_input(
         can_reach = int(enc_lengths[i]) >= min_frames(y)
         reachable.append(can_reach)
         y_in, w_in, tgt = [sos] + y, [sos] + y, y + [eos]
-        mask_blank = [False] * len(tgt)
         decision = PathwayDecision.GROUND_TRUTH_ONLY
 
         if method in (METHOD_FUSION, METHOD_ALIGNED):
@@ -340,7 +346,7 @@ def build_decoder_input(
                     y_in = [sos] + list(pair.y_align)
                     w_in = [sos] + list(pair.w_align)
                     tgt = list(pair.y_align) + [eos]
-                    mask_blank = [t == blank for t in tgt]
+                    aligned[i] = True
                     alphas[i] = cfg.fusion.alpha
                 elif decision is PathwayDecision.FUSE:
                     w_in = [sos] + w
@@ -352,22 +358,11 @@ def build_decoder_input(
         y_rows.append(y_in)
         w_rows.append(w_in)
         tgt_rows.append(tgt)
-        mask_blank_rows.append(mask_blank)
 
-    l_max = max(len(r) for r in y_rows)
-    y_ids = np.full((batch.size, l_max), vocab.pad_id, dtype=np.int64)
-    w_ids = np.full((batch.size, l_max), vocab.pad_id, dtype=np.int64)
-    targets = np.full((batch.size, l_max), vocab.pad_id, dtype=np.int64)
-    mask = np.zeros((batch.size, l_max))
-    for i in range(batch.size):
-        n = len(y_rows[i])
-        y_ids[i, :n] = y_rows[i]
-        w_ids[i, :n] = w_rows[i]
-        targets[i, :n] = tgt_rows[i]
-        mask[i, :n] = 1.0
-        for pos, is_blank in enumerate(mask_blank_rows[i]):
-            if is_blank:
-                mask[i, pos] = 0.0
+    # the three rows of an utterance have one length
+    y_ids, w_ids, targets = (pad_id_rows(rows, vocab.pad_id) for rows in (y_rows, w_rows, tgt_rows))
+    in_row = np.arange(targets.shape[1]) < np.array([len(r) for r in tgt_rows])[:, None]
+    mask = (in_row & ~(aligned[:, None] & (targets == blank))).astype(np.float64)
 
     emb_y = model.embed_tokens(y_ids)
     if np.all(alphas == 0.0):  # plain teacher forcing, bit for bit (acceptance criterion 6)
@@ -463,7 +458,7 @@ def train_epoch(
     start = time.perf_counter()
     model.train(True)
     model.rng = np.random.default_rng(cfg.seed * 7919 + epoch)
-    batches = make_batches(corpus, cfg.batch_size, vocab, seed=cfg.seed * 100003 + epoch)
+    batches = make_batches(corpus, cfg.batch_size, seed=cfg.seed * 100003 + epoch)
     totals = {"joint": 0.0, "ctc": 0.0, "att": 0.0}
     blanks = incomplete = seen = reachable = 0
     unreachable_ids: list[str] = []

@@ -1,10 +1,7 @@
-"""Pin the BLAS and OpenMP pools to one thread, as the CLI does by default.
+"""Pin the BLAS and OpenMP pools the way the package does for every caller.
 
-pytest imports this file before any test module, so the variables are
-set before numpy loads; a value already in the environment wins.
+pytest imports this file before any test module, and importing ``ctcfuse``
+sets the pool variables before numpy loads (a value already set wins).
 """
 
-import os
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, os.environ.get("CTCFUSE_THREADS") or "1")
+import ctcfuse  # noqa: F401

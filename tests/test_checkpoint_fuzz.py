@@ -3,13 +3,17 @@
 A damaged pair either still loads or raises ``CheckpointError`` naming its
 path; under ``ctcfuse decode`` that is exit 0 or exit 2 with one error line.
 Integers stay small so that a mutated size field cannot build a large model.
+The tensor container reader alone raises ``ValueError`` and nothing else.
 """
 
 import contextlib
 import dataclasses
 import io
 import json
+import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 from ctcfuse.cli import main
 from ctcfuse.data import SynthConfig, save_corpus, synth_corpus
 from ctcfuse.model import METHOD_NBEST, FusionConfig, Model, ModelConfig
+from ctcfuse.tensor import load_tensors, save_tensors
 from ctcfuse.training import Adam, CheckpointError, TrainConfig, load_checkpoint, save_checkpoint
 
 fuzz = settings(derandomize=True, deadline=None, max_examples=60)
@@ -44,23 +49,37 @@ NOT_AN_OBJECT = st.one_of(
 )
 
 
+VOCAB, CORPUS = synth_corpus(
+    SynthConfig(vocab_size=4, count=2, min_len=2, max_len=3, feature_dim=4, seed=3)
+)
+CFG = TrainConfig(
+    model=ModelConfig(
+        d_model=8, num_heads=2, ffn_dim=16, encoder_layers=1, decoder_layers=1,
+        ne_layers=1, vocab_size=VOCAB.size, dropout=0.0, feature_dim=4,
+    ),
+    fusion=FusionConfig(method=METHOD_NBEST, n=2, beam_width=2),
+)
+
+
+def reference_arrays() -> dict:
+    model = Model(CFG.model, CFG.fusion, seed=1)
+    return {**model.state_arrays(), **Adam(model.params, CFG).state_arrays()}
+
+
+# every entry of the reference checkpoint's tensor container
+ENTRY_NAMES = sorted(reference_arrays())
+
+
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     """A saved N-best-memory pair, its bytes, and a corpus it decodes."""
     root = tmp_path_factory.mktemp("ckpt_fuzz")
-    vocab, corpus = synth_corpus(
-        SynthConfig(vocab_size=4, count=2, min_len=2, max_len=3, feature_dim=4, seed=3)
-    )
-    manifest = save_corpus(root / "corpus", corpus, vocab)
-    model_cfg = ModelConfig(
-        d_model=8, num_heads=2, ffn_dim=16, encoder_layers=1, decoder_layers=1,
-        ne_layers=1, vocab_size=vocab.size, dropout=0.0, feature_dim=4,
-    )
-    cfg = TrainConfig(model=model_cfg, fusion=FusionConfig(method=METHOD_NBEST, n=2, beam_width=2))
-    model = Model(cfg.model, cfg.fusion, seed=1)
+    manifest = save_corpus(root / "corpus", CORPUS, VOCAB)
+    model = Model(CFG.model, CFG.fusion, seed=1)
     path = root / "ref.ckpt"
-    save_checkpoint(path, model, Adam(model.params, cfg), cfg, vocab, epoch=1)
+    save_checkpoint(path, model, Adam(model.params, CFG), CFG, VOCAB, epoch=1)
     blob = path.read_bytes()
+    assert load_tensors(path).keys() == set(ENTRY_NAMES)
     sidecar = json.loads((root / "ref.ckpt.json").read_text())
     return {"root": root, "blob": blob, "sidecar": sidecar, "manifest": manifest}
 
@@ -154,10 +173,7 @@ def test_sidecar_not_an_object_is_rejected(reference, value):
     assert not loads(write_pair(reference, reference["blob"], value))
 
 
-@settings(derandomize=True, deadline=None, max_examples=8)
-@given(key=st.sampled_from(KEY_PATHS), value=st.one_of(st.just(DROP), SMALL_JSON))
-def test_decode_exits_0_or_2(reference, key, value):
-    path = write_pair(reference, reference["blob"], mutated(reference["sidecar"], key, value))
+def decode_exits_0_or_2(reference, path):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main([
@@ -168,3 +184,77 @@ def test_decode_exits_0_or_2(reference, key, value):
     assert (code, lines) == (0, []) or (
         code == 2 and len(lines) == 1 and lines[0].startswith("error kind=data ")
     ), (code, lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(key=st.sampled_from(KEY_PATHS), value=st.one_of(st.just(DROP), SMALL_JSON))
+def test_decode_exits_0_or_2(reference, key, value):
+    path = write_pair(reference, reference["blob"], mutated(reference["sidecar"], key, value))
+    decode_exits_0_or_2(reference, path)
+
+
+def container(entries) -> bytes:
+    """Tensor-container bytes with each ``(name, tag, shape, payload)`` written as given."""
+    out = [b"TCNT", struct.pack("<II", 1, len(entries))]
+    for name, tag, shape, payload in entries:
+        encoded = name.encode("utf-8")
+        out += [struct.pack("<I", len(encoded)), encoded, struct.pack("<BI", tag, len(shape)),
+                struct.pack(f"<{len(shape)}q", *shape), payload]
+    return b"".join(out)
+
+
+@st.composite
+def container_bytes(draw):
+    """Random bytes, or a container whose headers need not match their payloads, maybe cut."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=128))
+    entries = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = draw(st.lists(st.integers(-3, 4), max_size=3))
+        # the payload of an 8-byte dtype, give or take a few bytes
+        size = max(0, 8 * math.prod(shape) + draw(st.sampled_from([0, 0, -8, 8, -1])))
+        payload = draw(st.binary(min_size=size, max_size=size))
+        entries.append((draw(st.text(max_size=3)), draw(st.integers(0, 4)), shape, payload))
+    blob = container(entries)
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(blob=container_bytes())
+@example(blob=container([("a", 2, (-1,), b""), ("b", 2, (1,), bytes(8))]))
+@example(blob=container([("a", 2, (-1000,), b""), ("b", 2, (1,), bytes(8))]))
+@example(blob=container([("a", 2, (2**61, 4), b"")]))  # 2**63 elements: wraps in int64
+def test_load_tensors_returns_arrays_or_raises_value_error(reference, blob):
+    path = reference["root"] / "fuzz.tensors"
+    path.write_bytes(blob)
+    try:
+        arrays = load_tensors(path)
+    except ValueError:
+        return
+    assert all(min(arr.shape, default=0) >= 0 for arr in arrays.values())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(ENTRY_NAMES),
+    shape=st.lists(st.integers(0, 3), max_size=3),
+    dtype=st.sampled_from(["<f4", "<f8", "<i8"]),
+    fill=st.integers(0, 2),
+)
+@example(name="adam.step", shape=[0], dtype="<i8", fill=0)
+@example(name="adam.m.ctc_head.b", shape=[3], dtype="<f8", fill=0)
+def test_entry_replaced_by_a_small_array(reference, name, shape, dtype, fill):
+    path = reference["root"] / "damaged.ckpt"
+    arrays = reference_arrays()
+    arrays[name] = np.full(shape, fill, dtype=dtype)
+    save_tensors(path, arrays)
+    (reference["root"] / "damaged.ckpt.json").write_text(json.dumps(reference["sidecar"]))
+    try:
+        model, optimizer, _ = load_checkpoint(path)
+    except CheckpointError as err:
+        assert str(path) in str(err)
+    else:  # a pair that loads can resume: one optimizer step keeps every shape
+        shapes = {key: p.shape for key, p in model.params.items()}
+        optimizer.step()
+        assert {key: p.shape for key, p in model.params.items()} == shapes
+    decode_exits_0_or_2(reference, path)

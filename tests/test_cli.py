@@ -134,6 +134,61 @@ class TestSynthAndStats:
         assert "kind=usage" in capsys.readouterr().err
 
 
+POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "CTCFUSE_THREADS")
+
+# after ``import ctcfuse.cli``: the OpenBLAS pin, and the process's OS threads after a matmul
+PIN_PROBE = """
+import os
+import ctcfuse.cli
+import numpy as np
+a = np.ones((256, 256))
+a @ a
+print(os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")))
+"""
+
+
+class TestThreadPins:
+    def probe(self, **env):
+        """``(OPENBLAS_NUM_THREADS, OS threads)`` in a child whose pool variables are ``env``."""
+        src = str(Path(ctcfuse.__file__).resolve().parent.parent)
+        base = {k: v for k, v in os.environ.items() if k not in POOL_VARS}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", PIN_PROBE], env={**base, **env},
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.split()
+        return out[0], int(out[1])
+
+    def test_importing_the_cli_pins_one_thread(self):
+        pin, threads = self.probe()
+        assert pin == "1"
+        if (os.cpu_count() or 1) > 1:
+            assert threads == 1
+
+    def test_ctcfuse_threads_sizes_the_pools(self):
+        assert self.probe(CTCFUSE_THREADS="3")[0] == "3"
+
+    def test_a_preset_pool_variable_wins(self):
+        assert self.probe(CTCFUSE_THREADS="3", OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+class TestFlagDefaults:
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_decode_flags_default_to_decode_config(self, command):
+        from ctcfuse import cli
+        from ctcfuse.decode import DecodeConfig
+
+        args = cli._build_parser().parse_args([command, "--ckpt", "c", "--manifest", "m"])
+        assert cli._decode_config(args) == DecodeConfig()
+
+    def test_synth_flags_default_to_the_desk_corpus(self):
+        from ctcfuse import cli
+        from ctcfuse.data import SynthConfig, desk_synth_config
+
+        args = cli._build_parser().parse_args(["synth"])
+        assert SynthConfig(**cli._field_values(SynthConfig, args)) == desk_synth_config()
+
+
 class TestTrain:
     def test_train_writes_run_directory(self, base_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -234,13 +289,13 @@ class TestTrain:
         assert (out / "train.log").read_text() == ""
 
     def test_numeric_failure_maps_to_exit_3(self, base_config, capsys, monkeypatch):
-        from ctcfuse import training as tr_mod
+        from ctcfuse import cli
         from ctcfuse.training import NumericError
 
         def boom(*args, **kwargs):
             raise NumericError("epoch 1 batch 0 (x...): synthetic failure")
 
-        monkeypatch.setattr(tr_mod, "train", boom)
+        monkeypatch.setattr(cli, "train", boom)
         assert run_cli("train", "--config", str(base_config)) == 3
         assert "kind=numeric" in capsys.readouterr().err
 
@@ -492,12 +547,14 @@ class TestDataErrors:
     def test_too_short_utterance(
         self, trained, corpus_dir, tmp_path, capsys, monkeypatch, command
     ):
-        from ctcfuse import decode
+        from ctcfuse import cli, decode
 
         def never(*args, **kwargs):
             raise AssertionError("decoded before every utterance was checked")
 
-        monkeypatch.setattr(decode, "attention_beam_decode", never)
+        # decode calls the CLI's name for the decoder, eval the decode module's
+        for owner in (cli, decode):
+            monkeypatch.setattr(owner, "attention_beam_decode", never)
         short = tmp_path / "short.feat"
         write_features(short, np.zeros((3, 4), dtype=np.float32))
         manifest = edited_manifest(

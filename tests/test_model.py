@@ -176,7 +176,7 @@ class TestFusion:
             gating=GatingConfig(mode="absolute", t_l=1),
         )
         model = Model(cfg.model, cfg.fusion, seed=0)
-        batch = make_batches(corpus, len(corpus), vocab, policy="none")[0]
+        batch = make_batches(corpus, len(corpus), policy="none")[0]
         batch.transcripts[:] = transcripts
         enc_lengths = np.full(len(transcripts), 20)
         dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc_lengths)
