@@ -7,7 +7,8 @@ prints the evaluation table. About a minute.
 import dataclasses
 
 from ctcfuse.data import SynthConfig, synth_corpus
-from ctcfuse.decode import DecodeConfig, attention_beam_decode, ctc_rescore_decode, evaluate, make_decoder
+from ctcfuse.decode import (DecodeConfig, attention_beam_decode, ctc_rescore_decode,
+                            decode_utterance, evaluate)
 from ctcfuse.training import desk_train_config, train
 
 synth = SynthConfig(
@@ -39,5 +40,6 @@ for lam in (1.0, 0.3, 0.0):
     print(f"ctc+rescore lambda={lam}: '{vocab.detokenize(hyp)}' (score {score:.3f})")
 
 print("\n== corpus evaluation (attention, beam 4) ==")
-report = evaluate(corpus[:10], make_decoder(model, DecodeConfig(beam=4), vocab))
+beam4 = DecodeConfig(beam=4)
+report = evaluate(corpus[:10], lambda utt: decode_utterance(utt, model, beam4, vocab)[0])
 print(report.render_table())

@@ -16,7 +16,6 @@ The decode and synth flags are the fields of ``DecodeConfig`` and
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -27,15 +26,13 @@ import typing
 
 import numpy as np
 
-from ctcfuse import tensor as tz
 from ctcfuse.alignment import GatingConfig, aef_align, render_alignment
-from ctcfuse.ctc import format_nbest, prefix_beam_nbest
+from ctcfuse.ctc import format_nbest
 from ctcfuse.data import (DataError, SynthConfig, build_vocab, corpus_stats, desk_synth_config,
                           load_manifest, load_vocab_file, read_manifest, read_text, save_corpus,
                           synth_corpus)
-from ctcfuse.decode import (METHOD_ATTENTION, METHOD_RESCORE, DecodeConfig, _posterior,
-                            attention_beam_decode, ctc_rescore_decode, evaluate,
-                            format_hypothesis, make_decoder)
+from ctcfuse.decode import (DECODE_METHODS, DecodeConfig, ctc_nbest, decode_utterance, evaluate,
+                            format_hypothesis)
 from ctcfuse.model import METHODS, FusionConfig, ModelConfig
 from ctcfuse.training import METRICS_FILE, NumericError, TrainConfig, load_checkpoint, train
 
@@ -246,15 +243,6 @@ def _load_model_and_vocab(args):
     return model, vocab, corpus
 
 
-@contextlib.contextmanager
-def _numeric_failure_names(utt_id: str):
-    """Turn a non-finite value while decoding ``utt_id`` into a NumericError naming it."""
-    try:
-        yield
-    except FloatingPointError as err:
-        raise NumericError(f"utterance {utt_id}: {err}") from err
-
-
 def _decode_config(args) -> DecodeConfig:
     """The decode flags as a ``DecodeConfig``; bad values are usage errors."""
     return _build_dataclass(DecodeConfig, _field_values(DecodeConfig, args), "decode flags")
@@ -268,20 +256,11 @@ def cmd_decode(args) -> int:
     lines = []
     nbest_lines = []
     for utt in corpus:
-        with _numeric_failure_names(utt.utt_id):
-            if cfg.method == METHOD_ATTENTION:
-                hyp, score, _ = attention_beam_decode(utt.features, model, cfg, vocab)
-            else:
-                hyp, score = ctc_rescore_decode(utt.features, model, cfg, vocab)
-            lines.append(format_hypothesis(utt.utt_id, hyp, score, vocab))
-            if args.nbest:
-                with tz.inference():
-                    enc = model.encode(
-                        utt.features[None].astype(np.float64), np.array([utt.num_frames])
-                    )
-                    post = _posterior(model, enc, vocab)
-                nb = prefix_beam_nbest(post, max(args.beam, args.nbest), args.nbest)
-                nbest_lines.append(format_nbest(utt.utt_id, nb, vocab.id_to_token))
+        hyp, score = decode_utterance(utt, model, cfg, vocab)
+        lines.append(format_hypothesis(utt.utt_id, hyp, score, vocab))
+        if args.nbest:
+            nb = ctc_nbest(utt, model, vocab, max(args.beam, args.nbest), args.nbest)
+            nbest_lines.append(format_nbest(utt.utt_id, nb, vocab.id_to_token))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -325,11 +304,7 @@ def cmd_eval(args) -> int:
     else:
         cfg = _decode_config(args)
         model, vocab, corpus = _load_model_and_vocab(args)
-        decoder = make_decoder(model, cfg, vocab)
-
-        def decode_fn(utt):
-            with _numeric_failure_names(utt.utt_id):
-                return decoder(utt)
+        decode_fn = lambda utt: decode_utterance(utt, model, cfg, vocab)[0]
 
     report = evaluate(corpus, decode_fn)
     print(report.render_table())
@@ -578,7 +553,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", default=None)
-    _add_field_flags(p, DecodeConfig(), method=(METHOD_ATTENTION, METHOD_RESCORE))
+    _add_field_flags(p, DecodeConfig(), method=DECODE_METHODS)
     p.add_argument("--nbest", type=int, default=0, help="also dump CTC N-best lists")
     p.add_argument("--out", default=None, help="hypothesis file (default: stdout)")
     p.set_defaults(handler=cmd_decode)
@@ -588,7 +563,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--hyp", default=None)
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", default=None)
-    _add_field_flags(p, DecodeConfig(), method=(METHOD_ATTENTION, METHOD_RESCORE))
+    _add_field_flags(p, DecodeConfig(), method=DECODE_METHODS)
     p.add_argument("--out", default=None, help="JSON-lines report path")
     p.set_defaults(handler=cmd_eval)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -9,13 +10,14 @@ import numpy as np
 
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import edit_distance
-from ctcfuse.ctc import CtcPosterior, prefix_beam_nbest
+from ctcfuse.ctc import CtcPosterior, NBestList, prefix_beam_nbest
 from ctcfuse.data import Utterance, Vocabulary, pad_id_rows
 from ctcfuse.model import DecoderCache, EncoderOutput, Model
-from ctcfuse.tensor import Tensor
+from ctcfuse.tensor import NumericError, Tensor
 
 METHOD_ATTENTION = "attention"
 METHOD_RESCORE = "ctc_rescore"
+DECODE_METHODS = (METHOD_ATTENTION, METHOD_RESCORE)
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,7 @@ class DecodeConfig:
     max_len_factor: float = 1.0  # output-length cap as a fraction of encoder frames
 
     def __post_init__(self):
-        if self.method not in (METHOD_ATTENTION, METHOD_RESCORE):
+        if self.method not in DECODE_METHODS:
             raise ValueError(f"unknown decode method {self.method!r}")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
@@ -152,15 +154,35 @@ def ctc_rescore_decode(
     return candidates[best], float(combined[best])
 
 
-def make_decoder(model: Model, cfg: DecodeConfig, vocab: Vocabulary):
-    """Utterance -> hypothesis callable for :func:`evaluate`."""
+@contextlib.contextmanager
+def _numeric_failure_names(utt: Utterance):
+    """Turn a non-finite value while decoding ``utt`` into a NumericError naming it."""
+    try:
+        yield
+    except FloatingPointError as err:
+        raise NumericError(f"utterance {utt.utt_id}: {err}") from err
 
-    def decode_fn(utt: Utterance) -> tuple[int, ...]:
+
+def decode_utterance(
+    utt: Utterance, model: Model, cfg: DecodeConfig, vocab: Vocabulary
+) -> tuple[tuple[int, ...], float]:
+    """``(tokens, score)`` of the best hypothesis by the decoder ``cfg.method`` names.
+
+    A non-finite value while decoding raises :class:`NumericError` naming
+    the utterance.
+    """
+    with _numeric_failure_names(utt):
         if cfg.method == METHOD_ATTENTION:
-            return attention_beam_decode(utt.features, model, cfg, vocab)[0]
-        return ctc_rescore_decode(utt.features, model, cfg, vocab)[0]
+            tokens, score, _ = attention_beam_decode(utt.features, model, cfg, vocab)
+            return tokens, score
+        return ctc_rescore_decode(utt.features, model, cfg, vocab)
 
-    return decode_fn
+
+def ctc_nbest(utt: Utterance, model: Model, vocab: Vocabulary, beam: int, n: int) -> NBestList:
+    """The CTC prefix-beam N-best of ``utt``; a non-finite value is named as in decoding."""
+    with _numeric_failure_names(utt), tz.inference():
+        enc = model.encode(utt.features[None].astype(np.float64), np.array([utt.num_frames]))
+        return prefix_beam_nbest(_posterior(model, enc, vocab), beam, n)
 
 
 # ---------------------------------------------------------------------------

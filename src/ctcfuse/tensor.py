@@ -19,6 +19,11 @@ import numpy as np
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
+
+class NumericError(Exception):
+    """Raised when a loss, an update or a decode turns non-finite; the message says where."""
+
+
 # False inside inference(): ops keep no parents or grad_fn
 _recording: ContextVar[bool] = ContextVar("ctcfuse_tensor_recording", default=True)
 

@@ -29,7 +29,7 @@ from ctcfuse.ctc import (
     prefix_beam_nbest,
 )
 from ctcfuse.data import Batch, DataError, Utterance, Vocabulary, make_batches, pad_id_rows
-from ctcfuse.decode import DecodeConfig, evaluate, make_decoder
+from ctcfuse.decode import DecodeConfig, decode_utterance, evaluate
 from ctcfuse.model import (
     METHOD_ALIGNED,
     METHOD_BASELINE,
@@ -39,13 +39,9 @@ from ctcfuse.model import (
     Model,
     ModelConfig,
 )
-from ctcfuse.tensor import Tensor, load_tensors, save_tensors
+from ctcfuse.tensor import NumericError, Tensor, load_tensors, save_tensors
 
 CHECKPOINT_FORMAT_VERSION = 1
-
-
-class NumericError(Exception):
-    """Raised when a loss or update turns non-finite."""
 
 
 class CheckpointError(DataError, ValueError):
@@ -536,7 +532,8 @@ def train(
     Train CER is measured by greedy attention decoding every
     ``eval_every`` epochs (and on the final epoch); when
     ``stop_at_train_cer`` is set the run stops at the first measurement
-    at or below it.
+    at or below it. A non-finite value there raises :class:`NumericError`
+    naming the utterance.
     """
     model = Model(cfg.model, cfg.fusion, seed=cfg.seed)
     if cfg.pretrain_path:
@@ -586,8 +583,9 @@ def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch)
         metrics = train_epoch(corpus, vocab, model, optimizer, cfg, epoch)
         measure = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
         if measure:
-            greedy = make_decoder(model, DecodeConfig(beam=1), vocab)
-            metrics.train_cer = evaluate(corpus, greedy).corpus_cer
+            greedy = DecodeConfig(beam=1)
+            report = evaluate(corpus, lambda utt: decode_utterance(utt, model, greedy, vocab)[0])
+            metrics.train_cer = report.corpus_cer
             final_cer = metrics.train_cer
         history.append(metrics)
         line = (
@@ -636,6 +634,8 @@ def save_checkpoint(path, model: Model, optimizer: Adam, cfg: TrainConfig,
 
     Each is written to a temporary name beside its target, then moved into
     place; a failed save leaves the previous pair and no temporary behind.
+    The sidecar's ``optimizer`` object holds the settings of ``cfg`` that
+    ``optimizer`` was built from, under the names :func:`load_checkpoint` reads.
     """
     arrays = model.state_arrays()
     arrays.update(optimizer.state_arrays())
@@ -646,13 +646,7 @@ def save_checkpoint(path, model: Model, optimizer: Adam, cfg: TrainConfig,
         "method": model.fusion.method,
         "vocab_hash": vocab.content_hash(),
         "epoch": epoch,
-        "optimizer": {
-            "lr_base": optimizer.lr_base,
-            "warmup_steps": optimizer.warmup,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "adam_eps": optimizer.eps,
-        },
+        "optimizer": {key: getattr(cfg, key) for key in _OPTIMIZER_SETTINGS},
     }
     targets = (str(path), str(path) + ".json")
     temps = tuple(target + ".tmp" for target in targets)

@@ -455,6 +455,48 @@ class TestNumericErrors:
         [(kind, msg)] = error_lines(proc.stderr)
         assert kind == "numeric" and "epoch 1 batch" in msg
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_train_cer_overflow(self, base_config, corpus_dir, tmp_path, capsys, monkeypatch,
+                                command):
+        from ctcfuse import training
+
+        original = training.train_epoch
+
+        def overflow_after_epoch(corpus, vocab, model, *args, **kwargs):
+            metrics = original(corpus, vocab, model, *args, **kwargs)
+            # finite, but log-softmax puts the two logits 2e308 apart: -inf
+            model.params["decoder.out.b"].data[:2] = (1e308, -1e308)
+            return metrics
+
+        monkeypatch.setattr(training, "train_epoch", overflow_after_epoch)
+        payload = json.loads(base_config.read_text())
+        payload["train"]["eval_every"] = 1
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        argv = ["--config", str(config), "--out", str(tmp_path / "run"), "--quiet"]
+        if command == "sweep":
+            argv += ["--grid", "method=baseline"]
+        assert run_cli(command, *argv) == 3
+        msg = one_error(capsys.readouterr().err, "numeric")
+        first = (corpus_dir / "manifest.tsv").read_text().split("\t", 1)[0]
+        assert msg.startswith(f"utterance {first}: ")
+
+    def test_nbest_overflow(self, trained, corpus_dir, tmp_path):
+        arrays = load_tensors(trained / "model.ckpt")
+        arrays["ctc_head.b"][:2] = (1e308, -1e308)  # the CTC log-softmax overflows
+        save_tensors(tmp_path / "model.ckpt", arrays)
+        (tmp_path / "model.ckpt.json").write_bytes((trained / "model.ckpt.json").read_bytes())
+        proc = run_cli_process(
+            "decode", "--ckpt", str(tmp_path / "model.ckpt"),
+            "--manifest", str(corpus_dir / "manifest.tsv"), "--vocab", str(corpus_dir / "vocab.txt"),
+            "--beam", "2", "--nbest", "2", "--out", str(tmp_path / "hyp.tsv"), cwd=tmp_path,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        [(kind, msg)] = error_lines(proc.stderr)
+        first = (corpus_dir / "manifest.tsv").read_text().split("\t", 1)[0]
+        assert kind == "numeric" and f"utterance {first}:" in msg
+
 
 class TestDataErrors:
     def test_stats_three_field_line(self, corpus_dir, tmp_path, capsys):
@@ -547,14 +589,12 @@ class TestDataErrors:
     def test_too_short_utterance(
         self, trained, corpus_dir, tmp_path, capsys, monkeypatch, command
     ):
-        from ctcfuse import cli, decode
+        from ctcfuse import decode
 
         def never(*args, **kwargs):
             raise AssertionError("decoded before every utterance was checked")
 
-        # decode calls the CLI's name for the decoder, eval the decode module's
-        for owner in (cli, decode):
-            monkeypatch.setattr(owner, "attention_beam_decode", never)
+        monkeypatch.setattr(decode, "attention_beam_decode", never)
         short = tmp_path / "short.feat"
         write_features(short, np.zeros((3, 4), dtype=np.float32))
         manifest = edited_manifest(

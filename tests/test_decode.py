@@ -10,9 +10,9 @@ from ctcfuse.decode import (
     DecodeConfig,
     attention_beam_decode,
     ctc_rescore_decode,
+    decode_utterance,
     evaluate,
     format_hypothesis,
-    make_decoder,
 )
 from ctcfuse.model import METHOD_NBEST, FusionConfig, Model, ModelConfig
 from ctcfuse.training import Adam, TrainConfig, train_epoch
@@ -333,10 +333,15 @@ class TestEvaluate:
         assert len(lines) == 4
         assert '"summary": true' in lines[-1]
 
-    def test_decoder_factory(self, setup):
+    @pytest.mark.parametrize("method", dec.DECODE_METHODS)
+    def test_decode_utterance(self, setup, method):
         vocab, corpus, model = setup
-        fn = make_decoder(model, DecodeConfig(beam=2), vocab)
-        report = evaluate(corpus[:3], fn)
+        cfg = DecodeConfig(method=method, beam=2)
+        decoder = {"attention": attention_beam_decode, "ctc_rescore": ctc_rescore_decode}[method]
+        for utt in corpus[:3]:
+            expected = decoder(utt.features, model, cfg, vocab)[:2]
+            assert decode_utterance(utt, model, cfg, vocab) == expected
+        report = evaluate(corpus[:3], lambda utt: decode_utterance(utt, model, cfg, vocab)[0])
         assert 0.0 <= report.corpus_cer <= 1.5
 
 

@@ -285,7 +285,8 @@ class TestTrainingLoop:
         model = Model(cfg.model, cfg.fusion, seed=0)
         opt = Adam(model.params, cfg)
         train_epoch(corpus, vocab, model, opt, cfg, epoch=1)
-        tr.evaluate(corpus, tr.make_decoder(model, tr.DecodeConfig(beam=1), vocab))
+        greedy = tr.DecodeConfig(beam=1)
+        tr.evaluate(corpus, lambda utt: tr.decode_utterance(utt, model, greedy, vocab)[0])
 
         grads = {}
         original = Adam.step
@@ -341,6 +342,20 @@ class TestTrainingLoop:
         opt = Adam(model.params, cfg)
         with pytest.raises(NumericError, match="batch 0"):
             train_epoch(corpus, vocab, model, opt, cfg, epoch=1)
+
+    def test_train_cer_numeric_failure_names_utterance(self, monkeypatch):
+        vocab, corpus, cfg = tiny_setup()
+        original = tr.train_epoch
+
+        def overflow_after_epoch(corpus, vocab, model, *args, **kwargs):
+            metrics = original(corpus, vocab, model, *args, **kwargs)
+            # finite, but log-softmax puts the two logits 2e308 apart: -inf
+            model.params["decoder.out.b"].data[:2] = (1e308, -1e308)
+            return metrics
+
+        monkeypatch.setattr(tr, "train_epoch", overflow_after_epoch)
+        with pytest.raises(NumericError, match=f"^utterance {corpus[0].utt_id}: "):
+            train(corpus, vocab, dataclasses.replace(cfg, epochs=1))
 
     @pytest.mark.parametrize("method", [METHOD_FUSION, METHOD_ALIGNED, METHOD_NBEST])
     def test_methods_run_one_epoch(self, method):
