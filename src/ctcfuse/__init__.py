@@ -25,7 +25,7 @@ from ctcfuse.data import (
     build_vocab,
     corpus_stats,
     desk_synth_config,
-    load_manifest,
+    load_corpus,
     make_batches,
     synth_corpus,
 )
@@ -80,7 +80,7 @@ __all__ = [
     "init_from_pretrained",
     "joint_loss",
     "load_checkpoint",
-    "load_manifest",
+    "load_corpus",
     "load_tensors",
     "make_batches",
     "prefix_beam_nbest",

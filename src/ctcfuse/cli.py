@@ -29,8 +29,7 @@ import numpy as np
 from ctcfuse.alignment import GatingConfig, aef_align, render_alignment
 from ctcfuse.ctc import format_nbest
 from ctcfuse.data import (DataError, SynthConfig, build_vocab, corpus_stats, desk_synth_config,
-                          load_manifest, load_vocab_file, read_manifest, read_text, save_corpus,
-                          synth_corpus)
+                          load_corpus, read_manifest, read_text, save_corpus, synth_corpus)
 from ctcfuse.decode import (DECODE_METHODS, DecodeConfig, ctc_nbest, decode_utterance, evaluate,
                             format_hypothesis)
 from ctcfuse.model import METHODS, FusionConfig, ModelConfig
@@ -103,7 +102,9 @@ _NESTED_TRAIN_KEYS = {"model", "fusion", "gating"}
 def resolve_run_config(payload: dict, seed_override: int | None = None):
     """Validate a JSON run config exhaustively and materialize all defaults.
 
-    Returns ``(vocab, corpus, train_config, resolved_dict)``.
+    Returns ``(vocab, corpus, train_config, resolved_dict, input_content_hash)``;
+    the hash is :func:`data.load_corpus`'s for a manifest and the SHA-256 of
+    the resolved settings for a synthetic corpus.
     """
     unknown = sorted(set(payload) - _TOP_LEVEL_KEYS)
     if unknown:
@@ -125,10 +126,12 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
         synth_cfg = _build_dataclass(SynthConfig, synth_sec, "data.synth")
         vocab, corpus = synth_corpus(synth_cfg)
         data_resolved = {"synth": dataclasses.asdict(synth_cfg)}
+        input_hash = hashlib.sha256(
+            json.dumps(data_resolved["synth"], sort_keys=True).encode()
+        ).hexdigest()
     else:
         manifest = data_sec["manifest"]
-        vocab = _vocab_for(manifest, data_sec.get("vocab"))
-        corpus = load_manifest(manifest, vocab)
+        vocab, corpus, input_hash = load_corpus(manifest, data_sec.get("vocab"))
         data_resolved = {"manifest": manifest, "vocab": data_sec.get("vocab")}
 
     model_sec = _section(payload, "model", "model")
@@ -169,28 +172,7 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
             if k not in _NESTED_TRAIN_KEYS
         },
     }
-    return vocab, corpus, train_cfg, resolved
-
-
-def _vocab_for(manifest, vocab_path):
-    """The vocab file if one is given, else the vocabulary of the manifest's transcripts."""
-    if vocab_path:
-        return load_vocab_file(vocab_path)
-    return build_vocab(transcript for *_, transcript in read_manifest(manifest))
-
-
-def _input_content_hash(data_resolved: dict) -> str:
-    digest = hashlib.sha256()
-    if "synth" in data_resolved:
-        digest.update(json.dumps(data_resolved["synth"], sort_keys=True).encode())
-        return digest.hexdigest()
-    manifest = data_resolved["manifest"]
-    with open(manifest, "rb") as fh:
-        digest.update(fh.read())
-    for _, feat_path, _, _ in read_manifest(manifest):
-        with open(feat_path, "rb") as ffh:
-            digest.update(ffh.read())
-    return digest.hexdigest()
+    return vocab, corpus, train_cfg, resolved, input_hash
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +185,11 @@ def _train_run(payload: dict, seed: int | None, out_dir: str | None, echo: bool)
 
     Each epoch's log line also goes to stdout if ``echo``.
     """
-    vocab, corpus, cfg, resolved = resolve_run_config(payload, seed_override=seed)
+    vocab, corpus, cfg, resolved, input_hash = resolve_run_config(payload, seed_override=seed)
     meta = None
     if out_dir:
-        meta = {
-            "seed": cfg.seed,
-            "input_content_hash": _input_content_hash(resolved["data"]),
-            "vocab_hash": vocab.content_hash(),
-        }
+        meta = {"seed": cfg.seed, "input_content_hash": input_hash,
+                "vocab_hash": vocab.content_hash()}
     return train(corpus, vocab, cfg, out_dir=out_dir, log=print if echo else None,
                  resolved_config=resolved, run_meta=meta)
 
@@ -228,12 +207,11 @@ def cmd_train(args) -> int:
 def _load_model_and_vocab(args):
     """Checkpoint, vocabulary and corpus for decoding; every utterance is long enough."""
     model, _, sidecar = load_checkpoint(args.ckpt)
-    vocab = _vocab_for(args.manifest, args.vocab)
+    vocab, corpus, _ = load_corpus(args.manifest, args.vocab)
     if vocab.content_hash() != sidecar.get("vocab_hash"):
         raise DataError(
             "vocabulary does not match the checkpoint (pass the training vocab with --vocab)"
         )
-    corpus = load_manifest(args.manifest, vocab)
     need = model.config.subsample_factor
     for utt in corpus:
         if utt.num_frames < need:
@@ -294,8 +272,7 @@ def cmd_eval(args) -> int:
     if (args.ckpt is None) == (args.hyp is None):
         raise UsageError("eval needs exactly one of --ckpt or --hyp")
     if args.hyp is not None:
-        vocab = _vocab_for(args.manifest, args.vocab)
-        corpus = load_manifest(args.manifest, vocab)
+        vocab, corpus, _ = load_corpus(args.manifest, args.vocab)
         hyps = _read_hypothesis_file(args.hyp, vocab)
         missing = [u.utt_id for u in corpus if u.utt_id not in hyps]
         if missing:
@@ -345,7 +322,7 @@ def cmd_stats(args) -> int:
     if (args.manifest is None) == (args.text is None):
         raise UsageError("stats needs exactly one of --manifest or --text")
     if args.manifest is not None:
-        texts = [transcript for *_, transcript in read_manifest(args.manifest)]
+        texts = [transcript for *_, transcript in read_manifest(args.manifest)[1]]
     else:
         if not os.path.exists(args.text):
             raise DataError(f"text file not found: {args.text}")

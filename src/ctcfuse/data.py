@@ -30,14 +30,24 @@ class DataError(Exception):
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token inventory with reserved blank / unk / sos / eos ids."""
+    """Token inventory: the reserved ``SPECIALS`` at ids 0-3, then distinct other tokens."""
 
     id_to_token: tuple[str, ...]
-    token_to_id: dict = field(repr=False, compare=False)
-    blank_id: int = 0
-    unk_id: int = 1
-    sos_id: int = 2
-    eos_id: int = 3
+    token_to_id: dict = field(init=False, repr=False, compare=False)
+    blank_id = 0
+    unk_id = 1
+    sos_id = 2
+    eos_id = 3
+
+    def __post_init__(self):
+        if tuple(self.id_to_token[: len(SPECIALS)]) != SPECIALS:
+            raise DataError("a vocabulary must start with the four reserved tokens")
+        token_to_id = {}
+        for i, token in enumerate(self.id_to_token):
+            if token in token_to_id:
+                raise DataError(f"vocabulary repeats token {token!r}")
+            token_to_id[token] = i
+        object.__setattr__(self, "token_to_id", token_to_id)
 
     @property
     def pad_id(self) -> int:
@@ -50,10 +60,7 @@ class Vocabulary:
     @classmethod
     def from_tokens(cls, tokens) -> "Vocabulary":
         """Vocabulary over explicit non-special tokens, kept in sorted order."""
-        ordered = SPECIALS + tuple(sorted(set(tokens)))
-        if len(set(ordered)) != len(ordered):
-            raise DataError("token list collides with reserved tokens")
-        return cls(id_to_token=ordered, token_to_id={t: i for i, t in enumerate(ordered)})
+        return cls(SPECIALS + tuple(sorted(set(tokens))))
 
     def tokenize(self, text: str) -> TokenSeq:
         """Character ids for ``text``; unseen characters map to unk."""
@@ -115,12 +122,18 @@ class Batch:
 
 
 def read_text(path) -> str:
-    """The contents of a UTF-8 text file; bytes that are not UTF-8 are a data error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as err:
-            raise DataError(f"{path}: not UTF-8 text: {err}") from None
+    """A UTF-8 file's text, line ends as text mode reads them; other bytes are a data error."""
+    with open(path, "rb") as fh:
+        return _decode_text(fh.read(), path)
+
+
+def _decode_text(blob: bytes, path) -> str:
+    """``blob``, the bytes of the text file ``path``, as :func:`read_text` returns them."""
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text: {err}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # -- feature file format ------------------------------------------------------
@@ -138,38 +151,38 @@ def write_features(path, features: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def read_features(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(17)
-        if len(header) < 17 or header[:4] != _FEATURE_MAGIC:
-            raise DataError(f"{path}: not a feature file")
-        version, rows, cols, tag = struct.unpack("<IIIB", header[4:])
-        if version != _FEATURE_VERSION:
-            raise DataError(f"{path}: feature file version {version} unsupported")
-        if tag != 1:
-            raise DataError(f"{path}: unknown dtype tag {tag}")
-        size = rows * cols * 4
-        # checked before reading: a huge claimed size must not reach read()
-        if os.fstat(fh.fileno()).st_size - fh.tell() < size:
-            raise DataError(f"{path}: truncated feature payload")
-        return np.frombuffer(fh.read(size), dtype="<f4").reshape(rows, cols).copy()
+def parse_features(blob: bytes, path) -> np.ndarray:
+    """The feature matrix held by ``blob``, the bytes of the feature file ``path``."""
+    if len(blob) < 17 or blob[:4] != _FEATURE_MAGIC:
+        raise DataError(f"{path}: not a feature file")
+    version, rows, cols, tag = struct.unpack("<IIIB", blob[4:17])
+    if version != _FEATURE_VERSION:
+        raise DataError(f"{path}: feature file version {version} unsupported")
+    if tag != 1:
+        raise DataError(f"{path}: unknown dtype tag {tag}")
+    if len(blob) - 17 < rows * cols * 4:
+        raise DataError(f"{path}: truncated feature payload")
+    return np.frombuffer(blob, "<f4", rows * cols, offset=17).reshape(rows, cols).copy()
 
 
 # -- manifest ----------------------------------------------------------------
 
 
-def read_manifest(path):
-    """Yield ``(utt_id, feature_path, num_frames, transcript)`` per manifest line.
+def read_manifest(path) -> tuple[bytes, list[tuple[str, str, int, str]]]:
+    """A manifest's bytes and ``(utt_id, feature_path, num_frames, transcript)`` per line.
 
     Lines are ``utt_id<TAB>feature_path<TAB>num_frames<TAB>transcript``;
     blank lines are skipped. Relative feature paths come back resolved
-    against the manifest's directory, unchecked: only :func:`load_manifest`
+    against the manifest's directory, unchecked: only :func:`load_corpus`
     needs the files to exist.
     """
     if not os.path.exists(path):
         raise DataError(f"manifest not found: {path}")
+    with open(path, "rb") as fh:
+        blob = fh.read()
     base = os.path.dirname(os.path.abspath(path))
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+    entries = []
+    for line_no, line in enumerate(_decode_text(blob, path).split("\n"), start=1):
         if not line:
             continue
         parts = line.split("\t")
@@ -182,19 +195,31 @@ def read_manifest(path):
             raise DataError(
                 f"{path}:{line_no}: frame count {num_frames!r} is not an integer"
             ) from None
-        yield utt_id, os.path.join(base, feat_path), frames, transcript
+        entries.append((utt_id, os.path.join(base, feat_path), frames, transcript))
+    return blob, entries
 
 
-def load_manifest(path, vocab: Vocabulary) -> list[Utterance]:
-    """Utterances of a manifest (see :func:`read_manifest`) with their features.
+def load_corpus(manifest, vocab_path=None) -> tuple[Vocabulary, list[Utterance], str]:
+    """Vocabulary, utterances and input content hash of a manifest; each file is read once.
 
-    Frame counts are cross-checked against the feature files.
+    The vocabulary is the file ``vocab_path`` if given, else built from the
+    transcripts. Frame counts are cross-checked against the feature files.
+    The hash is the SHA-256 of the manifest's bytes, then each feature file's in order.
     """
+    blob, entries = read_manifest(manifest)
+    digest = hashlib.sha256(blob)
+    if vocab_path:
+        vocab = load_vocab_file(vocab_path)
+    else:
+        vocab = build_vocab(transcript for *_, transcript in entries)
     utterances = []
-    for utt_id, feat_path, num_frames, transcript in read_manifest(path):
+    for utt_id, feat_path, num_frames, transcript in entries:
         if not os.path.exists(feat_path):
             raise DataError(f"utterance {utt_id}: missing feature file {feat_path}")
-        features = read_features(feat_path)
+        with open(feat_path, "rb") as fh:
+            feat_blob = fh.read()
+        digest.update(feat_blob)
+        features = parse_features(feat_blob, feat_path)
         if features.shape[0] != num_frames:
             raise DataError(
                 f"utterance {utt_id}: manifest says {num_frames} frames, "
@@ -204,8 +229,8 @@ def load_manifest(path, vocab: Vocabulary) -> list[Utterance]:
             Utterance(utt_id=utt_id, features=features, transcript=vocab.tokenize(transcript))
         )
     if not utterances:
-        raise DataError(f"{path}: empty manifest")
-    return utterances
+        raise DataError(f"{manifest}: empty manifest")
+    return vocab, utterances, digest.hexdigest()
 
 
 def save_corpus(directory, corpus: list[Utterance], vocab: Vocabulary) -> str:
@@ -227,10 +252,11 @@ def save_corpus(directory, corpus: list[Utterance], vocab: Vocabulary) -> str:
 
 
 def load_vocab_file(path) -> Vocabulary:
-    tokens = [line for line in read_text(path).split("\n") if line]
-    if tuple(tokens[:4]) != SPECIALS:
-        raise DataError(f"{path}: vocab file must start with the four reserved tokens")
-    return Vocabulary(id_to_token=tuple(tokens), token_to_id={t: i for i, t in enumerate(tokens)})
+    """The vocabulary listed one token per line in ``path`` (blank lines skipped)."""
+    try:
+        return Vocabulary(tuple(line for line in read_text(path).split("\n") if line))
+    except DataError as err:
+        raise DataError(f"{path}: {err}") from None
 
 
 # -- synthetic corpus ---------------------------------------------------------

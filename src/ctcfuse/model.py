@@ -48,6 +48,8 @@ class ModelConfig:
     feature_dim: int = 8
 
     def __post_init__(self):
+        if self.num_heads < 1:
+            raise ValueError("num_heads must be >= 1")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
         if min(self.encoder_layers, self.decoder_layers, self.vocab_size) < 1:

@@ -75,6 +75,8 @@ class TrainConfig:
             raise ValueError("warmup_steps must be >= 1")
         if min(self.epochs, self.batch_size, self.eval_every) < 1:
             raise ValueError("epochs, batch_size and eval_every must each be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.pretrain_selection not in (None, "encoder", "encoder_decoder"):
             raise ValueError(f"unknown pretrain selection {self.pretrain_selection!r}")
 
@@ -667,7 +669,8 @@ def save_checkpoint(path, model: Model, optimizer: Adam, cfg: TrainConfig,
 def load_checkpoint(path, cfg: TrainConfig | None = None) -> tuple[Model, Adam, dict]:
     """Rebuild model and optimizer state from a checkpoint pair.
 
-    Any failure to read or rebuild the pair raises :class:`CheckpointError`.
+    Any failure to read or rebuild the pair, or a floating-point array
+    holding a non-finite value, raises :class:`CheckpointError`.
     """
     try:
         with open(str(path) + ".json", "r", encoding="utf-8") as fh:
@@ -690,6 +693,9 @@ def load_checkpoint(path, cfg: TrainConfig | None = None) -> tuple[Model, Adam, 
         fusion = FusionConfig(**sidecar["fusion"])
         model = Model(model_cfg, fusion, seed=0)
         arrays = load_tensors(path)
+        for name, arr in arrays.items():
+            if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
+                raise ValueError(f"array {name!r} holds a non-finite value")
         model.load_state_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
         if cfg is None:
             opt_meta = sidecar["optimizer"]

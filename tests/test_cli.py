@@ -1,3 +1,6 @@
+import builtins
+import collections
+import hashlib
 import json
 import os
 import re
@@ -204,6 +207,28 @@ class TestTrain:
         records = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in records] == [1, 2]
 
+    @pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+    def test_input_content_hash_is_manifest_then_feature_bytes(
+        self, base_config, corpus_dir, tmp_path, crlf
+    ):
+        manifest = corpus_dir / "manifest.tsv"
+        if crlf:
+            lf_copy = edited_manifest(corpus_dir, tmp_path, 1, lambda row: row)
+            manifest = tmp_path / "crlf.tsv"
+            manifest.write_bytes(lf_copy.read_bytes().replace(b"\n", b"\r\n"))
+        expected = hashlib.sha256(manifest.read_bytes())
+        for line in manifest.read_text().splitlines():
+            expected.update((manifest.parent / line.split("\t")[1]).read_bytes())
+        payload = json.loads(base_config.read_text())
+        payload["data"]["manifest"] = str(manifest)
+        payload["train"]["epochs"] = 1
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(config), "--out", str(out), "--quiet") == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["input_content_hash"] == expected.hexdigest()
+
     def test_train_deterministic_metrics_and_parameters(self, base_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli("train", "--config", str(base_config), "--out", str(out1), "--quiet") == 0
@@ -281,7 +306,7 @@ class TestTrain:
         ]
         payload = json.loads(base_config.read_text())
         payload["train"]["lr_base"] = 1e300
-        vocab, corpus, cfg, _ = resolve_run_config(payload)
+        vocab, corpus, cfg, _, _ = resolve_run_config(payload)
         with pytest.raises(NumericError):
             train(corpus, vocab, cfg, out_dir=str(out))
         assert sorted(os.listdir(out)) == ["metrics.jsonl", "train.log"]
@@ -413,6 +438,47 @@ class TestDecodeEval:
         err = capsys.readouterr().err
         assert [kind for kind, _ in error_lines(err)] == ["usage"]
         assert len(err.splitlines()) == 1
+
+
+class TestInputReads:
+    """A command that loads a corpus opens its manifest and each feature file once."""
+
+    @pytest.mark.parametrize(
+        "command", ["train", "train_with_vocab", "decode", "eval_ckpt", "eval_hyp"]
+    )
+    def test_each_input_file_is_opened_once(
+        self, base_config, trained, corpus_dir, tmp_path, monkeypatch, command
+    ):
+        manifest = corpus_dir / "manifest.tsv"
+        rows = [l.split("\t") for l in manifest.read_text().splitlines()]
+        if command.startswith("train"):
+            payload = json.loads(base_config.read_text())
+            payload["train"]["epochs"] = 1
+            if command == "train":
+                del payload["data"]["vocab"]
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(payload))
+            argv = ["train", "--config", str(config), "--out", str(tmp_path / "run"), "--quiet"]
+        elif command == "eval_hyp":
+            hyp = tmp_path / "perfect.tsv"
+            hyp.write_text("".join(f"{r[0]}\t0.0\t{' '.join(r[3])}\n" for r in rows))
+            argv = ["eval", "--hyp", str(hyp), "--manifest", str(manifest)]
+        else:
+            argv = [command.split("_")[0], "--ckpt", str(trained / "model.ckpt"),
+                    "--manifest", str(manifest), "--beam", "1"]
+        opens = collections.Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                opens[os.path.abspath(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert run_cli(*argv) == 0
+        monkeypatch.undo()
+        inputs = [str(manifest)] + [str(corpus_dir / r[1]) for r in rows]
+        assert {path: opens[path] for path in inputs} == {path: 1 for path in inputs}
 
 
 class TestNumericErrors:
@@ -550,8 +616,24 @@ class TestDataErrors:
         assert code == 2
         assert str(tmp_path / "model.ckpt") in one_data_error(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_non_finite_checkpoint(self, trained, corpus_dir, tmp_path, capsys, command):
+        arrays = load_tensors(trained / "model.ckpt")
+        arrays["decoder.out.b"][0] = np.nan
+        save_tensors(tmp_path / "model.ckpt", arrays)
+        (tmp_path / "model.ckpt.json").write_bytes((trained / "model.ckpt.json").read_bytes())
+        code = run_cli(
+            command, "--ckpt", str(tmp_path / "model.ckpt"),
+            "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--vocab", str(corpus_dir / "vocab.txt"),
+        )
+        assert code == 2
+        msg = one_data_error(capsys.readouterr().err)
+        assert str(tmp_path / "model.ckpt") in msg and "decoder.out.b" in msg
+
     @pytest.mark.parametrize(
-        "damage", ["truncated", "sidecar_not_json", "format_version", "vocabulary", "width"]
+        "damage",
+        ["truncated", "sidecar_not_json", "format_version", "vocabulary", "width", "nonfinite"],
     )
     def test_unusable_donor(self, base_config, trained, corpus_dir, tmp_path, capsys, damage):
         donor = tmp_path / "donor.ckpt"
@@ -572,6 +654,11 @@ class TestDataErrors:
             sidecar = (trained / "model.ckpt.json").read_text()
             if damage == "truncated":
                 blob = blob[:100]
+            elif damage == "nonfinite":  # in a parameter the "encoder" selection skips
+                arrays = load_tensors(trained / "model.ckpt")
+                arrays["decoder.out.b"][0] = np.nan
+                save_tensors(donor, arrays)
+                blob = donor.read_bytes()
             elif damage == "sidecar_not_json":
                 sidecar = sidecar[:-5]
             else:
@@ -584,6 +671,26 @@ class TestDataErrors:
         config.write_text(json.dumps(payload))
         assert run_cli("train", "--config", str(config), "--quiet") == 2
         assert str(donor) in one_data_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["train", "decode"])
+    def test_vocab_file_that_repeats_a_token(
+        self, base_config, trained, corpus_dir, tmp_path, capsys, command
+    ):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text((corpus_dir / "vocab.txt").read_text() + "a\n")
+        out = tmp_path / "run"
+        if command == "train":
+            payload = json.loads(base_config.read_text())
+            payload["data"]["vocab"] = str(vocab)
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(payload))
+            argv = ["train", "--config", str(config), "--out", str(out)]
+        else:
+            argv = ["decode", "--ckpt", str(trained / "model.ckpt"),
+                    "--manifest", str(corpus_dir / "manifest.tsv"), "--vocab", str(vocab)]
+        assert run_cli(*argv) == 2
+        assert f"{vocab}: vocabulary repeats token 'a'" in one_data_error(capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["decode", "eval"])
     def test_too_short_utterance(
@@ -756,6 +863,8 @@ class TestMalformedInput:
             ("fusion", "n", 2.5),
             ("data", "manifest", ["x"]),
             ("data", "vocab", ["x"]),
+            ("model", "num_heads", 0),
+            ("train", "seed", -1),
         ],
     )
     def test_bad_config_value_is_usage_error(
@@ -767,6 +876,14 @@ class TestMalformedInput:
         config.write_text(json.dumps(payload))
         assert run_cli("train", "--config", str(config)) == 1
         assert key in one_error(capsys.readouterr().err, "usage")
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_negative_seed_flag_is_usage_error(self, base_config, tmp_path, capsys, command):
+        argv = [command, "--config", str(base_config), "--seed", "-1"]
+        if command == "sweep":
+            argv += ["--grid", "method=baseline", "--out", str(tmp_path / "sweep")]
+        assert run_cli(*argv) == 1
+        assert "seed" in one_error(capsys.readouterr().err, "usage")
 
     def test_sweep_grid_value_not_a_number_is_usage_error(self, base_config, tmp_path, capsys):
         out = tmp_path / "sweep"

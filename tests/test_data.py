@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from ctcfuse.data import (
     build_vocab,
     corpus_stats,
     desk_synth_config,
-    load_manifest,
+    load_corpus,
     load_vocab_file,
     make_batches,
-    read_features,
+    parse_features,
     save_corpus,
     synth_corpus,
     write_features,
@@ -53,6 +55,29 @@ class TestVocabulary:
         a = build_vocab(["abc"])
         b = build_vocab(["cba"])
         assert a.content_hash() == b.content_hash()
+        # checkpoints store this digest: its input is the token list, one per line
+        listing = "\n".join(D.SPECIALS + ("a", "b", "c"))
+        assert a.content_hash() == hashlib.sha256(listing.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize(
+        "tokens,match",
+        [
+            (D.SPECIALS + ("a", "b", "a"), "repeats token 'a'"),
+            (D.SPECIALS + (D.BLANK_TOKEN,), "repeats token"),
+            (("a",) + D.SPECIALS, "reserved tokens"),
+            (D.SPECIALS[:3], "reserved tokens"),
+        ],
+        ids=["repeat", "repeated_special", "specials_not_first", "specials_missing"],
+    )
+    def test_constructor_rejects_malformed_token_lists(self, tokens, match):
+        with pytest.raises(DataError, match=match):
+            Vocabulary(tokens)
+
+    def test_vocab_file_with_a_repeated_token_names_the_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("".join(t + "\n" for t in D.SPECIALS + ("a", "b", "a")))
+        with pytest.raises(DataError, match=f"{path}: vocabulary repeats token 'a'"):
+            load_vocab_file(path)
 
 
 class TestFeatureFiles:
@@ -61,21 +86,21 @@ class TestFeatureFiles:
         feats = rng.normal(size=(7, 5)).astype(np.float32)
         path = tmp_path / "x.feat"
         write_features(path, feats)
-        loaded = read_features(path)
+        loaded = parse_features(path.read_bytes(), path)
         assert loaded.tobytes() == feats.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.feat"
         path.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
         with pytest.raises(DataError, match="not a feature file"):
-            read_features(path)
+            parse_features(path.read_bytes(), path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "t.feat"
         write_features(path, np.ones((4, 4), dtype=np.float32))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="truncated"):
-            read_features(path)
+            parse_features(path.read_bytes(), path)
 
 
 class TestManifest:
@@ -95,12 +120,12 @@ class TestManifest:
 
     def test_two_entries_in_order(self, tmp_path):
         vocab, corpus, manifest = self.make_corpus(tmp_path)
-        loaded = load_manifest(manifest, vocab)
+        _, loaded, _ = load_corpus(manifest, tmp_path / "corpus" / "vocab.txt")
         assert [u.utt_id for u in loaded] == ["utt-0", "utt-1"]
 
     def test_roundtrip_features_bit_exact(self, tmp_path):
         vocab, corpus, manifest = self.make_corpus(tmp_path)
-        loaded = load_manifest(manifest, vocab)
+        _, loaded, _ = load_corpus(manifest, tmp_path / "corpus" / "vocab.txt")
         for orig, back in zip(corpus, loaded):
             assert orig.features.tobytes() == back.features.tobytes()
             assert orig.transcript == back.transcript
@@ -113,13 +138,13 @@ class TestManifest:
         lines[1] = "\t".join(parts)
         open(manifest, "w").write("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="utt-1"):
-            load_manifest(manifest, vocab)
+            load_corpus(manifest, tmp_path / "corpus" / "vocab.txt")
 
     def test_missing_feature_file_names_utterance(self, tmp_path):
         vocab, corpus, manifest = self.make_corpus(tmp_path)
         (tmp_path / "corpus" / "features" / "utt-0.feat").unlink()
         with pytest.raises(DataError, match="utt-0"):
-            load_manifest(manifest, vocab)
+            load_corpus(manifest, tmp_path / "corpus" / "vocab.txt")
 
     def test_vocab_sidecar_roundtrip(self, tmp_path):
         vocab, corpus, manifest = self.make_corpus(tmp_path)

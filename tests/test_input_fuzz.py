@@ -1,9 +1,9 @@
 """Property tests: damaged input files and random CLI flags end in an exit code, not a traceback.
 
 Random bytes and truncated copies of valid files go to ``stats --manifest``,
-to both files of ``align``, to ``report --metrics``, and as a feature file
-or a ``--vocab`` file to ``eval --hyp`` (which loads both with no model),
-through the in-process ``cli.main``. Random flag sets go to every
+to both files of ``align``, to ``report --metrics``, and as a manifest, a
+feature file or a ``--vocab`` file to ``eval --hyp`` (which loads all three
+with no model, through ``data.load_corpus``), through the in-process ``cli.main``. Random flag sets go to every
 subcommand, each value drawn from a small pool that cannot start a large
 run. Each run exits 0, 1, 2 or 3; a non-zero exit prints exactly one
 ``error kind=...`` line to stderr and a zero exit prints none.
@@ -47,11 +47,16 @@ METRICS = "".join(
 ALIGN_REF = "ABCA\nnaïve café\n".encode("utf-8")
 ALIGN_HYP = "ACA\nnaive cafe\n".encode("utf-8")
 
-# eval --hyp reads a manifest, its feature files, a vocab and a hypothesis file
+# eval --hyp reads a manifest, its feature files, a vocab and a hypothesis file;
+# the manifest names utt<i>.feat beside it
 VOCAB, UTTS = synth_corpus(
     SynthConfig(vocab_size=4, count=2, min_len=2, max_len=3, feature_dim=4, seed=3)
 )
 VOCAB_FILE = "".join(token + "\n" for token in VOCAB.id_to_token).encode("utf-8")
+EVAL_MANIFEST = "".join(
+    f"{u.utt_id}\tutt{i}.feat\t{u.num_frames}\t{VOCAB.detokenize(u.transcript)}\n"
+    for i, u in enumerate(UTTS)
+).encode("utf-8")
 
 
 def feature_header(version=1, rows=1, cols=1, tag=1) -> bytes:
@@ -92,7 +97,7 @@ def write(root, name: str, contents: bytes) -> str:
     return str(path)
 
 
-def run_cli(*argv) -> None:
+def run_cli(*argv) -> int:
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(list(argv))
@@ -105,6 +110,7 @@ def run_cli(*argv) -> None:
         match = re.fullmatch(r"error kind=(usage|data|numeric) msg=(.*)", lines[0])
         assert match, lines
         json.loads(match.group(2))
+    return code
 
 
 @fuzz
@@ -130,23 +136,18 @@ def test_report_metrics(root, contents):
     run_cli("report", "--metrics", metrics, "--out", str(root / "report"))
 
 
-def eval_hyp(root, features: bytes, vocab: bytes) -> None:
+def eval_hyp(root, features: bytes = FEATURES, vocab: bytes = VOCAB_FILE,
+             manifest: bytes = EVAL_MANIFEST) -> int:
     """``eval --hyp`` on UTTS, with ``features`` as the first utterance's feature file."""
-    paths = [write(root, "fuzz.feat", features)]
-    paths += [
+    write(root, "utt0.feat", features)
+    for i, u in enumerate(UTTS[1:], start=1):
         write(root, f"utt{i}.feat", feature_file(u.features))
-        for i, u in enumerate(UTTS[1:], start=1)
-    ]
-    manifest = "".join(
-        f"{u.utt_id}\t{path}\t{u.num_frames}\t{VOCAB.detokenize(u.transcript)}\n"
-        for u, path in zip(UTTS, paths)
-    )
     hyps = "".join(
         f"{u.utt_id}\t0.0\t{' '.join(VOCAB.detokenize(u.transcript))}\n" for u in UTTS
     )
-    run_cli(
+    return run_cli(
         "eval", "--hyp", write(root, "fuzz_hyp.tsv", hyps.encode("utf-8")),
-        "--manifest", write(root, "fuzz_manifest.tsv", manifest.encode("utf-8")),
+        "--manifest", write(root, "fuzz_manifest.tsv", manifest),
         "--vocab", write(root, "fuzz_vocab.txt", vocab),
     )
 
@@ -156,14 +157,23 @@ def eval_hyp(root, features: bytes, vocab: bytes) -> None:
 @example(contents=FEATURES)
 @example(contents=feature_header(rows=2**32 - 1, cols=2**32 - 1) + b"\0" * 8)
 def test_eval_feature_file(root, contents):
-    eval_hyp(root, contents, VOCAB_FILE)
+    eval_hyp(root, features=contents)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(contents=damaged(VOCAB_FILE))
 @example(contents=VOCAB_FILE)
 def test_eval_vocab_file(root, contents):
-    eval_hyp(root, FEATURES, contents)
+    eval_hyp(root, vocab=contents)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(contents=damaged(EVAL_MANIFEST))
+@example(contents=EVAL_MANIFEST.replace(b"\n", b"\r\n"))
+@example(contents=EVAL_MANIFEST.replace(b"\n", b"\r"))
+@example(contents=EVAL_MANIFEST[:10] + b"\xff" + EVAL_MANIFEST[10:])
+def test_eval_manifest(root, contents):
+    assert eval_hyp(root, manifest=contents) in (0, 2)
 
 
 def subcommand_flags() -> dict:
