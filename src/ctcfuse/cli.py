@@ -32,7 +32,7 @@ from ctcfuse.data import (DataError, SynthConfig, build_vocab, corpus_stats, des
                           load_corpus, read_manifest, read_text, save_corpus, synth_corpus)
 from ctcfuse.decode import (DECODE_METHODS, DecodeConfig, ctc_nbest, decode_utterance, evaluate,
                             format_hypothesis)
-from ctcfuse.model import METHODS, FusionConfig, ModelConfig
+from ctcfuse.model import FusionConfig, ModelConfig
 from ctcfuse.training import METRICS_FILE, NumericError, TrainConfig, load_checkpoint, train
 
 
@@ -99,12 +99,14 @@ _TOP_LEVEL_KEYS = {"data", "model", "fusion", "gating", "train"}
 _NESTED_TRAIN_KEYS = {"model", "fusion", "gating"}
 
 
-def resolve_run_config(payload: dict, seed_override: int | None = None):
+def resolve_run_config(payload: dict, seed_override: int | None = None, points=({},)):
     """Validate a JSON run config exhaustively and materialize all defaults.
 
-    Returns ``(vocab, corpus, train_config, resolved_dict, input_content_hash)``;
-    the hash is :func:`data.load_corpus`'s for a manifest and the SHA-256 of
-    the resolved settings for a synthetic corpus.
+    Returns ``(vocab, corpus, input_content_hash, runs)``, one
+    ``(train_config, resolved_dict)`` in ``runs`` per sweep grid point (the
+    empty point is the config as given), all built and checked against the
+    corpus before it returns. The hash is :func:`data.load_corpus`'s for a
+    manifest and the SHA-256 of the resolved settings for a synthetic corpus.
     """
     unknown = sorted(set(payload) - _TOP_LEVEL_KEYS)
     if unknown:
@@ -137,42 +139,51 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
     model_sec = _section(payload, "model", "model")
     model_sec.setdefault("vocab_size", vocab.size)
     model_sec.setdefault("feature_dim", corpus[0].features.shape[1])
-    model_sec.setdefault("dropout", 0.0)
     if model_sec["vocab_size"] != vocab.size:
         raise UsageError(
             f"model.vocab_size {model_sec['vocab_size']} does not match the vocabulary ({vocab.size})"
         )
     model_cfg = _build_dataclass(ModelConfig, model_sec, "model")
-    if model_cfg.feature_dim != corpus[0].features.shape[1]:
-        raise UsageError("model.feature_dim does not match the corpus features")
+    _check_corpus_fits(corpus, model_cfg)
 
-    fusion_cfg = _build_dataclass(FusionConfig, _section(payload, "fusion", "fusion"), "fusion")
-    gating_cfg = _build_dataclass(GatingConfig, _section(payload, "gating", "gating"), "gating")
+    runs = []
+    for point in points:
+        try:
+            run = _apply_grid_point(payload, point)
+        except ValueError as err:  # a numeric grid value that is not a number
+            raise UsageError(f"grid value: {err}") from None
+        fusion_cfg = _build_dataclass(FusionConfig, run["fusion"], "fusion")
+        gating_cfg = _build_dataclass(GatingConfig, run["gating"], "gating")
+        train_sec = run["train"]
+        reserved = sorted(set(train_sec) & _NESTED_TRAIN_KEYS)
+        if reserved:
+            raise UsageError(f"train section must not nest: {', '.join(reserved)}")
+        if seed_override is not None:
+            train_sec["seed"] = seed_override
+        train_cfg = _build_dataclass(
+            TrainConfig,
+            {**train_sec, "model": model_cfg, "fusion": fusion_cfg, "gating": gating_cfg},
+            "train",
+        )
+        train_dict = dataclasses.asdict(train_cfg)
+        nested = {key: train_dict.pop(key) for key in _NESTED_TRAIN_KEYS}
+        runs.append((train_cfg, {"data": data_resolved, **nested, "train": train_dict}))
+    return vocab, corpus, input_hash, runs
 
-    train_sec = _section(payload, "train", "train")
-    reserved = sorted(set(train_sec) & _NESTED_TRAIN_KEYS)
-    if reserved:
-        raise UsageError(f"train section must not nest: {', '.join(reserved)}")
-    if seed_override is not None:
-        train_sec["seed"] = seed_override
-    train_cfg = _build_dataclass(
-        TrainConfig,
-        {**train_sec, "model": model_cfg, "fusion": fusion_cfg, "gating": gating_cfg},
-        "train",
-    )
 
-    resolved = {
-        "data": data_resolved,
-        "model": dataclasses.asdict(model_cfg),
-        "fusion": dataclasses.asdict(fusion_cfg),
-        "gating": dataclasses.asdict(gating_cfg),
-        "train": {
-            k: v
-            for k, v in dataclasses.asdict(train_cfg).items()
-            if k not in _NESTED_TRAIN_KEYS
-        },
-    }
-    return vocab, corpus, train_cfg, resolved, input_hash
+def _check_corpus_fits(corpus, model_cfg: ModelConfig) -> None:
+    """Every utterance has the model's feature width and at least ``subsample_factor`` frames."""
+    width, need = model_cfg.feature_dim, model_cfg.subsample_factor
+    for utt in corpus:
+        if utt.features.shape[1] != width:
+            raise DataError(
+                f"utterance {utt.utt_id}: features are {utt.features.shape[1]} wide, "
+                f"the model takes {width}"
+            )
+        if utt.num_frames < need:
+            raise DataError(
+                f"utterance {utt.utt_id}: {utt.num_frames} frames, the model needs at least {need}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +191,15 @@ def resolve_run_config(payload: dict, seed_override: int | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _train_run(payload: dict, seed: int | None, out_dir: str | None, echo: bool):
-    """Resolve a run config and train it into ``out_dir`` (see :func:`training.train`).
-
-    Each epoch's log line also goes to stdout if ``echo``.
-    """
-    vocab, corpus, cfg, resolved, input_hash = resolve_run_config(payload, seed_override=seed)
-    meta = None
-    if out_dir:
-        meta = {"seed": cfg.seed, "input_content_hash": input_hash,
-                "vocab_hash": vocab.content_hash()}
-    return train(corpus, vocab, cfg, out_dir=out_dir, log=print if echo else None,
-                 resolved_config=resolved, run_meta=meta)
+def _run_meta(cfg: TrainConfig, input_hash: str, vocab) -> dict:
+    return {"seed": cfg.seed, "input_content_hash": input_hash, "vocab_hash": vocab.content_hash()}
 
 
 def cmd_train(args) -> int:
-    result = _train_run(_load_json(args.config), args.seed, _outdir(args), echo=not args.quiet)
+    payload = _load_json(args.config)
+    vocab, corpus, input_hash, [(cfg, resolved)] = resolve_run_config(payload, args.seed)
+    result = train(corpus, vocab, cfg, out_dir=_outdir(args), log=None if args.quiet else print,
+                   resolved_config=resolved, run_meta=_run_meta(cfg, input_hash, vocab))
     final = result.history[-1]
     print(
         f"done epochs={final.epoch} joint={final.joint_loss:.4f} "
@@ -205,19 +209,14 @@ def cmd_train(args) -> int:
 
 
 def _load_model_and_vocab(args):
-    """Checkpoint, vocabulary and corpus for decoding; every utterance is long enough."""
+    """Checkpoint, vocabulary and corpus for decoding; the corpus fits the model."""
     model, _, sidecar = load_checkpoint(args.ckpt)
     vocab, corpus, _ = load_corpus(args.manifest, args.vocab)
     if vocab.content_hash() != sidecar.get("vocab_hash"):
         raise DataError(
             "vocabulary does not match the checkpoint (pass the training vocab with --vocab)"
         )
-    need = model.config.subsample_factor
-    for utt in corpus:
-        if utt.num_frames < need:
-            raise DataError(
-                f"utterance {utt.utt_id}: {utt.num_frames} frames, the model needs at least {need}"
-            )
+    _check_corpus_fits(corpus, model.config)
     return model, vocab, corpus
 
 
@@ -352,13 +351,12 @@ def _parse_grid(items: list[str]) -> dict[str, list[str]]:
 
 
 def _apply_grid_point(payload: dict, point: dict[str, str]) -> dict:
+    """A deep copy of ``payload`` holding one grid point; a non-number raises ``ValueError``."""
     out = json.loads(json.dumps(payload))  # deep copy
     for key in ("fusion", "gating", "train"):
         out[key] = _section(out, key, key)
     for key, raw in point.items():
         if key == "method":
-            if raw not in METHODS:
-                raise UsageError(f"grid method {raw!r} not in {METHODS}")
             out["fusion"]["method"] = raw
         elif key == "alpha":
             out["fusion"]["alpha"] = float(raw)
@@ -391,33 +389,22 @@ def cmd_sweep(args) -> int:
     if not out_dir:
         raise UsageError("sweep needs --out (or CTCFUSE_OUTDIR)")
     os.makedirs(out_dir, exist_ok=True)
-
     keys = sorted(grid)
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
     # every grid point is checked before the first run starts
-    try:
-        configs = [_apply_grid_point(payload, point) for point in points]
-    except ValueError as err:  # a numeric grid value that is not a number
-        raise UsageError(f"grid value: {err}") from None
+    vocab, corpus, input_hash, runs = resolve_run_config(payload, args.seed, points)
+
     rows = []
-    for point, config in zip(points, configs):
+    for point, (cfg, resolved) in zip(points, runs):
         name = "run_" + "_".join(f"{k}={v}" for k, v in sorted(point.items()))
-        run_dir = os.path.join(out_dir, name)
-        result = _train_run(config, args.seed, run_dir, echo=False)
-        final = result.history[-1]
-        rows.append(
-            {
-                "run": name,
-                **point,
-                "epochs": final.epoch,
-                "joint_loss": round(final.joint_loss, 6),
-                "train_cer": None
-                if result.final_train_cer is None
-                else round(result.final_train_cer, 6),
-            }
-        )
+        result = train(corpus, vocab, cfg, out_dir=os.path.join(out_dir, name),
+                       resolved_config=resolved, run_meta=_run_meta(cfg, input_hash, vocab))
+        final, cer = result.history[-1], result.final_train_cer
+        rows.append({"run": name, **point, "epochs": final.epoch,
+                     "joint_loss": round(final.joint_loss, 6),
+                     "train_cer": None if cer is None else round(cer, 6)})
         if not args.quiet:
-            print(f"{name}: joint={final.joint_loss:.4f} cer={result.final_train_cer}")
+            print(f"{name}: joint={final.joint_loss:.4f} cer={cer}")
 
     header = ["run", *keys, "epochs", "joint_loss", "train_cer"]
     table_path = os.path.join(out_dir, "comparison.tsv")

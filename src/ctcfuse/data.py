@@ -168,13 +168,13 @@ def parse_features(blob: bytes, path) -> np.ndarray:
 # -- manifest ----------------------------------------------------------------
 
 
-def read_manifest(path) -> tuple[bytes, list[tuple[str, str, int, str]]]:
-    """A manifest's bytes and ``(utt_id, feature_path, num_frames, transcript)`` per line.
+def read_manifest(path) -> tuple[bytes, list[tuple[int, str, str, int, str]]]:
+    """A manifest's bytes and ``(line_no, utt_id, feature_path, num_frames, transcript)`` tuples.
 
     Lines are ``utt_id<TAB>feature_path<TAB>num_frames<TAB>transcript``;
-    blank lines are skipped. Relative feature paths come back resolved
-    against the manifest's directory, unchecked: only :func:`load_corpus`
-    needs the files to exist.
+    blank lines are skipped and no id may repeat. Relative feature paths
+    come back resolved against the manifest's directory, unchecked: only
+    :func:`load_corpus` needs the files to exist.
     """
     if not os.path.exists(path):
         raise DataError(f"manifest not found: {path}")
@@ -182,6 +182,7 @@ def read_manifest(path) -> tuple[bytes, list[tuple[str, str, int, str]]]:
         blob = fh.read()
     base = os.path.dirname(os.path.abspath(path))
     entries = []
+    seen = {}  # utterance id -> line
     for line_no, line in enumerate(_decode_text(blob, path).split("\n"), start=1):
         if not line:
             continue
@@ -195,7 +196,9 @@ def read_manifest(path) -> tuple[bytes, list[tuple[str, str, int, str]]]:
             raise DataError(
                 f"{path}:{line_no}: frame count {num_frames!r} is not an integer"
             ) from None
-        entries.append((utt_id, os.path.join(base, feat_path), frames, transcript))
+        if seen.setdefault(utt_id, line_no) != line_no:
+            raise DataError(f"{path}:{line_no}: id {utt_id!r} repeats line {seen[utt_id]}")
+        entries.append((line_no, utt_id, os.path.join(base, feat_path), frames, transcript))
     return blob, entries
 
 
@@ -203,8 +206,9 @@ def load_corpus(manifest, vocab_path=None) -> tuple[Vocabulary, list[Utterance],
     """Vocabulary, utterances and input content hash of a manifest; each file is read once.
 
     The vocabulary is the file ``vocab_path`` if given, else built from the
-    transcripts. Frame counts are cross-checked against the feature files.
-    The hash is the SHA-256 of the manifest's bytes, then each feature file's in order.
+    transcripts. Frame counts are cross-checked against the feature files,
+    and every feature file must have the first one's width. The hash is the
+    SHA-256 of the manifest's bytes, then each feature file's in order.
     """
     blob, entries = read_manifest(manifest)
     digest = hashlib.sha256(blob)
@@ -213,7 +217,7 @@ def load_corpus(manifest, vocab_path=None) -> tuple[Vocabulary, list[Utterance],
     else:
         vocab = build_vocab(transcript for *_, transcript in entries)
     utterances = []
-    for utt_id, feat_path, num_frames, transcript in entries:
+    for line_no, utt_id, feat_path, num_frames, transcript in entries:
         if not os.path.exists(feat_path):
             raise DataError(f"utterance {utt_id}: missing feature file {feat_path}")
         with open(feat_path, "rb") as fh:
@@ -224,6 +228,11 @@ def load_corpus(manifest, vocab_path=None) -> tuple[Vocabulary, list[Utterance],
             raise DataError(
                 f"utterance {utt_id}: manifest says {num_frames} frames, "
                 f"file has {features.shape[0]}"
+            )
+        if utterances and features.shape[1] != utterances[0].features.shape[1]:
+            raise DataError(
+                f"{manifest}:{line_no}: utterance {utt_id} has features {features.shape[1]} "
+                f"wide, the first utterance {utterances[0].features.shape[1]}"
             )
         utterances.append(
             Utterance(utt_id=utt_id, features=features, transcript=vocab.tokenize(transcript))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class DecodeConfig:
             raise ValueError("beam must be >= 1")
         if not 0.0 <= self.lambda_dec <= 1.0:
             raise ValueError("lambda_dec must lie in [0, 1]")
-        if not self.max_len_factor > 0:  # also rejects nan
-            raise ValueError("max_len_factor must be positive")
+        if not 0.0 < self.max_len_factor < float("inf"):  # also rejects nan
+            raise ValueError("max_len_factor must be positive and finite")
 
 
 def _posterior(model: Model, enc: EncoderOutput, vocab: Vocabulary) -> CtcPosterior:
@@ -72,7 +73,8 @@ def attention_beam_decode(
         ne_memory = None
         if model.uses_ne_memory:
             ne_memory = _ne_memory_for(model, _posterior(model, enc, vocab), vocab)
-        max_len = max(1, int(round(cfg.max_len_factor * int(enc.lengths[0]))))
+        # a finite factor times the frame count can still overflow to inf
+        max_len = max(1, round(min(cfg.max_len_factor * int(enc.lengths[0]), sys.maxsize)))
         cache = DecoderCache()
 
         # (tokens, raw log-prob, finished, cache row of the live parent);

@@ -43,7 +43,7 @@ class ModelConfig:
     decoder_layers: int = 2
     ne_layers: int = 1
     vocab_size: int = 20
-    dropout: float = 0.1
+    dropout: float = 0.0
     subsample_factor: int = 4
     feature_dim: int = 8
 
@@ -74,6 +74,7 @@ class ModelConfig:
             decoder_layers=6,
             ne_layers=2,
             vocab_size=vocab_size,
+            dropout=0.1,
             feature_dim=feature_dim,
         )
 
@@ -88,7 +89,6 @@ class ModelConfig:
             decoder_layers=2,
             ne_layers=1,
             vocab_size=vocab_size,
-            dropout=0.0,
             feature_dim=feature_dim,
         )
 

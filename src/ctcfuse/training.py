@@ -88,20 +88,9 @@ def desk_train_config(
     feature_dim: int = 8,
 ) -> TrainConfig:
     """Desk-scale defaults: small model, dropout off, method-matched gating."""
-    model_cfg = ModelConfig(vocab_size=vocab_size, feature_dim=feature_dim, dropout=0.0)
-    if method == METHOD_FUSION:
-        fusion = FusionConfig(method=method, alpha=0.5)
-        gating = GatingConfig(mode="absolute", t_l=2)
-    elif method == METHOD_ALIGNED:
-        fusion = FusionConfig(method=method, alpha=0.5)
-        gating = GatingConfig(mode="relative", t_r=0.15)
-    elif method == METHOD_NBEST:
-        fusion = FusionConfig(method=method, n=3, beam_width=5)
-        gating = GatingConfig()
-    else:
-        fusion = FusionConfig()
-        gating = GatingConfig()
-    return TrainConfig(model=model_cfg, fusion=fusion, gating=gating, seed=seed)
+    model_cfg = ModelConfig(vocab_size=vocab_size, feature_dim=feature_dim)
+    gating = GatingConfig(mode="relative") if method == METHOD_ALIGNED else GatingConfig()
+    return TrainConfig(model=model_cfg, fusion=FusionConfig(method=method), gating=gating, seed=seed)
 
 
 @dataclass

@@ -14,7 +14,7 @@ import pytest
 
 import ctcfuse
 from ctcfuse.cli import _apply_grid_point, main
-from ctcfuse.data import build_vocab, load_vocab_file, write_features
+from ctcfuse.data import SynthConfig, build_vocab, load_vocab_file, synth_corpus, write_features
 from ctcfuse.model import FusionConfig, Model, ModelConfig
 from ctcfuse.tensor import load_tensors, save_tensors
 from ctcfuse.training import Adam, TrainConfig, save_checkpoint
@@ -306,7 +306,7 @@ class TestTrain:
         ]
         payload = json.loads(base_config.read_text())
         payload["train"]["lr_base"] = 1e300
-        vocab, corpus, cfg, _, _ = resolve_run_config(payload)
+        vocab, corpus, _, [(cfg, _)] = resolve_run_config(payload)
         with pytest.raises(NumericError):
             train(corpus, vocab, cfg, out_dir=str(out))
         assert sorted(os.listdir(out)) == ["metrics.jsonl", "train.log"]
@@ -425,6 +425,8 @@ class TestDecodeEval:
             ("eval", "--beam", "0"),
             ("eval", "--max-len-factor", "0"),
             ("eval", "--max-len-factor", "nan"),
+            ("decode", "--max-len-factor", "inf"),
+            ("eval", "--max-len-factor", "inf"),
         ],
     )
     def test_bad_decode_flag_is_usage_error(self, trained, corpus_dir, capsys, command, flag, value):
@@ -444,21 +446,24 @@ class TestInputReads:
     """A command that loads a corpus opens its manifest and each feature file once."""
 
     @pytest.mark.parametrize(
-        "command", ["train", "train_with_vocab", "decode", "eval_ckpt", "eval_hyp"]
+        "command", ["train", "train_with_vocab", "decode", "eval_ckpt", "eval_hyp", "sweep"]
     )
     def test_each_input_file_is_opened_once(
         self, base_config, trained, corpus_dir, tmp_path, monkeypatch, command
     ):
         manifest = corpus_dir / "manifest.tsv"
         rows = [l.split("\t") for l in manifest.read_text().splitlines()]
-        if command.startswith("train"):
+        if command.startswith("train") or command == "sweep":
             payload = json.loads(base_config.read_text())
             payload["train"]["epochs"] = 1
             if command == "train":
                 del payload["data"]["vocab"]
             config = tmp_path / "run.json"
             config.write_text(json.dumps(payload))
-            argv = ["train", "--config", str(config), "--out", str(tmp_path / "run"), "--quiet"]
+            argv = [command.split("_")[0], "--config", str(config),
+                    "--out", str(tmp_path / "run"), "--quiet"]
+            if command == "sweep":  # a 2x2 grid: four runs over one corpus
+                argv += ["--grid", "alpha=0.3,0.7", "method=embed_fusion,aligned_fusion"]
         elif command == "eval_hyp":
             hyp = tmp_path / "perfect.tsv"
             hyp.write_text("".join(f"{r[0]}\t0.0\t{' '.join(r[3])}\n" for r in rows))
@@ -692,16 +697,18 @@ class TestDataErrors:
         assert f"{vocab}: vocabulary repeats token 'a'" in one_data_error(capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["decode", "eval"])
-    def test_too_short_utterance(
-        self, trained, corpus_dir, tmp_path, capsys, monkeypatch, command
-    ):
+    @pytest.fixture
+    def never_decode(self, monkeypatch):
+        """Fails the test if any utterance is decoded."""
         from ctcfuse import decode
 
         def never(*args, **kwargs):
             raise AssertionError("decoded before every utterance was checked")
 
         monkeypatch.setattr(decode, "attention_beam_decode", never)
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_too_short_utterance(self, trained, corpus_dir, tmp_path, capsys, never_decode, command):
         short = tmp_path / "short.feat"
         write_features(short, np.zeros((3, 4), dtype=np.float32))
         manifest = edited_manifest(
@@ -713,6 +720,65 @@ class TestDataErrors:
         )
         assert code == 2
         assert "utterance tiny" in one_data_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_features_wider_than_the_model(
+        self, trained, corpus_dir, tmp_path, capsys, never_decode, command
+    ):
+        wide = tmp_path / "wide"
+        code = run_cli("synth", "--out", str(wide), "--vocab-size", "4", "--count", "2",
+                       "--feature-dim", "8")
+        assert code == 0
+        code = run_cli(
+            command, "--ckpt", str(trained / "model.ckpt"),
+            "--manifest", str(wide / "manifest.tsv"), "--vocab", str(corpus_dir / "vocab.txt"),
+        )
+        assert code == 2
+        msg = one_data_error(capsys.readouterr().err)
+        assert "utterance synth-00000" in msg and "8 wide" in msg
+
+    def test_train_on_too_short_synth_utterance(self, base_config, tmp_path, capsys):
+        synth = {"vocab_size": 4, "count": 20, "min_len": 1, "max_len": 2,
+                 "min_frames_per_token": 1, "max_frames_per_token": 2, "feature_dim": 4}
+        _, corpus = synth_corpus(SynthConfig(**synth))
+        short = [u.utt_id for u in corpus if u.num_frames < 4]
+        assert short  # the model subsamples by 4
+        payload = json.loads(base_config.read_text())
+        payload["data"] = {"synth": synth}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(config), "--out", str(out)) == 2
+        assert f"utterance {short[0]}:" in one_data_error(capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_eval_hyp_manifest_that_repeats_an_id(self, corpus_dir, tmp_path, capsys):
+        manifest = edited_manifest(corpus_dir, tmp_path, 2, lambda row: ["synth-00000", *row[1:]])
+        rows = [l.split("\t") for l in manifest.read_text().splitlines()]
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text("".join(f"{r[0]}\t0.0\t{' '.join(r[3])}\n" for r in rows))
+        assert run_cli("eval", "--hyp", str(hyp), "--manifest", str(manifest)) == 2
+        msg = one_data_error(capsys.readouterr().err)
+        assert f"{manifest}:2:" in msg and "synth-00000" in msg
+
+    def test_train_manifest_with_mixed_feature_widths(
+        self, base_config, corpus_dir, tmp_path, capsys
+    ):
+        wide = tmp_path / "wide.feat"
+
+        def widen(row):
+            write_features(wide, np.zeros((int(row[2]), 8), dtype=np.float32))
+            return [row[0], str(wide), *row[2:]]
+
+        manifest = edited_manifest(corpus_dir, tmp_path, 5, widen)
+        payload = json.loads(base_config.read_text())
+        payload["data"]["manifest"] = str(manifest)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(config), "--out", str(out)) == 2
+        assert f"{manifest}:5:" in one_data_error(capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestAlign:
@@ -884,6 +950,16 @@ class TestMalformedInput:
             argv += ["--grid", "method=baseline", "--out", str(tmp_path / "sweep")]
         assert run_cli(*argv) == 1
         assert "seed" in one_error(capsys.readouterr().err, "usage")
+
+    @pytest.mark.parametrize("grid", ["alpha=0.5,1.5", "method=baseline,bogus"])
+    def test_sweep_grid_value_out_of_range_is_usage_error(
+        self, base_config, tmp_path, capsys, grid
+    ):
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--config", str(base_config), "--grid", grid, "--out", str(out))
+        assert code == 1
+        assert grid.split("=")[0] in one_error(capsys.readouterr().err, "usage")
+        assert os.listdir(out) == []  # checked before the first run
 
     def test_sweep_grid_value_not_a_number_is_usage_error(self, base_config, tmp_path, capsys):
         out = tmp_path / "sweep"

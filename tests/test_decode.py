@@ -15,6 +15,7 @@ from ctcfuse.decode import (
     format_hypothesis,
 )
 from ctcfuse.model import METHOD_NBEST, FusionConfig, Model, ModelConfig
+from ctcfuse.tensor import Tensor
 from ctcfuse.training import Adam, TrainConfig, train_epoch
 from oracles import attention_beam_reference
 
@@ -125,6 +126,22 @@ class TestAttentionBeam:
         assert len(hyp) <= 1
         if not finished:
             assert len(hyp) == 1
+
+    def test_huge_length_factor_stops_at_eos(self, setup, monkeypatch):
+        # 1e308 times the frame count overflows to inf; the cap must not raise
+        vocab, corpus, model = setup
+        calls = []
+
+        def all_mass_on_eos(self, input_emb, *args, **kwargs):
+            calls.append(input_emb.shape)
+            logits = np.full((*input_emb.shape[:2], vocab.size), -1e3)
+            logits[..., vocab.eos_id] = 0.0
+            return Tensor(logits)
+
+        monkeypatch.setattr(Model, "decoder_forward", all_mass_on_eos)
+        cfg = DecodeConfig(beam=1, max_len_factor=1e308)
+        hyp, _, finished = attention_beam_decode(corpus[0].features, model, cfg, vocab)
+        assert (hyp, finished, len(calls)) == ((), True, 1)
 
 
 @pytest.fixture(scope="module")
