@@ -150,21 +150,24 @@ def resolve_run_config(payload: dict, seed_override: int | None = None, points=(
     for point in points:
         try:
             run = _apply_grid_point(payload, point)
-        except ValueError as err:  # a numeric grid value that is not a number
-            raise UsageError(f"grid value: {err}") from None
-        fusion_cfg = _build_dataclass(FusionConfig, run["fusion"], "fusion")
-        gating_cfg = _build_dataclass(GatingConfig, run["gating"], "gating")
-        train_sec = run["train"]
-        reserved = sorted(set(train_sec) & _NESTED_TRAIN_KEYS)
-        if reserved:
-            raise UsageError(f"train section must not nest: {', '.join(reserved)}")
-        if seed_override is not None:
-            train_sec["seed"] = seed_override
-        train_cfg = _build_dataclass(
-            TrainConfig,
-            {**train_sec, "model": model_cfg, "fusion": fusion_cfg, "gating": gating_cfg},
-            "train",
-        )
+            fusion_cfg = _build_dataclass(FusionConfig, run["fusion"], "fusion")
+            gating_cfg = _build_dataclass(GatingConfig, run["gating"], "gating")
+            train_sec = run["train"]
+            reserved = sorted(set(train_sec) & _NESTED_TRAIN_KEYS)
+            if reserved:
+                raise UsageError(f"train section must not nest: {', '.join(reserved)}")
+            if seed_override is not None:
+                train_sec["seed"] = seed_override
+            train_cfg = _build_dataclass(
+                TrainConfig,
+                {**train_sec, "model": model_cfg, "fusion": fusion_cfg, "gating": gating_cfg},
+                "train",
+            )
+        except (UsageError, ValueError) as err:  # ValueError: a grid value that is not a number
+            if not point:
+                raise
+            name = " ".join(f"{key}={value}" for key, value in point.items())
+            raise UsageError(f"grid point {name}: {err}") from None
         train_dict = dataclasses.asdict(train_cfg)
         nested = {key: train_dict.pop(key) for key in _NESTED_TRAIN_KEYS}
         runs.append((train_cfg, {"data": data_resolved, **nested, "train": train_dict}))
@@ -252,7 +255,7 @@ def cmd_decode(args) -> int:
 
 
 def _read_hypothesis_file(path, vocab):
-    hyps = {}
+    hyps, seen = {}, {}
     for line_no, line in enumerate(read_text(path).split("\n"), start=1):
         if not line:
             continue
@@ -260,10 +263,11 @@ def _read_hypothesis_file(path, vocab):
         if len(parts) != 3:
             raise DataError(f"{path}:{line_no}: expected utt_id<TAB>score<TAB>tokens")
         utt_id, _, tokens = parts
-        ids = tuple(
+        if seen.setdefault(utt_id, line_no) != line_no:
+            raise DataError(f"{path}:{line_no}: id {utt_id!r} repeats line {seen[utt_id]}")
+        hyps[utt_id] = tuple(
             vocab.token_to_id.get(tok, vocab.unk_id) for tok in tokens.split() if tok
         )
-        hyps[utt_id] = ids
     return hyps
 
 
@@ -388,11 +392,11 @@ def cmd_sweep(args) -> int:
     out_dir = _outdir(args)
     if not out_dir:
         raise UsageError("sweep needs --out (or CTCFUSE_OUTDIR)")
-    os.makedirs(out_dir, exist_ok=True)
     keys = sorted(grid)
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-    # every grid point is checked before the first run starts
+    # every grid point is checked before the first run starts or --out is made
     vocab, corpus, input_hash, runs = resolve_run_config(payload, args.seed, points)
+    os.makedirs(out_dir, exist_ok=True)
 
     rows = []
     for point, (cfg, resolved) in zip(points, runs):

@@ -35,10 +35,6 @@ class CtcPosterior:
             raise ValueError("blank id outside the posterior vocabulary")
         _check_distribution(self.log_probs)
 
-    @property
-    def num_frames(self) -> int:
-        return self.log_probs.shape[0]
-
 
 def _check_distribution(log_probs: np.ndarray) -> None:
     """Reject rows (last axis) that do not exponentiate to a distribution."""

@@ -305,6 +305,8 @@ class SynthConfig:
             raise DataError("corpus count must be >= 1")
         if self.feature_dim < 1:
             raise DataError("feature_dim must be >= 1")
+        if not 0.0 <= self.noise < np.inf:
+            raise DataError("noise must be a finite number >= 0")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
 
@@ -357,24 +359,11 @@ def desk_synth_config(seed: int = 7) -> SynthConfig:
 # -- batching -----------------------------------------------------------------
 
 
-def make_batches(
-    corpus: list[Utterance],
-    batch_size: int,
-    policy: str = "shuffle",
-    seed: int = 0,
-) -> list[Batch]:
-    """Deterministic batch assembly; frames are padded with 0.0."""
+def make_batches(corpus: list[Utterance], batch_size: int, seed: int = 0) -> list[Batch]:
+    """The corpus in ``seed``'s shuffled order, cut into batches; frames are padded with 0.0."""
     if not corpus:
         raise DataError("cannot batch an empty corpus")
-    if policy not in ("none", "shuffle", "sort"):
-        raise DataError(f"unknown batching policy {policy!r}")
-    order = list(range(len(corpus)))
-    if policy == "shuffle":
-        rng = np.random.default_rng(seed)
-        order = list(rng.permutation(len(corpus)))
-    elif policy == "sort":
-        order.sort(key=lambda i: (corpus[i].num_frames, corpus[i].utt_id))
-
+    order = np.random.default_rng(seed).permutation(len(corpus))
     batches = []
     for start in range(0, len(order), batch_size):
         group = [corpus[i] for i in order[start : start + batch_size]]

@@ -68,8 +68,7 @@ def attention_beam_decode(
     """
     model.train(False)
     with tz.inference():
-        feats = np.asarray(features, dtype=np.float64)
-        enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
+        enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
         ne_memory = None
         if model.uses_ne_memory:
             ne_memory = _ne_memory_for(model, _posterior(model, enc, vocab), vocab)
@@ -143,8 +142,7 @@ def ctc_rescore_decode(
     """
     model.train(False)
     with tz.inference():
-        feats = np.asarray(features, dtype=np.float64)
-        enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
+        enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
         post = _posterior(model, enc, vocab)
         nbest = prefix_beam_nbest(post, cfg.beam, cfg.beam)
         ne_memory = _ne_memory_for(model, post, vocab) if model.uses_ne_memory else None
@@ -183,7 +181,7 @@ def decode_utterance(
 def ctc_nbest(utt: Utterance, model: Model, vocab: Vocabulary, beam: int, n: int) -> NBestList:
     """The CTC prefix-beam N-best of ``utt``; a non-finite value is named as in decoding."""
     with _numeric_failure_names(utt), tz.inference():
-        enc = model.encode(utt.features[None].astype(np.float64), np.array([utt.num_frames]))
+        enc = model.encode(utt.features[None], np.array([utt.num_frames]))
         return prefix_beam_nbest(_posterior(model, enc, vocab), beam, n)
 
 

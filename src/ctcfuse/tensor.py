@@ -3,8 +3,9 @@
 Small tape-based engine over numpy arrays: every operation records its
 inputs and a closure that maps the upstream gradient to per-input
 gradients. ``backward`` walks the recorded graph in reverse topological
-order. Inside :func:`inference` no graph is recorded. Float64 is the
-default precision; float32 arrays are accepted and kept as-is.
+order. Inside :func:`inference` no graph is recorded. Every tensor holds
+float64: the constructor converts whatever it is given, float32 feature
+matrices included.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-_FLOAT_DTYPES = (np.float32, np.float64)
 
 
 class NumericError(Exception):
@@ -40,15 +39,6 @@ def inference():
         yield
     finally:
         _recording.reset(token)
-
-
-def _as_array(data, dtype=None) -> np.ndarray:
-    if dtype is not None:
-        return np.asarray(data, dtype=dtype)
-    arr = np.asarray(data)
-    if arr.dtype not in _FLOAT_DTYPES:
-        arr = arr.astype(np.float64)
-    return arr
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -75,8 +65,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_done")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -126,7 +116,7 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=self.data.dtype))
+        return other if isinstance(other, Tensor) else Tensor(other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -231,11 +221,6 @@ class Tensor:
 
         return Tensor._result(np.asarray(out), (a,), grad_fn)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        a = self
-        count = a.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
-        return a.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
-
     # -- backward ------------------------------------------------------
 
     def backward(self) -> None:
@@ -324,11 +309,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         )
 
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tensors, grad_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-    return Tensor._result(out_data, (a,), lambda g: (g * out_data,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -441,7 +421,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, pad: int = 
     hp, wp = h + 2 * pad, w + 2 * pad
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    xp = np.zeros((b, cin, hp, wp), dtype=x.data.dtype)
+    xp = np.zeros((b, cin, hp, wp))
     xp[:, :, pad : pad + h, pad : pad + w] = x.data
     idx = _window_index(h, w, kh, kw, stride, pad)
     # cols: [B, Ho*Wo, Cin*kh*kw]
@@ -461,7 +441,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, pad: int = 
             # col2im: each kernel offset adds its window values into the
             # padded plane as one strided slice
             gcols = (gmat @ wmat).reshape(b, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-            gxp = np.zeros((b, cin, hp, wp), dtype=g.dtype)
+            gxp = np.zeros((b, cin, hp, wp))
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
@@ -597,8 +577,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     return out
 
 
-def parameter(shape: Iterable[int], rng: np.random.Generator, scale: float | None = None,
-              dtype=np.float64) -> Tensor:
+def parameter(shape: Iterable[int], rng: np.random.Generator, scale: float | None = None) -> Tensor:
     """Trainable tensor with uniform Glorot-style init (or explicit scale)."""
     shape = tuple(shape)
     if scale is None:
@@ -610,5 +589,4 @@ def parameter(shape: Iterable[int], rng: np.random.Generator, scale: float | Non
         else:
             fan_in = fan_out = shape[0]
         scale = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    data = rng.uniform(-scale, scale, size=shape).astype(dtype)
-    return Tensor(data, requires_grad=True)
+    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)

@@ -262,18 +262,15 @@ def compute_ctc_hypotheses(
     """Fresh per-utterance hypotheses from the current posterior (detached).
 
     Greedy 1-best for the fusion methods, prefix-beam N-best for the
-    memory method, None per utterance for the baseline.
+    memory method, None per utterance for the baseline, which builds no
+    posterior at all.
     """
-    out = []
-    for i in range(log_probs.shape[0]):
-        post = CtcPosterior(log_probs[i, : lengths[i]], blank_id)
-        if fusion.method in (METHOD_FUSION, METHOD_ALIGNED):
-            out.append(greedy_1best(post))
-        elif fusion.method == METHOD_NBEST:
-            out.append(prefix_beam_nbest(post, fusion.beam_width, fusion.n))
-        else:
-            out.append(None)
-    return out
+    if fusion.method == METHOD_BASELINE:
+        return [None] * log_probs.shape[0]
+    posts = [CtcPosterior(log_probs[i, : lengths[i]], blank_id) for i in range(log_probs.shape[0])]
+    if fusion.method == METHOD_NBEST:
+        return [prefix_beam_nbest(post, fusion.beam_width, fusion.n) for post in posts]
+    return [greedy_1best(post) for post in posts]
 
 
 def _fit_length(seq, target_len: int, pad_id: int) -> list[int]:

@@ -366,7 +366,7 @@ def test_criterion_6_fusion_degeneracy(desk):
     model_ef = Model(model_cfg, ef_fusion, seed=77)
     model_base = Model(model_cfg, FusionConfig(), seed=77)
 
-    batches = make_batches(corpus, 8, policy="shuffle", seed=5)[:5]
+    batches = make_batches(corpus, 8, seed=5)[:5]
     worst = 0.0
     for batch in batches:
         losses = []

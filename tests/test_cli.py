@@ -761,6 +761,16 @@ class TestDataErrors:
         msg = one_data_error(capsys.readouterr().err)
         assert f"{manifest}:2:" in msg and "synth-00000" in msg
 
+    def test_eval_hyp_file_that_repeats_an_id(self, corpus_dir, tmp_path, capsys):
+        manifest = corpus_dir / "manifest.tsv"
+        rows = [l.split("\t") for l in manifest.read_text().splitlines()]
+        lines = [f"{r[0]}\t0.0\t{' '.join(r[3])}\n" for r in rows]
+        hyp = tmp_path / "hyp.tsv"
+        hyp.write_text("".join(lines) + f"{rows[1][0]}\t0.0\t\n")  # a second, empty line for row 1
+        assert run_cli("eval", "--hyp", str(hyp), "--manifest", str(manifest)) == 2
+        msg = one_data_error(capsys.readouterr().err)
+        assert f"{hyp}:{len(rows) + 1}:" in msg and rows[1][0] in msg and msg.endswith(" line 2")
+
     def test_train_manifest_with_mixed_feature_widths(
         self, base_config, corpus_dir, tmp_path, capsys
     ):
@@ -888,10 +898,17 @@ class TestMalformedInput:
         assert run_cli("train", "--config", str(config)) == 1
         assert "pos_encoding" in one_error(capsys.readouterr().err, "usage")
 
-    @pytest.mark.parametrize("flag", ["--seed", "--feature-dim"])
+    @pytest.mark.parametrize("flag", ["--seed", "--feature-dim", "--noise"])
     def test_negative_synth_flag_is_data_error(self, tmp_path, capsys, flag):
         assert run_cli("synth", "--out", str(tmp_path / "c"), "--count", "1", flag, "-1") == 2
         assert flag[2:].replace("-", "_") in one_data_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_synth_noise_is_data_error(self, tmp_path, capsys, value):
+        out = tmp_path / "c"
+        assert run_cli("synth", "--out", str(out), "--count", "1", "--noise", value) == 2
+        assert "noise" in one_data_error(capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["stats", "--manifest", ""], ["stats", "--text", ""]])
     def test_empty_path_is_data_error(self, capsys, argv):
@@ -958,8 +975,11 @@ class TestMalformedInput:
         out = tmp_path / "sweep"
         code = run_cli("sweep", "--config", str(base_config), "--grid", grid, "--out", str(out))
         assert code == 1
-        assert grid.split("=")[0] in one_error(capsys.readouterr().err, "usage")
-        assert os.listdir(out) == []  # checked before the first run
+        msg = one_error(capsys.readouterr().err, "usage")
+        assert grid.split("=")[0] in msg
+        assert not out.exists()  # checked before the first run
+        key, values = grid.split("=")
+        assert f"grid point {key}={values.split(',')[-1]}: " in msg
 
     def test_sweep_grid_value_not_a_number_is_usage_error(self, base_config, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -968,7 +988,7 @@ class TestMalformedInput:
         )
         assert code == 1
         assert "'x'" in one_error(capsys.readouterr().err, "usage")
-        assert os.listdir(out) == []  # checked before the first run
+        assert not out.exists()  # checked before the first run
 
     @pytest.mark.parametrize(
         "text",

@@ -200,21 +200,21 @@ class TestBatches:
         self.vocab, self.corpus = synth_corpus(SynthConfig(seed=11, count=5))
 
     def test_sizes_2_2_1(self):
-        batches = make_batches(self.corpus, 2, policy="none")
+        batches = make_batches(self.corpus, 2)
         assert [b.size for b in batches] == [2, 2, 1]
 
     def test_same_seed_same_order(self):
-        a = make_batches(self.corpus, 2, policy="shuffle", seed=4)
-        b = make_batches(self.corpus, 2, policy="shuffle", seed=4)
+        a = make_batches(self.corpus, 2, seed=4)
+        b = make_batches(self.corpus, 2, seed=4)
         assert [x.utt_ids for x in a] == [x.utt_ids for x in b]
 
     def test_partition_preserves_ids(self):
-        batches = make_batches(self.corpus, 2, policy="shuffle", seed=1)
+        batches = make_batches(self.corpus, 2, seed=1)
         ids = sorted(i for b in batches for i in b.utt_ids)
         assert ids == sorted(u.utt_id for u in self.corpus)
 
     def test_padding_content_and_mask(self):
-        batches = make_batches(self.corpus, 5, policy="sort")
+        batches = make_batches(self.corpus, 5)
         batch = batches[0]
         for row, utt_id in enumerate(batch.utt_ids):
             utt = next(u for u in self.corpus if u.utt_id == utt_id)

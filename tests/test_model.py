@@ -85,6 +85,15 @@ class TestEncode:
         b = model.encode(feats, np.array([8])).h_s.data
         assert a.tobytes() == b.tobytes()
 
+    def test_float32_features_encode_like_their_float64_values(self):
+        # feature files hold float32; the tensor layer computes in float64
+        model = toy_model()
+        feats = random_features(np.random.default_rng(4), 2, 9).astype(np.float32)
+        a = model.encode(feats, np.array([9, 7])).h_s.data
+        b = model.encode(feats.astype(np.float64), np.array([9, 7])).h_s.data
+        assert a.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
     def test_too_short_input_rejected(self):
         model = toy_model()
         feats = np.zeros((1, 3, 4))
@@ -176,7 +185,7 @@ class TestFusion:
             gating=GatingConfig(mode="absolute", t_l=1),
         )
         model = Model(cfg.model, cfg.fusion, seed=0)
-        batch = make_batches(corpus, len(corpus), policy="none")[0]
+        batch = make_batches(corpus, len(corpus))[0]
         batch.transcripts[:] = transcripts
         enc_lengths = np.full(len(transcripts), 20)
         dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc_lengths)

@@ -230,6 +230,14 @@ class TestOps:
         b = T.log_softmax(Tensor(x), axis=-1).data
         assert a.tobytes() == b.tobytes()
 
+    def test_every_tensor_holds_float64(self):
+        x = np.array([[0.1, 1.0 / 3.0]], dtype=np.float32)
+        t = Tensor(x)
+        assert t.data.dtype == np.float64
+        assert t.data.tobytes() == x.astype(np.float64).tobytes()
+        assert Tensor([1, 2]).data.dtype == np.float64
+        assert (t + 1).data.dtype == np.float64
+
     def test_non_finite_forward_raises(self):
         with pytest.raises(FloatingPointError):
             T.log(Tensor([0.0]))

@@ -158,7 +158,7 @@ class TestBuildDecoderInput:
     def test_baseline_rows_and_stats(self):
         vocab, corpus, cfg = tiny_setup()
         model = Model(cfg.model, cfg.fusion, seed=0)
-        batches = tr.make_batches(corpus, 4, policy="none")
+        batches = tr.make_batches(corpus[:4], 4)
         batch = batches[0]
         enc_lengths = np.array([u // 4 + 2 for u in batch.feat_lengths])
         dec = build_decoder_input(batch, model, cfg, vocab, [None] * batch.size, enc_lengths)
@@ -176,7 +176,7 @@ class TestBuildDecoderInput:
         a, b, c = 4, 5, 6
         utt = corpus[0]
         utt = dataclasses.replace(utt, transcript=(a, b, c, a)) if dataclasses.is_dataclass(utt) else utt
-        batch = tr.make_batches([utt], 1, policy="none")[0]
+        batch = tr.make_batches([utt], 1)[0]
         batch.transcripts[0] = (a, b, c, a)
         dec = build_decoder_input(
             batch, model, cfg, vocab, [(a, c, a)], np.array([10])
@@ -192,7 +192,7 @@ class TestBuildDecoderInput:
         vocab, corpus, cfg = tiny_setup(method=METHOD_ALIGNED, alpha=0.5)
         model = Model(cfg.model, cfg.fusion, seed=0)
         a, b = 4, 5
-        batch = tr.make_batches([corpus[0]], 1, policy="none")[0]
+        batch = tr.make_batches([corpus[0]], 1)[0]
         batch.transcripts[0] = (a, b)
         # hypothesis inserts an extra token: reference side gets a blank target
         dec = build_decoder_input(batch, model, cfg, vocab, [(a, 6, b)], np.array([10]))
@@ -203,7 +203,7 @@ class TestBuildDecoderInput:
     def test_fusion_pathways_and_fitting(self):
         vocab, corpus, cfg = tiny_setup(method=METHOD_FUSION, alpha=0.5)
         model = Model(cfg.model, cfg.fusion, seed=0)
-        batch = tr.make_batches(corpus[:3], 3, policy="none")[0]
+        batch = tr.make_batches(corpus[:3], 3)[0]
         y0, y1, y2 = batch.transcripts
         hyps = [
             tuple(y0),                     # equal length -> fuse
@@ -220,11 +220,20 @@ class TestBuildDecoderInput:
     def test_unreachable_forced_to_ground_truth(self):
         vocab, corpus, cfg = tiny_setup(method=METHOD_FUSION)
         model = Model(cfg.model, cfg.fusion, seed=0)
-        batch = tr.make_batches([corpus[0]], 1, policy="none")[0]
+        batch = tr.make_batches([corpus[0]], 1)[0]
         y = batch.transcripts[0]
         dec = build_decoder_input(batch, model, cfg, vocab, [tuple(y)], np.array([1]))
         assert dec.pathway_counts["ground_truth_only"] == 1
         assert dec.ctc_reachable == [False]
+
+
+    def test_baseline_builds_no_posterior(self):
+        # rows that exponentiate to no distribution: a CtcPosterior would reject them
+        log_probs, lengths = np.zeros((3, 5, 7)), np.array([5, 4, 2])
+        baseline, fusion = FusionConfig(method=METHOD_BASELINE), FusionConfig(method=METHOD_FUSION)
+        assert compute_ctc_hypotheses(log_probs, lengths, baseline, 0) == [None] * 3
+        with pytest.raises(ValueError, match="distribution"):
+            compute_ctc_hypotheses(log_probs, lengths, fusion, 0)
 
 
 class TestFusionDegeneracy:
@@ -237,7 +246,7 @@ class TestFusionDegeneracy:
 
         model_a = Model(model_cfg, cfg_ef.fusion, seed=11)
         model_b = Model(model_cfg, cfg_base.fusion, seed=11)
-        batch = tr.make_batches(corpus, 4, policy="none")[0]
+        batch = tr.make_batches(corpus[:4], 4)[0]
         # hypotheses of matching length so every utterance gates to fuse
         hyps = [tuple(4 for _ in y) for y in batch.transcripts]
 
@@ -316,7 +325,7 @@ class TestTrainingLoop:
         cfg = dataclasses.replace(cfg, ctc_weight=1.0)
         model = Model(cfg.model, cfg.fusion, seed=0)
         opt = Adam(model.params, cfg)
-        batch = tr.make_batches(corpus, 4, policy="none")[0]
+        batch = tr.make_batches(corpus[:4], 4)[0]
         model.train(True)
         model.rng = np.random.default_rng(0)
         enc = model.encode(batch.features, batch.feat_lengths)
