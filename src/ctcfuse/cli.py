@@ -348,7 +348,11 @@ def _parse_grid(items: list[str]) -> dict[str, list[str]]:
         key, _, values = item.partition("=")
         if key not in _SWEEP_KEYS:
             raise UsageError(f"unknown grid key {key!r}; allowed: {', '.join(_SWEEP_KEYS)}")
+        if key in grid:
+            raise UsageError(f"grid key {key!r} given twice")
         grid[key] = values.split(",")
+        if len(set(grid[key])) < len(grid[key]):
+            raise UsageError(f"grid key {key!r} repeats a value in {values!r}")
     if not grid:
         raise UsageError("sweep needs at least one --grid key=v1,v2")
     return grid
@@ -424,7 +428,7 @@ def cmd_sweep(args) -> int:
 _REPORT_FIELDS = {
     "epoch": int,
     "joint_loss": float,
-    "ctc_loss": float,
+    "ctc_loss": (float, type(None)),  # null: no utterance of the epoch was CTC-reachable
     "att_loss": float,
     "blanks_inserted": int,
     "train_cer": (float, type(None)),
@@ -448,7 +452,9 @@ def cmd_report(args) -> int:
             raise DataError(f"{where}: not a JSON record: {err}") from None
         if not isinstance(rec, dict):
             raise DataError(f"{where}: not a JSON object")
-        bad = [key for key, kind in _REPORT_FIELDS.items() if not isinstance(rec.get(key), kind)]
+        rec.setdefault("train_cer", None)  # the one field a record may leave out
+        bad = [key for key, kind in _REPORT_FIELDS.items()
+               if key not in rec or not isinstance(rec[key], kind)]
         if bad:
             raise DataError(f"{where}: missing or mistyped {', '.join(bad)}")
         records.append(rec)
@@ -458,9 +464,10 @@ def cmd_report(args) -> int:
     header = f"{'epoch':>5} {'joint':>9} {'ctc':>9} {'att':>9} {'blanks':>7} {'cer':>7}"
     lines = [header]
     for rec in records:
-        cer = rec.get("train_cer")
+        ctc, cer = rec["ctc_loss"], rec["train_cer"]
         lines.append(
-            f"{rec['epoch']:5d} {rec['joint_loss']:9.4f} {rec['ctc_loss']:9.4f} "
+            f"{rec['epoch']:5d} {rec['joint_loss']:9.4f} "
+            f"{'-' if ctc is None else format(ctc, '.4f'):>9} "
             f"{rec['att_loss']:9.4f} {rec['blanks_inserted']:7d} "
             f"{'-' if cer is None else format(cer, '.4f'):>7}"
         )
@@ -473,7 +480,8 @@ def cmd_report(args) -> int:
         fh.write("x,series,value\n")
         for rec in records:
             for series in ("joint_loss", "ctc_loss", "att_loss"):
-                fh.write(f"{rec['epoch']},{series},{rec[series]}\n")
+                if rec[series] is not None:
+                    fh.write(f"{rec['epoch']},{series},{rec[series]}\n")
     blanks_csv = os.path.join(out_dir, "blanks.csv")
     with open(blanks_csv, "w", encoding="utf-8") as fh:
         fh.write("x,series,value\n")
@@ -552,7 +560,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="grid of training runs plus a comparison table")
     p.add_argument("--config", required=True)
-    p.add_argument("--grid", nargs="+", required=True, metavar="key=v1,v2")
+    p.add_argument("--grid", nargs="+", action="extend", required=True, metavar="key=v1,v2")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--quiet", action="store_true")

@@ -344,15 +344,7 @@ def synth_corpus(cfg: SynthConfig) -> tuple[Vocabulary, list[Utterance]]:
 def desk_synth_config(seed: int = 7) -> SynthConfig:
     """Default desk-scale corpus: enough frames per token to survive 4x subsampling."""
     return SynthConfig(
-        vocab_size=16,
-        count=200,
-        min_len=3,
-        max_len=6,
-        min_frames_per_token=8,
-        max_frames_per_token=12,
-        noise=0.08,
-        feature_dim=8,
-        seed=seed,
+        max_len=6, min_frames_per_token=8, max_frames_per_token=12, noise=0.08, seed=seed
     )
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from ctcfuse.alignment import edit_distance
 from ctcfuse.ctc import CtcPosterior, NBestList, prefix_beam_nbest
 from ctcfuse.data import Utterance, Vocabulary, pad_id_rows
 from ctcfuse.model import DecoderCache, EncoderOutput, Model
-from ctcfuse.tensor import NumericError, Tensor
+from ctcfuse.tensor import Tensor
 
 METHOD_ATTENTION = "attention"
 METHOD_RESCORE = "ctc_rescore"
@@ -154,15 +153,6 @@ def ctc_rescore_decode(
     return candidates[best], float(combined[best])
 
 
-@contextlib.contextmanager
-def _numeric_failure_names(utt: Utterance):
-    """Turn a non-finite value while decoding ``utt`` into a NumericError naming it."""
-    try:
-        yield
-    except FloatingPointError as err:
-        raise NumericError(f"utterance {utt.utt_id}: {err}") from err
-
-
 def decode_utterance(
     utt: Utterance, model: Model, cfg: DecodeConfig, vocab: Vocabulary
 ) -> tuple[tuple[int, ...], float]:
@@ -171,7 +161,7 @@ def decode_utterance(
     A non-finite value while decoding raises :class:`NumericError` naming
     the utterance.
     """
-    with _numeric_failure_names(utt):
+    with tz.numeric_failure_names(f"utterance {utt.utt_id}"):
         if cfg.method == METHOD_ATTENTION:
             tokens, score, _ = attention_beam_decode(utt.features, model, cfg, vocab)
             return tokens, score
@@ -180,7 +170,7 @@ def decode_utterance(
 
 def ctc_nbest(utt: Utterance, model: Model, vocab: Vocabulary, beam: int, n: int) -> NBestList:
     """The CTC prefix-beam N-best of ``utt``; a non-finite value is named as in decoding."""
-    with _numeric_failure_names(utt), tz.inference():
+    with tz.numeric_failure_names(f"utterance {utt.utt_id}"), tz.inference():
         enc = model.encode(utt.features[None], np.array([utt.num_frames]))
         return prefix_beam_nbest(_posterior(model, enc, vocab), beam, n)
 

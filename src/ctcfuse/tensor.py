@@ -14,13 +14,22 @@ import math
 import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 
 class NumericError(Exception):
     """Raised when a loss, an update or a decode turns non-finite; the message says where."""
+
+
+@contextmanager
+def numeric_failure_names(where: str):
+    """Re-raise a non-finite value inside as ``NumericError(f"{where}: {err}")``."""
+    try:
+        yield
+    except (FloatingPointError, NumericError) as err:
+        raise NumericError(f"{where}: {err}") from err
 
 
 # False inside inference(): ops keep no parents or grad_fn
@@ -131,10 +140,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        a = self
-        return Tensor._result(-a.data, (a,), lambda g: (-g,))
-
     def __sub__(self, other):
         other = self._coerce(other)
         a, b = self, other
@@ -162,45 +167,14 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-
-        def grad_fn(g):
-            ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
-            return ga, gb
-
-        return Tensor._result(a.data / b.data, (a, b), grad_fn)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        a = self
-        out_data = a.data[key]
-        if np.isscalar(out_data) or out_data.ndim == 0:
-            out_data = np.asarray(out_data)
-
-        def grad_fn(g):
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, key, g)
-            return (ga,)
-
-        return Tensor._result(out_data.copy(), (a,), grad_fn)
-
     # -- shape manipulation ----------------------------------------------
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int):
         a = self
         orig = a.shape
         return Tensor._result(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
+    def transpose(self, *axes: int):
         a = self
         inv = tuple(np.argsort(axes))
         return Tensor._result(
@@ -209,17 +183,12 @@ class Tensor:
 
     # -- reductions --------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
+    def sum(self):
+        """Sum of every element, as a 0-d tensor."""
         a = self
-        out = a.data.sum(axis=axis, keepdims=keepdims)
-
-        def grad_fn(g):
-            g = np.asarray(g)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, a.shape).copy(),)
-
-        return Tensor._result(np.asarray(out), (a,), grad_fn)
+        return Tensor._result(
+            np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),)
+        )
 
     # -- backward ------------------------------------------------------
 
@@ -577,16 +546,12 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     return out
 
 
-def parameter(shape: Iterable[int], rng: np.random.Generator, scale: float | None = None) -> Tensor:
-    """Trainable tensor with uniform Glorot-style init (or explicit scale)."""
-    shape = tuple(shape)
-    if scale is None:
-        if len(shape) == 4:  # conv kernel [out_ch, in_ch, kh, kw]
-            receptive = shape[2] * shape[3]
-            fan_in, fan_out = shape[1] * receptive, shape[0] * receptive
-        elif len(shape) >= 2:
-            fan_in, fan_out = shape[0], shape[-1]
-        else:
-            fan_in = fan_out = shape[0]
-        scale = float(np.sqrt(6.0 / (fan_in + fan_out)))
+def parameter(shape: tuple, rng: np.random.Generator) -> Tensor:
+    """Trainable matrix ``[in, out]`` or conv kernel with uniform Glorot init."""
+    if len(shape) == 4:  # conv kernel [out_ch, in_ch, kh, kw]
+        receptive = shape[2] * shape[3]
+        fan_in, fan_out = shape[1] * receptive, shape[0] * receptive
+    else:
+        fan_in, fan_out = shape
+    scale = float(np.sqrt(6.0 / (fan_in + fan_out)))
     return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)

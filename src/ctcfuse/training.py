@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -97,7 +96,7 @@ def desk_train_config(
 class EpochMetrics:
     epoch: int
     joint_loss: float
-    ctc_loss: float
+    ctc_loss: float | None  # None: no utterance of the epoch was CTC-reachable
     att_loss: float
     blanks_inserted: int
     pathway_counts: dict[str, int]
@@ -448,12 +447,8 @@ def train_epoch(
     unreachable_ids: list[str] = []
     counts = {d.value: 0 for d in PathwayDecision}
     for batch_idx, batch in enumerate(batches):
-        try:
+        with tz.numeric_failure_names(f"epoch {epoch} batch {batch_idx} ({batch.utt_ids[0]}...)"):
             stats = run_training_step(batch, model, optimizer, cfg, vocab)
-        except (NumericError, FloatingPointError) as err:
-            raise NumericError(
-                f"epoch {epoch} batch {batch_idx} ({batch.utt_ids[0]}...): {err}"
-            ) from err
         totals["joint"] += stats.joint * stats.size
         totals["att"] += stats.att * stats.size
         totals["ctc"] += stats.ctc * stats.reachable
@@ -468,7 +463,7 @@ def train_epoch(
     return EpochMetrics(
         epoch=epoch,
         joint_loss=totals["joint"] / seen,
-        ctc_loss=totals["ctc"] / reachable if reachable else math.inf,
+        ctc_loss=totals["ctc"] / reachable if reachable else None,
         att_loss=totals["att"] / seen,
         blanks_inserted=blanks,
         pathway_counts=counts,
@@ -577,7 +572,8 @@ def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch)
             final_cer = metrics.train_cer
         history.append(metrics)
         line = (
-            f"epoch {epoch:3d} joint={metrics.joint_loss:.4f} ctc={metrics.ctc_loss:.4f} "
+            f"epoch {epoch:3d} joint={metrics.joint_loss:.4f} "
+            f"ctc={'-' if metrics.ctc_loss is None else f'{metrics.ctc_loss:.4f}'} "
             f"att={metrics.att_loss:.4f} blanks={metrics.blanks_inserted} "
             f"nbest_incomplete={metrics.nbest_incomplete} "
             f"ctc_unreachable={','.join(metrics.ctc_unreachable_ids) or '-'} "

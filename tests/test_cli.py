@@ -840,6 +840,16 @@ class TestSweepReport:
                          "resolved_config.json", "run_meta.json"):
                 assert (run / name).read_bytes() == (single / name).read_bytes(), name
 
+    def test_two_grid_options_add_up(self, base_config, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--config", str(base_config), "--grid", "method=baseline,embed_fusion",
+            "--grid", "alpha=0.3,0.7", "--out", str(out), "--quiet",
+        )
+        assert code == 0
+        assert len([d for d in os.listdir(out) if d.startswith("run_")]) == 4
+        assert len((out / "comparison.tsv").read_text().splitlines()) == 5  # header + 4 rows
+
     def test_sweep_rejects_unknown_key(self, base_config, tmp_path, capsys):
         assert (
             run_cli("sweep", "--config", str(base_config), "--grid", "bogus=1",
@@ -858,6 +868,31 @@ class TestSweepReport:
         assert any(line.startswith("1,joint_loss,") for line in loss)
         blanks = (run_dir / "blanks.csv").read_text().splitlines()
         assert blanks[1].startswith("1,blanks_inserted,")
+
+    def test_epoch_without_reachable_utterance_has_null_ctc_loss(self, base_config, tmp_path,
+                                                                 capsys):
+        # two frames per token subsample to fewer encoder frames than tokens
+        payload = json.loads(base_config.read_text())
+        payload["data"] = {"synth": {"vocab_size": 4, "count": 8, "min_len": 3, "max_len": 4,
+                                     "min_frames_per_token": 2, "max_frames_per_token": 2,
+                                     "feature_dim": 4}}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--config", str(config), "--out", str(run_dir), "--quiet") == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        lines = (run_dir / "metrics.jsonl").read_text().splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert [rec["ctc_loss"] for rec in records] == [None, None]
+        assert all(" ctc=- " in line for line in (run_dir / "train.log").read_text().splitlines())
+        capsys.readouterr()
+        assert run_cli("report", "--run", str(run_dir)) == 0
+        rows = capsys.readouterr().out.splitlines()[1:3]
+        assert [row.split()[2] for row in rows] == ["-", "-"]
+        assert ",ctc_loss," not in (run_dir / "loss.csv").read_text()
 
     def test_report_missing_metrics_is_data_error(self, tmp_path, capsys):
         assert run_cli("report", "--metrics", str(tmp_path / "none.jsonl")) == 2
@@ -981,6 +1016,18 @@ class TestMalformedInput:
         key, values = grid.split("=")
         assert f"grid point {key}={values.split(',')[-1]}: " in msg
 
+    @pytest.mark.parametrize(
+        "grid",
+        [["--grid", "alpha=0.1", "alpha=0.2"], ["--grid", "alpha=0.1", "--grid", "alpha=0.2"],
+         ["--grid", "alpha=0.5,0.5"]],
+        ids=["key_in_one_option", "key_across_options", "value_within_key"],
+    )
+    def test_sweep_grid_repeat_is_usage_error(self, base_config, tmp_path, capsys, grid):
+        out = tmp_path / "sweep"
+        assert run_cli("sweep", "--config", str(base_config), *grid, "--out", str(out)) == 1
+        assert "'alpha'" in one_error(capsys.readouterr().err, "usage")
+        assert not out.exists()
+
     def test_sweep_grid_value_not_a_number_is_usage_error(self, base_config, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = run_cli(
@@ -995,8 +1042,9 @@ class TestMalformedInput:
         [
             '{"epoch": 1, "joint_loss": 2.0\n',
             json.dumps({"epoch": 1, "ctc_loss": 2.0, "att_loss": 1.0, "blanks_inserted": 0}),
+            json.dumps({"epoch": 1, "joint_loss": 2.0, "att_loss": 1.0, "blanks_inserted": 0}),
         ],
-        ids=["not_json", "no_joint_loss"],
+        ids=["not_json", "no_joint_loss", "no_ctc_loss"],
     )
     def test_malformed_metrics_record_is_data_error(self, tmp_path, capsys, text):
         metrics = tmp_path / "metrics.jsonl"
