@@ -163,7 +163,7 @@ def resolve_run_config(payload: dict, seed_override: int | None = None, points=(
                 {**train_sec, "model": model_cfg, "fusion": fusion_cfg, "gating": gating_cfg},
                 "train",
             )
-        except (UsageError, ValueError) as err:  # ValueError: a grid value that is not a number
+        except UsageError as err:
             if not point:
                 raise
             name = " ".join(f"{key}={value}" for key, value in point.items())
@@ -338,9 +338,12 @@ def cmd_stats(args) -> int:
 
 
 _SWEEP_KEYS = ("method", "t_l", "t_r", "alpha", "n", "pretrain")
+# the type each numeric grid key's values are read as; the other keys take strings
+_GRID_NUMBERS = {"t_l": int, "t_r": float, "alpha": float, "n": int}
 
 
 def _parse_grid(items: list[str]) -> dict[str, list[str]]:
+    """``key=v1,v2`` items as key -> values; two spellings of one number are a repeat."""
     grid: dict[str, list[str]] = {}
     for item in items:
         if "=" not in item:
@@ -351,7 +354,11 @@ def _parse_grid(items: list[str]) -> dict[str, list[str]]:
         if key in grid:
             raise UsageError(f"grid key {key!r} given twice")
         grid[key] = values.split(",")
-        if len(set(grid[key])) < len(grid[key]):
+        try:
+            read = [_GRID_NUMBERS.get(key, str)(value) for value in grid[key]]
+        except ValueError as err:
+            raise UsageError(f"grid key {key!r}: {err}") from None
+        if len(set(read)) < len(read):
             raise UsageError(f"grid key {key!r} repeats a value in {values!r}")
     if not grid:
         raise UsageError("sweep needs at least one --grid key=v1,v2")
@@ -364,19 +371,20 @@ def _apply_grid_point(payload: dict, point: dict[str, str]) -> dict:
     for key in ("fusion", "gating", "train"):
         out[key] = _section(out, key, key)
     for key, raw in point.items():
+        value = _GRID_NUMBERS.get(key, str)(raw)
         if key == "method":
-            out["fusion"]["method"] = raw
+            out["fusion"]["method"] = value
         elif key == "alpha":
-            out["fusion"]["alpha"] = float(raw)
+            out["fusion"]["alpha"] = value
         elif key == "n":
-            out["fusion"]["n"] = int(raw)
-            out["fusion"].setdefault("beam_width", max(int(raw), 5))
+            out["fusion"]["n"] = value
+            out["fusion"].setdefault("beam_width", max(value, 5))
         elif key == "t_l":
             out["gating"]["mode"] = "absolute"
-            out["gating"]["t_l"] = int(raw)
+            out["gating"]["t_l"] = value
         elif key == "t_r":
             out["gating"]["mode"] = "relative"
-            out["gating"]["t_r"] = float(raw)
+            out["gating"]["t_r"] = value
         elif key == "pretrain":
             if raw == "none":
                 out["train"]["pretrain_path"] = None
@@ -585,8 +593,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        # every op checks its result for non-finite values, and a failure is
-        # one error line; numpy's overflow warnings would add lines before it
+        # a non-finite op result raises, from the op's own scan or, inside
+        # tz.fp_guard, from numpy's flags, and becomes one error line; numpy's
+        # warnings outside a guard would add lines before it
         with np.errstate(all="ignore"):
             return args.handler(args)
     except UsageError as err:

@@ -66,7 +66,7 @@ def attention_beam_decode(
     beam, and the encoder output and N-best memory stay one row.
     """
     model.train(False)
-    with tz.inference():
+    with tz.inference(), tz.fp_guard():
         enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
         ne_memory = None
         if model.uses_ne_memory:
@@ -140,7 +140,7 @@ def ctc_rescore_decode(
     like any other hypothesis.
     """
     model.train(False)
-    with tz.inference():
+    with tz.inference(), tz.fp_guard():
         enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
         post = _posterior(model, enc, vocab)
         nbest = prefix_beam_nbest(post, cfg.beam, cfg.beam)
@@ -170,7 +170,7 @@ def decode_utterance(
 
 def ctc_nbest(utt: Utterance, model: Model, vocab: Vocabulary, beam: int, n: int) -> NBestList:
     """The CTC prefix-beam N-best of ``utt``; a non-finite value is named as in decoding."""
-    with tz.numeric_failure_names(f"utterance {utt.utt_id}"), tz.inference():
+    with tz.numeric_failure_names(f"utterance {utt.utt_id}"), tz.inference(), tz.fp_guard():
         enc = model.encode(utt.features[None], np.array([utt.num_frames]))
         return prefix_beam_nbest(_posterior(model, enc, vocab), beam, n)
 

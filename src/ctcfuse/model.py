@@ -326,12 +326,16 @@ class Model:
 
         ``features`` is [B, T, F] with zero padding past each utterance's
         length; padded frames stay masked through every stage so states
-        on real frames are independent of the amount of padding.
+        on real frames are independent of the amount of padding. A
+        non-finite feature raises ``FloatingPointError``: under
+        :func:`tz.fp_guard` no op would see it.
         """
         if features.ndim != 3 or features.shape[2] != self.config.feature_dim:
             raise ValueError(
                 f"expected features [B, T, {self.config.feature_dim}], got {features.shape}"
             )
+        if not np.isfinite(features).all():
+            raise FloatingPointError("non-finite input features")
         lengths = np.asarray(lengths, dtype=np.int64)
         if int(lengths.min()) < self.config.subsample_factor:
             raise ValueError(
@@ -443,7 +447,8 @@ class Model:
             raise ValueError("this model requires ne_memory")
         x = self._drop(input_emb)
         past = 0 if cache is None else cache.length
-        causal = _causal_bias(past + x.shape[1])[:, :, past:, :]
+        # one newest position may see every earlier one: its causal row is all zeros
+        causal = None if x.shape[1] == 1 else _causal_bias(past + x.shape[1])[:, :, past:, :]
         for i in range(self.config.decoder_layers):
             h = self._norm(x, f"decoder.layer{i}.ln1")
             a = self._mha(f"decoder.layer{i}.self", h, h, causal, cache)

@@ -6,6 +6,11 @@ gradients. ``backward`` walks the recorded graph in reverse topological
 order. Inside :func:`inference` no graph is recorded. Every tensor holds
 float64: the constructor converts whatever it is given, float32 feature
 matrices included.
+
+A forward op that turns finite inputs non-finite raises
+``FloatingPointError``. Outside :func:`fp_guard` each op scans its
+output for that; inside it, numpy's IEEE 754 overflow, invalid and
+divide-by-zero flags raise at the op instead (Goldberg, 1991).
 """
 
 from __future__ import annotations
@@ -40,14 +45,41 @@ _recording: ContextVar[bool] = ContextVar("ctcfuse_tensor_recording", default=Tr
 def inference():
     """Ops inside record no graph: results have no parents, no ``grad_fn``, no gradient.
 
-    Every op still checks its output for non-finite values. Nests, and the
-    previous mode comes back on exit, also after an exception.
+    A non-finite op output still raises ``FloatingPointError``, by the
+    scan in ``Tensor._result`` or, inside :func:`fp_guard`, by numpy's
+    flags. Nests, and the previous mode comes back on exit, also after an
+    exception.
     """
     token = _recording.set(False)
     try:
         yield
     finally:
         _recording.reset(token)
+
+
+# True inside fp_guard(): numpy's flags raise, so ops skip the output scan
+_guarded: ContextVar[bool] = ContextVar("ctcfuse_tensor_guarded", default=False)
+
+
+@contextmanager
+def fp_guard():
+    """Numpy raises at the op that makes a non-finite value, and ops skip their scan.
+
+    Enters ``np.errstate(over, invalid, divide = "raise", under = "ignore")``.
+    Those flags see every event that turns finite inputs non-finite, but
+    no flag marks a non-finite input carried along (``inf * w`` is inf), so
+    whoever runs ops here checks what enters from outside: ``Model.encode``
+    its features; ``load_checkpoint`` and ``Adam.step`` the parameters. An
+    ``np.errstate`` nested inside that ignores a flag hides its events.
+    Nests, and the caller's errstate and mode come back on exit, also after
+    an exception.
+    """
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        token = _guarded.set(True)
+        try:
+            yield
+        finally:
+            _guarded.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -86,7 +118,12 @@ class Tensor:
 
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"], grad_fn) -> "Tensor":
-        if not np.isfinite(data).all():
+        """Wrap an op's output; a non-finite one raises ``FloatingPointError``.
+
+        Inside :func:`fp_guard` numpy's flags have already raised for it, so
+        only outside does this scan ``data``.
+        """
+        if not _guarded.get() and not np.isfinite(data).all():
             raise FloatingPointError("non-finite value produced by a forward op")
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -176,9 +213,10 @@ class Tensor:
 
     def transpose(self, *axes: int):
         a = self
-        inv = tuple(np.argsort(axes))
         return Tensor._result(
-            np.ascontiguousarray(a.data.transpose(axes)), (a,), lambda g: (g.transpose(inv),)
+            np.ascontiguousarray(a.data.transpose(axes)),
+            (a,),
+            lambda g: (g.transpose(np.argsort(axes)),),
         )
 
     # -- reductions --------------------------------------------------------
@@ -281,8 +319,9 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)  # non-finite output is caught by the result check
+    """Natural log; a zero or negative input raises ``FloatingPointError`` in every mode."""
+    with np.errstate(divide="raise", invalid="raise"):
+        out = np.log(a.data)
     return Tensor._result(out, (a,), lambda g: (g / a.data,))
 
 
@@ -319,15 +358,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-6) ->
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ValueError(f"gamma/beta must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # the sums and divisions numpy's mean and var run, without their Python layer
+    dev = x.data - np.add.reduce(x.data, -1, keepdims=True) / d
+    var = np.add.reduce(dev * dev, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + epsilon)
-    xhat = (x.data - mu) * inv
+    xhat = dev * inv
     out_data = xhat * gamma.data + beta.data
 
     def grad_fn(g):
         gg = g * gamma.data
-        gx = inv * (gg - gg.mean(axis=-1, keepdims=True) - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
+        mean_gg = np.add.reduce(gg, -1, keepdims=True) / d
+        mean_ggx = np.add.reduce(gg * xhat, -1, keepdims=True) / d
+        gx = inv * (gg - mean_gg - xhat * mean_ggx)
         lead = tuple(range(g.ndim - 1))
         return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
@@ -435,9 +477,9 @@ def grad_check(
 
     ``f`` must rebuild the graph from the current ``params`` data on each
     call and be deterministic; the perturbed calls run inside
-    :func:`inference`. Returns a report with per-parameter max
-    relative deviation and the list of failures; deviations above
-    tolerance are reported, not raised.
+    :func:`inference` and :func:`fp_guard`. Returns a report with
+    per-parameter max relative deviation and the list of failures;
+    deviations above tolerance are reported, not raised.
     """
     for p in params.values():
         p.grad = None
@@ -454,7 +496,7 @@ def grad_check(
         flat = p.data.reshape(-1)
         num = np.zeros_like(flat)
         # the perturbed losses need values only, so they record no graph
-        with inference():
+        with inference(), fp_guard():
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + step

@@ -447,7 +447,8 @@ def train_epoch(
     unreachable_ids: list[str] = []
     counts = {d.value: 0 for d in PathwayDecision}
     for batch_idx, batch in enumerate(batches):
-        with tz.numeric_failure_names(f"epoch {epoch} batch {batch_idx} ({batch.utt_ids[0]}...)"):
+        where = f"epoch {epoch} batch {batch_idx} ({batch.utt_ids[0]}...)"
+        with tz.numeric_failure_names(where), tz.fp_guard():
             stats = run_training_step(batch, model, optimizer, cfg, vocab)
         totals["joint"] += stats.joint * stats.size
         totals["att"] += stats.att * stats.size

@@ -1028,6 +1028,17 @@ class TestMalformedInput:
         assert "'alpha'" in one_error(capsys.readouterr().err, "usage")
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["alpha=0.5,0.50", "n=2,02", "t_r=0.1,1e-1", "t_l=3, 3"])
+    def test_sweep_grid_value_spelled_twice_is_usage_error(
+        self, base_config, tmp_path, capsys, grid
+    ):
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--config", str(base_config), "--grid", grid, "--out", str(out))
+        assert code == 1
+        key = grid.split("=")[0]
+        assert f"grid key {key!r} repeats a value" in one_error(capsys.readouterr().err, "usage")
+        assert not out.exists()
+
     def test_sweep_grid_value_not_a_number_is_usage_error(self, base_config, tmp_path, capsys):
         out = tmp_path / "sweep"
         code = run_cli(

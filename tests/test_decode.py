@@ -9,13 +9,14 @@ from ctcfuse.data import SynthConfig, synth_corpus, Utterance
 from ctcfuse.decode import (
     DecodeConfig,
     attention_beam_decode,
+    ctc_nbest,
     ctc_rescore_decode,
     decode_utterance,
     evaluate,
     format_hypothesis,
 )
 from ctcfuse.model import METHOD_NBEST, FusionConfig, Model, ModelConfig
-from ctcfuse.tensor import Tensor
+from ctcfuse.tensor import NumericError, Tensor
 from ctcfuse.training import Adam, TrainConfig, train_epoch
 from oracles import attention_beam_reference
 
@@ -208,6 +209,43 @@ class TestIncrementalSearch:
             shapes.clear()
             attention_beam_decode(utt.features, model, cfg, vocab)
             assert shapes == [(rows, 1) for rows in live_per_step]
+
+
+class TestFpGuard:
+    """Decoding relies on numpy's floating-point flags, not a scan of every op's output."""
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_decode_scans_no_op_output(self, either_setup, beam, monkeypatch):
+        vocab, corpus, model = either_setup
+        calls = []
+        original = np.isfinite
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        attention_beam_decode(corpus[0].features, model, DecodeConfig(beam=beam), vocab)
+        # the features' check; a scan per op would count in the hundreds
+        assert 1 <= len(calls) <= 2
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_features_raise(self, either_setup, value):
+        vocab, corpus, model = either_setup
+        cfg = DecodeConfig(beam=2)
+        bad = corpus[0].features.copy()
+        bad[3, 1] = value
+        for decoder in (attention_beam_decode, ctc_rescore_decode):
+            with pytest.raises(FloatingPointError, match="non-finite input features"):
+                decoder(bad, model, cfg, vocab)
+        # Utterance rejects such features, so they go in after construction
+        utt = dataclasses.replace(corpus[0], features=corpus[0].features.copy())
+        utt.features[3, 1] = value
+        for method in ("attention", "ctc_rescore"):
+            with pytest.raises(NumericError, match=f"^utterance {utt.utt_id}: non-finite"):
+                decode_utterance(utt, model, DecodeConfig(method=method, beam=2), vocab)
+        with pytest.raises(NumericError, match=f"^utterance {utt.utt_id}: non-finite"):
+            ctc_nbest(utt, model, vocab, 2, 2)
 
 
 class TestRescore:

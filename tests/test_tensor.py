@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcfuse import tensor as T
 from ctcfuse.tensor import Tensor
@@ -97,6 +101,23 @@ class TestLayerNorm:
         out = T.layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
         assert np.all(np.abs(out.mean(axis=-1)) < 1e-6)
         assert np.all(np.abs(out.var(axis=-1) - 1.0) < 1e-3)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (1, 64), (3, 7, 64), (4, 1, 8)])
+    def test_bit_identical_to_numpy_mean_and_var(self, shape):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=shape) * 3 + 2
+        g, b, up = rng.normal(size=shape[-1]), rng.normal(size=shape[-1]), rng.normal(size=shape)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
+        xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+        gg = up * g
+        ref_gx = inv * (
+            gg - gg.mean(axis=-1, keepdims=True) - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+        )
+        xt = Tensor(x, requires_grad=True)
+        out = T.layer_norm(xt, Tensor(g), Tensor(b))
+        (out * Tensor(up)).sum().backward()
+        assert out.data.tobytes() == (xhat * g + b).tobytes()
+        assert xt.grad.tobytes() == ref_gx.tobytes()
 
     def test_bad_gamma_shape(self):
         with pytest.raises(ValueError):
@@ -432,6 +453,87 @@ class TestInference:
                 T.log(Tensor([0.0]))
         (w * 2.0).sum().backward()
         np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
+
+
+# every op of the engine: (forward on float64 arrays, the arrays' shapes)
+GUARDED_OPS = {
+    "add": (lambda a, b: Tensor(a) + Tensor(b), [(2, 3), (2, 3)]),
+    "add_broadcast": (lambda a, b: Tensor(a) + Tensor(b), [(2, 3), (3,)]),
+    "sub": (lambda a, b: Tensor(a) - Tensor(b), [(2, 3), (2, 3)]),
+    "mul": (lambda a, b: Tensor(a) * Tensor(b), [(2, 3), (2, 3)]),
+    "reshape": (lambda a: Tensor(a).reshape(3, 2), [(2, 3)]),
+    "transpose": (lambda a: Tensor(a).transpose(2, 0, 1), [(2, 1, 3)]),
+    "sum": (lambda a: Tensor(a).sum(), [(2, 3)]),
+    "matmul": (lambda a, b: T.matmul(Tensor(a), Tensor(b)), [(2, 3), (3, 2)]),
+    "matmul_batched": (lambda a, b: T.matmul(Tensor(a), Tensor(b)), [(2, 1, 3), (3, 2)]),
+    "concat": (lambda a, b: T.concat([Tensor(a), Tensor(b)], axis=-1), [(2, 1), (2, 2)]),
+    "log": (lambda a: T.log(Tensor(a)), [(4,)]),
+    "relu": (lambda a: T.relu(Tensor(a)), [(2, 3)]),
+    "log_softmax": (lambda a: T.log_softmax(Tensor(a)), [(2, 3)]),
+    "softmax": (lambda a: T.softmax(Tensor(a)), [(2, 3)]),
+    "layer_norm": (
+        lambda x, g, b: T.layer_norm(Tensor(x), Tensor(g), Tensor(b)), [(2, 3), (3,), (3,)]
+    ),
+    "embedding": (lambda t: T.embedding(Tensor(t), np.array([[0, 2], [1, 0]])), [(3, 2)]),
+    "dropout": (lambda a: T.dropout(Tensor(a), 0.5, np.random.default_rng(0), True), [(2, 3)]),
+    "conv2d": (
+        lambda x, w, b: T.conv2d(Tensor(x), Tensor(w), Tensor(b)),
+        [(1, 1, 3, 3), (2, 1, 3, 3), (2,)],
+    ),
+}
+# the extremes of float64 and zero, mixed with ordinary values
+EXTREMES = st.sampled_from([1e308, -1e308, 1e-308, -1e-308, 0.0, -0.0, 1.0, -2.5, 0.5])
+
+
+def _float_arrays(shape):
+    n = math.prod(shape)
+    return st.lists(EXTREMES, min_size=n, max_size=n).map(lambda v: np.array(v).reshape(shape))
+
+
+def _forward(op, inputs):
+    """The op's output array, or None when it raised FloatingPointError."""
+    try:
+        return op(*inputs).data
+    except FloatingPointError:
+        return None
+
+
+class TestFpGuard:
+    @pytest.mark.parametrize("name", sorted(GUARDED_OPS))
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_flags_raise_wherever_the_scan_raises(self, name, data):
+        op, shapes = GUARDED_OPS[name]
+        inputs = [
+            data.draw(_float_arrays(shape), label=f"input {i}") for i, shape in enumerate(shapes)
+        ]
+        with np.errstate(all="ignore"):  # the scan alone
+            scanned = _forward(op, inputs)
+        with T.fp_guard():
+            guarded = _forward(op, inputs)
+        if scanned is None:
+            assert guarded is None
+        elif guarded is not None:
+            assert guarded.tobytes() == scanned.tobytes()
+
+    def test_restores_callers_errstate_after_exception(self):
+        big = Tensor(np.full((1, 2), 1e308))
+        with np.errstate(over="ignore", invalid="warn", divide="print", under="raise"):
+            caller = np.geterr()
+            with T.fp_guard():
+                with T.fp_guard():
+                    pass
+                assert np.geterr() == {
+                    "over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"
+                }
+            assert np.geterr() == caller
+            with pytest.raises(FloatingPointError):
+                with T.fp_guard():
+                    T.matmul(big, Tensor(np.full((2, 1), 10.0)))
+            assert np.geterr() == caller
+            # outside again, the scan catches what over="ignore" lets through
+            with pytest.raises(FloatingPointError, match="non-finite value"):
+                T.matmul(big, Tensor(np.full((2, 1), 10.0)))
 
 
 class TestContainer:
