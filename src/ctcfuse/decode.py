@@ -63,7 +63,11 @@ def attention_beam_decode(
 
     Each step feeds the decoder only the newest token of every live beam;
     a :class:`DecoderCache` holds the earlier positions, one row per live
-    beam, and the encoder output and N-best memory stay one row.
+    beam, and the encoder output and N-best memory stay one row. The
+    step's candidates are scored as one ``[live, V]`` array beside the
+    finished beams, and only those scoring at least the ``beam``-th best
+    are ranked, by ``(-score, tokens)`` and then candidate order: the
+    ranking a stable sort of every candidate gives (Seki et al., 2019).
     """
     model.train(False)
     with tz.inference(), tz.fp_guard():
@@ -89,14 +93,29 @@ def attention_beam_decode(
                 model.embed_tokens(ids, cache.length), enc, ne_memory, cache=cache
             )
             logp = tz.log_softmax(Tensor(logits.data[:, -1, :])).data
-            grown = [b for b in beams if b[2]]
-            for row, (toks, score, _, _) in enumerate(live):
-                for k in range(vocab.size):
-                    cand = score + float(logp[row, k])
-                    if k == vocab.eos_id:
-                        grown.append((toks, cand, True, row))
-                    else:
-                        grown.append((toks + (k,), cand, False, row))
+            done = [b for b in beams if b[2]]
+            # every candidate score in insertion order: the finished beams,
+            # then row by row each live beam extended by every token
+            scores = np.concatenate(
+                [[b[1] for b in done], (np.array([b[1] for b in live])[:, None] + logp).ravel()]
+            )
+            picked = range(len(scores))
+            if len(scores) > cfg.beam:
+                # only candidates scoring at least the beam-th best can survive
+                cut = np.partition(scores, len(scores) - cfg.beam)[len(scores) - cfg.beam]
+                picked = np.flatnonzero(scores >= cut).tolist()
+            grown = []
+            for i in picked:
+                if i < len(done):
+                    grown.append(done[i])
+                    continue
+                row, k = divmod(i - len(done), vocab.size)
+                toks, score = live[row][0], float(scores[i])
+                if k == vocab.eos_id:
+                    grown.append((toks, score, True, row))
+                else:
+                    grown.append((toks + (k,), score, False, row))
+            # a stable sort, so equal keys keep insertion order
             grown.sort(key=lambda entry: (-entry[1], entry[0]))
             beams = grown[: cfg.beam]
 

@@ -48,8 +48,9 @@ class ModelConfig:
     feature_dim: int = 8
 
     def __post_init__(self):
-        if self.num_heads < 1:
-            raise ValueError("num_heads must be >= 1")
+        for key in ("d_model", "num_heads", "ffn_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if self.d_model % self.num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
         if min(self.encoder_layers, self.decoder_layers, self.vocab_size) < 1:
@@ -295,7 +296,12 @@ class Model:
         d, heads = self.config.d_model, self.config.num_heads
         dh = d // heads
         b, lq = q_in.shape[0], q_in.shape[1]
-        q = self._linear(q_in, f"{prefix}.q").reshape(b, lq, heads, dh).transpose(0, 2, 1, 3)
+        q = self._linear(q_in, f"{prefix}.q")
+        # with one position, [b, 1, d] and [b, h, 1, dh] share one memory layout
+        if lq == 1:
+            q = q.reshape(b, heads, 1, dh)
+        else:
+            q = q.reshape(b, lq, heads, dh).transpose(0, 2, 1, 3)
         if cache is None:
             k, v = self._keys_values(prefix, kv_in)
         else:
@@ -304,16 +310,22 @@ class Model:
         if bias is not None:
             scores = scores + Tensor(bias)
         weights = tz.softmax(scores, axis=-1)
-        ctx = tz.matmul(weights, v).transpose(0, 2, 1, 3).reshape(b, lq, d)
-        return self._linear(ctx, f"{prefix}.o")
+        ctx = tz.matmul(weights, v)
+        if lq != 1:
+            ctx = ctx.transpose(0, 2, 1, 3)
+        return self._linear(ctx.reshape(b, lq, d), f"{prefix}.o")
 
     def _keys_values(self, prefix: str, kv_in: Tensor) -> tuple[Tensor, Tensor]:
         """Per-head keys [Bk, H, dh, Lk] and values [Bk, H, Lk, dh] of ``kv_in``."""
         heads = self.config.num_heads
         dh = self.config.d_model // heads
         bk, lk = kv_in.shape[0], kv_in.shape[1]
-        k = self._linear(kv_in, f"{prefix}.k").reshape(bk, lk, heads, dh).transpose(0, 2, 3, 1)
-        v = self._linear(kv_in, f"{prefix}.v").reshape(bk, lk, heads, dh).transpose(0, 2, 1, 3)
+        k = self._linear(kv_in, f"{prefix}.k")
+        v = self._linear(kv_in, f"{prefix}.v")
+        if lk == 1:  # one position: the head split is pure layout, as for queries in _mha
+            return k.reshape(bk, heads, dh, 1), v.reshape(bk, heads, 1, dh)
+        k = k.reshape(bk, lk, heads, dh).transpose(0, 2, 3, 1)
+        v = v.reshape(bk, lk, heads, dh).transpose(0, 2, 1, 3)
         return k, v
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
@@ -463,7 +475,7 @@ class Model:
             h = self._norm(x, f"decoder.layer{i}.ln3")
             x = x + self._drop(self._ffn(h, f"decoder.layer{i}.ffn"))
         if cache is not None:
-            cache.length += x.shape[1]
+            cache.advance(x.shape[1])
         x = self._norm(x, "decoder.ln")
         return self._linear(x, "decoder.out")
 
@@ -471,16 +483,18 @@ class Model:
 class DecoderCache:
     """Attention keys and values of one utterance's decoder, for decoding step by step.
 
-    Self-attention keys and values grow by the positions of each
-    :meth:`Model.decoder_forward` call, one row per hypothesis. Encoder and
-    N-best-memory keys and values are projected on first use and reused
-    by every later step.
+    Self-attention keys and values are plain arrays, one row per
+    hypothesis, that grow by the positions of each
+    :meth:`Model.decoder_forward` call; a :meth:`reorder` since the last
+    call is folded into that growth. Encoder and N-best-memory keys and
+    values are projected on first use and reused by every later step.
     """
 
     def __init__(self):
         self.length = 0  # positions fed so far
-        self._grown: dict[str, tuple[Tensor, Tensor]] = {}  # self-attention, per layer
+        self._grown: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # self-attention, per layer
         self._fixed: dict[str, tuple[Tensor, Tensor]] = {}  # encoder and memory, per layer
+        self._rows: np.ndarray | None = None  # pending reorder of the grown rows; None keeps them
 
     def keys_values(self, prefix: str, kv_in: Tensor, project) -> tuple[Tensor, Tensor]:
         """Keys and values for attention ``prefix``; ``project(prefix, kv_in)`` makes new ones."""
@@ -491,17 +505,33 @@ class DecoderCache:
         k, v = project(prefix, kv_in)
         if prefix in self._grown:
             old_k, old_v = self._grown[prefix]
-            k, v = tz.concat([old_k, k], axis=-1), tz.concat([old_v, v], axis=-2)
-        self._grown[prefix] = (k, v)
+            if self._rows is not None:
+                old_k, old_v = old_k[self._rows], old_v[self._rows]
+            k = Tensor(np.concatenate([old_k, k.data], axis=-1))
+            v = Tensor(np.concatenate([old_v, v.data], axis=-2))
+        self._grown[prefix] = (k.data, v.data)
         return k, v
 
+    def advance(self, positions: int) -> None:
+        """End a step of ``positions`` fed positions; every layer has applied the reorder."""
+        self.length += positions
+        self._rows = None
+
     def reorder(self, rows) -> None:
-        """Keep self-attention row ``rows[j]`` as row ``j``, e.g. each survivor's parent beam."""
+        """Keep self-attention row ``rows[j]`` as row ``j``, e.g. each survivor's parent beam.
+
+        Only records the rows: the next step gathers them as it appends.
+        Two reorders with no step between compose, and a reorder that keeps
+        every row in place, as every greedy step does, records nothing.
+        """
+        if not self._grown:
+            return
         rows = np.asarray(rows, dtype=np.int64)
-        self._grown = {
-            prefix: (Tensor(k.data[rows]), Tensor(v.data[rows]))
-            for prefix, (k, v) in self._grown.items()
-        }
+        if self._rows is not None:
+            rows = self._rows[rows]
+        count = next(iter(self._grown.values()))[0].shape[0]
+        kept = len(rows) == count and bool((rows == np.arange(count)).all())
+        self._rows = None if kept else rows
 
 
 def nbest_id_matrix(nbest: NBestList, n: int, max_len: int, pad_id: int) -> np.ndarray:

@@ -307,10 +307,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = list(tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def grad_fn(g):
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
         return tuple(
             np.take(g, range(offsets[i], offsets[i + 1]), axis=axis) for i in range(len(tensors))
         )
@@ -332,22 +331,23 @@ def relu(a: Tensor) -> Tensor:
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Log of softmax along ``axis``, stabilized by max subtraction."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    # the reductions ndarray.max and ndarray.sum run, without their Python layer
+    shifted = a.data - np.maximum.reduce(a.data, axis, keepdims=True)
+    out_data = shifted - np.log(np.add.reduce(np.exp(shifted), axis, keepdims=True))
 
     def grad_fn(g):
-        return (g - np.exp(out_data) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(out_data) * np.add.reduce(g, axis, keepdims=True),)
 
     return Tensor._result(out_data, (a,), grad_fn)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - np.maximum.reduce(a.data, axis, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / np.add.reduce(e, axis, keepdims=True)
 
     def grad_fn(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        dot = np.add.reduce(g * out_data, axis, keepdims=True)
         return (out_data * (g - dot),)
 
     return Tensor._result(out_data, (a,), grad_fn)

@@ -995,6 +995,21 @@ class TestMalformedInput:
         assert run_cli("train", "--config", str(config)) == 1
         assert key in one_error(capsys.readouterr().err, "usage")
 
+    @pytest.mark.parametrize(
+        "key,value", [("d_model", 0), ("d_model", -4), ("ffn_dim", 0)]
+    )
+    def test_model_width_below_one_is_usage_error(
+        self, base_config, tmp_path, capsys, key, value
+    ):
+        payload = json.loads(base_config.read_text())
+        payload["model"][key] = value  # num_heads stays 2, which divides both widths
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(config), "--out", str(out)) == 1
+        assert f"{key} must be >= 1" in one_error(capsys.readouterr().err, "usage")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_negative_seed_flag_is_usage_error(self, base_config, tmp_path, capsys, command):
         argv = [command, "--config", str(base_config), "--seed", "-1"]

@@ -15,7 +15,7 @@ from ctcfuse.decode import (
     evaluate,
     format_hypothesis,
 )
-from ctcfuse.model import METHOD_NBEST, FusionConfig, Model, ModelConfig
+from ctcfuse.model import METHOD_ALIGNED, METHOD_NBEST, FusionConfig, Model, ModelConfig
 from ctcfuse.tensor import NumericError, Tensor
 from ctcfuse.training import Adam, TrainConfig, train_epoch
 from oracles import attention_beam_reference
@@ -209,6 +209,25 @@ class TestIncrementalSearch:
             shapes.clear()
             attention_beam_decode(utt.features, model, cfg, vocab)
             assert shapes == [(rows, 1) for rows in live_per_step]
+
+
+class TestTiedCandidates:
+    """With a zero output layer every candidate of a step ties, so only the tie-break ranks them."""
+
+    @pytest.mark.parametrize("method", [METHOD_ALIGNED, METHOD_NBEST])
+    @pytest.mark.parametrize("beam", [1, 3, 10])
+    def test_matches_reference_on_ties(self, setup, method, beam):
+        vocab, corpus, _ = setup
+        fusion = FusionConfig(method=method, n=2, beam_width=3)
+        model = Model(ModelConfig.toy(vocab_size=vocab.size), fusion, seed=6)
+        for name in ("decoder.out.w", "decoder.out.b"):
+            model.params[name].data[...] = 0.0
+        cfg = DecodeConfig(beam=beam)
+        for utt in corpus[:4]:
+            got = attention_beam_decode(utt.features, model, cfg, vocab)
+            want = attention_beam_reference(utt.features, model, cfg, vocab)
+            assert got[0] == want[0] and got[2] == want[2], utt.utt_id
+            assert float(got[1]).hex() == float(want[1]).hex(), utt.utt_id
 
 
 class TestFpGuard:

@@ -355,36 +355,45 @@ class TestDecoder:
     @pytest.mark.parametrize("method", [METHOD_BASELINE, METHOD_NBEST])
     def test_cached_steps_match_full_prefix(self, method):
         # one position per call with a cache of one-row encoder output and
-        # memory, rows reordered midway as beam search does, against the
-        # full prefix with the encoder output and memory repeated per row
+        # memory, rows reordered between steps as beam search does, against
+        # the full prefix with the encoder output and memory repeated per row
         model = toy_model(vocab=8, method=method, n=2, seed=5)
         rng = np.random.default_rng(13)
         feats = random_features(rng, 1, 12)
         enc = model.encode(feats, np.array([12]))
-        mem = mem_rows = None
+        mem = None
         if method == METHOD_NBEST:
             nbest = NBestList(hypotheses=[((4,), -0.5), ((5, 6), -1.0)], requested=2)
             mem = model.ne_memory([nbest], PAD)
-            mem_rows = Tensor(np.repeat(mem.data, 3, axis=0))
-        enc_rows = EncoderOutput(
-            h_s=Tensor(np.repeat(enc.h_s.data, 3, axis=0)),
-            lengths=np.repeat(enc.lengths, 3),
-            key_bias=np.repeat(enc.key_bias, 3, axis=0),
-        )
-        seqs = rng.integers(0, 8, size=(3, 6))
+
+        def per_row(rows):
+            enc_rows = EncoderOutput(
+                h_s=Tensor(np.repeat(enc.h_s.data, rows, axis=0)),
+                lengths=np.repeat(enc.lengths, rows),
+                key_bias=np.repeat(enc.key_bias, rows, axis=0),
+            )
+            return enc_rows, None if mem is None else Tensor(np.repeat(mem.data, rows, axis=0))
+
+        # before step t: an identity reorder, a reorder that repeats a row,
+        # and two reorders with no step between, the second dropping a row
+        schedule = {1: [[0, 1, 2]], 3: [[2, 0, 0]], 5: [[1, 2, 0], [2, 0]]}
+        steps = 7
+        seqs = rng.integers(0, 8, size=(3, steps))
         cache = DecoderCache()
-        for t in range(seqs.shape[1]):
-            if t == 3:
-                parents = np.array([2, 0, 0])
+        for t in range(steps):
+            for parents in schedule.get(t, []):
                 cache.reorder(parents)
-                seqs[:, :t] = seqs[parents, :t]
+                fresh = rng.integers(0, 8, size=(len(parents), steps - t))
+                seqs = np.concatenate([seqs[parents, :t], fresh], axis=1)
             step = model.decoder_forward(
                 model.embed_tokens(seqs[:, t : t + 1], t), enc, mem, cache=cache
             )
+            enc_rows, mem_rows = per_row(seqs.shape[0])
             full = model.decoder_forward(model.embed_tokens(seqs[:, : t + 1]), enc_rows, mem_rows)
-            assert step.shape == (3, 1, model.config.vocab_size)
+            assert step.shape == (seqs.shape[0], 1, model.config.vocab_size)
             np.testing.assert_allclose(step.data[:, 0], full.data[:, -1], rtol=1e-12, atol=1e-12)
-        assert cache.length == seqs.shape[1]
+        assert seqs.shape[0] == 2
+        assert cache.length == steps
 
     def test_embedding_offset_continues_positions(self):
         model = toy_model()
