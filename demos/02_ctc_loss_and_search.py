@@ -55,7 +55,8 @@ print("== greedy follows the best path; beam sums over paths ==")
 lp = np.log(np.array([[0.6, 0.4], [0.6, 0.4]]))
 post = CtcPosterior(lp, BLANK)
 print(f"greedy 1-best: {greedy_1best(post)}  (best single path is blank-blank)")
-nbest = prefix_beam_nbest(post, beam_width=None, n=3)
+# two frames of two classes reach at most 2 ** 2 prefixes: a beam of 4 prunes nothing
+nbest = prefix_beam_nbest(post, beam_width=4, n=3)
 for rank, (seq, score) in enumerate(nbest.hypotheses, 1):
     print(f"beam rank {rank}: {seq} with probability {math.exp(score):.3f}")
 print("the summed mass of [a] (0.64) beats the empty string (0.36)")

@@ -30,7 +30,7 @@ from ctcfuse.data import (
     synth_corpus,
 )
 from ctcfuse.decode import DecodeConfig, attention_beam_decode, ctc_rescore_decode, evaluate
-from ctcfuse.model import FusionConfig, Model, ModelConfig, count_params
+from ctcfuse.model import FusionConfig, Model, ModelConfig
 from ctcfuse.tensor import Tensor, grad_check, load_tensors, save_tensors
 from ctcfuse.training import (
     Adam,
@@ -68,7 +68,6 @@ __all__ = [
     "cer",
     "collapse",
     "corpus_stats",
-    "count_params",
     "ctc_rescore_decode",
     "desk_synth_config",
     "desk_train_config",

@@ -53,7 +53,6 @@ class AlignedPair:
     w_align: TokenSeq
     blank_id: int
     blanks_inserted: int
-    substitutions: int
     insertions: int
     deletions: int
 
@@ -115,15 +114,11 @@ def aef_align(y, w, blank_id: int) -> AlignedPair:
     cost, script = edit_distance(y, w)
     y_align: list[int] = []
     w_align: list[int] = []
-    subs = ins = dels = 0
+    ins = dels = 0
     for op, ya, wb in script:
-        if op == MATCH:
+        if op in (MATCH, SUB):
             y_align.append(ya)
             w_align.append(wb)
-        elif op == SUB:
-            y_align.append(ya)
-            w_align.append(wb)
-            subs += 1
         elif op == DEL:
             y_align.append(ya)
             w_align.append(blank_id)
@@ -137,7 +132,6 @@ def aef_align(y, w, blank_id: int) -> AlignedPair:
         w_align=tuple(w_align),
         blank_id=blank_id,
         blanks_inserted=ins + dels,
-        substitutions=subs,
         insertions=ins,
         deletions=dels,
     )

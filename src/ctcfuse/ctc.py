@@ -223,16 +223,18 @@ def greedy_1best(posterior: CtcPosterior) -> TokenSeq:
 
 def prefix_beam_nbest(
     posterior: CtcPosterior,
-    beam_width: int | None,
+    beam_width: int,
     n: int,
 ) -> NBestList:
     """Prefix beam search over collapsed sequences.
 
     Maintains per-prefix blank/non-blank path mass in the log domain;
     scores are total log-probabilities summed over all frame paths that
-    collapse to the prefix. ``beam_width=None`` disables pruning, making
-    the ranking exact. Returns the top ``n`` prefixes; if fewer distinct
-    prefixes are reachable the list is shorter and flagged ``incomplete``.
+    collapse to the prefix. A beam no frame's candidates outnumber (such
+    as ``V ** T`` for ``T`` frames of ``V`` classes) prunes nothing, which
+    makes the ranking exact. Returns the top ``n`` prefixes; if fewer
+    distinct prefixes are reachable the list is shorter and flagged
+    ``incomplete``.
 
     Each frame scores the K live prefixes at once. A prefix stays with
     ``total + p[blank]`` (blank mass) and ``pnb + p[last]`` (repeat
@@ -253,7 +255,7 @@ def prefix_beam_nbest(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if beam_width is not None and beam_width < n:
+    if beam_width < n:
         raise ValueError("beam_width must be >= n")
     blank = posterior.blank_id
     t_frames, vocab = posterior.log_probs.shape
@@ -292,7 +294,7 @@ def prefix_beam_nbest(
         cand_last = np.concatenate([last, ext_col])
         scores = np.logaddexp(cand_pb, cand_pnb)
         kept = np.arange(scores.size)
-        if beam_width is not None and scores.size > beam_width:
+        if scores.size > beam_width:
             cut = np.partition(scores, scores.size - beam_width)[scores.size - beam_width]
             kept = np.flatnonzero(scores >= cut)
         ext_row_l, ext_col_l = ext_row.tolist(), ext_col.tolist()
@@ -300,7 +302,7 @@ def prefix_beam_nbest(
             prefixes[c] if c < live else prefixes[ext_row_l[c - live]] + (ext_col_l[c - live],)
             for c in kept.tolist()
         ]
-        if beam_width is not None and kept.size > beam_width:
+        if kept.size > beam_width:
             # ties at the cut score: the exact key decides who stays
             keys = [(-sc, len(seq), seq) for sc, seq in zip(scores[kept].tolist(), prefixes)]
             order = sorted(range(kept.size), key=keys.__getitem__)[:beam_width]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -206,19 +206,9 @@ class EvalRecord:
     subs: int
     ins: int
     dels: int
-    ref_len: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "utt_id": self.utt_id,
-                "cer": self.cer,
-                "subs": self.subs,
-                "ins": self.ins,
-                "dels": self.dels,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass
@@ -275,7 +265,6 @@ def evaluate(corpus: list[Utterance], decode_fn) -> EvalReport:
                 subs=subs,
                 ins=ins,
                 dels=dels,
-                ref_len=ref_len,
             )
         )
         total_edits += cost

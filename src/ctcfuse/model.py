@@ -57,41 +57,14 @@ class ModelConfig:
             raise ValueError("layer and vocabulary counts must be >= 1")
         if self.ne_layers < 0:
             raise ValueError("ne_layers must be >= 0")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must lie in [0, 1)")
         if self.subsample_factor not in (2, 4):
             raise ValueError("subsample factor must be 2 or 4 (stride-2 conv stages)")
 
     @property
     def conv_stages(self) -> int:
         return 1 if self.subsample_factor == 2 else 2
-
-    @classmethod
-    def reference(cls, vocab_size: int, feature_dim: int = 80) -> "ModelConfig":
-        """Full-scale configuration (12/6/2 layers, width 256, FFN 1024, 4 heads)."""
-        return cls(
-            d_model=256,
-            num_heads=4,
-            ffn_dim=1024,
-            encoder_layers=12,
-            decoder_layers=6,
-            ne_layers=2,
-            vocab_size=vocab_size,
-            dropout=0.1,
-            feature_dim=feature_dim,
-        )
-
-    @classmethod
-    def toy(cls, vocab_size: int, feature_dim: int = 4) -> "ModelConfig":
-        """Tiny shapes for finite-difference gradient checks."""
-        return cls(
-            d_model=8,
-            num_heads=2,
-            ffn_dim=16,
-            encoder_layers=2,
-            decoder_layers=2,
-            ne_layers=1,
-            vocab_size=vocab_size,
-            feature_dim=feature_dim,
-        )
 
 
 @dataclass(frozen=True)
@@ -212,11 +185,6 @@ def param_specs(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> dict[s
             ffn_block(f"ne.layer{i}.ffn")
         norm("ne.ln")
     return specs
-
-
-def count_params(config: ModelConfig, fusion: FusionConfig) -> int:
-    specs = param_specs(config, fusion.method == METHOD_NBEST, fusion.n)
-    return int(sum(np.prod(shape) for shape in specs.values()))
 
 
 class Model:

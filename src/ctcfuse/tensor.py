@@ -149,10 +149,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -176,20 +172,6 @@ class Tensor:
         return Tensor._result(a.data + b.data, (a, b), grad_fn)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-
-        def grad_fn(g):
-            ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-            gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
-            return ga, gb
-
-        return Tensor._result(a.data - b.data, (a, b), grad_fn)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -315,13 +297,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
         )
 
     return Tensor._result(np.concatenate([t.data for t in tensors], axis=axis), tensors, grad_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    """Natural log; a zero or negative input raises ``FloatingPointError`` in every mode."""
-    with np.errstate(divide="raise", invalid="raise"):
-        out = np.log(a.data)
-    return Tensor._result(out, (a,), lambda g: (g / a.data,))
 
 
 def relu(a: Tensor) -> Tensor:

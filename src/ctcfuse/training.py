@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -70,6 +71,15 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.ctc_weight <= 1.0:
             raise ValueError("ctc_weight must lie in [0, 1]")
+        for key in ("label_smoothing", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must lie in [0, 1)")
+        if not (math.isfinite(self.lr_base) and self.lr_base >= 0.0):
+            raise ValueError("lr_base must be finite and >= 0")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0.0):
+            raise ValueError("adam_eps must be finite and > 0")
+        if self.stop_at_train_cer is not None and not self.stop_at_train_cer >= 0.0:
+            raise ValueError("stop_at_train_cer must be null or >= 0")
         if self.warmup_steps < 1:
             raise ValueError("warmup_steps must be >= 1")
         if min(self.epochs, self.batch_size, self.eval_every) < 1:
@@ -352,8 +362,8 @@ def build_decoder_input(
         input_emb = emb_y
     else:
         emb_w = model.embed_tokens(w_ids)
-        coef = Tensor(alphas[:, None, None])
-        input_emb = emb_w * coef + emb_y * (1.0 - coef)
+        coef = alphas[:, None, None]
+        input_emb = emb_w * Tensor(coef) + emb_y * Tensor(1.0 - coef)
 
     ne_memory = model.ne_memory(hyps, vocab.pad_id) if method == METHOD_NBEST else None
 
@@ -479,7 +489,6 @@ def train_epoch(
 @dataclass
 class TrainResult:
     model: Model
-    optimizer: Adam
     history: list[EpochMetrics]
     first_epoch_at_target: int | None
     final_train_cer: float | None
@@ -510,8 +519,8 @@ def train(
     ``out_dir`` is touched. Then every file a run owns there is removed,
     so the directory never mixes two runs, also when this one fails;
     ``resolved_config`` and ``run_meta``, when given, are written as JSON,
-    and ``metrics.jsonl`` and ``train.log`` start empty. :func:`resume`
-    appends to both.
+    and each epoch appends its record to ``metrics.jsonl`` and its line to
+    ``train.log``, both of which start empty.
 
     Train CER is measured by greedy attention decoding every
     ``eval_every`` epochs (and on the final epoch); when
@@ -538,32 +547,11 @@ def train(
                     fh.write("\n")
         for name in _EPOCH_FILES:
             open(os.path.join(out_dir, name), "w", encoding="utf-8").close()
-    return _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch=1)
-
-
-def resume(
-    corpus: list[Utterance],
-    vocab: Vocabulary,
-    checkpoint_path: str,
-    cfg: TrainConfig,
-    out_dir: str | None = None,
-    log=None,
-) -> TrainResult:
-    """Continue a run from a checkpoint; epoch-derived seeds keep it exact."""
-    model, optimizer, meta = load_checkpoint(checkpoint_path, cfg)
-    return _train_loop(
-        corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch=meta["epoch"] + 1
-    )
-
-
-def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch) -> TrainResult:
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
 
     history: list[EpochMetrics] = []
     first_at_target = None
     final_cer = None
-    for epoch in range(start_epoch, cfg.epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         metrics = train_epoch(corpus, vocab, model, optimizer, cfg, epoch)
         measure = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
         if measure:
@@ -587,17 +575,15 @@ def _train_loop(corpus, vocab, model, optimizer, cfg, out_dir, log, start_epoch)
                     fh.write(text + "\n")
         if log is not None:
             log(line)
-        if metrics.train_cer is not None and first_at_target is None:
-            target = cfg.stop_at_train_cer
-            if target is not None and metrics.train_cer <= target:
-                first_at_target = epoch
-                break
+        target = cfg.stop_at_train_cer
+        if target is not None and metrics.train_cer is not None and metrics.train_cer <= target:
+            first_at_target = epoch
+            break
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "model.ckpt"), model, optimizer, cfg, vocab,
-                        epoch=history[-1].epoch if history else 0)
+                        epoch=history[-1].epoch)
     return TrainResult(
         model=model,
-        optimizer=optimizer,
         history=history,
         first_epoch_at_target=first_at_target,
         final_train_cer=final_cer,
@@ -649,8 +635,10 @@ def save_checkpoint(path, model: Model, optimizer: Adam, cfg: TrainConfig,
         raise
 
 
-def load_checkpoint(path, cfg: TrainConfig | None = None) -> tuple[Model, Adam, dict]:
+def load_checkpoint(path) -> tuple[Model, Adam, dict]:
     """Rebuild model and optimizer state from a checkpoint pair.
+
+    The optimizer takes its settings from the sidecar's ``optimizer`` object.
 
     Any failure to read or rebuild the pair, or a floating-point array
     holding a non-finite value, raises :class:`CheckpointError`.
@@ -680,11 +668,8 @@ def load_checkpoint(path, cfg: TrainConfig | None = None) -> tuple[Model, Adam, 
             if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
                 raise ValueError(f"array {name!r} holds a non-finite value")
         model.load_state_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
-        if cfg is None:
-            opt_meta = sidecar["optimizer"]
-            settings = {key: opt_meta[key] for key in _OPTIMIZER_SETTINGS}
-            cfg = TrainConfig(model=model_cfg, fusion=fusion, **settings)
-        optimizer = Adam(model.params, cfg)
+        settings = {key: sidecar["optimizer"][key] for key in _OPTIMIZER_SETTINGS}
+        optimizer = Adam(model.params, TrainConfig(model=model_cfg, fusion=fusion, **settings))
         optimizer.load_state_arrays(arrays)
     except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as err:
         raise CheckpointError(f"{path}: unreadable checkpoint: {err}") from err

@@ -166,7 +166,7 @@ def random_posterior(rng: np.random.Generator, t_frames: int, vocab: int) -> np.
 
 def prefix_beam_reference(
     posterior: CtcPosterior,
-    beam_width: int | None,
+    beam_width: int,
     n: int,
 ) -> NBestList:
     """Prefix beam search over collapsed sequences, one dict entry per prefix.
@@ -174,13 +174,12 @@ def prefix_beam_reference(
     The scalar loop that ``ctcfuse.ctc.prefix_beam_nbest`` vectorizes;
     both must return the same list with bit-equal scores. Maintains per-prefix blank/non-blank path mass in the log domain;
     scores are total log-probabilities summed over all frame paths that
-    collapse to the prefix. ``beam_width=None`` disables pruning, making
-    the ranking exact. Returns the top ``n`` prefixes; if fewer distinct
+    collapse to the prefix. Returns the top ``n`` prefixes; if fewer distinct
     prefixes are reachable the list is shorter and flagged ``incomplete``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if beam_width is not None and beam_width < n:
+    if beam_width < n:
         raise ValueError("beam_width must be >= n")
     lp = posterior.log_probs
     blank = posterior.blank_id
@@ -210,7 +209,7 @@ def prefix_beam_reference(
                 else:
                     bump(prefix + (k,), NEG_INF, total + p)
 
-        if beam_width is not None and len(grown) > beam_width:
+        if len(grown) > beam_width:
             ranked = sorted(
                 grown.items(), key=lambda kv: (-np.logaddexp(*kv[1]), len(kv[0]), kv[0])
             )

@@ -41,6 +41,7 @@ from ctcfuse.training import (
 )
 
 from oracles import exhaustive_ctc_loss, exhaustive_ctc_scores, levenshtein_oracle, random_posterior
+from toy import toy_config
 
 BLANK = 0
 
@@ -239,7 +240,7 @@ def gradient_reports():
 
     # part B: full-model joint-loss gradients for every method
     for method in (METHOD_BASELINE, METHOD_FUSION, METHOD_ALIGNED, METHOD_NBEST):
-        model_cfg = ModelConfig.toy(vocab_size=8)
+        model_cfg = toy_config(vocab_size=8)
         kw = {"n": 2, "beam_width": 2} if method == METHOD_NBEST else {"alpha": 0.5}
         fusion = FusionConfig(method=method, **kw)
         cfg = TrainConfig(
@@ -296,7 +297,8 @@ def test_criterion_4_beam_vs_exhaustive():
         for vocab in (2, 3):
             for _ in range(5):
                 lp = random_posterior(rng, t_frames, vocab)
-                nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), None, 10**6)
+                # a beam of 10**6 prunes none of the at most 3**3 candidates
+                nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), 10**6, 10**6)
                 ref = exhaustive_ctc_scores(lp, BLANK)
                 ranked = sorted(ref.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0]))
                 assert len(nbest) == len(ranked)

@@ -117,7 +117,7 @@ class TestAefAlign:
 
     def test_unequal_aligned_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            AlignedPair((A,), (A, B), BLANK, 0, 0, 0, 0)
+            AlignedPair((A,), (A, B), BLANK, 0, 0, 0)
 
     def test_render(self):
         pair = aef_align((A, B, C, A), (A, C, A), BLANK)

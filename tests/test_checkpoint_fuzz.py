@@ -253,7 +253,7 @@ def test_entry_replaced_by_a_small_array(reference, name, shape, dtype, fill):
         model, optimizer, _ = load_checkpoint(path)
     except CheckpointError as err:
         assert str(path) in str(err)
-    else:  # a pair that loads can resume: one optimizer step keeps every shape
+    else:  # a pair that loads can train on: one optimizer step keeps every shape
         shapes = {key: p.shape for key, p in model.params.items()}
         optimizer.step()
         assert {key: p.shape for key, p in model.params.items()} == shapes

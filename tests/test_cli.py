@@ -995,19 +995,43 @@ class TestMalformedInput:
         assert run_cli("train", "--config", str(config)) == 1
         assert key in one_error(capsys.readouterr().err, "usage")
 
+    # what the usage error says about each out-of-range value below
+    RANGES = {
+        "d_model": "must be >= 1",
+        "ffn_dim": "must be >= 1",
+        "dropout": "must lie in [0, 1)",
+        "label_smoothing": "must lie in [0, 1)",
+        "beta1": "must lie in [0, 1)",
+        "beta2": "must lie in [0, 1)",
+        "lr_base": "must be finite and >= 0",
+        "adam_eps": "must be finite and > 0",
+        "stop_at_train_cer": "must be null or >= 0",
+    }
+
     @pytest.mark.parametrize(
-        "key,value", [("d_model", 0), ("d_model", -4), ("ffn_dim", 0)]
+        "key,value",
+        [
+            ("d_model", 0), ("d_model", -4), ("ffn_dim", 0),
+            ("dropout", -0.5), ("dropout", 1.0),
+            ("label_smoothing", -1.0), ("label_smoothing", 1.0),
+            ("beta1", 1.0), ("beta2", 1.5),
+            ("lr_base", -1.0), ("lr_base", float("nan")), ("lr_base", float("inf")),
+            ("adam_eps", -1e-9), ("adam_eps", 0.0),
+            ("stop_at_train_cer", -5),
+        ],
     )
     def test_model_width_below_one_is_usage_error(
         self, base_config, tmp_path, capsys, key, value
     ):
+        """A model width below one, or a run value out of its range, fails before ``--out``."""
         payload = json.loads(base_config.read_text())
-        payload["model"][key] = value  # num_heads stays 2, which divides both widths
+        section = "model" if key in ModelConfig.__dataclass_fields__ else "train"
+        payload[section][key] = value  # num_heads stays 2, which divides both widths
         config = tmp_path / "run.json"
         config.write_text(json.dumps(payload))
         out = tmp_path / "run"
         assert run_cli("train", "--config", str(config), "--out", str(out)) == 1
-        assert f"{key} must be >= 1" in one_error(capsys.readouterr().err, "usage")
+        assert f"{key} {self.RANGES[key]}" in one_error(capsys.readouterr().err, "usage")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "sweep"])

@@ -17,6 +17,8 @@ from oracles import (
 )
 
 BLANK = 0
+# a beam wider than any frame's candidates on these posteriors: nothing is pruned
+UNPRUNED = 10**6
 A, B, C = 1, 2, 3
 
 
@@ -259,7 +261,7 @@ class TestPrefixBeam:
         t_frames = int(rng.integers(1, 4))
         vocab = int(rng.integers(2, 4))
         lp = random_posterior(rng, t_frames, vocab)
-        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=None, n=50)
+        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=UNPRUNED, n=50)
         ref = exhaustive_ctc_scores(lp, BLANK)
         ranked = sorted(ref.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0]))
         assert len(nbest) == len(ranked)
@@ -269,7 +271,7 @@ class TestPrefixBeam:
 
     def test_single_frame_peaked(self):
         lp = np.log(np.array([[0.05, 0.9, 0.05]]))
-        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=None, n=1)
+        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=UNPRUNED, n=1)
         seq, score = nbest.hypotheses[0]
         assert seq == (1,)
         assert np.isclose(score, np.log(0.9), rtol=1e-12)
@@ -277,13 +279,13 @@ class TestPrefixBeam:
     def test_scores_exponentiate_to_at_most_one(self):
         rng = np.random.default_rng(5)
         lp = random_posterior(rng, 3, 3)
-        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=None, n=100)
+        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=UNPRUNED, n=100)
         total = sum(math.exp(s) for _, s in nbest.hypotheses)
         assert total <= 1.0 + 1e-9
 
     def test_incomplete_flag_when_few_prefixes(self):
         lp = np.log(np.array([[0.5, 0.5]]))  # only () and (1,) reachable
-        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=None, n=10)
+        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=UNPRUNED, n=10)
         assert nbest.incomplete
         assert len(nbest) == 2
 
@@ -304,7 +306,7 @@ class TestPrefixBeam:
             lp = random_posterior(rng, t_frames, vocab)
             post = CtcPosterior(lp, BLANK)
             g = greedy_1best(post)
-            b = prefix_beam_nbest(post, beam_width=None, n=1).hypotheses[0][0]
+            b = prefix_beam_nbest(post, beam_width=UNPRUNED, n=1).hypotheses[0][0]
             if g != b:
                 found = (lp, g, b)
                 break
@@ -321,7 +323,7 @@ class TestPrefixBeam:
         lp = np.log(np.array([[0.6, 0.4], [0.6, 0.4]]))
         post = CtcPosterior(lp, BLANK)
         assert greedy_1best(post) == ()
-        nbest = prefix_beam_nbest(post, beam_width=None, n=2)
+        nbest = prefix_beam_nbest(post, beam_width=UNPRUNED, n=2)
         assert nbest.hypotheses[0][0] == (1,)
         assert np.isclose(math.exp(nbest.hypotheses[0][1]), 0.64, rtol=1e-12)
         assert np.isclose(math.exp(nbest.hypotheses[1][1]), 0.36, rtol=1e-12)
@@ -335,7 +337,7 @@ class TestPrefixBeam:
 
     def test_format_nbest(self):
         lp = np.log(np.array([[0.05, 0.9, 0.05]]))
-        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=None, n=2)
+        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=UNPRUNED, n=2)
         text = ctc.format_nbest("utt1", nbest, ["<b>", "a", "b"])
         lines = text.splitlines()
         assert lines[0].startswith("utt1\t1\t")
@@ -343,7 +345,7 @@ class TestPrefixBeam:
 
 
 POSTERIOR_KINDS = ["random", "quantized", "uniform"]
-BEAM_WIDTHS = [None, "n", 3, 5, 10]
+BEAM_WIDTHS = [None, "n", 3, 5, 10]  # None: UNPRUNED
 
 
 def _posterior_of_kind(rng, kind: str, t_frames: int, vocab: int) -> np.ndarray:
@@ -380,7 +382,7 @@ class TestPrefixBeamMatchesReference:
                 # unpruned search keeps every prefix: bound their number
                 while (vocab - 1) ** t_frames > 2000:
                     t_frames -= 1
-                width, n = None, int(rng.integers(1, 30))
+                width, n = UNPRUNED, int(rng.integers(1, 30))
             elif beam_width == "n":
                 n = int(rng.integers(1, 6))
                 width = n

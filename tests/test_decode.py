@@ -15,10 +15,11 @@ from ctcfuse.decode import (
     evaluate,
     format_hypothesis,
 )
-from ctcfuse.model import METHOD_ALIGNED, METHOD_NBEST, FusionConfig, Model, ModelConfig
+from ctcfuse.model import METHOD_ALIGNED, METHOD_NBEST, FusionConfig, Model
 from ctcfuse.tensor import NumericError, Tensor
 from ctcfuse.training import Adam, TrainConfig, train_epoch
 from oracles import attention_beam_reference
+from toy import toy_config
 
 
 def _log_softmax(x):
@@ -36,7 +37,7 @@ def setup():
     )
     vocab, corpus = synth_corpus(synth)
     cfg = TrainConfig(
-        model=ModelConfig.toy(vocab_size=vocab.size),
+        model=toy_config(vocab_size=vocab.size),
         epochs=6, batch_size=4, seed=2, lr_base=0.02, warmup_steps=20,
     )
     model = Model(cfg.model, cfg.fusion, seed=2)
@@ -155,7 +156,7 @@ def nbest_setup():
     )
     vocab, corpus = synth_corpus(synth)
     cfg = TrainConfig(
-        model=ModelConfig.toy(vocab_size=vocab.size),
+        model=toy_config(vocab_size=vocab.size),
         fusion=FusionConfig(method=METHOD_NBEST, n=2, beam_width=3),
         epochs=4, batch_size=4, seed=4, lr_base=0.02, warmup_steps=20,
     )
@@ -219,7 +220,7 @@ class TestTiedCandidates:
     def test_matches_reference_on_ties(self, setup, method, beam):
         vocab, corpus, _ = setup
         fusion = FusionConfig(method=method, n=2, beam_width=3)
-        model = Model(ModelConfig.toy(vocab_size=vocab.size), fusion, seed=6)
+        model = Model(toy_config(vocab_size=vocab.size), fusion, seed=6)
         for name in ("decoder.out.w", "decoder.out.b"):
             model.params[name].data[...] = 0.0
         cfg = DecodeConfig(beam=beam)
@@ -338,7 +339,7 @@ class TestNeDecode:
         )
         vocab, corpus = synth_corpus(synth)
         cfg = TrainConfig(
-            model=ModelConfig.toy(vocab_size=vocab.size),
+            model=toy_config(vocab_size=vocab.size),
             fusion=FusionConfig(method=METHOD_NBEST, n=2, beam_width=3),
             epochs=1, batch_size=3, seed=5,
         )

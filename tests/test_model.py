@@ -16,18 +16,19 @@ from ctcfuse.model import (
     FusionConfig,
     Model,
     ModelConfig,
-    count_params,
     nbest_id_matrix,
     param_specs,
 )
 from ctcfuse.tensor import Tensor
 from ctcfuse.training import TrainConfig, build_decoder_input
 
+from toy import toy_config
+
 PAD = 3  # eos id in the reserved layout
 
 
 def toy_model(vocab=8, method=METHOD_BASELINE, n=2, seed=0, dropout=0.0):
-    cfg = ModelConfig.toy(vocab_size=vocab)
+    cfg = toy_config(vocab_size=vocab)
     if dropout:
         cfg = ModelConfig(**{**cfg.__dict__, "dropout": dropout})
     fusion = FusionConfig(method=method, n=n, beam_width=max(n, 2))
@@ -180,7 +181,7 @@ class TestFusion:
                         feature_dim=4, seed=0)
         )
         cfg = TrainConfig(
-            model=ModelConfig.toy(vocab_size=vocab.size),
+            model=toy_config(vocab_size=vocab.size),
             fusion=FusionConfig(method=METHOD_FUSION, alpha=alpha),
             gating=GatingConfig(mode="absolute", t_l=1),
         )
@@ -284,10 +285,6 @@ class TestNeModule:
         b = model.ne_encode(x)
         assert a.shape == x.shape
         assert a.data.tobytes() == b.data.tobytes()
-
-    def test_reference_config_uses_two_ne_layers(self):
-        cfg = ModelConfig.reference(vocab_size=100)
-        assert cfg.ne_layers == 2
 
 
 class TestDecoder:
@@ -402,9 +399,15 @@ class TestDecoder:
         assert model.embed_tokens(ids[:, 3:], 3).data.tobytes() == whole[:, 3:].tobytes()
 
 
+def count_params(config: ModelConfig, fusion: FusionConfig) -> int:
+    """Parameters a model of ``config`` and ``fusion`` holds, summed over ``param_specs``."""
+    specs = param_specs(config, fusion.method == METHOD_NBEST, fusion.n)
+    return sum(math.prod(shape) for shape in specs.values())
+
+
 class TestCountParams:
     def test_deterministic(self):
-        cfg = ModelConfig.toy(vocab_size=9)
+        cfg = toy_config(vocab_size=9)
         fusion = FusionConfig()
         assert count_params(cfg, fusion) == count_params(cfg, fusion)
 
@@ -414,7 +417,7 @@ class TestCountParams:
         assert count_params(model.config, model.fusion) == total
 
     def test_nbest_delta_closed_form(self):
-        cfg = ModelConfig.toy(vocab_size=9)
+        cfg = toy_config(vocab_size=9)
         n = 3
         base = count_params(cfg, FusionConfig(method=METHOD_BASELINE))
         ne = count_params(cfg, FusionConfig(method=METHOD_NBEST, n=n, beam_width=n))
@@ -434,7 +437,7 @@ class TestCountParams:
         assert 2.5 < r < 4.5  # linear layers quadruple, embeddings double
 
     def test_specs_cover_all_prefixes(self):
-        specs = param_specs(ModelConfig.toy(vocab_size=9), True, 2)
+        specs = param_specs(toy_config(vocab_size=9), True, 2)
         prefixes = {name.split(".")[0] for name in specs}
         assert prefixes == {"embed", "encoder", "ctc_head", "decoder", "ne"}
 

@@ -260,8 +260,9 @@ class TestOps:
         assert (t + 1).data.dtype == np.float64
 
     def test_non_finite_forward_raises(self):
-        with pytest.raises(FloatingPointError):
-            T.log(Tensor([0.0]))
+        big = Tensor(np.full((1, 2), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            T.matmul(big, Tensor(np.full((2, 1), 10.0)))
 
     def test_concat_roundtrip_grads(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -333,7 +334,7 @@ class TestOps:
         for conv in (T.conv2d, conv2d_reference):
             x, w, b = (Tensor(d, requires_grad=True) for d in data)
             out = conv(x, w, b, stride=stride, pad=pad)
-            (out * Tensor(np.cos(np.arange(out.size)).reshape(out.shape))).sum().backward()
+            (out * Tensor(np.cos(np.arange(out.data.size)).reshape(out.shape))).sum().backward()
             grads.append((out.data, x.grad, w.grad, b.grad))
         for new, ref in zip(*grads):
             np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-14)
@@ -355,7 +356,6 @@ class TestConstantOperands:
 
     OPS = {
         "add": lambda a, b: a + b,
-        "sub": lambda a, b: a - b,
         "mul": lambda a, b: a * b,
         "matmul": T.matmul,
     }
@@ -380,14 +380,12 @@ class TestFiniteDifferences:
     # op -> (operand shapes, op over the operands, map of the drawn normal data)
     CASES = {
         "add": ([(3, 4), (4,)], lambda a, b: a + b, None),
-        "sub": ([(3, 4), (3, 1)], lambda a, b: a - b, None),
         "mul": ([(3, 4), (1, 4)], lambda a, b: a * b, None),
         "reshape": ([(2, 6)], lambda a: a.reshape(3, 2, 2), None),
         "transpose": ([(2, 3, 4)], lambda a: a.transpose(2, 0, 1), None),
         "sum": ([(3, 4)], lambda a: a.sum(), None),
         "matmul": ([(2, 3, 4), (4, 5)], T.matmul, None),
         "concat": ([(2, 3), (2, 2)], lambda a, b: T.concat([a, b], axis=1), None),
-        "log": ([(3, 4)], T.log, lambda d: np.abs(d) + 0.5),
         "relu": ([(3, 4)], T.relu, lambda d: d + 0.2 * np.sign(d)),
         "log_softmax": ([(3, 5)], T.log_softmax, None),
         "softmax": ([(3, 5)], T.softmax, None),
@@ -411,7 +409,7 @@ class TestFiniteDifferences:
 
         def f():
             out = fn(*params.values())
-            weights = np.cos(np.arange(out.size)).reshape(out.shape)
+            weights = np.cos(np.arange(out.data.size)).reshape(out.shape)
             return (out * Tensor(weights)).sum()
 
         report = T.grad_check(f, params, step=1e-6, tolerance=1e-5)
@@ -432,8 +430,6 @@ class TestInference:
     def test_non_finite_still_raises(self):
         big = Tensor(np.full((1, 2), 1e308))
         with T.inference():
-            with pytest.raises(FloatingPointError):
-                T.log(Tensor([0.0]))
             with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
                 T.matmul(big, Tensor(np.full((2, 1), 10.0)))
 
@@ -448,9 +444,10 @@ class TestInference:
                     raise RuntimeError("inside")
             assert not (w * 2.0).requires_grad
         assert (w * 2.0).requires_grad
-        with pytest.raises(FloatingPointError):
+        big = Tensor(np.full((1, 2), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             with T.inference():
-                T.log(Tensor([0.0]))
+                T.matmul(big, Tensor(np.full((2, 1), 10.0)))
         (w * 2.0).sum().backward()
         np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
 
@@ -459,7 +456,6 @@ class TestInference:
 GUARDED_OPS = {
     "add": (lambda a, b: Tensor(a) + Tensor(b), [(2, 3), (2, 3)]),
     "add_broadcast": (lambda a, b: Tensor(a) + Tensor(b), [(2, 3), (3,)]),
-    "sub": (lambda a, b: Tensor(a) - Tensor(b), [(2, 3), (2, 3)]),
     "mul": (lambda a, b: Tensor(a) * Tensor(b), [(2, 3), (2, 3)]),
     "reshape": (lambda a: Tensor(a).reshape(3, 2), [(2, 3)]),
     "transpose": (lambda a: Tensor(a).transpose(2, 0, 1), [(2, 1, 3)]),
@@ -467,7 +463,6 @@ GUARDED_OPS = {
     "matmul": (lambda a, b: T.matmul(Tensor(a), Tensor(b)), [(2, 3), (3, 2)]),
     "matmul_batched": (lambda a, b: T.matmul(Tensor(a), Tensor(b)), [(2, 1, 3), (3, 2)]),
     "concat": (lambda a, b: T.concat([Tensor(a), Tensor(b)], axis=-1), [(2, 1), (2, 2)]),
-    "log": (lambda a: T.log(Tensor(a)), [(4,)]),
     "relu": (lambda a: T.relu(Tensor(a)), [(2, 3)]),
     "log_softmax": (lambda a: T.log_softmax(Tensor(a)), [(2, 3)]),
     "softmax": (lambda a: T.softmax(Tensor(a)), [(2, 3)]),

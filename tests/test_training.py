@@ -16,7 +16,6 @@ from ctcfuse.model import (
     METHOD_NBEST,
     FusionConfig,
     Model,
-    ModelConfig,
 )
 from ctcfuse.tensor import Tensor
 from ctcfuse import training as tr
@@ -39,6 +38,8 @@ from ctcfuse.training import (
     train_epoch,
 )
 
+from toy import toy_config
+
 
 def tiny_setup(method=METHOD_BASELINE, seed=3, count=8, **fusion_kw):
     synth = SynthConfig(
@@ -53,7 +54,7 @@ def tiny_setup(method=METHOD_BASELINE, seed=3, count=8, **fusion_kw):
         seed=seed,
     )
     vocab, corpus = synth_corpus(synth)
-    model_cfg = ModelConfig.toy(vocab_size=vocab.size)
+    model_cfg = toy_config(vocab_size=vocab.size)
     fusion = FusionConfig(method=method, **fusion_kw)
     cfg = TrainConfig(
         model=model_cfg,
@@ -118,7 +119,7 @@ class TestAdam:
     def test_optimizer_updates_and_none_grad_is_zero(self):
         params = {"a": Tensor(np.ones(2), requires_grad=True),
                   "b": Tensor(np.ones(2), requires_grad=True)}
-        cfg = TrainConfig(model=ModelConfig.toy(vocab_size=5))
+        cfg = TrainConfig(model=toy_config(vocab_size=5))
         opt = Adam(params, cfg)
         params["a"].grad = np.ones(2)
         opt.step()
@@ -404,7 +405,7 @@ class TestTrainingLoop:
         )
         vocab, corpus = synth_corpus(synth)
         cfg = TrainConfig(
-            model=ModelConfig.toy(vocab_size=vocab.size),
+            model=toy_config(vocab_size=vocab.size),
             fusion=FusionConfig(method=METHOD_NBEST, n=vocab.size + 1, beam_width=vocab.size + 1),
             epochs=1, batch_size=2, seed=1, eval_every=100,
         )
@@ -425,38 +426,18 @@ class TestCheckpoints:
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         save_checkpoint(p1, model, opt, cfg, vocab, epoch=1)
-        model2, opt2, meta = load_checkpoint(p1, cfg)
+        model2, opt2, meta = load_checkpoint(p1)
         save_checkpoint(p2, model2, opt2, cfg, vocab, epoch=1)
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.ckpt.json").read_bytes() == (tmp_path / "b.ckpt.json").read_bytes()
 
-    def test_resume_matches_uninterrupted(self, tmp_path):
-        vocab, corpus, cfg = tiny_setup(count=8)
-        cfg4 = dataclasses.replace(cfg, epochs=4)
-        straight = train(corpus, vocab, cfg4)
-
-        cfg2 = dataclasses.replace(cfg, epochs=2)
-        part1 = train(corpus, vocab, cfg2, out_dir=str(tmp_path / "run"))
-        resumed = tr.resume(
-            corpus, vocab, str(tmp_path / "run" / "model.ckpt"), cfg4
-        )
-        tail = [m.joint_loss for m in resumed.history]
-        expected = [m.joint_loss for m in straight.history[2:]]
-        assert len(tail) == 2
-        np.testing.assert_allclose(tail, expected, rtol=1e-6)
-
-    def test_fresh_run_overwrites_metrics_and_resume_appends(self, tmp_path):
+    def test_fresh_run_overwrites_metrics(self, tmp_path):
         vocab, corpus, cfg = tiny_setup(count=8)
         single, twice = tmp_path / "single", tmp_path / "twice"
         train(corpus, vocab, cfg, out_dir=str(single))
         for _ in range(2):
             train(corpus, vocab, cfg, out_dir=str(twice))
         assert (twice / "metrics.jsonl").read_bytes() == (single / "metrics.jsonl").read_bytes()
-
-        cfg3 = dataclasses.replace(cfg, epochs=3)
-        tr.resume(corpus, vocab, str(twice / "model.ckpt"), cfg3, out_dir=str(twice))
-        records = (twice / "metrics.jsonl").read_text().splitlines()
-        assert [json.loads(line)["epoch"] for line in records] == [1, 2, 3]
 
     def test_failed_save_keeps_previous_pair(self, tmp_path, monkeypatch):
         vocab, corpus, cfg = tiny_setup()
@@ -488,7 +469,7 @@ class TestCheckpoints:
             sidecar["epoch"] = epoch
         (tmp_path / "e.ckpt.json").write_text(json.dumps(sidecar))
         with pytest.raises(CheckpointError, match="epoch"):
-            tr.resume(corpus, vocab, str(path), dataclasses.replace(cfg, epochs=3))
+            load_checkpoint(path)
 
     def test_corrupt_format_version(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
@@ -501,7 +482,7 @@ class TestCheckpoints:
         )
         (tmp_path / "c.ckpt.json").write_text(sidecar)
         with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path, cfg)
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("value", ["sinusoidal", "learned"])
     def test_sidecar_naming_the_former_pos_encoding(self, tmp_path, value):
