@@ -30,8 +30,8 @@ from ctcfuse.alignment import GatingConfig, aef_align, render_alignment
 from ctcfuse.ctc import format_nbest
 from ctcfuse.data import (DataError, SynthConfig, build_vocab, corpus_stats, desk_synth_config,
                           load_corpus, read_manifest, read_text, save_corpus, synth_corpus)
-from ctcfuse.decode import (DECODE_METHODS, DecodeConfig, ctc_nbest, decode_utterance, evaluate,
-                            format_hypothesis)
+from ctcfuse.decode import (DECODE_METHODS, DecodeConfig, ctc_nbest, decode_utterance,
+                            encode_utterance, evaluate, format_hypothesis)
 from ctcfuse.model import FusionConfig, ModelConfig
 from ctcfuse.training import METRICS_FILE, NumericError, TrainConfig, load_checkpoint, train
 
@@ -236,10 +236,11 @@ def cmd_decode(args) -> int:
     lines = []
     nbest_lines = []
     for utt in corpus:
-        hyp, score = decode_utterance(utt, model, cfg, vocab)
+        enc = encode_utterance(utt, model) if args.nbest else None
+        hyp, score = decode_utterance(utt, model, cfg, vocab, enc)
         lines.append(format_hypothesis(utt.utt_id, hyp, score, vocab))
         if args.nbest:
-            nb = ctc_nbest(utt, model, vocab, max(args.beam, args.nbest), args.nbest)
+            nb = ctc_nbest(utt, model, vocab, max(args.beam, args.nbest), args.nbest, enc)
             nbest_lines.append(format_nbest(utt.utt_id, nb, vocab.id_to_token))
     text = "\n".join(lines) + "\n"
     if args.out:

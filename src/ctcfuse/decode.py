@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ def attention_beam_decode(
     model: Model,
     cfg: DecodeConfig,
     vocab: Vocabulary,
+    enc: EncoderOutput | None = None,
 ) -> tuple[tuple[int, ...], float, bool]:
     """Autoregressive beam search from sos; hypotheses end at eos.
 
@@ -68,10 +70,12 @@ def attention_beam_decode(
     finished beams, and only those scoring at least the ``beam``-th best
     are ranked, by ``(-score, tokens)`` and then candidate order: the
     ranking a stable sort of every candidate gives (Seki et al., 2019).
+    A given ``enc`` is taken as the encoder output of ``features``.
     """
     model.train(False)
     with tz.inference(), tz.fp_guard():
-        enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
+        if enc is None:
+            enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
         ne_memory = None
         if model.uses_ne_memory:
             ne_memory = _ne_memory_for(model, _posterior(model, enc, vocab), vocab)
@@ -151,16 +155,19 @@ def ctc_rescore_decode(
     model: Model,
     cfg: DecodeConfig,
     vocab: Vocabulary,
+    enc: EncoderOutput | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """Rerank CTC prefix-beam candidates by interpolated CTC/attention scores.
 
     ``lambda_dec`` weighs the CTC path-sum score; ``1 - lambda_dec`` the
     teacher-forced attention log-likelihood. An empty candidate is scored
-    like any other hypothesis.
+    like any other hypothesis. A given ``enc`` is taken as the encoder
+    output of ``features``.
     """
     model.train(False)
     with tz.inference(), tz.fp_guard():
-        enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
+        if enc is None:
+            enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
         post = _posterior(model, enc, vocab)
         nbest = prefix_beam_nbest(post, cfg.beam, cfg.beam)
         ne_memory = _ne_memory_for(model, post, vocab) if model.uses_ne_memory else None
@@ -172,25 +179,33 @@ def ctc_rescore_decode(
     return candidates[best], float(combined[best])
 
 
+def encode_utterance(utt: Utterance, model: Model) -> EncoderOutput:
+    """``utt``'s encoder output in eval mode; a non-finite value is named as in decoding."""
+    model.train(False)
+    with tz.numeric_failure_names(f"utterance {utt.utt_id}"), tz.inference(), tz.fp_guard():
+        return model.encode(utt.features[None], np.array([utt.num_frames]))
+
+
 def decode_utterance(
-    utt: Utterance, model: Model, cfg: DecodeConfig, vocab: Vocabulary
+    utt: Utterance, model: Model, cfg: DecodeConfig, vocab: Vocabulary, enc: EncoderOutput | None = None
 ) -> tuple[tuple[int, ...], float]:
     """``(tokens, score)`` of the best hypothesis by the decoder ``cfg.method`` names.
 
     A non-finite value while decoding raises :class:`NumericError` naming
-    the utterance.
+    the utterance. ``enc``, when given, is ``encode_utterance(utt, model)``.
     """
     with tz.numeric_failure_names(f"utterance {utt.utt_id}"):
         if cfg.method == METHOD_ATTENTION:
-            tokens, score, _ = attention_beam_decode(utt.features, model, cfg, vocab)
+            tokens, score, _ = attention_beam_decode(utt.features, model, cfg, vocab, enc)
             return tokens, score
-        return ctc_rescore_decode(utt.features, model, cfg, vocab)
+        return ctc_rescore_decode(utt.features, model, cfg, vocab, enc)
 
 
-def ctc_nbest(utt: Utterance, model: Model, vocab: Vocabulary, beam: int, n: int) -> NBestList:
-    """The CTC prefix-beam N-best of ``utt``; a non-finite value is named as in decoding."""
+def ctc_nbest(
+    utt: Utterance, model: Model, vocab: Vocabulary, beam: int, n: int, enc: EncoderOutput
+) -> NBestList:
+    """The CTC prefix-beam N-best of ``utt`` from ``enc = encode_utterance(utt, model)``."""
     with tz.numeric_failure_names(f"utterance {utt.utt_id}"), tz.inference(), tz.fp_guard():
-        enc = model.encode(utt.features[None], np.array([utt.num_frames]))
         return prefix_beam_nbest(_posterior(model, enc, vocab), beam, n)
 
 
@@ -252,21 +267,10 @@ def evaluate(corpus: list[Utterance], decode_fn) -> EvalReport:
     total_edits = 0
     total_ref = 0
     for utt in corpus:
-        hyp = tuple(decode_fn(utt))
-        cost, script = edit_distance(utt.transcript, hyp)
-        subs = sum(1 for op, _, _ in script if op == "sub")
-        dels = sum(1 for op, _, _ in script if op == "del")
-        ins = sum(1 for op, _, _ in script if op == "ins")
+        cost, script = edit_distance(utt.transcript, tuple(decode_fn(utt)))
+        ops = Counter(op for op, _, _ in script)
         ref_len = len(utt.transcript)
-        records.append(
-            EvalRecord(
-                utt_id=utt.utt_id,
-                cer=cost / ref_len,
-                subs=subs,
-                ins=ins,
-                dels=dels,
-            )
-        )
+        records.append(EvalRecord(utt.utt_id, cost / ref_len, ops["sub"], ops["ins"], ops["del"]))
         total_edits += cost
         total_ref += ref_len
     return EvalReport(

@@ -379,24 +379,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, training: b
 
 # -- strided 2D convolution -------------------------------------------------
 
-_COL2IM_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _window_index(h: int, w: int, kh: int, kw: int, stride: int, pad: int):
-    """Flat indices of each im2col column into the padded input plane."""
-    key = (h, w, kh, kw, stride, pad)
-    cached = _COL2IM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    hp, wp = h + 2 * pad, w + 2 * pad
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    r0 = np.arange(ho)[:, None, None, None] * stride + np.arange(kh)[None, None, :, None]
-    c0 = np.arange(wo)[None, :, None, None] * stride + np.arange(kw)[None, None, None, :]
-    idx = (r0 * wp + c0).reshape(ho * wo, kh * kw)
-    _COL2IM_CACHE[key] = idx
-    return idx
-
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, pad: int = 1) -> Tensor:
     """Batched 2D convolution, x: [B, Cin, H, W], weight: [Cout, Cin, kh, kw]."""
@@ -407,13 +389,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, pad: int = 
     hp, wp = h + 2 * pad, w + 2 * pad
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    xp = np.zeros((b, cin, hp, wp))
-    xp[:, :, pad : pad + h, pad : pad + w] = x.data
-    idx = _window_index(h, w, kh, kw, stride, pad)
-    # cols: [B, Ho*Wo, Cin*kh*kw]
-    cols = xp.reshape(b, cin, hp * wp)[:, :, idx].transpose(0, 2, 1, 3).reshape(b, ho * wo, cin * kh * kw)
+    # im2col through a channels-last padded plane: each kernel offset
+    # copies one strided slice, so every copy runs along Cin
+    xp = np.zeros((b, hp, wp, cin))
+    xp[:, pad : pad + h, pad : pad + w] = x.data.transpose(0, 2, 3, 1)
+    windows = np.empty((b, ho, wo, cin, kh, kw))
+    for i in range(kh):
+        for j in range(kw):
+            windows[..., i, j] = xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    cols = windows.reshape(b, ho * wo, cin * kh * kw)  # [B, Ho*Wo, Cin*kh*kw]
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = cols @ wmat.T + bias.data
+    out = cols @ wmat.T
+    out += bias.data
     out_data = out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
 
     def grad_fn(g):
@@ -424,14 +411,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, pad: int = 
         if bias.requires_grad:
             gb = gmat.sum(axis=0)
         if x.requires_grad:
-            # col2im: each kernel offset adds its window values into the
-            # padded plane as one strided slice
-            gcols = (gmat @ wmat).reshape(b, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-            gxp = np.zeros((b, cin, hp, wp))
+            # col2im: each kernel offset adds its window values into a
+            # channels-last padded plane as one strided slice
+            gcols = (gmat @ wmat).reshape(b, ho, wo, cin, kh, kw)
+            gxp = np.zeros((b, hp, wp, cin))
             for i in range(kh):
                 for j in range(kw):
-                    gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
-            gx = np.ascontiguousarray(gxp[:, :, pad : pad + h, pad : pad + w])
+                    gxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[..., i, j]
+            gx = gxp[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2).copy()
         return gx, gw, gb
 
     return Tensor._result(np.ascontiguousarray(out_data), (x, weight, bias), grad_fn)

@@ -187,18 +187,13 @@ def lr_schedule(base: float, step: int, warmup: int) -> float:
     return base * min(step**-0.5, step * warmup**-1.5)
 
 
-def adam_step(param, grad, m, v, step, lr, beta1=0.9, beta2=0.98, eps=1e-9):
-    """One bias-corrected adaptive-moment update; returns (param, m, v)."""
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return param, m, v
-
-
 class Adam:
-    """Adaptive-moment optimizer over a named parameter dict."""
+    """Adaptive-moment optimizer over a named parameter dict (Kingma & Ba, 2015).
+
+    Moments update in place through one scratch pair sized to the largest
+    parameter. Each parameter gets a new array: updated in place, glibc gave
+    the step's freed heap top back to the system and backward paid page faults.
+    """
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
         self.params = params
@@ -208,16 +203,27 @@ class Adam:
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        scratch = np.empty((2, max((p.data.size for p in params.values()), default=0)))
+        self._scratch = {name: tuple(row[: p.data.size].reshape(p.shape) for row in scratch)
+                         for name, p in params.items()}  # views in each parameter's shape
 
     def step(self) -> float:
         self.step_count += 1
         lr = lr_schedule(self.lr_base, self.step_count, self.warmup)
+        m_scale, v_scale = 1.0 - self.beta1**self.step_count, 1.0 - self.beta2**self.step_count
         for name, p in self.params.items():
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            p.data, self.m[name], self.v[name] = adam_step(
-                p.data, grad, self.m[name], self.v[name],
-                self.step_count, lr, self.beta1, self.beta2, self.eps,
-            )
+            m, v = self.m[name], self.v[name]
+            t, u = self._scratch[name]
+            # the operations, in order, of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g
+            # and p = p - lr * (m / m_scale) / (sqrt(v / v_scale) + eps): the same bits
+            m *= self.beta1
+            m += np.multiply(grad, 1.0 - self.beta1, out=t)
+            v *= self.beta2
+            v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=t), grad, out=t)
+            np.multiply(np.divide(m, m_scale, out=t), lr, out=t)
+            np.add(np.sqrt(np.divide(v, v_scale, out=u), out=u), self.eps, out=u)
+            p.data = p.data - np.divide(t, u, out=t)
             if not np.isfinite(p.data).all():
                 raise NumericError(f"non-finite parameter after update: {name}")
         return lr

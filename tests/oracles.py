@@ -15,7 +15,7 @@ from ctcfuse import tensor as tz
 from ctcfuse.ctc import CtcPosterior, NBestList, TokenSeq, _augment, min_frames
 from ctcfuse.decode import _ne_memory_for, _posterior
 from ctcfuse.model import EncoderOutput
-from ctcfuse.tensor import Tensor, _window_index
+from ctcfuse.tensor import Tensor
 
 NEG_INF = -math.inf
 
@@ -277,6 +277,69 @@ def attention_beam_reference(features, model, cfg, vocab):
     return best[0], normalized(best), bool(finished)
 
 
+_COL2IM_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def _window_index(h: int, w: int, kh: int, kw: int, stride: int, pad: int):
+    """Flat indices of each im2col column into the padded input plane."""
+    key = (h, w, kh, kw, stride, pad)
+    cached = _COL2IM_CACHE.get(key)
+    if cached is not None:
+        return cached
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    r0 = np.arange(ho)[:, None, None, None] * stride + np.arange(kh)[None, None, :, None]
+    c0 = np.arange(wo)[None, :, None, None] * stride + np.arange(kw)[None, None, None, :]
+    idx = (r0 * wp + c0).reshape(ho * wo, kh * kw)
+    _COL2IM_CACHE[key] = idx
+    return idx
+
+
+def conv2d_gather(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, pad: int = 1) -> Tensor:
+    """The earlier ``tz.conv2d``, whose outputs and gradients the current one keeps bit for bit.
+
+    im2col by a fancy-index gather through :func:`_window_index`, the bias
+    added into a new array, and col2im by strided slice-adds into a
+    channels-first padded plane.
+    """
+    b, cin, h, w = x.shape
+    cout, cin_w, kh, kw = weight.shape
+    if cin != cin_w:
+        raise ValueError(f"conv2d channel mismatch: input {cin}, kernel {cin_w}")
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    xp = np.zeros((b, cin, hp, wp))
+    xp[:, :, pad : pad + h, pad : pad + w] = x.data
+    idx = _window_index(h, w, kh, kw, stride, pad)
+    # cols: [B, Ho*Wo, Cin*kh*kw]
+    cols = xp.reshape(b, cin, hp * wp)[:, :, idx].transpose(0, 2, 1, 3).reshape(b, ho * wo, cin * kh * kw)
+    wmat = weight.data.reshape(cout, cin * kh * kw)
+    out = cols @ wmat.T + bias.data
+    out_data = out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+
+    def grad_fn(g):
+        gmat = g.transpose(0, 2, 3, 1).reshape(b * ho * wo, cout)
+        gw = gb = gx = None
+        if weight.requires_grad:
+            gw = (gmat.T @ cols.reshape(b * ho * wo, cin * kh * kw)).reshape(weight.shape)
+        if bias.requires_grad:
+            gb = gmat.sum(axis=0)
+        if x.requires_grad:
+            # col2im: each kernel offset adds its window values into the
+            # padded plane as one strided slice
+            gcols = (gmat @ wmat).reshape(b, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+            gxp = np.zeros((b, cin, hp, wp))
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
+            gx = np.ascontiguousarray(gxp[:, :, pad : pad + h, pad : pad + w])
+        return gx, gw, gb
+
+    return Tensor._result(np.ascontiguousarray(out_data), (x, weight, bias), grad_fn)
+
+
 def conv2d_reference(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, pad: int = 1) -> Tensor:
     """The convolution ``tz.conv2d`` had before its backward became a matmul and slice-adds.
 
@@ -310,3 +373,17 @@ def conv2d_reference(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2, p
         return np.ascontiguousarray(gx), gw, gb
 
     return Tensor._result(np.ascontiguousarray(out_data), (x, weight, bias), grad_fn)
+
+
+def adam_step(param, grad, m, v, step, lr, beta1=0.9, beta2=0.98, eps=1e-9):
+    """One bias-corrected adaptive-moment update; returns new (param, m, v).
+
+    The textbook update on fresh arrays, whose arithmetic ``Adam.step``
+    repeats in place operation for operation.
+    """
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return param, m, v

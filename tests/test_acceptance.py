@@ -16,7 +16,7 @@ import pytest
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, gate
 from ctcfuse.ctc import CtcPosterior, ctc_loss_op, min_frames, prefix_beam_nbest
-from ctcfuse.data import desk_synth_config, synth_corpus, SynthConfig, Utterance
+from ctcfuse.data import desk_synth_config, synth_corpus
 from ctcfuse.model import (
     METHOD_ALIGNED,
     METHOD_BASELINE,
@@ -29,7 +29,6 @@ from ctcfuse.model import (
 from ctcfuse.ctc import NBestList
 from ctcfuse.tensor import Tensor
 from ctcfuse.training import (
-    Adam,
     TrainConfig,
     build_decoder_input,
     desk_train_config,
@@ -37,7 +36,6 @@ from ctcfuse.training import (
     joint_loss,
     smoothed_cross_entropy,
     train,
-    train_epoch,
 )
 
 from oracles import exhaustive_ctc_loss, exhaustive_ctc_scores, levenshtein_oracle, random_posterior

@@ -385,6 +385,21 @@ class TestDecodeEval:
         lines = open(nbest).read().splitlines()
         assert all(len(l.split("\t")) == 4 for l in lines if l)
 
+    @pytest.mark.parametrize("method", ["attention", "ctc_rescore"])
+    def test_decode_nbest_encodes_each_utterance_once(self, trained, corpus_dir, tmp_path,
+                                                      monkeypatch, method):
+        argv = ["decode", "--ckpt", str(trained / "model.ckpt"),
+                "--manifest", str(corpus_dir / "manifest.tsv"), "--method", method, "--beam", "3"]
+        assert run_cli(*argv, "--out", str(tmp_path / "plain.tsv")) == 0
+        calls = []
+        real_encode = Model.encode
+        monkeypatch.setattr(Model, "encode", lambda *a, **kw: calls.append(1) or real_encode(*a, **kw))
+        assert run_cli(*argv, "--nbest", "3", "--out", str(tmp_path / "hyp.tsv")) == 0
+        assert len(calls) == 10  # the corpus holds 10 utterances
+        # the shared encoder pass leaves the hypotheses as a decode without --nbest writes them
+        assert (tmp_path / "hyp.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+        assert len((tmp_path / "hyp.tsv.nbest.tsv").read_text().splitlines()) >= 10
+
     def test_eval_from_checkpoint(self, trained, corpus_dir, tmp_path, capsys):
         report = tmp_path / "report.jsonl"
         code = run_cli(

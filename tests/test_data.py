@@ -5,7 +5,6 @@ import pytest
 
 from ctcfuse import data as D
 from ctcfuse.data import (
-    Batch,
     DataError,
     SynthConfig,
     Utterance,

@@ -9,9 +9,9 @@ from ctcfuse.data import SynthConfig, synth_corpus, Utterance
 from ctcfuse.decode import (
     DecodeConfig,
     attention_beam_decode,
-    ctc_nbest,
     ctc_rescore_decode,
     decode_utterance,
+    encode_utterance,
     evaluate,
     format_hypothesis,
 )
@@ -265,7 +265,7 @@ class TestFpGuard:
             with pytest.raises(NumericError, match=f"^utterance {utt.utt_id}: non-finite"):
                 decode_utterance(utt, model, DecodeConfig(method=method, beam=2), vocab)
         with pytest.raises(NumericError, match=f"^utterance {utt.utt_id}: non-finite"):
-            ctc_nbest(utt, model, vocab, 2, 2)
+            encode_utterance(utt, model)  # the encoder pass decode --nbest hands to ctc_nbest
 
 
 class TestRescore:

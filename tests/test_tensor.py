@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from ctcfuse import tensor as T
 from ctcfuse.tensor import Tensor
 
-from oracles import conv2d_reference
+from oracles import conv2d_gather, conv2d_reference
 
 
 def matmul_oracle(a, b):
@@ -338,6 +339,28 @@ class TestOps:
             grads.append((out.data, x.grad, w.grad, b.grad))
         for new, ref in zip(*grads):
             np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    @pytest.mark.parametrize(
+        "kernel, stride, pad",
+        [((3, 3), 2, 1), ((2, 3), 1, 0), ((3, 2), 3, 2)],
+        ids=["k3x3-s2-p1", "k2x3-s1-p0", "k3x2-s3-p2"],
+    )
+    def test_conv2d_bit_equal_to_gather_form(self, batch, kernel, stride, pad):
+        # BLAS picks kernels by shape, so equal bits on one shape say
+        # nothing about another: sweep the shapes the model and tests use
+        rng = np.random.default_rng(14)
+        for cin, h, w, cout in itertools.product([1, 3, 64], [4, 5, 9, 17, 30, 41, 72], [3, 4, 8], [5, 64]):
+            data = [rng.normal(size=(batch, cin, h, w)), rng.normal(size=(cout, cin) + kernel),
+                    rng.normal(size=cout)]
+            results = []
+            for conv in (T.conv2d, conv2d_gather):
+                x, wt, b = (Tensor(d, requires_grad=True) for d in data)
+                out = conv(x, wt, b, stride=stride, pad=pad)
+                g = np.cos(np.arange(out.data.size)).reshape(out.shape)
+                results.append((out.data, *out._grad_fn(g)))
+            for name, new, ref in zip(("out", "gx", "gw", "gb"), *results):
+                assert np.array_equal(new, ref), (name, cin, h, w, cout)
 
     def test_conv2d_input_without_grad_gets_none(self):
         rng = np.random.default_rng(13)

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import os
 import re
 
 import numpy as np
@@ -24,9 +23,9 @@ from ctcfuse.training import (
     CheckpointError,
     NumericError,
     TrainConfig,
-    adam_step,
     build_decoder_input,
     compute_ctc_hypotheses,
+    desk_train_config,
     init_from_pretrained,
     joint_loss,
     load_checkpoint,
@@ -38,6 +37,7 @@ from ctcfuse.training import (
     train_epoch,
 )
 
+from oracles import adam_step
 from toy import toy_config
 
 
@@ -125,6 +125,37 @@ class TestAdam:
         opt.step()
         assert not np.allclose(params["a"].data, 1.0)
         np.testing.assert_array_equal(params["b"].data, np.ones(2))
+
+    def test_in_place_steps_are_bit_equal_to_the_reference(self):
+        cfg = desk_train_config(vocab_size=12, method=METHOD_ALIGNED)
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        opt = Adam(model.params, cfg)
+        ref = {name: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for name, p in model.params.items()}
+        # from step 11 on one parameter has no gradient: its moments carry it
+        no_grad = sorted(model.params)[0]
+        rng = np.random.default_rng(4)
+        for step in range(1, 21):
+            if step == 11:
+                before = model.params[no_grad].data.copy()
+            for name, p in model.params.items():
+                # gradients spanning several magnitudes, as in training
+                scale = 10.0 ** rng.integers(-6, 2)
+                p.grad = None if name == no_grad and step > 10 else rng.normal(size=p.shape) * scale
+            lr = opt.step()
+            for name, p in model.params.items():
+                grad = np.zeros_like(p.data) if p.grad is None else p.grad
+                param, m, v = ref[name]
+                ref[name] = adam_step(param, grad, m, v, step, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                assert np.array_equal(p.data, ref[name][0]), (step, name)
+        assert not np.array_equal(model.params[no_grad].data, before)
+        state = opt.state_arrays()
+        expected = {"adam.step": np.array([20])}
+        for name, (_, m, v) in ref.items():
+            expected[f"adam.m.{name}"], expected[f"adam.v.{name}"] = m, v
+        assert state.keys() == expected.keys()
+        for key, arr in expected.items():
+            assert np.array_equal(state[key], arr), key
 
 
 class TestSmoothedCrossEntropy:
