@@ -31,7 +31,7 @@ for method in (METHOD_BASELINE, METHOD_ALIGNED):
     start = time.time()
     result = train(corpus, vocab, cfg, log=print)
     print(f"finished in {time.time() - start:.0f}s; "
-          f"final train CER {result.final_train_cer:.3f}")
+          f"final train CER {result.history[-1].train_cer:.3f}")
     if method == METHOD_ALIGNED:
         first = result.history[0].blanks_inserted
         last = result.history[-1].blanks_inserted

@@ -22,8 +22,8 @@ cfg = dataclasses.replace(
 )
 print("training a small model...")
 result = train(corpus, vocab, cfg)
-model = result.model
-print(f"train CER after {result.history[-1].epoch} epochs: {result.final_train_cer:.3f}\n")
+model, final = result.model, result.history[-1]
+print(f"train CER after {final.epoch} epochs: {final.train_cer:.3f}\n")
 
 utt = corpus[0]
 print(f"== one utterance ({utt.utt_id}), reference: {vocab.detokenize(utt.transcript)} ==")

@@ -41,8 +41,8 @@ class GatingConfig:
     def __post_init__(self):
         if self.mode not in ("absolute", "relative"):
             raise ValueError(f"unknown gating mode {self.mode!r}")
-        if self.t_l < 0 or self.t_r < 0:
-            raise ValueError("gating thresholds must be non-negative")
+        if self.t_l < 0 or not 0 <= self.t_r < float("inf"):  # also rejects nan
+            raise ValueError("gating thresholds t_l and t_r must be non-negative, t_r finite")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,6 @@ class AlignedPair:
     w_align: TokenSeq
     blank_id: int
     blanks_inserted: int
-    insertions: int
-    deletions: int
 
     def __post_init__(self):
         if len(self.y_align) != len(self.w_align):
@@ -111,30 +109,13 @@ def aef_align(y, w, blank_id: int) -> AlignedPair:
     w = tuple(w)
     if blank_id in y or blank_id in w:
         raise ValueError("aef_align inputs must not contain the blank token")
-    cost, script = edit_distance(y, w)
-    y_align: list[int] = []
-    w_align: list[int] = []
-    ins = dels = 0
-    for op, ya, wb in script:
-        if op in (MATCH, SUB):
-            y_align.append(ya)
-            w_align.append(wb)
-        elif op == DEL:
-            y_align.append(ya)
-            w_align.append(blank_id)
-            dels += 1
-        else:  # INS
-            y_align.append(blank_id)
-            w_align.append(wb)
-            ins += 1
-    return AlignedPair(
-        y_align=tuple(y_align),
-        w_align=tuple(w_align),
-        blank_id=blank_id,
-        blanks_inserted=ins + dels,
-        insertions=ins,
-        deletions=dels,
-    )
+    _, script = edit_distance(y, w)
+    # edit_distance leaves the absent side of a deletion or insertion None
+    y_align = tuple(blank_id if ya is None else ya for _, ya, _ in script)
+    w_align = tuple(blank_id if wb is None else wb for _, _, wb in script)
+    # each side grew by the blanks put into it
+    blanks = len(y_align) - len(y) + len(w_align) - len(w)
+    return AlignedPair(y_align=y_align, w_align=w_align, blank_id=blank_id, blanks_inserted=blanks)
 
 
 def gate(len_ctc: int, len_gt: int, cfg: GatingConfig) -> PathwayDecision:

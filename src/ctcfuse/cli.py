@@ -30,8 +30,8 @@ from ctcfuse.alignment import GatingConfig, aef_align, render_alignment
 from ctcfuse.ctc import format_nbest
 from ctcfuse.data import (DataError, SynthConfig, build_vocab, corpus_stats, desk_synth_config,
                           load_corpus, read_manifest, read_text, save_corpus, synth_corpus)
-from ctcfuse.decode import (DECODE_METHODS, DecodeConfig, ctc_nbest, decode_utterance,
-                            encode_utterance, evaluate, format_hypothesis)
+from ctcfuse.decode import (DECODE_METHODS, DecodeConfig, decode_utterance, evaluate,
+                            format_hypothesis)
 from ctcfuse.model import FusionConfig, ModelConfig
 from ctcfuse.training import METRICS_FILE, NumericError, TrainConfig, load_checkpoint, train
 
@@ -204,10 +204,7 @@ def cmd_train(args) -> int:
     result = train(corpus, vocab, cfg, out_dir=_outdir(args), log=None if args.quiet else print,
                    resolved_config=resolved, run_meta=_run_meta(cfg, input_hash, vocab))
     final = result.history[-1]
-    print(
-        f"done epochs={final.epoch} joint={final.joint_loss:.4f} "
-        f"train_cer={'-' if result.final_train_cer is None else f'{result.final_train_cer:.4f}'}"
-    )
+    print(f"done epochs={final.epoch} joint={final.joint_loss:.4f} train_cer={final.train_cer:.4f}")
     return 0
 
 
@@ -236,11 +233,9 @@ def cmd_decode(args) -> int:
     lines = []
     nbest_lines = []
     for utt in corpus:
-        enc = encode_utterance(utt, model) if args.nbest else None
-        hyp, score = decode_utterance(utt, model, cfg, vocab, enc)
+        hyp, score, nb = decode_utterance(utt, model, cfg, vocab, args.nbest)
         lines.append(format_hypothesis(utt.utt_id, hyp, score, vocab))
-        if args.nbest:
-            nb = ctc_nbest(utt, model, vocab, max(args.beam, args.nbest), args.nbest, enc)
+        if nb is not None:
             nbest_lines.append(format_nbest(utt.utt_id, nb, vocab.id_to_token))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -416,12 +411,12 @@ def cmd_sweep(args) -> int:
         name = "run_" + "_".join(f"{k}={v}" for k, v in sorted(point.items()))
         result = train(corpus, vocab, cfg, out_dir=os.path.join(out_dir, name),
                        resolved_config=resolved, run_meta=_run_meta(cfg, input_hash, vocab))
-        final, cer = result.history[-1], result.final_train_cer
+        final = result.history[-1]  # always measured
         rows.append({"run": name, **point, "epochs": final.epoch,
                      "joint_loss": round(final.joint_loss, 6),
-                     "train_cer": None if cer is None else round(cer, 6)})
+                     "train_cer": round(final.train_cer, 6)})
         if not args.quiet:
-            print(f"{name}: joint={final.joint_loss:.4f} cer={cer}")
+            print(f"{name}: joint={final.joint_loss:.4f} cer={final.train_cer}")
 
     header = ["run", *keys, "epochs", "joint_loss", "train_cer"]
     table_path = os.path.join(out_dir, "comparison.tsv")
@@ -462,8 +457,9 @@ def cmd_report(args) -> int:
         if not isinstance(rec, dict):
             raise DataError(f"{where}: not a JSON object")
         rec.setdefault("train_cer", None)  # the one field a record may leave out
-        bad = [key for key, kind in _REPORT_FIELDS.items()
-               if key not in rec or not isinstance(rec[key], kind)]
+        # a JSON boolean parses to a bool, which is an int in Python
+        bad = [key for key, kind in _REPORT_FIELDS.items() if key not in rec
+               or isinstance(rec[key], bool) or not isinstance(rec[key], kind)]
         if bad:
             raise DataError(f"{where}: missing or mistyped {', '.join(bad)}")
         records.append(rec)

@@ -50,7 +50,6 @@ class NBestList:
     """Ranked collapsed hypotheses with total log-probability scores."""
 
     hypotheses: list[tuple[TokenSeq, float]]
-    requested: int
     incomplete: bool = field(default=False)
 
     def __post_init__(self):
@@ -314,7 +313,7 @@ def prefix_beam_nbest(
     scored = [(prefix, s) for prefix, s in zip(prefixes, final) if s > NEG_INF]
     scored.sort(key=lambda ps: (-ps[1], len(ps[0]), ps[0]))
     top = scored[:n]
-    return NBestList(hypotheses=top, requested=n, incomplete=len(top) < n)
+    return NBestList(hypotheses=top, incomplete=len(top) < n)
 
 
 def format_nbest(utt_id: str, nbest: NBestList, id_to_token) -> str:

@@ -179,34 +179,28 @@ def ctc_rescore_decode(
     return candidates[best], float(combined[best])
 
 
-def encode_utterance(utt: Utterance, model: Model) -> EncoderOutput:
-    """``utt``'s encoder output in eval mode; a non-finite value is named as in decoding."""
+def decode_utterance(
+    utt: Utterance, model: Model, cfg: DecodeConfig, vocab: Vocabulary, nbest: int = 0
+) -> tuple[tuple[int, ...], float, NBestList | None]:
+    """``(tokens, score, nbest_list)`` of ``utt`` by the decoder ``cfg.method`` names.
+
+    The utterance is encoded once, in eval mode, and the decoder and the
+    list share that encoder output. ``nbest_list`` is the CTC prefix-beam
+    N-best ``prefix_beam_nbest(posterior, max(cfg.beam, nbest), nbest)``,
+    or None when ``nbest`` is 0. A non-finite value raises
+    :class:`NumericError` naming the utterance.
+    """
     model.train(False)
     with tz.numeric_failure_names(f"utterance {utt.utt_id}"), tz.inference(), tz.fp_guard():
-        return model.encode(utt.features[None], np.array([utt.num_frames]))
-
-
-def decode_utterance(
-    utt: Utterance, model: Model, cfg: DecodeConfig, vocab: Vocabulary, enc: EncoderOutput | None = None
-) -> tuple[tuple[int, ...], float]:
-    """``(tokens, score)`` of the best hypothesis by the decoder ``cfg.method`` names.
-
-    A non-finite value while decoding raises :class:`NumericError` naming
-    the utterance. ``enc``, when given, is ``encode_utterance(utt, model)``.
-    """
-    with tz.numeric_failure_names(f"utterance {utt.utt_id}"):
+        enc = model.encode(utt.features[None], np.array([utt.num_frames]))
         if cfg.method == METHOD_ATTENTION:
             tokens, score, _ = attention_beam_decode(utt.features, model, cfg, vocab, enc)
-            return tokens, score
-        return ctc_rescore_decode(utt.features, model, cfg, vocab, enc)
-
-
-def ctc_nbest(
-    utt: Utterance, model: Model, vocab: Vocabulary, beam: int, n: int, enc: EncoderOutput
-) -> NBestList:
-    """The CTC prefix-beam N-best of ``utt`` from ``enc = encode_utterance(utt, model)``."""
-    with tz.numeric_failure_names(f"utterance {utt.utt_id}"), tz.inference(), tz.fp_guard():
-        return prefix_beam_nbest(_posterior(model, enc, vocab), beam, n)
+        else:
+            tokens, score = ctc_rescore_decode(utt.features, model, cfg, vocab, enc)
+        if nbest:
+            post = _posterior(model, enc, vocab)
+            return tokens, score, prefix_beam_nbest(post, max(cfg.beam, nbest), nbest)
+    return tokens, score, None
 
 
 # ---------------------------------------------------------------------------

@@ -263,9 +263,6 @@ class DecoderInputs:
     blanks_inserted: int
     ctc_reachable: list[bool]
     ne_memory: Tensor | None
-    y_rows: list[list[int]]
-    w_rows: list[list[int]]
-    alphas: np.ndarray
 
 
 def compute_ctc_hypotheses(
@@ -381,9 +378,6 @@ def build_decoder_input(
         blanks_inserted=blanks_total,
         ctc_reachable=reachable,
         ne_memory=ne_memory,
-        y_rows=y_rows,
-        w_rows=w_rows,
-        alphas=alphas,
     )
 
 
@@ -494,10 +488,15 @@ def train_epoch(
 
 @dataclass
 class TrainResult:
+    """The trained model and one record per epoch run.
+
+    ``history[-1]`` is always measured: its ``train_cer`` is the final
+    train CER, and when ``stop_at_train_cer`` was reached its ``epoch`` is
+    the first epoch at or below the target.
+    """
+
     model: Model
     history: list[EpochMetrics]
-    first_epoch_at_target: int | None
-    final_train_cer: float | None
 
 
 METRICS_FILE = "metrics.jsonl"
@@ -531,8 +530,10 @@ def train(
     Train CER is measured by greedy attention decoding every
     ``eval_every`` epochs (and on the final epoch); when
     ``stop_at_train_cer`` is set the run stops at the first measurement
-    at or below it. A non-finite value there raises :class:`NumericError`
-    naming the utterance.
+    at or below it, so the last epoch is always measured: the final train
+    CER, and the epoch that reached the target, are read from
+    ``history[-1]``. A non-finite value there raises
+    :class:`NumericError` naming the utterance.
     """
     model = Model(cfg.model, cfg.fusion, seed=cfg.seed)
     if cfg.pretrain_path:
@@ -555,8 +556,6 @@ def train(
             open(os.path.join(out_dir, name), "w", encoding="utf-8").close()
 
     history: list[EpochMetrics] = []
-    first_at_target = None
-    final_cer = None
     for epoch in range(1, cfg.epochs + 1):
         metrics = train_epoch(corpus, vocab, model, optimizer, cfg, epoch)
         measure = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
@@ -564,7 +563,6 @@ def train(
             greedy = DecodeConfig(beam=1)
             report = evaluate(corpus, lambda utt: decode_utterance(utt, model, greedy, vocab)[0])
             metrics.train_cer = report.corpus_cer
-            final_cer = metrics.train_cer
         history.append(metrics)
         line = (
             f"epoch {epoch:3d} joint={metrics.joint_loss:.4f} "
@@ -583,17 +581,11 @@ def train(
             log(line)
         target = cfg.stop_at_train_cer
         if target is not None and metrics.train_cer is not None and metrics.train_cer <= target:
-            first_at_target = epoch
             break
     if out_dir:
         save_checkpoint(os.path.join(out_dir, "model.ckpt"), model, optimizer, cfg, vocab,
                         epoch=history[-1].epoch)
-    return TrainResult(
-        model=model,
-        history=history,
-        first_epoch_at_target=first_at_target,
-        final_train_cer=final_cer,
-    )
+    return TrainResult(model=model, history=history)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 
 from ctcfuse import tensor as tz
 from ctcfuse.ctc import CtcPosterior, NBestList, TokenSeq, _augment, min_frames
+from ctcfuse.data import pad_id_rows
 from ctcfuse.decode import _ne_memory_for, _posterior
 from ctcfuse.model import EncoderOutput
 from ctcfuse.tensor import Tensor
@@ -220,7 +221,20 @@ def prefix_beam_reference(
     scored = [(p, s) for p, s in scored if s > NEG_INF]
     scored.sort(key=lambda ps: (-ps[1], len(ps[0]), ps[0]))
     top = scored[:n]
-    return NBestList(hypotheses=top, requested=n, incomplete=len(top) < n)
+    return NBestList(hypotheses=top, incomplete=len(top) < n)
+
+
+def fused_embedding_reference(model, pad_id: int, y_rows, w_rows, alphas) -> np.ndarray:
+    """Each row's ``alpha * embed(w) + (1 - alpha) * embed(y)``, rows padded with ``pad_id``.
+
+    The decoder input ``training.build_decoder_input`` should give bit for
+    bit: its ``alpha = 0`` shortcut returns ``embed(y)``, which this mix
+    also equals exactly.
+    """
+    emb_y = model.embed_tokens(pad_id_rows(y_rows, pad_id)).data
+    emb_w = model.embed_tokens(pad_id_rows(w_rows, pad_id)).data
+    coef = np.asarray(alphas, dtype=np.float64)[:, None, None]
+    return emb_w * coef + emb_y * (1.0 - coef)
 
 
 def attention_beam_reference(features, model, cfg, vocab):

@@ -206,8 +206,8 @@ def _frozen_hyps(method):
     if method == METHOD_ALIGNED:
         return [(4,), (5, 4, 6)]  # deletion and insertion cases
     return [
-        NBestList(hypotheses=[((4,), -0.4), ((5, 6), -1.2)], requested=2),
-        NBestList(hypotheses=[((6,), -0.3), ((6, 5), -1.5)], requested=2),
+        NBestList(hypotheses=[((4,), -0.4), ((5, 6), -1.2)]),
+        NBestList(hypotheses=[((6,), -0.3), ((6, 5), -1.5)]),
     ]
 
 
@@ -398,6 +398,17 @@ def test_criterion_6_fusion_degeneracy(desk):
 # ---------------------------------------------------------------------------
 
 
+def first_epoch_at_target(result, target: float):
+    """The epoch whose measured train CER first reached ``target``, or None.
+
+    ``train`` stops at the first measurement at or below the target, and
+    its last epoch is always measured, so that epoch is the last one run.
+    """
+    *earlier, final = result.history
+    assert all(m.train_cer is None or m.train_cer > target for m in earlier)
+    return final.epoch if final.train_cer <= target else None
+
+
 def test_criterion_7_desk_convergence(desk_runs):
     runs = desk_runs["runs"]
     timings = desk_runs["timings"]
@@ -406,7 +417,7 @@ def test_criterion_7_desk_convergence(desk_runs):
     ok = True
     for name, target in targets.items():
         result = runs[name]
-        hit = result.first_epoch_at_target
+        hit = first_epoch_at_target(result, target)
         reached = hit is not None and hit <= 30
         ok = ok and reached
         details.append(f"{name}<{target:.0%}@{hit}")
@@ -479,8 +490,8 @@ def test_criterion_10_pretraining(desk_runs):
         if n.startswith(("decoder.", "embed."))
     )
 
-    cold = desk_runs["runs"]["aef"].first_epoch_at_target
-    warm = desk_runs["runs"]["aef_warm"].first_epoch_at_target
+    cold = first_epoch_at_target(desk_runs["runs"]["aef"], 0.10)
+    warm = first_epoch_at_target(desk_runs["runs"]["aef_warm"], 0.10)
     epochs_ok = warm is not None and cold is not None and warm <= cold
     ok = encoder_equal and decoder_untouched and epochs_ok
     report(

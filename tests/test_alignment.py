@@ -79,7 +79,7 @@ class TestAefAlign:
         assert pair.y_align == (A, BLANK, B)
         assert pair.w_align == (A, X, B)
         assert pair.blanks_inserted == 1
-        assert pair.insertions == 1
+        assert pair.y_align.count(BLANK) == 1  # one insertion
 
     def test_blank_input_rejected(self):
         with pytest.raises(ValueError, match="blank"):
@@ -103,8 +103,11 @@ class TestAefAlign:
             assert tuple(t for t in pair.y_align if t != BLANK) == y
             assert tuple(t for t in pair.w_align if t != BLANK) == w
             assert len(pair.y_align) == len(pair.w_align)
-            assert len(pair.y_align) == len(y) + pair.insertions
-            assert len(pair.w_align) == len(w) + pair.deletions
+            # an insertion is a blank in y_align, a deletion one in w_align
+            insertions, deletions = pair.y_align.count(BLANK), pair.w_align.count(BLANK)
+            assert len(pair.y_align) == len(y) + insertions
+            assert len(pair.w_align) == len(w) + deletions
+            assert pair.blanks_inserted == insertions + deletions
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mismatch_count_equals_edit_distance(self, seed):
@@ -117,7 +120,7 @@ class TestAefAlign:
 
     def test_unequal_aligned_lengths_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            AlignedPair((A,), (A, B), BLANK, 0, 0, 0)
+            AlignedPair((A,), (A, B), BLANK, 0)
 
     def test_render(self):
         pair = aef_align((A, B, C, A), (A, C, A), BLANK)

@@ -389,16 +389,23 @@ class TestDecodeEval:
     def test_decode_nbest_encodes_each_utterance_once(self, trained, corpus_dir, tmp_path,
                                                       monkeypatch, method):
         argv = ["decode", "--ckpt", str(trained / "model.ckpt"),
-                "--manifest", str(corpus_dir / "manifest.tsv"), "--method", method, "--beam", "3"]
-        assert run_cli(*argv, "--out", str(tmp_path / "plain.tsv")) == 0
+                "--manifest", str(corpus_dir / "manifest.tsv"), "--beam", "3"]
+        assert run_cli(*argv, "--method", method, "--out", str(tmp_path / "plain.tsv")) == 0
         calls = []
         real_encode = Model.encode
         monkeypatch.setattr(Model, "encode", lambda *a, **kw: calls.append(1) or real_encode(*a, **kw))
-        assert run_cli(*argv, "--nbest", "3", "--out", str(tmp_path / "hyp.tsv")) == 0
+        hyp = tmp_path / "hyp.tsv"
+        assert run_cli(*argv, "--method", method, "--nbest", "3", "--out", str(hyp)) == 0
         assert len(calls) == 10  # the corpus holds 10 utterances
         # the shared encoder pass leaves the hypotheses as a decode without --nbest writes them
-        assert (tmp_path / "hyp.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
-        assert len((tmp_path / "hyp.tsv.nbest.tsv").read_text().splitlines()) >= 10
+        assert hyp.read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+        nbest = tmp_path / "hyp.tsv.nbest.tsv"
+        assert len(nbest.read_text().splitlines()) >= 10
+        # the CTC list does not depend on the decoder
+        other = {"attention": "ctc_rescore", "ctc_rescore": "attention"}[method]
+        out = tmp_path / "other.tsv"
+        assert run_cli(*argv, "--method", other, "--nbest", "3", "--out", str(out)) == 0
+        assert (tmp_path / "other.tsv.nbest.tsv").read_bytes() == nbest.read_bytes()
 
     def test_eval_from_checkpoint(self, trained, corpus_dir, tmp_path, capsys):
         report = tmp_path / "report.jsonl"
@@ -998,6 +1005,8 @@ class TestMalformedInput:
             ("data", "vocab", ["x"]),
             ("model", "num_heads", 0),
             ("train", "seed", -1),
+            ("gating", "t_r", float("nan")),
+            ("gating", "t_r", float("inf")),
         ],
     )
     def test_bad_config_value_is_usage_error(
@@ -1117,7 +1126,17 @@ class TestMalformedInput:
         assert run_cli("report", "--metrics", str(metrics)) == 2
         assert f"{metrics}:1:" in one_data_error(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("source", ["manifest", "text", "align_ref", "align_hyp"])
+    @pytest.mark.parametrize("key", ["epoch", "blanks_inserted"])
+    def test_boolean_in_integer_metrics_field_is_data_error(self, tmp_path, capsys, key):
+        record = {"epoch": 1, "joint_loss": 2.0, "ctc_loss": 1.5, "att_loss": 1.0,
+                  "blanks_inserted": 0, key: True}
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text(json.dumps(record) + "\n")
+        assert run_cli("report", "--metrics", str(metrics)) == 2
+        assert f"{metrics}:1: missing or mistyped {key}" in one_data_error(capsys.readouterr().err)
+        assert not (tmp_path / "blanks.csv").exists()
+
+    @pytest.mark.parametrize("source",["manifest", "text", "align_ref", "align_hyp"])
     def test_input_that_is_not_utf8_is_data_error(self, corpus_dir, tmp_path, capsys, source):
         bad = tmp_path / "bad.txt"
         good = corpus_dir / "manifest.tsv"

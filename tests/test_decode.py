@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from ctcfuse import decode as dec
+from ctcfuse.ctc import CtcPosterior, prefix_beam_nbest
 from ctcfuse.data import SynthConfig, synth_corpus, Utterance
 from ctcfuse.decode import (
     DecodeConfig,
     attention_beam_decode,
     ctc_rescore_decode,
     decode_utterance,
-    encode_utterance,
     evaluate,
     format_hypothesis,
 )
@@ -261,18 +261,14 @@ class TestFpGuard:
         # Utterance rejects such features, so they go in after construction
         utt = dataclasses.replace(corpus[0], features=corpus[0].features.copy())
         utt.features[3, 1] = value
-        for method in ("attention", "ctc_rescore"):
+        for method, nbest in product(("attention", "ctc_rescore"), (0, 2)):
             with pytest.raises(NumericError, match=f"^utterance {utt.utt_id}: non-finite"):
-                decode_utterance(utt, model, DecodeConfig(method=method, beam=2), vocab)
-        with pytest.raises(NumericError, match=f"^utterance {utt.utt_id}: non-finite"):
-            encode_utterance(utt, model)  # the encoder pass decode --nbest hands to ctc_nbest
+                decode_utterance(utt, model, DecodeConfig(method=method, beam=2), vocab, nbest)
 
 
 class TestRescore:
     def test_lambda_one_is_pure_ctc_top1(self, setup):
         vocab, corpus, model = setup
-        from ctcfuse.ctc import CtcPosterior, prefix_beam_nbest
-
         utt = corpus[2]
         cfg = DecodeConfig(method="ctc_rescore", beam=4, lambda_dec=1.0)
         hyp, score = ctc_rescore_decode(utt.features, model, cfg, vocab)
@@ -287,8 +283,6 @@ class TestRescore:
         utt = corpus[2]
         cfg = DecodeConfig(method="ctc_rescore", beam=4, lambda_dec=0.0)
         hyp, score = ctc_rescore_decode(utt.features, model, cfg, vocab)
-        from ctcfuse.ctc import CtcPosterior, prefix_beam_nbest
-
         enc = model.encode(utt.features[None].astype(np.float64), np.array([utt.num_frames]))
         post = CtcPosterior(model.ctc_head(enc).data[0, : int(enc.lengths[0])], vocab.blank_id)
         nbest = prefix_beam_nbest(post, 4, 4)
@@ -307,8 +301,6 @@ class TestRescore:
 
     def test_interpolated_argmax_matches_independent_oracle(self, setup):
         vocab, corpus, model = setup
-        from ctcfuse.ctc import CtcPosterior, prefix_beam_nbest
-
         utt = corpus[3]
         lam = 0.3
         cfg = DecodeConfig(method="ctc_rescore", beam=5, lambda_dec=lam)
@@ -415,7 +407,13 @@ class TestEvaluate:
         decoder = {"attention": attention_beam_decode, "ctc_rescore": ctc_rescore_decode}[method]
         for utt in corpus[:3]:
             expected = decoder(utt.features, model, cfg, vocab)[:2]
-            assert decode_utterance(utt, model, cfg, vocab) == expected
+            assert decode_utterance(utt, model, cfg, vocab) == (*expected, None)
+            # the N-best list comes from the same encoder pass, beam max(cfg.beam, nbest)
+            tokens, score, nbest = decode_utterance(utt, model, cfg, vocab, nbest=3)
+            assert (tokens, score) == expected
+            enc = model.encode(utt.features[None], np.array([utt.num_frames]))
+            post = CtcPosterior(model.ctc_head(enc).data[0, : int(enc.lengths[0])], vocab.blank_id)
+            assert nbest == prefix_beam_nbest(post, 3, 3)
         report = evaluate(corpus[:3], lambda utt: decode_utterance(utt, model, cfg, vocab)[0])
         assert 0.0 <= report.corpus_cer <= 1.5
 

@@ -22,6 +22,7 @@ from ctcfuse.model import (
 from ctcfuse.tensor import Tensor
 from ctcfuse.training import TrainConfig, build_decoder_input
 
+from oracles import fused_embedding_reference
 from toy import toy_config
 
 PAD = 3  # eos id in the reserved layout
@@ -190,30 +191,36 @@ class TestFusion:
         batch.transcripts[:] = transcripts
         enc_lengths = np.full(len(transcripts), 20)
         dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc_lengths)
-        return model, dec
+        return model, vocab, dec
 
     def test_alpha_zero_returns_reference_operand(self):
-        model, dec = self.decoder_input(0.5, [(4, 5, 6), (7, 8, 4)], [(4,) * 6, (5,) * 6])
+        transcripts = [(4, 5, 6), (7, 8, 4)]
+        model, vocab, dec = self.decoder_input(0.5, transcripts, [(4,) * 6, (5,) * 6])
         assert dec.pathway_counts["ground_truth_only"] == 2
-        expected = model.embed_tokens(np.array(dec.y_rows))
+        expected = model.embed_tokens(np.array([[vocab.sos_id, *y] for y in transcripts]))
         assert dec.input_emb.data.tobytes() == expected.data.tobytes()
 
     def test_alpha_one_returns_hypothesis_operand(self):
-        model, dec = self.decoder_input(0.5, [(4, 5, 6), (7, 8, 4)], [(6, 5, 4), (5, 7)])
-        assert list(dec.alphas) == [0.5, 1.0]
-        emb_w = model.embed_tokens(np.array(dec.w_rows)).data
+        model, vocab, dec = self.decoder_input(0.5, [(4, 5, 6), (7, 8, 4)], [(6, 5, 4), (5, 7)])
+        sos, eos = vocab.sos_id, vocab.eos_id
+        y_rows = [[sos, 4, 5, 6], [sos, 7, 8, 4]]
+        w_rows = [[sos, 6, 5, 4], [sos, 5, 7, eos]]  # the short hypothesis fitted with eos
+        expected = fused_embedding_reference(model, vocab.pad_id, y_rows, w_rows, [0.5, 1.0])
+        assert dec.input_emb.data.tobytes() == expected.tobytes()
+        emb_w = model.embed_tokens(np.array(w_rows)).data
         np.testing.assert_array_equal(dec.input_emb.data[1], emb_w[1])
 
     def test_midpoint_is_elementwise_mean(self):
-        model, dec = self.decoder_input(0.5, [(4, 5, 6), (7, 8, 4)], [(6, 5, 4), (4,) * 6])
-        emb_y = model.embed_tokens(np.array(dec.y_rows)).data
-        emb_w = model.embed_tokens(np.array(dec.w_rows)).data
+        model, vocab, dec = self.decoder_input(0.5, [(4, 5, 6), (7, 8, 4)], [(6, 5, 4), (4,) * 6])
+        sos = vocab.sos_id
+        emb_y = model.embed_tokens(np.array([[sos, 4, 5, 6], [sos, 7, 8, 4]])).data
+        emb_w = model.embed_tokens(np.array([[sos, 6, 5, 4], [sos, 7, 8, 4]])).data
         np.testing.assert_allclose(dec.input_emb.data[0], (emb_y[0] + emb_w[0]) / 2.0)
         np.testing.assert_array_equal(dec.input_emb.data[1], emb_y[1])
 
     def test_gradient_flows_through_both_terms(self):
         # token 4 only in the reference, token 5 only in the hypothesis
-        model, dec = self.decoder_input(0.3, [(4, 4, 4)], [(5, 5, 5)])
+        model, _, dec = self.decoder_input(0.3, [(4, 4, 4)], [(5, 5, 5)])
         table = model.params["embed.table"]
         model.zero_grad()
         dec.input_emb.sum().backward()
@@ -225,7 +232,7 @@ class TestFusion:
 class TestNeModule:
     def make_nbest(self, seqs):
         scores = [-(i + 1.0) for i in range(len(seqs))]
-        return NBestList(hypotheses=list(zip(seqs, scores)), requested=len(seqs))
+        return NBestList(hypotheses=list(zip(seqs, scores)))
 
     def test_id_matrix_pads_and_repeats(self):
         nbest = self.make_nbest([(5, 6), (7,)])
@@ -236,7 +243,7 @@ class TestNeModule:
 
     def test_empty_nbest_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            nbest_id_matrix(NBestList(hypotheses=[], requested=1), 1, 2, PAD)
+            nbest_id_matrix(NBestList(hypotheses=[]), 1, 2, PAD)
 
     def test_id_matrix_clips_to_max_len(self):
         nbest = self.make_nbest([(5, 6, 7), (8,)])
@@ -360,7 +367,7 @@ class TestDecoder:
         enc = model.encode(feats, np.array([12]))
         mem = None
         if method == METHOD_NBEST:
-            nbest = NBestList(hypotheses=[((4,), -0.5), ((5, 6), -1.0)], requested=2)
+            nbest = NBestList(hypotheses=[((4,), -0.5), ((5, 6), -1.0)])
             mem = model.ne_memory([nbest], PAD)
 
         def per_row(rows):
@@ -449,7 +456,7 @@ class TestFullModelGradients:
         rng = np.random.default_rng(12)
         feats = random_features(rng, 1, 6)
         ids = np.array([[2, 4, 5]])
-        nbest = NBestList(hypotheses=[((4,), -0.5), ((5, 6), -1.0)], requested=2)
+        nbest = NBestList(hypotheses=[((4,), -0.5), ((5, 6), -1.0)])
         subset = {
             name: model.params[name]
             for name in model.params

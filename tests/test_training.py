@@ -37,7 +37,7 @@ from ctcfuse.training import (
     train_epoch,
 )
 
-from oracles import adam_step
+from oracles import adam_step, fused_embedding_reference
 from toy import toy_config
 
 
@@ -196,8 +196,10 @@ class TestBuildDecoderInput:
         dec = build_decoder_input(batch, model, cfg, vocab, [None] * batch.size, enc_lengths)
         assert dec.pathway_counts["ground_truth_only"] == batch.size
         assert sum(dec.pathway_counts.values()) == batch.size
+        rows = [[vocab.sos_id] + list(y) for y in batch.transcripts]
+        expected = fused_embedding_reference(model, vocab.pad_id, rows, rows, [0.0] * batch.size)
+        assert dec.input_emb.data.tobytes() == expected.tobytes()
         for i, y in enumerate(batch.transcripts):
-            assert dec.y_rows[i] == [vocab.sos_id] + list(y)
             assert tuple(dec.targets[i, : len(y) + 1]) == tuple(y) + (vocab.eos_id,)
 
     def test_aligned_fusion_on_reference_example(self):
@@ -213,8 +215,11 @@ class TestBuildDecoderInput:
         dec = build_decoder_input(
             batch, model, cfg, vocab, [(a, c, a)], np.array([10])
         )
-        assert dec.y_rows[0] == [vocab.sos_id, a, b, c, a]
-        assert dec.w_rows[0] == [vocab.sos_id, a, vocab.blank_id, c, a]
+        expected = fused_embedding_reference(
+            model, vocab.pad_id, [[vocab.sos_id, a, b, c, a]],
+            [[vocab.sos_id, a, vocab.blank_id, c, a]], [0.5],
+        )
+        assert dec.input_emb.data.tobytes() == expected.tobytes()
         assert tuple(dec.targets[0, :5]) == (a, b, c, a, vocab.eos_id)
         assert dec.blanks_inserted == 1
         assert dec.pathway_counts["ctc_as_input"] == 1  # lengths 3 vs 4 within t_l=2
@@ -228,7 +233,11 @@ class TestBuildDecoderInput:
         batch.transcripts[0] = (a, b)
         # hypothesis inserts an extra token: reference side gets a blank target
         dec = build_decoder_input(batch, model, cfg, vocab, [(a, 6, b)], np.array([10]))
-        assert dec.y_rows[0] == [vocab.sos_id, a, vocab.blank_id, b]
+        expected = fused_embedding_reference(
+            model, vocab.pad_id, [[vocab.sos_id, a, vocab.blank_id, b]],
+            [[vocab.sos_id, a, 6, b]], [0.5],
+        )
+        assert dec.input_emb.data.tobytes() == expected.tobytes()
         assert tuple(dec.targets[0, :4]) == (a, vocab.blank_id, b, vocab.eos_id)
         np.testing.assert_array_equal(dec.loss_mask[0, :4], [1.0, 0.0, 1.0, 1.0])
 
@@ -244,10 +253,12 @@ class TestBuildDecoderInput:
         ]
         dec = build_decoder_input(batch, model, cfg, vocab, hyps, np.array([20, 20, 20]))
         assert dec.pathway_counts == {"fuse": 1, "ctc_as_input": 1, "ground_truth_only": 1}
-        assert dec.alphas[0] == 0.5 and dec.alphas[1] == 1.0 and dec.alphas[2] == 0.0
-        fitted = dec.w_rows[1]
-        assert len(fitted) == len(y1) + 1
-        assert fitted[-1] == vocab.eos_id  # right-padded with eos
+        assert len(hyps[1]) == len(y1) - 1
+        y_rows = [[vocab.sos_id] + list(y) for y in (y0, y1, y2)]
+        fitted = [vocab.sos_id] + list(hyps[1]) + [vocab.eos_id]  # right-padded with eos
+        w_rows = [y_rows[0], fitted, y_rows[2]]
+        expected = fused_embedding_reference(model, vocab.pad_id, y_rows, w_rows, [0.5, 1.0, 0.0])
+        assert dec.input_emb.data.tobytes() == expected.tobytes()
 
     def test_unreachable_forced_to_ground_truth(self):
         vocab, corpus, cfg = tiny_setup(method=METHOD_FUSION)
