@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from ctcfuse.ctc import CtcPosterior, collapse, ctc_loss_op, greedy_1best, prefix_beam_nbest
+from ctcfuse.ctc import collapse, ctc_loss_op, greedy_1best, prefix_beam_nbest
 from ctcfuse.tensor import Tensor
 
 BLANK = 0
@@ -52,11 +52,11 @@ print(f"enumeration:      {-math.log(total):.10f}")
 print()
 print("== greedy follows the best path; beam sums over paths ==")
 # blank wins every frame individually, but three paths collapse to [a]
-lp = np.log(np.array([[0.6, 0.4], [0.6, 0.4]]))
-post = CtcPosterior(lp, BLANK)
-print(f"greedy 1-best: {greedy_1best(post)}  (best single path is blank-blank)")
+# the searches take a padded batch and its frame counts; here a batch of one
+lp = np.log(np.array([[[0.6, 0.4], [0.6, 0.4]]]))
+print(f"greedy 1-best: {greedy_1best(lp, [2], BLANK)[0]}  (best single path is blank-blank)")
 # two frames of two classes reach at most 2 ** 2 prefixes: a beam of 4 prunes nothing
-nbest = prefix_beam_nbest(post, beam_width=4, n=3)
+nbest = prefix_beam_nbest(lp, [2], BLANK, beam_width=4, n=3)[0]
 for rank, (seq, score) in enumerate(nbest.hypotheses, 1):
     print(f"beam rank {rank}: {seq} with probability {math.exp(score):.3f}")
 print("the summed mass of [a] (0.64) beats the empty string (0.36)")

@@ -16,7 +16,7 @@ del _var
 
 # the imports below load numpy, so they come after the pins
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, cer, edit_distance, gate
-from ctcfuse.ctc import CtcPosterior, NBestList, collapse, greedy_1best, prefix_beam_nbest
+from ctcfuse.ctc import NBestList, collapse, greedy_1best, prefix_beam_nbest
 from ctcfuse.data import (
     Batch,
     SynthConfig,
@@ -48,7 +48,6 @@ from ctcfuse.training import (
 __all__ = [
     "Adam",
     "Batch",
-    "CtcPosterior",
     "DecodeConfig",
     "EpochMetrics",
     "FusionConfig",

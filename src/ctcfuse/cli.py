@@ -428,14 +428,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# the fields ``report`` reads from a metrics record, and the JSON types training writes them as
+# the fields ``report`` reads from a metrics record, and the JSON types it takes for them:
+# training writes floats, and an integer fills a float field, as in a run config
 _REPORT_FIELDS = {
     "epoch": int,
-    "joint_loss": float,
-    "ctc_loss": (float, type(None)),  # null: no utterance of the epoch was CTC-reachable
-    "att_loss": float,
+    "joint_loss": (float, int),
+    "ctc_loss": (float, int, type(None)),  # null: no utterance of the epoch was CTC-reachable
+    "att_loss": (float, int),
     "blanks_inserted": int,
-    "train_cer": (float, type(None)),
+    "train_cer": (float, int, type(None)),
 }
 
 

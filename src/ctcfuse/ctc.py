@@ -1,14 +1,16 @@
 """CTC machinery: collapse, forward-backward loss, greedy and prefix beam search.
 
-All functions work in the log domain. The searches take one utterance's
-log-probability matrix; ``ctc_loss_op``, the training loss, runs one
-lattice over a padded batch as one autodiff op. The loss gradient is
+All functions work in the log domain and take a padded batch: [B, T, V]
+log-probabilities with per-row frame counts. The searches return one
+result per row; ``ctc_loss_op``, the training loss, runs one lattice
+over the batch as one autodiff op. The loss gradient is
 derived analytically from the forward/backward lattice over the
 blank-augmented target.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,23 +19,10 @@ import numpy as np
 from ctcfuse.tensor import Tensor
 
 NEG_INF = -math.inf
+# the lowest finite float: a score at or above it has nonzero probability
+_LOWEST = -np.finfo(np.float64).max
 
 TokenSeq = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CtcPosterior:
-    """Per-frame log-probabilities over the vocabulary (blank included)."""
-
-    log_probs: np.ndarray  # [T, V]
-    blank_id: int
-
-    def __post_init__(self):
-        if self.log_probs.ndim != 2 or self.log_probs.shape[0] < 1:
-            raise ValueError("posterior must be a [T, V] matrix with T >= 1")
-        if not 0 <= self.blank_id < self.log_probs.shape[1]:
-            raise ValueError("blank id outside the posterior vocabulary")
-        _check_distribution(self.log_probs)
 
 
 def _check_distribution(log_probs: np.ndarray) -> None:
@@ -41,8 +30,30 @@ def _check_distribution(log_probs: np.ndarray) -> None:
     # guard against raw logits; the bound leaves room for the
     # finite-difference probes the tests run on single entries
     sums = np.exp(log_probs).sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-5):
+    if (np.abs(sums - 1.0) > 1e-5).any():
         raise ValueError("posterior rows must exponentiate to a distribution")
+
+
+def _check_batch(log_probs: np.ndarray, lengths, blank_id: int) -> np.ndarray:
+    """Check a padded [B, T, V] posterior batch; returns the row lengths as int64.
+
+    Every real frame (``t < lengths[i]``) must be a distribution; padding
+    frames are not read.
+    """
+    if log_probs.ndim != 3:
+        raise ValueError("posterior must be a [B, T, V] array")
+    b, t_max, vocab = log_probs.shape
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (b,):
+        raise ValueError("lengths must give one entry per row")
+    lens = lengths.tolist()
+    if b and not 1 <= min(lens) <= max(lens) <= t_max:
+        raise ValueError("row lengths must lie in [1, T]")
+    if not 0 <= blank_id < vocab:
+        raise ValueError("blank id outside the posterior vocabulary")
+    padded = b and min(lens) < t_max
+    _check_distribution(log_probs[np.arange(t_max) < lengths[:, None]] if padded else log_probs)
+    return lengths
 
 
 @dataclass
@@ -65,6 +76,14 @@ class NBestList:
 
     def sequences(self) -> list[TokenSeq]:
         return [h for h, _ in self.hypotheses]
+
+
+class NBestLists(list):
+    """The N-best lists of a searched batch, one per row; ``incomplete`` counts the short ones."""
+
+    @property
+    def incomplete(self) -> int:
+        return sum(nbest.incomplete for nbest in self)
 
 
 @dataclass
@@ -122,18 +141,11 @@ def ctc_loss_op(
     all-zero gradient.
     """
     lp = posterior_tensor.data
-    if lp.ndim != 3:
-        raise ValueError("posterior must be a [B, T, V] array")
+    lengths = _check_batch(lp, lengths, blank_id)
     b, t_max, _ = lp.shape
-    lengths = np.asarray(lengths, dtype=np.int64)
     use = np.asarray(use, dtype=bool)
-    if lengths.shape != (b,) or use.shape != (b,) or len(targets) != b:
-        raise ValueError("lengths, targets and use must each give one entry per row")
-    if b and (lengths.min() < 1 or lengths.max() > t_max):
-        raise ValueError("row lengths must lie in [1, T]")
-    if not 0 <= blank_id < lp.shape[2]:
-        raise ValueError("blank id outside the posterior vocabulary")
-    _check_distribution(lp[np.arange(t_max) < lengths[:, None]])
+    if use.shape != (b,) or len(targets) != b:
+        raise ValueError("targets and use must each give one entry per row")
     targets = [tuple(int(t) for t in y) for y in targets]
     if any(blank_id in y for y in targets):
         raise ValueError("CTC target must not contain the blank token")
@@ -214,106 +226,184 @@ def ctc_loss_op(
     return out, result
 
 
-def greedy_1best(posterior: CtcPosterior) -> TokenSeq:
-    """Frame-wise argmax followed by collapse; ties go to the lowest id."""
-    path = np.argmax(posterior.log_probs, axis=1)
-    return collapse(path.tolist(), posterior.blank_id)
+def greedy_1best(log_probs: np.ndarray, lengths, blank_id: int) -> list[TokenSeq]:
+    """Each row's frame-wise argmax over its real frames, collapsed; ties go to the lowest id."""
+    lengths = _check_batch(log_probs, lengths, blank_id)
+    paths = np.argmax(log_probs, axis=2).tolist()
+    return [collapse(path[:t], blank_id) for path, t in zip(paths, lengths.tolist())]
 
 
 def prefix_beam_nbest(
-    posterior: CtcPosterior,
+    log_probs: np.ndarray,
+    lengths,
+    blank_id: int,
     beam_width: int,
     n: int,
-) -> NBestList:
-    """Prefix beam search over collapsed sequences.
+) -> NBestLists:
+    """Prefix beam search over collapsed sequences, every row of a padded batch at once.
 
-    Maintains per-prefix blank/non-blank path mass in the log domain;
-    scores are total log-probabilities summed over all frame paths that
-    collapse to the prefix. A beam no frame's candidates outnumber (such
-    as ``V ** T`` for ``T`` frames of ``V`` classes) prunes nothing, which
-    makes the ranking exact. Returns the top ``n`` prefixes; if fewer
-    distinct prefixes are reachable the list is shorter and flagged
-    ``incomplete``.
+    ``log_probs`` holds [B, T, V] log-probabilities and row ``i`` has
+    ``lengths[i]`` real frames; each must be a distribution. Returns one
+    :class:`NBestList` per row: the top ``n`` prefixes of that row by
+    total log-probability, summed over all frame paths that collapse to
+    the prefix, and shorter and flagged ``incomplete`` if fewer distinct
+    prefixes are reachable. A row's list does not depend on the other
+    rows of the batch. A beam no frame's candidates outnumber (such as
+    ``V ** T`` for ``T`` frames of ``V`` classes) prunes nothing, which
+    makes the ranking exact.
 
-    Each frame scores the K live prefixes at once. A prefix stays with
+    Every live prefix of every row keeps its log mass of paths ending in
+    blank (``pb``) and in non-blank (``pnb``), and each frame scores all
+    of them as one ``[live, V]`` array. A prefix stays with
     ``total + p[blank]`` (blank mass) and ``pnb + p[last]`` (repeat
-    collapse, non-blank mass). Its extensions form one ``[K, V]`` array
-    ``total + p[k]``, except ``pb + p[last]`` in its last-token column
-    (only a blank-separated path may repeat a token); the blank column is
-    not an extension. An extension that equals a live prefix, which needs
+    collapse, non-blank mass); its extensions are ``total + p[k]``,
+    except ``pb + p[last]`` in its last-token column (only a
+    blank-separated path may repeat a token), and the stay takes the
+    blank column. An extension that equals a live prefix, which needs
     that prefix's parent to be live too, is merged into the prefix's
     non-blank mass and dropped. Every mass is thus a ``logaddexp`` of at
     most two terms, so scores do not depend on the order in which
-    prefixes are visited.
+    prefixes are visited. Candidates of zero probability are dropped, so
+    the state is sized by the live prefixes, never by ``beam_width``.
 
-    Pruning keeps the ``beam_width`` best candidates under the key
+    Each row keeps its ``beam_width`` best candidates under the key
     ``(-score, length, tokens)``: equal scores go to the shorter, then
-    the lexicographically smaller prefix. A partition finds the cut
-    score; only candidates at or above it become token tuples, and they
-    are sorted only when ties at the cut overfill the beam.
+    the lexicographically smaller prefix. A partition finds each row's
+    cut score; the exact key is built only for rows whose ties at the
+    cut overfill the beam. Prefixes are nodes of a trie, one per
+    distinct (row, token sequence), so a live prefix finds its parent by
+    node id; token tuples are made once per node.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if beam_width < n:
         raise ValueError("beam_width must be >= n")
-    blank = posterior.blank_id
-    t_frames, vocab = posterior.log_probs.shape
-    # column ``vocab`` is a sentinel "last token" of the empty prefix; its
-    # log-probability of -inf removes the repeat terms that prefix lacks
-    lp = np.concatenate([posterior.log_probs, np.full((t_frames, 1), NEG_INF)], axis=1)
+    lengths = _check_batch(log_probs, lengths, blank_id)
+    rows, t_max, vocab = log_probs.shape
+    blank = blank_id
+    # rows longest first: the rows still searching at a frame are a leading
+    # block of this order, and their prefixes a leading block of the state
+    order = np.argsort(-lengths, kind="stable")
+    lp = log_probs[order]
+    ends = lengths[order].tolist()
 
-    # live prefixes; log mass of their paths ending in blank / non-blank;
-    # their last token
-    prefixes: list[TokenSeq] = [()]
-    pb = np.zeros(1)
-    pnb = np.full(1, NEG_INF)
-    last = np.full(1, vocab)
-    for frame in lp:
-        live = len(prefixes)
+    # trie: node -> token sequence, child key (parent node * V + token) ->
+    # node; node 0 is no prefix, nodes 1..B are the rows' empty prefixes
+    seqs: list[TokenSeq] = [()] * (rows + 1)
+    children: dict[int, int] = {}
+    # node -> its index in the state while live, else -1; grows with the trie
+    slot = np.full((rows + 1) * (t_max + 1), -1)
+
+    # the live prefixes of the searching rows, grouped by row: row, trie
+    # node, parent node, last token (the empty prefix's is blank: its
+    # non-blank mass is -inf and its blank column is the stay), masses
+    row = np.arange(rows)
+    node = row + 1
+    up = np.zeros(rows, dtype=np.int64)
+    last = np.full(rows, blank)
+    pb = np.zeros(rows)
+    pnb = np.full(rows, NEG_INF)
+    counts = [1] * rows  # live prefixes per searching row
+
+    results: list[NBestList | None] = [None] * rows
+    active = rows
+    for t in range(t_max + 1):
+        done = active
+        while done and ends[done - 1] <= t:
+            done -= 1
+        if done < active:
+            # rows whose frames ended: rank their prefixes
+            bounds = [0, *itertools.accumulate(counts)]
+            first = bounds[done]
+            scores = np.logaddexp(pb[first:], pnb[first:]).tolist()
+            hyps = [(seqs[m], score) for m, score in zip(node[first:].tolist(), scores)]
+            for r in range(done, active):
+                ranked = sorted(
+                    hyps[bounds[r] - first : bounds[r + 1] - first],
+                    key=lambda h: (-h[1], len(h[0]), h[0]),
+                )[:n]
+                results[order[r]] = NBestList(hypotheses=ranked, incomplete=len(ranked) < n)
+            row, node, up, last = row[:first], node[:first], up[:first], last[:first]
+            pb, pnb, counts = pb[:first], pnb[:first], counts[:done]
+            active = done
+        if not active:
+            break
+
+        frame = lp[row, t]
+        at = np.arange(row.size)
         total = np.logaddexp(pb, pnb)
-        stay_b = total + frame[blank]
-        stay_nb = pnb + frame[last]
+        p_last = frame[at, last]
+        stay_b = total + frame[:, blank]
+        stay_nb = pnb + p_last
         ext = total[:, None] + frame
-        ext[np.arange(live), last] = pb + frame[last]
-        is_ext = np.ones(ext.shape, dtype=bool)
-        is_ext[:, [blank, vocab]] = False
-
-        index = {prefix: i for i, prefix in enumerate(prefixes)}
-        parent = np.array([index.get(prefix[:-1], -1) if prefix else -1 for prefix in prefixes])
-        child = np.flatnonzero(parent >= 0)
+        ext[at, last] = pb + p_last
+        parent = slot[up]
+        child = (parent >= 0).nonzero()[0]
         if child.size:
-            src_row, src_col = parent[child], last[child]
-            stay_nb[child] = np.logaddexp(stay_nb[child], ext[src_row, src_col])
-            is_ext[src_row, src_col] = False
+            src = parent[child], last[child]
+            stay_nb[child] = np.logaddexp(stay_nb[child], ext[src])
+            ext[src] = NEG_INF
+        ext[:, blank] = np.logaddexp(stay_b, stay_nb)
 
-        # candidates: the live prefixes first, then the remaining extensions
-        ext_row, ext_col = np.nonzero(is_ext)
-        cand_pb = np.concatenate([stay_b, np.full(ext_col.size, NEG_INF)])
-        cand_pnb = np.concatenate([stay_nb, ext[ext_row, ext_col]])
-        cand_last = np.concatenate([last, ext_col])
-        scores = np.logaddexp(cand_pb, cand_pnb)
-        kept = np.arange(scores.size)
-        if scores.size > beam_width:
-            cut = np.partition(scores, scores.size - beam_width)[scores.size - beam_width]
-            kept = np.flatnonzero(scores >= cut)
-        ext_row_l, ext_col_l = ext_row.tolist(), ext_col.tolist()
-        prefixes = [
-            prefixes[c] if c < live else prefixes[ext_row_l[c - live]] + (ext_col_l[c - live],)
-            for c in kept.tolist()
-        ]
-        if kept.size > beam_width:
-            # ties at the cut score: the exact key decides who stays
-            keys = [(-sc, len(seq), seq) for sc, seq in zip(scores[kept].tolist(), prefixes)]
-            order = sorted(range(kept.size), key=keys.__getitem__)[:beam_width]
-            kept = kept[order]
-            prefixes = [prefixes[i] for i in order]
-        pb, pnb, last = cand_pb[kept], cand_pnb[kept], cand_last[kept]
+        # each row keeps the candidates at or above its cut score
+        k_max = max(counts)
+        width = k_max * vocab
+        floor = _LOWEST
+        if width > beam_width:
+            # one [rows, k_max * V] grid: ext itself when every row has
+            # k_max prefixes, else ext's rows padded with -inf
+            if min(counts) == k_max:
+                grid = ext.reshape(active, width)
+            else:
+                start = np.cumsum(counts) - counts
+                grid = np.full((active * k_max, vocab), NEG_INF)
+                grid[row * k_max + at - start[row]] = ext
+                grid = grid.reshape(active, width)
+            cut = np.partition(grid, width - beam_width, axis=1)[:, width - beam_width]
+            floor = np.maximum(cut, _LOWEST)[row, None]
+        kept = (ext >= floor).ravel().nonzero()[0]
+        entry, col = np.divmod(kept, vocab)
+        row = row[entry]
+        counts = np.bincount(row, minlength=active).tolist()
+        if max(counts) > beam_width:
+            # ties at a row's cut score: the exact key decides who stays
+            score = ext.ravel()[kept]
+            entries, cols, nodes = entry.tolist(), col.tolist(), node.tolist()
 
-    final = np.logaddexp(pb, pnb).tolist()
-    scored = [(prefix, s) for prefix, s in zip(prefixes, final) if s > NEG_INF]
-    scored.sort(key=lambda ps: (-ps[1], len(ps[0]), ps[0]))
-    top = scored[:n]
-    return NBestList(hypotheses=top, incomplete=len(top) < n)
+            def key(i):
+                seq = seqs[nodes[entries[i]]]
+                seq = seq if cols[i] == blank else seq + (cols[i],)
+                return len(seq), seq
+
+            drop = []
+            for r in [r for r, c in enumerate(counts) if c > beam_width]:
+                tied = np.flatnonzero((row == r) & (score == cut[r])).tolist()
+                drop += sorted(tied, key=key)[beam_width - counts[r] + len(tied) :]
+            kept, entry, col, row = (np.delete(a, drop) for a in (kept, entry, col, row))
+            counts = [min(c, beam_width) for c in counts]
+
+        stay = col == blank
+        grow = (~stay).nonzero()[0]
+        pb = np.where(stay, stay_b[entry], NEG_INF)
+        pnb = np.where(stay, stay_nb[entry], ext.ravel()[kept])
+        last = np.where(stay, last[entry], col)
+        slot[node] = -1
+        up = up[entry]
+        new_node = node[entry]
+        if grow.size:
+            parents = new_node[grow]
+            up[grow] = parents
+            keys = (parents * vocab + col[grow]).tolist()
+            known = len(seqs)
+            # a new child takes the next id: nodes 0..B, then one per key
+            ids = [children.setdefault(k, len(children) + rows + 1) for k in keys]
+            seqs += [seqs[k // vocab] + (k % vocab,) for k, i in zip(keys, ids) if i >= known]
+            new_node[grow] = ids
+            if len(seqs) > slot.size:
+                slot = np.concatenate([slot, np.full(len(seqs), -1)])
+        node = new_node
+        slot[node] = np.arange(node.size)
+    return NBestLists(results)
 
 
 def format_nbest(utt_id: str, nbest: NBestList, id_to_token) -> str:

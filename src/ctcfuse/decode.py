@@ -11,7 +11,7 @@ import numpy as np
 
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import edit_distance
-from ctcfuse.ctc import CtcPosterior, NBestList, prefix_beam_nbest
+from ctcfuse.ctc import NBestList, prefix_beam_nbest
 from ctcfuse.data import Utterance, Vocabulary, pad_id_rows
 from ctcfuse.model import DecoderCache, EncoderOutput, Model
 from ctcfuse.tensor import Tensor
@@ -39,14 +39,12 @@ class DecodeConfig:
             raise ValueError("max_len_factor must be positive and finite")
 
 
-def _posterior(model: Model, enc: EncoderOutput, vocab: Vocabulary) -> CtcPosterior:
-    return CtcPosterior(model.ctc_head(enc).data[0, : int(enc.lengths[0])], vocab.blank_id)
-
-
-def _ne_memory_for(model: Model, post: CtcPosterior, vocab: Vocabulary) -> Tensor:
-    """Encode the utterance's CTC N-best once; attended at every decode step."""
-    nbest = prefix_beam_nbest(post, model.fusion.beam_width, model.fusion.n)
-    return model.ne_memory([nbest], vocab.pad_id)
+def _ne_memory_for(model: Model, log_probs: np.ndarray, lengths, vocab: Vocabulary) -> Tensor:
+    """Encode the CTC N-best of each row once; attended at every decode step."""
+    nbests = prefix_beam_nbest(
+        log_probs, lengths, vocab.blank_id, model.fusion.beam_width, model.fusion.n
+    )
+    return model.ne_memory(nbests, vocab.pad_id)
 
 
 def attention_beam_decode(
@@ -78,7 +76,7 @@ def attention_beam_decode(
             enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
         ne_memory = None
         if model.uses_ne_memory:
-            ne_memory = _ne_memory_for(model, _posterior(model, enc, vocab), vocab)
+            ne_memory = _ne_memory_for(model, model.ctc_head(enc).data, enc.lengths, vocab)
         # a finite factor times the frame count can still overflow to inf
         max_len = max(1, round(min(cfg.max_len_factor * int(enc.lengths[0]), sys.maxsize)))
         cache = DecoderCache()
@@ -168,9 +166,11 @@ def ctc_rescore_decode(
     with tz.inference(), tz.fp_guard():
         if enc is None:
             enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
-        post = _posterior(model, enc, vocab)
-        nbest = prefix_beam_nbest(post, cfg.beam, cfg.beam)
-        ne_memory = _ne_memory_for(model, post, vocab) if model.uses_ne_memory else None
+        log_probs = model.ctc_head(enc).data
+        nbest = prefix_beam_nbest(log_probs, enc.lengths, vocab.blank_id, cfg.beam, cfg.beam)[0]
+        ne_memory = None
+        if model.uses_ne_memory:
+            ne_memory = _ne_memory_for(model, log_probs, enc.lengths, vocab)
         candidates = nbest.sequences()
         att_scores = teacher_forced_scores(model, enc, candidates, vocab, ne_memory)
     ctc_scores = np.array([score for _, score in nbest.hypotheses])
@@ -186,7 +186,7 @@ def decode_utterance(
 
     The utterance is encoded once, in eval mode, and the decoder and the
     list share that encoder output. ``nbest_list`` is the CTC prefix-beam
-    N-best ``prefix_beam_nbest(posterior, max(cfg.beam, nbest), nbest)``,
+    N-best of width ``max(cfg.beam, nbest)``, searched as a batch of one,
     or None when ``nbest`` is 0. A non-finite value raises
     :class:`NumericError` naming the utterance.
     """
@@ -198,8 +198,10 @@ def decode_utterance(
         else:
             tokens, score = ctc_rescore_decode(utt.features, model, cfg, vocab, enc)
         if nbest:
-            post = _posterior(model, enc, vocab)
-            return tokens, score, prefix_beam_nbest(post, max(cfg.beam, nbest), nbest)
+            log_probs = model.ctc_head(enc).data
+            width = max(cfg.beam, nbest)
+            nbests = prefix_beam_nbest(log_probs, enc.lengths, vocab.blank_id, width, nbest)
+            return tokens, score, nbests[0]
     return tokens, score, None
 
 

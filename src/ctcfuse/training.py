@@ -20,14 +20,7 @@ import numpy as np
 
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, gate
-from ctcfuse.ctc import (
-    CtcPosterior,
-    NBestList,
-    ctc_loss_op,
-    greedy_1best,
-    min_frames,
-    prefix_beam_nbest,
-)
+from ctcfuse.ctc import NBestList, ctc_loss_op, greedy_1best, min_frames, prefix_beam_nbest
 from ctcfuse.data import Batch, DataError, Utterance, Vocabulary, make_batches, pad_id_rows
 from ctcfuse.decode import DecodeConfig, decode_utterance, evaluate
 from ctcfuse.model import (
@@ -273,16 +266,16 @@ def compute_ctc_hypotheses(
 ):
     """Fresh per-utterance hypotheses from the current posterior (detached).
 
-    Greedy 1-best for the fusion methods, prefix-beam N-best for the
-    memory method, None per utterance for the baseline, which builds no
-    posterior at all.
+    One search over the padded batch, which checks the real frames once:
+    greedy 1-best for the fusion methods, prefix-beam N-best for the
+    memory method. The baseline reads no posterior and gets None per
+    utterance.
     """
     if fusion.method == METHOD_BASELINE:
         return [None] * log_probs.shape[0]
-    posts = [CtcPosterior(log_probs[i, : lengths[i]], blank_id) for i in range(log_probs.shape[0])]
     if fusion.method == METHOD_NBEST:
-        return [prefix_beam_nbest(post, fusion.beam_width, fusion.n) for post in posts]
-    return [greedy_1best(post) for post in posts]
+        return prefix_beam_nbest(log_probs, lengths, blank_id, fusion.beam_width, fusion.n)
+    return greedy_1best(log_probs, lengths, blank_id)
 
 
 def _fit_length(seq, target_len: int, pad_id: int) -> list[int]:

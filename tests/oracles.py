@@ -12,13 +12,28 @@ from itertools import product
 import numpy as np
 
 from ctcfuse import tensor as tz
-from ctcfuse.ctc import CtcPosterior, NBestList, TokenSeq, _augment, min_frames
+from ctcfuse.ctc import NBestList, TokenSeq, _augment, _check_distribution, min_frames
 from ctcfuse.data import pad_id_rows
-from ctcfuse.decode import _ne_memory_for, _posterior
+from ctcfuse.decode import _ne_memory_for
 from ctcfuse.model import EncoderOutput
 from ctcfuse.tensor import Tensor
 
 NEG_INF = -math.inf
+
+
+@dataclass(frozen=True)
+class CtcPosterior:
+    """One utterance's per-frame log-probabilities over the vocabulary (blank included)."""
+
+    log_probs: np.ndarray  # [T, V]
+    blank_id: int
+
+    def __post_init__(self):
+        if self.log_probs.ndim != 2 or self.log_probs.shape[0] < 1:
+            raise ValueError("posterior must be a [T, V] matrix with T >= 1")
+        if not 0 <= self.blank_id < self.log_probs.shape[1]:
+            raise ValueError("blank id outside the posterior vocabulary")
+        _check_distribution(self.log_probs)
 
 
 def exhaustive_ctc_scores(log_probs: np.ndarray, blank: int) -> dict[tuple, float]:
@@ -250,7 +265,7 @@ def attention_beam_reference(features, model, cfg, vocab):
     enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
     ne_memory = None
     if model.uses_ne_memory:
-        ne_memory = _ne_memory_for(model, _posterior(model, enc, vocab), vocab)
+        ne_memory = _ne_memory_for(model, model.ctc_head(enc).data, enc.lengths, vocab)
     max_len = max(1, int(round(cfg.max_len_factor * int(enc.lengths[0]))))
 
     # (tokens, raw log-prob, finished); finished entries ride along in the

@@ -15,7 +15,7 @@ import pytest
 
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, gate
-from ctcfuse.ctc import CtcPosterior, ctc_loss_op, min_frames, prefix_beam_nbest
+from ctcfuse.ctc import ctc_loss_op, min_frames, prefix_beam_nbest
 from ctcfuse.data import desk_synth_config, synth_corpus
 from ctcfuse.model import (
     METHOD_ALIGNED,
@@ -296,7 +296,7 @@ def test_criterion_4_beam_vs_exhaustive():
             for _ in range(5):
                 lp = random_posterior(rng, t_frames, vocab)
                 # a beam of 10**6 prunes none of the at most 3**3 candidates
-                nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), 10**6, 10**6)
+                nbest = prefix_beam_nbest(lp[None], [t_frames], BLANK, 10**6, 10**6)[0]
                 ref = exhaustive_ctc_scores(lp, BLANK)
                 ranked = sorted(ref.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0]))
                 assert len(nbest) == len(ranked)

@@ -1136,6 +1136,24 @@ class TestMalformedInput:
         assert f"{metrics}:1: missing or mistyped {key}" in one_data_error(capsys.readouterr().err)
         assert not (tmp_path / "blanks.csv").exists()
 
+    @pytest.mark.parametrize("key", ["joint_loss", "ctc_loss", "att_loss", "train_cer"])
+    def test_integer_in_float_metrics_field_is_read(self, tmp_path, capsys, key):
+        record = {"epoch": 1, "joint_loss": 2.5, "ctc_loss": 1.5, "att_loss": 1.0,
+                  "blanks_inserted": 0, "train_cer": 0.5, key: 2}
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text(json.dumps(record) + "\n")
+        assert run_cli("report", "--metrics", str(metrics)) == 0
+        assert "2.0000" in capsys.readouterr().out.splitlines()[1]
+
+    @pytest.mark.parametrize("key", ["joint_loss", "ctc_loss", "att_loss", "train_cer"])
+    def test_boolean_in_float_metrics_field_is_data_error(self, tmp_path, capsys, key):
+        record = {"epoch": 1, "joint_loss": 2.5, "ctc_loss": 1.5, "att_loss": 1.0,
+                  "blanks_inserted": 0, key: False}
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text(json.dumps(record) + "\n")
+        assert run_cli("report", "--metrics", str(metrics)) == 2
+        assert f"{metrics}:1: missing or mistyped {key}" in one_data_error(capsys.readouterr().err)
+
     @pytest.mark.parametrize("source",["manifest", "text", "align_ref", "align_hyp"])
     def test_input_that_is_not_utf8_is_data_error(self, corpus_dir, tmp_path, capsys, source):
         bad = tmp_path / "bad.txt"

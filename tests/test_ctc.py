@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
 from ctcfuse import ctc
-from ctcfuse.ctc import CtcPosterior, collapse, greedy_1best, prefix_beam_nbest
+from ctcfuse.ctc import collapse, greedy_1best, prefix_beam_nbest
 from ctcfuse.tensor import Tensor
 
 from oracles import (
+    CtcPosterior,
     ctc_loss_reference,
     exhaustive_ctc_loss,
     exhaustive_ctc_scores,
@@ -25,6 +27,16 @@ A, B, C = 1, 2, 3
 def uniform_posterior(t_frames: int, vocab: int) -> CtcPosterior:
     lp = np.full((t_frames, vocab), -np.log(vocab))
     return CtcPosterior(lp, BLANK)
+
+
+def greedy_one(lp: np.ndarray, blank: int = BLANK):
+    """``greedy_1best`` of one [T, V] posterior: a batch of one."""
+    return greedy_1best(lp[None], [len(lp)], blank)[0]
+
+
+def search_one(lp: np.ndarray, beam_width: int, n: int, blank: int = BLANK):
+    """``prefix_beam_nbest`` of one [T, V] posterior: a batch of one."""
+    return prefix_beam_nbest(lp[None], [len(lp)], blank, beam_width, n)[0]
 
 
 def op_loss(lp: np.ndarray, target) -> tuple[float, np.ndarray]:
@@ -227,23 +239,22 @@ class TestGreedy:
         probs = np.full((len(path), vocab), 0.01 / (vocab - 1))
         for t, k in enumerate(path):
             probs[t, k] = 0.99
-        return CtcPosterior(np.log(probs), BLANK)
+        return np.log(probs)
 
     def test_composition_with_collapse(self):
-        assert greedy_1best(self.peaked([A, A, BLANK, B], 3)) == (A, B)
+        assert greedy_one(self.peaked([A, A, BLANK, B], 3)) == (A, B)
 
     def test_blank_everywhere(self):
-        assert greedy_1best(self.peaked([BLANK, BLANK, BLANK], 3)) == ()
+        assert greedy_one(self.peaked([BLANK, BLANK, BLANK], 3)) == ()
 
     def test_tie_breaks_to_lowest_id(self):
         lp = np.full((1, 3), -np.log(3.0))
-        assert greedy_1best(CtcPosterior(lp, BLANK)) == ()  # blank is id 0
+        assert greedy_one(lp) == ()  # blank is id 0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_two_step_oracle(self, seed):
         rng = np.random.default_rng(seed)
         lp = random_posterior(rng, 4, 3)
-        post = CtcPosterior(lp, BLANK)
         path = [int(np.argmax(row)) for row in lp]
         expected = []
         prev = None
@@ -251,7 +262,23 @@ class TestGreedy:
             if tok != prev and tok != BLANK:
                 expected.append(tok)
             prev = tok
-        assert greedy_1best(post) == tuple(expected)
+        assert greedy_one(lp) == tuple(expected)
+
+    def test_rows_alone_equal_rows_in_padded_batch(self):
+        rng = np.random.default_rng(16)
+        lengths = [3, 1, 5, 2]
+        lp = np.full((len(lengths), 6, 3), np.nan)  # padding frames are never read
+        for i, t in enumerate(lengths):
+            lp[i, :t] = random_posterior(rng, t, 3)
+        alone = [greedy_one(lp[i, :t]) for i, t in enumerate(lengths)]
+        assert greedy_1best(lp, lengths, BLANK) == alone
+
+    def test_real_frames_must_be_distributions(self):
+        lp = np.stack([random_posterior(np.random.default_rng(17), 3, 3)] * 2)
+        lp[1, 2] += 1.0
+        greedy_1best(lp, [3, 2], BLANK)  # the bad frame is padding of row 1
+        with pytest.raises(ValueError, match="distribution"):
+            greedy_1best(lp, [3, 3], BLANK)
 
 
 class TestPrefixBeam:
@@ -261,7 +288,7 @@ class TestPrefixBeam:
         t_frames = int(rng.integers(1, 4))
         vocab = int(rng.integers(2, 4))
         lp = random_posterior(rng, t_frames, vocab)
-        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=UNPRUNED, n=50)
+        nbest = search_one(lp, beam_width=UNPRUNED, n=50)
         ref = exhaustive_ctc_scores(lp, BLANK)
         ranked = sorted(ref.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0]))
         assert len(nbest) == len(ranked)
@@ -271,7 +298,7 @@ class TestPrefixBeam:
 
     def test_single_frame_peaked(self):
         lp = np.log(np.array([[0.05, 0.9, 0.05]]))
-        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=UNPRUNED, n=1)
+        nbest = search_one(lp, beam_width=UNPRUNED, n=1)
         seq, score = nbest.hypotheses[0]
         assert seq == (1,)
         assert np.isclose(score, np.log(0.9), rtol=1e-12)
@@ -279,20 +306,20 @@ class TestPrefixBeam:
     def test_scores_exponentiate_to_at_most_one(self):
         rng = np.random.default_rng(5)
         lp = random_posterior(rng, 3, 3)
-        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=UNPRUNED, n=100)
+        nbest = search_one(lp, beam_width=UNPRUNED, n=100)
         total = sum(math.exp(s) for _, s in nbest.hypotheses)
         assert total <= 1.0 + 1e-9
 
     def test_incomplete_flag_when_few_prefixes(self):
         lp = np.log(np.array([[0.5, 0.5]]))  # only () and (1,) reachable
-        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=UNPRUNED, n=10)
+        nbest = search_one(lp, beam_width=UNPRUNED, n=10)
         assert nbest.incomplete
         assert len(nbest) == 2
 
     def test_beam_width_must_cover_n(self):
         lp = np.log(np.full((1, 2), 0.5))
         with pytest.raises(ValueError, match="beam_width"):
-            prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=1, n=2)
+            search_one(lp, beam_width=1, n=2)
 
     def test_divergence_from_greedy_exists(self):
         # beam sums path mass per collapsed sequence while greedy follows the
@@ -304,9 +331,8 @@ class TestPrefixBeam:
             t_frames = int(rng.integers(2, 4))
             vocab = int(rng.integers(2, 4))
             lp = random_posterior(rng, t_frames, vocab)
-            post = CtcPosterior(lp, BLANK)
-            g = greedy_1best(post)
-            b = prefix_beam_nbest(post, beam_width=UNPRUNED, n=1).hypotheses[0][0]
+            g = greedy_one(lp)
+            b = search_one(lp, beam_width=UNPRUNED, n=1).hypotheses[0][0]
             if g != b:
                 found = (lp, g, b)
                 break
@@ -321,9 +347,8 @@ class TestPrefixBeam:
         # blank slightly dominant per frame: greedy yields the empty string,
         # but the summed mass of [a] (3 paths) beats the all-blank path
         lp = np.log(np.array([[0.6, 0.4], [0.6, 0.4]]))
-        post = CtcPosterior(lp, BLANK)
-        assert greedy_1best(post) == ()
-        nbest = prefix_beam_nbest(post, beam_width=UNPRUNED, n=2)
+        assert greedy_one(lp) == ()
+        nbest = search_one(lp, beam_width=UNPRUNED, n=2)
         assert nbest.hypotheses[0][0] == (1,)
         assert np.isclose(math.exp(nbest.hypotheses[0][1]), 0.64, rtol=1e-12)
         assert np.isclose(math.exp(nbest.hypotheses[1][1]), 0.36, rtol=1e-12)
@@ -331,13 +356,13 @@ class TestPrefixBeam:
     def test_pruned_beam_deterministic(self):
         rng = np.random.default_rng(6)
         lp = random_posterior(rng, 5, 4)
-        a = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=3, n=3)
-        b = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=3, n=3)
+        a = search_one(lp, beam_width=3, n=3)
+        b = search_one(lp, beam_width=3, n=3)
         assert a.hypotheses == b.hypotheses
 
     def test_format_nbest(self):
         lp = np.log(np.array([[0.05, 0.9, 0.05]]))
-        nbest = prefix_beam_nbest(CtcPosterior(lp, BLANK), beam_width=UNPRUNED, n=2)
+        nbest = search_one(lp, beam_width=UNPRUNED, n=2)
         text = ctc.format_nbest("utt1", nbest, ["<b>", "a", "b"])
         lines = text.splitlines()
         assert lines[0].startswith("utt1\t1\t")
@@ -355,11 +380,19 @@ def _posterior_of_kind(rng, kind: str, t_frames: int, vocab: int) -> np.ndarray:
         # integer logits: many equal scores, so pruning meets ties
         logits = rng.integers(0, 3, size=(t_frames, vocab)).astype(np.float64)
         return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    if kind == "sparse":
+        # quantized, with some tokens of zero probability (log-prob -inf),
+        # so rows of one batch keep different numbers of prefixes
+        logits = rng.integers(0, 3, size=(t_frames, vocab)).astype(np.float64)
+        zero = rng.random((t_frames, vocab)) < 0.4
+        zero[np.arange(t_frames), logits.argmax(axis=1)] = False
+        logits[zero] = -np.inf
+        return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     return np.full((t_frames, vocab), -np.log(vocab))
 
 
 def _assert_same_as_reference(post: CtcPosterior, beam_width, n: int) -> None:
-    ours = prefix_beam_nbest(post, beam_width, n)
+    ours = search_one(post.log_probs, beam_width, n, post.blank_id)
     ref = prefix_beam_reference(post, beam_width, n)
     assert ours.sequences() == ref.sequences()
     # bit-equal scores, not merely close ones
@@ -399,3 +432,67 @@ class TestPrefixBeamMatchesReference:
             lp = _posterior_of_kind(rng, kind, int(rng.integers(9, 17)), 20)
             _assert_same_as_reference(CtcPosterior(lp, BLANK), beam_width, n)
 
+
+
+BATCH_KINDS = POSTERIOR_KINDS + ["sparse"]
+BATCH_WIDTHS = ["n", 1, 2, 3, 5, 10, None]  # None: UNPRUNED
+
+
+class TestBatchedPrefixBeam:
+    """Every row of a padded batch gets the list the reference gives that row alone."""
+
+    @pytest.mark.parametrize("beam_width", BATCH_WIDTHS)
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_rows_match_reference_alone_and_in_batch(self, kind, beam_width):
+        rng = np.random.default_rng([5, BATCH_KINDS.index(kind), BATCH_WIDTHS.index(beam_width)])
+        for _ in range(25):
+            rows = int(rng.integers(1, 6))
+            vocab = int(rng.integers(2, 7))
+            lengths = rng.integers(1, 9, size=rows)
+            if beam_width is None:
+                # unpruned search keeps every prefix: bound their number
+                cap = 8
+                while (vocab - 1) ** cap > 500:
+                    cap -= 1
+                lengths = np.minimum(lengths, cap)
+                width, n = UNPRUNED, int(rng.integers(1, 30))
+            elif beam_width == "n":
+                n = int(rng.integers(1, 6))
+                width = n
+            else:
+                width, n = beam_width, int(rng.integers(1, beam_width + 1))
+            blank = int(rng.integers(0, vocab))
+            # up to two frames of padding past the longest row; never read
+            lp = np.full((rows, int(lengths.max() + rng.integers(0, 3)), vocab), np.nan)
+            for i, t in enumerate(lengths):
+                lp[i, :t] = _posterior_of_kind(rng, kind, int(t), vocab)
+
+            batch = prefix_beam_nbest(lp, lengths, blank, width, n)
+            assert len(batch) == rows
+            assert batch.incomplete == sum(nbest.incomplete for nbest in batch)
+            for i, t in enumerate(lengths):
+                real = lp[i, :t]
+                ref = prefix_beam_reference(CtcPosterior(real, blank), width, n)
+                for ours in (batch[i], search_one(real, width, n, blank)):
+                    # same sequences with bit-equal scores, not merely close ones
+                    assert ours.hypotheses == ref.hypotheses
+                    assert ours.incomplete == ref.incomplete == (len(ours) < n)
+
+    def test_huge_beam_keeps_state_small(self):
+        lp = random_posterior(np.random.default_rng(18), 3, 4)
+        tracemalloc.start()
+        try:
+            nbest = search_one(lp, 10**9, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # bytes: sized by the live prefixes, not by the beam
+        ref = prefix_beam_reference(CtcPosterior(lp, BLANK), 10**9, 5)
+        assert nbest.hypotheses == ref.hypotheses
+
+    def test_real_frames_must_be_distributions(self):
+        lp = np.stack([random_posterior(np.random.default_rng(19), 3, 3)] * 2)
+        lp[1, 2] += 1.0
+        prefix_beam_nbest(lp, [3, 2], BLANK, 3, 3)  # the bad frame is padding of row 1
+        with pytest.raises(ValueError, match="distribution"):
+            prefix_beam_nbest(lp, [3, 3], BLANK, 3, 3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctcfuse import decode as dec
-from ctcfuse.ctc import CtcPosterior, prefix_beam_nbest
+from ctcfuse.ctc import prefix_beam_nbest
 from ctcfuse.data import SynthConfig, synth_corpus, Utterance
 from ctcfuse.decode import (
     DecodeConfig,
@@ -273,8 +273,8 @@ class TestRescore:
         cfg = DecodeConfig(method="ctc_rescore", beam=4, lambda_dec=1.0)
         hyp, score = ctc_rescore_decode(utt.features, model, cfg, vocab)
         enc = model.encode(utt.features[None].astype(np.float64), np.array([utt.num_frames]))
-        post = CtcPosterior(model.ctc_head(enc).data[0, : int(enc.lengths[0])], vocab.blank_id)
-        nbest = prefix_beam_nbest(post, 4, 4)
+        log_probs = model.ctc_head(enc).data
+        nbest = prefix_beam_nbest(log_probs, enc.lengths, vocab.blank_id, 4, 4)[0]
         assert hyp == nbest.hypotheses[0][0]
         assert np.isclose(score, nbest.hypotheses[0][1], rtol=1e-12)
 
@@ -284,8 +284,8 @@ class TestRescore:
         cfg = DecodeConfig(method="ctc_rescore", beam=4, lambda_dec=0.0)
         hyp, score = ctc_rescore_decode(utt.features, model, cfg, vocab)
         enc = model.encode(utt.features[None].astype(np.float64), np.array([utt.num_frames]))
-        post = CtcPosterior(model.ctc_head(enc).data[0, : int(enc.lengths[0])], vocab.blank_id)
-        nbest = prefix_beam_nbest(post, 4, 4)
+        log_probs = model.ctc_head(enc).data
+        nbest = prefix_beam_nbest(log_probs, enc.lengths, vocab.blank_id, 4, 4)[0]
         # independent per-candidate teacher-forced scoring
         best = None
         for seq, _ in nbest.hypotheses:
@@ -306,8 +306,8 @@ class TestRescore:
         cfg = DecodeConfig(method="ctc_rescore", beam=5, lambda_dec=lam)
         hyp, score = ctc_rescore_decode(utt.features, model, cfg, vocab)
         enc = model.encode(utt.features[None].astype(np.float64), np.array([utt.num_frames]))
-        post = CtcPosterior(model.ctc_head(enc).data[0, : int(enc.lengths[0])], vocab.blank_id)
-        nbest = prefix_beam_nbest(post, 5, 5)
+        log_probs = model.ctc_head(enc).data
+        nbest = prefix_beam_nbest(log_probs, enc.lengths, vocab.blank_id, 5, 5)[0]
         best = None
         for seq, ctc_score in nbest.hypotheses:
             ids = np.array([[vocab.sos_id] + list(seq)])
@@ -412,8 +412,8 @@ class TestEvaluate:
             tokens, score, nbest = decode_utterance(utt, model, cfg, vocab, nbest=3)
             assert (tokens, score) == expected
             enc = model.encode(utt.features[None], np.array([utt.num_frames]))
-            post = CtcPosterior(model.ctc_head(enc).data[0, : int(enc.lengths[0])], vocab.blank_id)
-            assert nbest == prefix_beam_nbest(post, 3, 3)
+            log_probs = model.ctc_head(enc).data
+            assert nbest == prefix_beam_nbest(log_probs, enc.lengths, vocab.blank_id, 3, 3)[0]
         report = evaluate(corpus[:3], lambda utt: decode_utterance(utt, model, cfg, vocab)[0])
         assert 0.0 <= report.corpus_cer <= 1.5
 

@@ -271,7 +271,7 @@ class TestBuildDecoderInput:
 
 
     def test_baseline_builds_no_posterior(self):
-        # rows that exponentiate to no distribution: a CtcPosterior would reject them
+        # rows that exponentiate to no distribution: a search would reject them
         log_probs, lengths = np.zeros((3, 5, 7)), np.array([5, 4, 2])
         baseline, fusion = FusionConfig(method=METHOD_BASELINE), FusionConfig(method=METHOD_FUSION)
         assert compute_ctc_hypotheses(log_probs, lengths, baseline, 0) == [None] * 3
