@@ -28,16 +28,14 @@ import numpy as np
 
 from ctcfuse.alignment import GatingConfig, aef_align, render_alignment
 from ctcfuse.ctc import format_nbest
-from ctcfuse.data import (DataError, SynthConfig, build_vocab, corpus_stats, desk_synth_config,
-                          load_corpus, read_manifest, read_text, save_corpus, synth_corpus)
+from ctcfuse.data import (DataError, SynthConfig, UsageError, build_config, build_vocab,
+                          corpus_stats, desk_synth_config, json_fits, load_corpus, read_manifest,
+                          read_text, save_corpus, synth_corpus)
 from ctcfuse.decode import (DECODE_METHODS, DecodeConfig, decode_utterance, evaluate,
                             format_hypothesis)
 from ctcfuse.model import FusionConfig, ModelConfig
-from ctcfuse.training import METRICS_FILE, NumericError, TrainConfig, load_checkpoint, train
-
-
-class UsageError(Exception):
-    """Bad flags, malformed configs, unknown keys."""
+from ctcfuse.training import (METRICS_FILE, EpochMetrics, NumericError, TrainConfig,
+                              load_checkpoint, train)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,24 +50,6 @@ def _outdir(args) -> str | None:
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
-
-
-def _build_dataclass(cls, payload: dict, where: str):
-    types = typing.get_type_hints(cls)
-    unknown = sorted(set(payload) - set(types))
-    if unknown:
-        raise UsageError(f"unknown keys in {where}: {', '.join(unknown)}")
-    for key, value in payload.items():
-        kinds = typing.get_args(types[key]) or (types[key],)
-        if float in kinds:
-            kinds += (int,)  # an integer fills a float field
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            kind = getattr(types[key], "__name__", str(types[key]))
-            raise UsageError(f"invalid {where}: {key} must be {kind}, not {value!r}")
-    try:
-        return cls(**payload)
-    except (TypeError, ValueError) as err:
-        raise UsageError(f"invalid {where}: {err}") from err
 
 
 def _load_json(path) -> dict:
@@ -96,7 +76,6 @@ def _section(payload: dict, key: str, where: str) -> dict:
 
 
 _TOP_LEVEL_KEYS = {"data", "model", "fusion", "gating", "train"}
-_NESTED_TRAIN_KEYS = {"model", "fusion", "gating"}
 
 
 def resolve_run_config(payload: dict, seed_override: int | None = None, points=({},)):
@@ -118,14 +97,13 @@ def resolve_run_config(payload: dict, seed_override: int | None = None, points=(
     if ("manifest" in data_sec) == ("synth" in data_sec):
         raise UsageError("data section needs exactly one of 'manifest' or 'synth'")
     # a number here would be opened as a file descriptor
-    if not isinstance(data_sec.get("manifest", ""), str) or not isinstance(
-        data_sec.get("vocab"), (str, type(None))
-    ):
+    if not (json_fits(data_sec.get("manifest", ""), str)
+            and json_fits(data_sec.get("vocab"), str | None)):
         raise UsageError("data.manifest and data.vocab must be path strings")
 
     if "synth" in data_sec:
         synth_sec = _section(data_sec, "synth", "data.synth")
-        synth_cfg = _build_dataclass(SynthConfig, synth_sec, "data.synth")
+        synth_cfg = build_config(SynthConfig, synth_sec, "data.synth")
         vocab, corpus = synth_corpus(synth_cfg)
         data_resolved = {"synth": dataclasses.asdict(synth_cfg)}
         input_hash = hashlib.sha256(
@@ -143,24 +121,22 @@ def resolve_run_config(payload: dict, seed_override: int | None = None, points=(
         raise UsageError(
             f"model.vocab_size {model_sec['vocab_size']} does not match the vocabulary ({vocab.size})"
         )
-    model_cfg = _build_dataclass(ModelConfig, model_sec, "model")
+    model_cfg = build_config(ModelConfig, model_sec, "model")
     _check_corpus_fits(corpus, model_cfg)
 
     runs = []
     for point in points:
         try:
             run = _apply_grid_point(payload, point)
-            fusion_cfg = _build_dataclass(FusionConfig, run["fusion"], "fusion")
-            gating_cfg = _build_dataclass(GatingConfig, run["gating"], "gating")
+            fusion_cfg = build_config(FusionConfig, run["fusion"], "fusion")
+            gating_cfg = build_config(GatingConfig, run["gating"], "gating")
             train_sec = run["train"]
-            reserved = sorted(set(train_sec) & _NESTED_TRAIN_KEYS)
-            if reserved:
-                raise UsageError(f"train section must not nest: {', '.join(reserved)}")
             if seed_override is not None:
                 train_sec["seed"] = seed_override
-            train_cfg = _build_dataclass(
+            # a section nested in train overrides its built config and fails the type rule
+            train_cfg = build_config(
                 TrainConfig,
-                {**train_sec, "model": model_cfg, "fusion": fusion_cfg, "gating": gating_cfg},
+                {"model": model_cfg, "fusion": fusion_cfg, "gating": gating_cfg, **train_sec},
                 "train",
             )
         except UsageError as err:
@@ -169,7 +145,7 @@ def resolve_run_config(payload: dict, seed_override: int | None = None, points=(
             name = " ".join(f"{key}={value}" for key, value in point.items())
             raise UsageError(f"grid point {name}: {err}") from None
         train_dict = dataclasses.asdict(train_cfg)
-        nested = {key: train_dict.pop(key) for key in _NESTED_TRAIN_KEYS}
+        nested = {key: train_dict.pop(key) for key in ("model", "fusion", "gating")}
         runs.append((train_cfg, {"data": data_resolved, **nested, "train": train_dict}))
     return vocab, corpus, input_hash, runs
 
@@ -222,7 +198,7 @@ def _load_model_and_vocab(args):
 
 def _decode_config(args) -> DecodeConfig:
     """The decode flags as a ``DecodeConfig``; bad values are usage errors."""
-    return _build_dataclass(DecodeConfig, _field_values(DecodeConfig, args), "decode flags")
+    return build_config(DecodeConfig, _field_values(DecodeConfig, args), "decode flags")
 
 
 def cmd_decode(args) -> int:
@@ -428,16 +404,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# the fields ``report`` reads from a metrics record, and the JSON types it takes for them:
-# training writes floats, and an integer fills a float field, as in a run config
-_REPORT_FIELDS = {
-    "epoch": int,
-    "joint_loss": (float, int),
-    "ctc_loss": (float, int, type(None)),  # null: no utterance of the epoch was CTC-reachable
-    "att_loss": (float, int),
-    "blanks_inserted": int,
-    "train_cer": (float, int, type(None)),
-}
+# the fields ``report`` reads from a metrics record, each of the type ``EpochMetrics`` gives it
+_REPORT_FIELDS = ("epoch", "joint_loss", "ctc_loss", "att_loss", "blanks_inserted", "train_cer")
 
 
 def cmd_report(args) -> int:
@@ -446,6 +414,7 @@ def cmd_report(args) -> int:
         raise UsageError("report needs --run or --metrics")
     if not os.path.exists(metrics_path):
         raise DataError(f"metrics file not found: {metrics_path}")
+    metric_types = typing.get_type_hints(EpochMetrics)
     records = []
     for line_no, line in enumerate(read_text(metrics_path).split("\n"), start=1):
         if not line.strip():
@@ -458,9 +427,8 @@ def cmd_report(args) -> int:
         if not isinstance(rec, dict):
             raise DataError(f"{where}: not a JSON object")
         rec.setdefault("train_cer", None)  # the one field a record may leave out
-        # a JSON boolean parses to a bool, which is an int in Python
-        bad = [key for key, kind in _REPORT_FIELDS.items() if key not in rec
-               or isinstance(rec[key], bool) or not isinstance(rec[key], kind)]
+        bad = [key for key in _REPORT_FIELDS if key not in rec
+               or not json_fits(rec[key], metric_types[key])]
         if bad:
             raise DataError(f"{where}: missing or mistyped {', '.join(bad)}")
         records.append(rec)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ctcfuse.tensor import Tensor
+from ctcfuse.tensor import NumericError, Tensor
 
 NEG_INF = -math.inf
 # the lowest finite float: a score at or above it has nonzero probability
@@ -30,6 +30,8 @@ def _check_distribution(log_probs: np.ndarray) -> None:
     # guard against raw logits; the bound leaves room for the
     # finite-difference probes the tests run on single entries
     sums = np.exp(log_probs).sum(axis=-1)
+    if not np.isfinite(sums).all():
+        raise NumericError("non-finite posterior")
     if (np.abs(sums - 1.0) > 1e-5).any():
         raise ValueError("posterior rows must exponentiate to a distribution")
 

@@ -1,4 +1,4 @@
-"""Vocabulary, corpus ingestion, batching, and synthetic corpus generation.
+"""Vocabulary, corpus ingestion, batching, synthetic corpora, and configs built from JSON.
 
 Character-level modeling: transcripts are sequences of single characters
 with whitespace stripped. Four reserved tokens (blank/unk/sos/eos) sit at
@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,33 @@ TokenSeq = tuple[int, ...]
 
 class DataError(Exception):
     """Raised for malformed manifests, feature files, or corpora."""
+
+
+class UsageError(ValueError):
+    """Bad flags, malformed configs, unknown keys."""
+
+
+def json_fits(value, hint) -> bool:
+    """True if a JSON value fills a field typed ``hint``: an int fills a float, a bool no number."""
+    kinds = typing.get_args(hint) or (hint,)
+    kinds += (int,) if float in kinds else ()
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def build_config(cls, payload: dict, where: str):
+    """``cls(**payload)``; an unknown key or a mistyped or rejected value is a ``UsageError``."""
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(payload) - set(types))
+    if unknown:
+        raise UsageError(f"unknown keys in {where}: {', '.join(unknown)}")
+    for key, value in payload.items():
+        if not json_fits(value, types[key]):
+            kind = getattr(types[key], "__name__", str(types[key]))
+            raise UsageError(f"invalid {where}: {key} must be {kind}, not {value!r}")
+    try:
+        return cls(**payload)
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"invalid {where}: {err}") from err
 
 
 @dataclass(frozen=True)

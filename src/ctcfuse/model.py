@@ -81,8 +81,8 @@ class FusionConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.method == METHOD_NBEST and self.n < 1:
-            raise ValueError("n must be >= 1 for the N-best method")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.beam_width < self.n:
             raise ValueError("beam_width must be >= n")
 

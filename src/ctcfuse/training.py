@@ -21,7 +21,8 @@ import numpy as np
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, gate
 from ctcfuse.ctc import NBestList, ctc_loss_op, greedy_1best, min_frames, prefix_beam_nbest
-from ctcfuse.data import Batch, DataError, Utterance, Vocabulary, make_batches, pad_id_rows
+from ctcfuse.data import (Batch, DataError, Utterance, Vocabulary, build_config, json_fits,
+                          make_batches, pad_id_rows)
 from ctcfuse.decode import DecodeConfig, decode_utterance, evaluate
 from ctcfuse.model import (
     METHOD_ALIGNED,
@@ -631,28 +632,27 @@ def load_checkpoint(path) -> tuple[Model, Adam, dict]:
 
     The optimizer takes its settings from the sidecar's ``optimizer`` object.
 
-    Any failure to read or rebuild the pair, or a floating-point array
-    holding a non-finite value, raises :class:`CheckpointError`.
+    Any failure to read or rebuild the pair (a mistyped config value too), or
+    a floating-point array holding a non-finite value, raises :class:`CheckpointError`.
     """
     try:
         with open(str(path) + ".json", "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
         if not isinstance(sidecar, dict):
             raise ValueError("sidecar is not a JSON object")
-        if sidecar.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(
-                f"checkpoint format version {sidecar.get('format_version')} unsupported"
-            )
+        version = sidecar.get("format_version")
+        if not json_fits(version, int) or version != CHECKPOINT_FORMAT_VERSION:
+            raise ValueError(f"checkpoint format_version {version!r} unsupported")
         epoch = sidecar["epoch"]
-        if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
+        if not json_fits(epoch, int) or epoch < 0:
             raise ValueError(f"epoch {epoch!r} is not a non-negative integer")
         model_sec = {**sidecar["model_config"]}
         # sidecars written while ModelConfig had this option name its one value
         pos_encoding = model_sec.pop("pos_encoding", "sinusoidal")
         if pos_encoding != "sinusoidal":
             raise ValueError(f"unknown positional encoding {pos_encoding!r}")
-        model_cfg = ModelConfig(**model_sec)
-        fusion = FusionConfig(**sidecar["fusion"])
+        model_cfg = build_config(ModelConfig, model_sec, "model_config")
+        fusion = build_config(FusionConfig, {**sidecar["fusion"]}, "fusion")
         model = Model(model_cfg, fusion, seed=0)
         arrays = load_tensors(path)
         for name, arr in arrays.items():
@@ -660,7 +660,8 @@ def load_checkpoint(path) -> tuple[Model, Adam, dict]:
                 raise ValueError(f"array {name!r} holds a non-finite value")
         model.load_state_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
         settings = {key: sidecar["optimizer"][key] for key in _OPTIMIZER_SETTINGS}
-        optimizer = Adam(model.params, TrainConfig(model=model_cfg, fusion=fusion, **settings))
+        optimizer_cfg = build_config(TrainConfig, {"model": model_cfg, **settings}, "optimizer")
+        optimizer = Adam(model.params, optimizer_cfg)
         optimizer.load_state_arrays(arrays)
     except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as err:
         raise CheckpointError(f"{path}: unreadable checkpoint: {err}") from err

@@ -11,7 +11,9 @@ import dataclasses
 import io
 import json
 import math
+import re
 import struct
+import typing
 
 import numpy as np
 import pytest
@@ -184,6 +186,7 @@ def decode_exits_0_or_2(reference, path):
     assert (code, lines) == (0, []) or (
         code == 2 and len(lines) == 1 and lines[0].startswith("error kind=data ")
     ), (code, lines)
+    return lines
 
 
 @settings(derandomize=True, deadline=None, max_examples=8)
@@ -191,6 +194,52 @@ def decode_exits_0_or_2(reference, path):
 def test_decode_exits_0_or_2(reference, key, value):
     path = write_pair(reference, reference["blob"], mutated(reference["sidecar"], key, value))
     decode_exits_0_or_2(reference, path)
+
+
+# a sidecar value of the wrong JSON type, and what the one error line says about it
+MISTYPED = [
+    (("model_config", "ne_layers"), True, "invalid model_config: ne_layers must be int"),
+    (("optimizer", "warmup_steps"), 80.5, "invalid optimizer: warmup_steps must be int"),
+    (("format_version",), True, "format_version True unsupported"),
+    (("format_version",), 1.0, "format_version 1.0 unsupported"),
+    (("model_config", "d_model"), 8.0, "invalid model_config: d_model must be int"),
+    (("fusion", "alpha"), "0.5", "invalid fusion: alpha must be float"),
+    (("fusion", "n"), 2.0, "invalid fusion: n must be int"),
+    (("optimizer", "lr_base"), "0.03", "invalid optimizer: lr_base must be float"),
+]
+
+
+@pytest.mark.parametrize("key,value,says", MISTYPED, ids=[
+    f"{'.'.join(key)}={value!r}" for key, value, _ in MISTYPED
+])
+def test_mistyped_sidecar_value_is_a_data_error_naming_the_field(reference, key, value, says):
+    path = write_pair(reference, reference["blob"], mutated(reference["sidecar"], key, value))
+    lines = decode_exits_0_or_2(reference, path)
+    assert len(lines) == 1 and says in json.loads(lines[0].partition(" msg=")[2]), lines
+
+
+# the sidecar objects that hold a config, and the dataclass each is built as
+SECTIONS = {"model_config": ModelConfig, "fusion": FusionConfig, "optimizer": TrainConfig}
+CONFIG_KEYS = [path for path in KEY_PATHS if len(path) == 2 and path[0] in SECTIONS]
+TEXT = st.text(max_size=4)
+FRACTIONAL = st.floats(min_value=-1e6, max_value=1e6).filter(lambda x: x % 1)
+# JSON values of a type other than each field type's
+WRONG_TYPE = {
+    int: st.one_of(st.booleans(), FRACTIONAL, TEXT),
+    float: st.one_of(st.booleans(), TEXT),
+    str: st.one_of(st.booleans(), SMALL_INTS, FRACTIONAL),
+}
+
+
+@fuzz
+@given(data=st.data())
+def test_mistyped_config_value_is_rejected_naming_the_key(reference, data):
+    section, key = data.draw(st.sampled_from(CONFIG_KEYS))
+    value = data.draw(WRONG_TYPE[typing.get_type_hints(SECTIONS[section])[key]])
+    sidecar = mutated(reference["sidecar"], (section, key), value)
+    path = write_pair(reference, reference["blob"], sidecar)
+    with pytest.raises(CheckpointError, match=re.escape(f"invalid {section}: {key} must be ")):
+        load_checkpoint(path)
 
 
 def container(entries) -> bytes:

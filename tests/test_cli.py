@@ -1007,6 +1007,8 @@ class TestMalformedInput:
             ("train", "seed", -1),
             ("gating", "t_r", float("nan")),
             ("gating", "t_r", float("inf")),
+            ("fusion", "n", -5),
+            ("train", "model", {}),
         ],
     )
     def test_bad_config_value_is_usage_error(

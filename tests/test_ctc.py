@@ -7,7 +7,7 @@ import pytest
 
 from ctcfuse import ctc
 from ctcfuse.ctc import collapse, greedy_1best, prefix_beam_nbest
-from ctcfuse.tensor import Tensor
+from ctcfuse.tensor import NumericError, Tensor
 
 from oracles import (
     CtcPosterior,
@@ -496,3 +496,17 @@ class TestBatchedPrefixBeam:
         prefix_beam_nbest(lp, [3, 2], BLANK, 3, 3)  # the bad frame is padding of row 1
         with pytest.raises(ValueError, match="distribution"):
             prefix_beam_nbest(lp, [3, 3], BLANK, 3, 3)
+
+
+@pytest.mark.parametrize("search", ["prefix_beam_nbest", "greedy_1best", "ctc_loss_op"])
+def test_nan_in_a_real_frame_is_a_numeric_failure(search):
+    """A NaN makes its row sum NaN, which no distribution check may let through."""
+    lp = uniform_posterior(3, 3).log_probs[None].copy()
+    lp[0, 1, 2] = np.nan
+    call = {
+        "prefix_beam_nbest": lambda: prefix_beam_nbest(lp, [3], BLANK, 3, 3),
+        "greedy_1best": lambda: greedy_1best(lp, [3], BLANK),
+        "ctc_loss_op": lambda: ctc.ctc_loss_op(Tensor(lp), [3], [(1,)], [True], BLANK),
+    }[search]
+    with pytest.raises(NumericError, match="non-finite posterior"):
+        call()

@@ -136,6 +136,37 @@ def test_report_metrics(root, contents):
     run_cli("report", "--metrics", metrics, "--out", str(root / "report"))
 
 
+# the fields report reads, each drawn as a value of the type EpochMetrics gives it
+COUNTS = st.integers(min_value=0, max_value=10**6)
+LOSSES = st.one_of(COUNTS, st.floats(allow_nan=False, allow_infinity=False))
+READ_FIELDS = {
+    "epoch": COUNTS, "joint_loss": LOSSES, "ctc_loss": st.one_of(st.none(), LOSSES),
+    "att_loss": LOSSES, "blanks_inserted": COUNTS, "train_cer": st.one_of(st.none(), LOSSES),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    values=st.fixed_dictionaries(READ_FIELDS),
+    field=st.sampled_from(sorted(READ_FIELDS)),
+    wrong=st.one_of(st.booleans(), st.text(max_size=4)),
+)
+def test_report_reads_what_epoch_metrics_writes(root, values, field, wrong):
+    record = EpochMetrics(
+        **values, pathway_counts={"fuse": 1}, ctc_unreachable_ids=[], nbest_incomplete=0,
+        utterances=1, wall_time_s=0.0,
+    ).to_json_record()
+    metrics = root / "typed.jsonl"
+    argv = ["report", "--metrics", str(metrics), "--out", str(root / "typed_report")]
+    metrics.write_text(record + "\n")
+    assert run_cli(*argv) == 0
+    metrics.write_text(json.dumps({**json.loads(record), field: wrong}) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 2
+    assert f"{metrics}:1: missing or mistyped {field}" in err.getvalue()
+
+
 def eval_hyp(root, features: bytes = FEATURES, vocab: bytes = VOCAB_FILE,
              manifest: bytes = EVAL_MANIFEST) -> int:
     """``eval --hyp`` on UTTS, with ``features`` as the first utterance's feature file."""

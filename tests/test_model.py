@@ -11,6 +11,7 @@ from ctcfuse.model import (
     METHOD_BASELINE,
     METHOD_FUSION,
     METHOD_NBEST,
+    METHODS,
     DecoderCache,
     EncoderOutput,
     FusionConfig,
@@ -485,3 +486,11 @@ class TestFullModelGradients:
 
         report = tz.grad_check(f, subset, step=1e-5, tolerance=1e-4)
         assert report["passed"], report
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("n,beam_width", [(0, 5), (-5, -5)])
+def test_fusion_config_needs_n_of_at_least_one(method, n, beam_width):
+    """Every method takes ``n >= 1``, so ``beam_width >= n`` bounds the width too."""
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        FusionConfig(method=method, n=n, beam_width=beam_width)
