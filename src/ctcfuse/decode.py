@@ -39,27 +39,52 @@ class DecodeConfig:
             raise ValueError("max_len_factor must be positive and finite")
 
 
-def _ne_memory_for(model: Model, log_probs: np.ndarray, lengths, vocab: Vocabulary) -> Tensor:
-    """Encode the CTC N-best of each row once; attended at every decode step."""
-    nbests = prefix_beam_nbest(
-        log_probs, lengths, vocab.blank_id, model.fusion.beam_width, model.fusion.n
-    )
-    return model.ne_memory(nbests, vocab.pad_id)
+def _decode(
+    features: np.ndarray, model: Model, cfg: DecodeConfig, vocab: Vocabulary, method: str,
+    nbest: int = 0,
+) -> tuple[tuple[int, ...], float, bool | None, NBestList | None]:
+    """``(tokens, score, reached_eos, nbest_list)`` of one utterance by ``method``.
+
+    One encode, in eval mode inside ``inference()`` and ``fp_guard()``; one
+    CTC head, run only if the N-best memory, rescoring or ``nbest`` read it.
+    The search ranks before it cuts at ``n``, so the memory (width
+    ``fusion.beam_width``), the rescoring candidates (``cfg.beam``) and the
+    ``nbest`` list (``max(cfg.beam, nbest)``; None when ``nbest`` is 0)
+    share one search per width. ``reached_eos`` is None for rescoring.
+    """
+    model.train(False)
+    with tz.inference(), tz.fp_guard():
+        enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
+        if model.uses_ne_memory or method == METHOD_RESCORE or nbest:
+            log_probs = model.ctc_head(enc).data
+        searched: dict[int, list] = {}
+
+        def top(width: int, n: int) -> NBestList:
+            if width not in searched:
+                nbests = prefix_beam_nbest(log_probs, enc.lengths, vocab.blank_id, width, width)
+                searched[width] = nbests[0].hypotheses
+            hyps = searched[width][:n]
+            return NBestList(hyps, incomplete=len(hyps) < n)
+
+        ne_memory = None
+        if model.uses_ne_memory:
+            memory = top(model.fusion.beam_width, model.fusion.n)
+            ne_memory = model.ne_memory([memory], vocab.pad_id)
+        nbest_list = top(max(cfg.beam, nbest), nbest) if nbest else None
+        if method != METHOD_RESCORE:
+            return (*_attention_search(model, enc, ne_memory, cfg, vocab), nbest_list)
+        candidates = top(cfg.beam, cfg.beam)
+        att_scores = teacher_forced_scores(model, enc, candidates.sequences(), vocab, ne_memory)
+        ctc_scores = np.array([score for _, score in candidates.hypotheses])
+        combined = cfg.lambda_dec * ctc_scores + (1.0 - cfg.lambda_dec) * att_scores
+        best = int(np.argmax(combined))
+    return candidates.hypotheses[best][0], float(combined[best]), None, nbest_list
 
 
-def attention_beam_decode(
-    features: np.ndarray,
-    model: Model,
-    cfg: DecodeConfig,
-    vocab: Vocabulary,
-    enc: EncoderOutput | None = None,
+def _attention_search(
+    model: Model, enc: EncoderOutput, ne_memory: Tensor | None, cfg: DecodeConfig, vocab: Vocabulary
 ) -> tuple[tuple[int, ...], float, bool]:
-    """Autoregressive beam search from sos; hypotheses end at eos.
-
-    Returns ``(tokens, score, reached_eos)`` where the score is the total
-    log-probability normalized by output length at the final ranking
-    only. If nothing reaches eos within the length cap the best partial
-    hypothesis comes back flagged.
+    """Beam search from sos over one utterance's encoder output and N-best memory.
 
     Each step feeds the decoder only the newest token of every live beam;
     a :class:`DecoderCache` holds the earlier positions, one row per live
@@ -68,58 +93,50 @@ def attention_beam_decode(
     finished beams, and only those scoring at least the ``beam``-th best
     are ranked, by ``(-score, tokens)`` and then candidate order: the
     ranking a stable sort of every candidate gives (Seki et al., 2019).
-    A given ``enc`` is taken as the encoder output of ``features``.
     """
-    model.train(False)
-    with tz.inference(), tz.fp_guard():
-        if enc is None:
-            enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
-        ne_memory = None
-        if model.uses_ne_memory:
-            ne_memory = _ne_memory_for(model, model.ctc_head(enc).data, enc.lengths, vocab)
-        # a finite factor times the frame count can still overflow to inf
-        max_len = max(1, round(min(cfg.max_len_factor * int(enc.lengths[0]), sys.maxsize)))
-        cache = DecoderCache()
+    # a finite factor times the frame count can still overflow to inf
+    max_len = max(1, round(min(cfg.max_len_factor * int(enc.lengths[0]), sys.maxsize)))
+    cache = DecoderCache()
 
-        # (tokens, raw log-prob, finished, cache row of the live parent);
-        # finished entries ride along in the beam so beam=1 terminates
-        # exactly where stepwise argmax does
-        beams: list[tuple[tuple[int, ...], float, bool, int]] = [((), 0.0, False, 0)]
-        for _ in range(max_len):
-            live = [b for b in beams if not b[2]]
-            if not live:
-                break
-            cache.reorder([b[3] for b in live])
-            ids = np.array([[b[0][-1] if b[0] else vocab.sos_id] for b in live], dtype=np.int64)
-            logits = model.decoder_forward(
-                model.embed_tokens(ids, cache.length), enc, ne_memory, cache=cache
-            )
-            logp = tz.log_softmax(Tensor(logits.data[:, -1, :])).data
-            done = [b for b in beams if b[2]]
-            # every candidate score in insertion order: the finished beams,
-            # then row by row each live beam extended by every token
-            scores = np.concatenate(
-                [[b[1] for b in done], (np.array([b[1] for b in live])[:, None] + logp).ravel()]
-            )
-            picked = range(len(scores))
-            if len(scores) > cfg.beam:
-                # only candidates scoring at least the beam-th best can survive
-                cut = np.partition(scores, len(scores) - cfg.beam)[len(scores) - cfg.beam]
-                picked = np.flatnonzero(scores >= cut).tolist()
-            grown = []
-            for i in picked:
-                if i < len(done):
-                    grown.append(done[i])
-                    continue
-                row, k = divmod(i - len(done), vocab.size)
-                toks, score = live[row][0], float(scores[i])
-                if k == vocab.eos_id:
-                    grown.append((toks, score, True, row))
-                else:
-                    grown.append((toks + (k,), score, False, row))
-            # a stable sort, so equal keys keep insertion order
-            grown.sort(key=lambda entry: (-entry[1], entry[0]))
-            beams = grown[: cfg.beam]
+    # (tokens, raw log-prob, finished, cache row of the live parent);
+    # finished entries ride along in the beam so beam=1 terminates
+    # exactly where stepwise argmax does
+    beams: list[tuple[tuple[int, ...], float, bool, int]] = [((), 0.0, False, 0)]
+    for _ in range(max_len):
+        live = [b for b in beams if not b[2]]
+        if not live:
+            break
+        cache.reorder([b[3] for b in live])
+        ids = np.array([[b[0][-1] if b[0] else vocab.sos_id] for b in live], dtype=np.int64)
+        logits = model.decoder_forward(
+            model.embed_tokens(ids, cache.length), enc, ne_memory, cache=cache
+        )
+        logp = tz.log_softmax(Tensor(logits.data[:, -1, :])).data
+        done = [b for b in beams if b[2]]
+        # every candidate score in insertion order: the finished beams,
+        # then row by row each live beam extended by every token
+        scores = np.concatenate(
+            [[b[1] for b in done], (np.array([b[1] for b in live])[:, None] + logp).ravel()]
+        )
+        picked = range(len(scores))
+        if len(scores) > cfg.beam:
+            # only candidates scoring at least the beam-th best can survive
+            cut = np.partition(scores, len(scores) - cfg.beam)[len(scores) - cfg.beam]
+            picked = np.flatnonzero(scores >= cut).tolist()
+        grown = []
+        for i in picked:
+            if i < len(done):
+                grown.append(done[i])
+                continue
+            row, k = divmod(i - len(done), vocab.size)
+            toks, score = live[row][0], float(scores[i])
+            if k == vocab.eos_id:
+                grown.append((toks, score, True, row))
+            else:
+                grown.append((toks + (k,), score, False, row))
+        # a stable sort, so equal keys keep insertion order
+        grown.sort(key=lambda entry: (-entry[1], entry[0]))
+        beams = grown[: cfg.beam]
 
     def normalized(entry) -> float:
         toks, score = entry[0], entry[1]
@@ -148,35 +165,29 @@ def teacher_forced_scores(
     return picked.sum(axis=1)
 
 
+def attention_beam_decode(
+    features: np.ndarray, model: Model, cfg: DecodeConfig, vocab: Vocabulary
+) -> tuple[tuple[int, ...], float, bool]:
+    """Autoregressive beam search from sos; hypotheses end at eos.
+
+    Returns ``(tokens, score, reached_eos)`` where the score is the total
+    log-probability normalized by output length at the final ranking
+    only. If nothing reaches eos within the length cap the best partial
+    hypothesis comes back flagged.
+    """
+    return _decode(features, model, cfg, vocab, METHOD_ATTENTION)[:3]
+
+
 def ctc_rescore_decode(
-    features: np.ndarray,
-    model: Model,
-    cfg: DecodeConfig,
-    vocab: Vocabulary,
-    enc: EncoderOutput | None = None,
+    features: np.ndarray, model: Model, cfg: DecodeConfig, vocab: Vocabulary
 ) -> tuple[tuple[int, ...], float]:
     """Rerank CTC prefix-beam candidates by interpolated CTC/attention scores.
 
     ``lambda_dec`` weighs the CTC path-sum score; ``1 - lambda_dec`` the
     teacher-forced attention log-likelihood. An empty candidate is scored
-    like any other hypothesis. A given ``enc`` is taken as the encoder
-    output of ``features``.
+    like any other hypothesis.
     """
-    model.train(False)
-    with tz.inference(), tz.fp_guard():
-        if enc is None:
-            enc = model.encode(features[None, :, :], np.array([features.shape[0]]))
-        log_probs = model.ctc_head(enc).data
-        nbest = prefix_beam_nbest(log_probs, enc.lengths, vocab.blank_id, cfg.beam, cfg.beam)[0]
-        ne_memory = None
-        if model.uses_ne_memory:
-            ne_memory = _ne_memory_for(model, log_probs, enc.lengths, vocab)
-        candidates = nbest.sequences()
-        att_scores = teacher_forced_scores(model, enc, candidates, vocab, ne_memory)
-    ctc_scores = np.array([score for _, score in nbest.hypotheses])
-    combined = cfg.lambda_dec * ctc_scores + (1.0 - cfg.lambda_dec) * att_scores
-    best = int(np.argmax(combined))
-    return candidates[best], float(combined[best])
+    return _decode(features, model, cfg, vocab, METHOD_RESCORE)[:2]
 
 
 def decode_utterance(
@@ -184,25 +195,13 @@ def decode_utterance(
 ) -> tuple[tuple[int, ...], float, NBestList | None]:
     """``(tokens, score, nbest_list)`` of ``utt`` by the decoder ``cfg.method`` names.
 
-    The utterance is encoded once, in eval mode, and the decoder and the
-    list share that encoder output. ``nbest_list`` is the CTC prefix-beam
-    N-best of width ``max(cfg.beam, nbest)``, searched as a batch of one,
-    or None when ``nbest`` is 0. A non-finite value raises
+    ``nbest_list`` is the CTC prefix-beam N-best of width ``max(cfg.beam,
+    nbest)``, or None when ``nbest`` is 0. A non-finite value raises
     :class:`NumericError` naming the utterance.
     """
-    model.train(False)
-    with tz.numeric_failure_names(f"utterance {utt.utt_id}"), tz.inference(), tz.fp_guard():
-        enc = model.encode(utt.features[None], np.array([utt.num_frames]))
-        if cfg.method == METHOD_ATTENTION:
-            tokens, score, _ = attention_beam_decode(utt.features, model, cfg, vocab, enc)
-        else:
-            tokens, score = ctc_rescore_decode(utt.features, model, cfg, vocab, enc)
-        if nbest:
-            log_probs = model.ctc_head(enc).data
-            width = max(cfg.beam, nbest)
-            nbests = prefix_beam_nbest(log_probs, enc.lengths, vocab.blank_id, width, nbest)
-            return tokens, score, nbests[0]
-    return tokens, score, None
+    with tz.numeric_failure_names(f"utterance {utt.utt_id}"):
+        tokens, score, _, nbest_list = _decode(utt.features, model, cfg, vocab, cfg.method, nbest)
+    return tokens, score, nbest_list
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from itertools import product
 import numpy as np
 
 from ctcfuse import tensor as tz
-from ctcfuse.ctc import NBestList, TokenSeq, _augment, _check_distribution, min_frames
+from ctcfuse.ctc import (NBestList, TokenSeq, _augment, _check_distribution, min_frames,
+                         prefix_beam_nbest)
 from ctcfuse.data import pad_id_rows
-from ctcfuse.decode import _ne_memory_for
 from ctcfuse.model import EncoderOutput
 from ctcfuse.tensor import Tensor
 
@@ -265,7 +265,11 @@ def attention_beam_reference(features, model, cfg, vocab):
     enc = model.encode(feats[None, :, :], np.array([feats.shape[0]]))
     ne_memory = None
     if model.uses_ne_memory:
-        ne_memory = _ne_memory_for(model, model.ctc_head(enc).data, enc.lengths, vocab)
+        nbests = prefix_beam_nbest(
+            model.ctc_head(enc).data, enc.lengths, vocab.blank_id,
+            model.fusion.beam_width, model.fusion.n,
+        )
+        ne_memory = model.ne_memory(nbests, vocab.pad_id)
     max_len = max(1, int(round(cfg.max_len_factor * int(enc.lengths[0]))))
 
     # (tokens, raw log-prob, finished); finished entries ride along in the

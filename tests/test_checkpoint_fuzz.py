@@ -180,6 +180,7 @@ def decode_exits_0_or_2(reference, path):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main([
             "decode", "--ckpt", str(path), "--manifest", str(reference["manifest"]),
+            "--vocab", str(reference["root"] / "corpus" / "vocab.txt"),
             "--beam", "1", "--out", str(reference["root"] / "hyp.tsv"),
         ])
     lines = err.getvalue().splitlines()
@@ -187,6 +188,15 @@ def decode_exits_0_or_2(reference, path):
         code == 2 and len(lines) == 1 and lines[0].startswith("error kind=data ")
     ), (code, lines)
     return lines
+
+
+def test_intact_pair_decodes_every_utterance(reference):
+    hyp = reference["root"] / "hyp.tsv"
+    hyp.unlink(missing_ok=True)
+    path = write_pair(reference, reference["blob"], mutated(reference["sidecar"], ("epoch",), 5))
+    assert decode_exits_0_or_2(reference, path) == []
+    ids = [line.split("\t")[0] for line in hyp.read_text().splitlines()]
+    assert ids == [utt.utt_id for utt in CORPUS]
 
 
 @settings(derandomize=True, deadline=None, max_examples=8)

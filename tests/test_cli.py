@@ -727,7 +727,7 @@ class TestDataErrors:
         def never(*args, **kwargs):
             raise AssertionError("decoded before every utterance was checked")
 
-        monkeypatch.setattr(decode, "attention_beam_decode", never)
+        monkeypatch.setattr(decode, "_decode", never)
 
     @pytest.mark.parametrize("command", ["decode", "eval"])
     def test_too_short_utterance(self, trained, corpus_dir, tmp_path, capsys, never_decode, command):

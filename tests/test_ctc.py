@@ -438,37 +438,42 @@ BATCH_KINDS = POSTERIOR_KINDS + ["sparse"]
 BATCH_WIDTHS = ["n", 1, 2, 3, 5, 10, None]  # None: UNPRUNED
 
 
+def _seeded_batches(kind: str, beam_width):
+    """25 seeded padded batches of ``kind``: ``(log_probs, lengths, blank, width, n)``."""
+    rng = np.random.default_rng([5, BATCH_KINDS.index(kind), BATCH_WIDTHS.index(beam_width)])
+    for _ in range(25):
+        rows = int(rng.integers(1, 6))
+        vocab = int(rng.integers(2, 7))
+        lengths = rng.integers(1, 9, size=rows)
+        if beam_width is None:
+            # unpruned search keeps every prefix: bound their number
+            cap = 8
+            while (vocab - 1) ** cap > 500:
+                cap -= 1
+            lengths = np.minimum(lengths, cap)
+            width, n = UNPRUNED, int(rng.integers(1, 30))
+        elif beam_width == "n":
+            n = int(rng.integers(1, 6))
+            width = n
+        else:
+            width, n = beam_width, int(rng.integers(1, beam_width + 1))
+        blank = int(rng.integers(0, vocab))
+        # up to two frames of padding past the longest row; never read
+        lp = np.full((rows, int(lengths.max() + rng.integers(0, 3)), vocab), np.nan)
+        for i, t in enumerate(lengths):
+            lp[i, :t] = _posterior_of_kind(rng, kind, int(t), vocab)
+        yield lp, lengths, blank, width, n
+
+
 class TestBatchedPrefixBeam:
     """Every row of a padded batch gets the list the reference gives that row alone."""
 
     @pytest.mark.parametrize("beam_width", BATCH_WIDTHS)
     @pytest.mark.parametrize("kind", BATCH_KINDS)
     def test_rows_match_reference_alone_and_in_batch(self, kind, beam_width):
-        rng = np.random.default_rng([5, BATCH_KINDS.index(kind), BATCH_WIDTHS.index(beam_width)])
-        for _ in range(25):
-            rows = int(rng.integers(1, 6))
-            vocab = int(rng.integers(2, 7))
-            lengths = rng.integers(1, 9, size=rows)
-            if beam_width is None:
-                # unpruned search keeps every prefix: bound their number
-                cap = 8
-                while (vocab - 1) ** cap > 500:
-                    cap -= 1
-                lengths = np.minimum(lengths, cap)
-                width, n = UNPRUNED, int(rng.integers(1, 30))
-            elif beam_width == "n":
-                n = int(rng.integers(1, 6))
-                width = n
-            else:
-                width, n = beam_width, int(rng.integers(1, beam_width + 1))
-            blank = int(rng.integers(0, vocab))
-            # up to two frames of padding past the longest row; never read
-            lp = np.full((rows, int(lengths.max() + rng.integers(0, 3)), vocab), np.nan)
-            for i, t in enumerate(lengths):
-                lp[i, :t] = _posterior_of_kind(rng, kind, int(t), vocab)
-
+        for lp, lengths, blank, width, n in _seeded_batches(kind, beam_width):
             batch = prefix_beam_nbest(lp, lengths, blank, width, n)
-            assert len(batch) == rows
+            assert len(batch) == len(lengths)
             assert batch.incomplete == sum(nbest.incomplete for nbest in batch)
             for i, t in enumerate(lengths):
                 real = lp[i, :t]
@@ -477,6 +482,20 @@ class TestBatchedPrefixBeam:
                     # same sequences with bit-equal scores, not merely close ones
                     assert ours.hypotheses == ref.hypotheses
                     assert ours.incomplete == ref.incomplete == (len(ours) < n)
+
+    @pytest.mark.parametrize("beam_width", BATCH_WIDTHS)
+    @pytest.mark.parametrize("kind", BATCH_KINDS)
+    def test_top_n_is_the_head_of_the_full_width_list(self, kind, beam_width):
+        # n only cuts the final ranking, so lists of one width but different
+        # n can share one search
+        for lp, lengths, blank, width, _ in _seeded_batches(kind, beam_width):
+            full = prefix_beam_nbest(lp, lengths, blank, width, width)
+            longest = max(len(nbest) for nbest in full)
+            for n in sorted({*range(1, min(width, longest + 1) + 1), width}):
+                for cut, whole in zip(prefix_beam_nbest(lp, lengths, blank, width, n), full):
+                    head = whole.hypotheses[:n]
+                    assert cut.hypotheses == head  # bit-equal scores
+                    assert cut.incomplete == (len(head) < n)
 
     def test_huge_beam_keeps_state_small(self):
         lp = random_posterior(np.random.default_rng(18), 3, 4)

@@ -401,21 +401,56 @@ class TestEvaluate:
         assert '"summary": true' in lines[-1]
 
     @pytest.mark.parametrize("method", dec.DECODE_METHODS)
-    def test_decode_utterance(self, setup, method):
-        vocab, corpus, model = setup
-        cfg = DecodeConfig(method=method, beam=2)
+    def test_decode_utterance(self, either_setup, method, monkeypatch):
+        vocab, corpus, model = either_setup
+        # the N-best-memory model searches width 3 for its memory, so with
+        # nbest <= beam every list reads one search
+        cfg = DecodeConfig(method=method, beam=3)
+        assert not model.uses_ne_memory or model.fusion.beam_width == cfg.beam
         decoder = {"attention": attention_beam_decode, "ctc_rescore": ctc_rescore_decode}[method]
+        head, search = Model.ctc_head, dec.prefix_beam_nbest
+        heads, widths = [], []
+
+        def counting_head(self, enc):
+            heads.append(1)
+            return head(self, enc)
+
+        def counting_search(log_probs, lengths, blank_id, beam_width, n):
+            widths.append(beam_width)
+            return search(log_probs, lengths, blank_id, beam_width, n)
+
+        monkeypatch.setattr(Model, "ctc_head", counting_head)
+        monkeypatch.setattr(dec, "prefix_beam_nbest", counting_search)
+        reads_ctc = model.uses_ne_memory or method == "ctc_rescore"
         for utt in corpus[:3]:
-            expected = decoder(utt.features, model, cfg, vocab)[:2]
-            assert decode_utterance(utt, model, cfg, vocab) == (*expected, None)
-            # the N-best list comes from the same encoder pass, beam max(cfg.beam, nbest)
-            tokens, score, nbest = decode_utterance(utt, model, cfg, vocab, nbest=3)
-            assert (tokens, score) == expected
+            tokens, score = decoder(utt.features, model, cfg, vocab)[:2]
             enc = model.encode(utt.features[None], np.array([utt.num_frames]))
-            log_probs = model.ctc_head(enc).data
-            assert nbest == prefix_beam_nbest(log_probs, enc.lengths, vocab.blank_id, 3, 3)[0]
+            log_probs = head(model, enc).data
+            for k in (0, 1, cfg.beam, cfg.beam + 2):
+                heads.clear()
+                widths.clear()
+                got_tokens, got_score, nbest = decode_utterance(utt, model, cfg, vocab, nbest=k)
+                assert (got_tokens, got_score.hex()) == (tokens, score.hex())
+                # one CTC head, and none when nothing reads the posterior
+                assert len(heads) == int(reads_ctc or k > 0)
+                # one search per width
+                if k <= cfg.beam:
+                    assert len(widths) == int(reads_ctc or k > 0)
+                else:
+                    assert sorted(widths) == [cfg.beam] * reads_ctc + [k]
+                if not k:
+                    assert nbest is None
+                    continue
+                want = search(log_probs, enc.lengths, vocab.blank_id, max(cfg.beam, k), k)[0]
+                assert nbest == want
+                assert [s.hex() for _, s in nbest.hypotheses] == [
+                    s.hex() for _, s in want.hypotheses
+                ]
         report = evaluate(corpus[:3], lambda utt: decode_utterance(utt, model, cfg, vocab)[0])
-        assert 0.0 <= report.corpus_cer <= 1.5
+        public = evaluate(corpus[:3], lambda utt: decoder(utt.features, model, cfg, vocab)[0])
+        assert report == public
+        if not model.uses_ne_memory:  # the briefer-trained memory model inserts freely
+            assert 0.0 <= report.corpus_cer <= 1.5
 
 
 class TestFormatting:
