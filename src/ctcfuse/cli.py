@@ -573,6 +573,9 @@ def main(argv=None) -> int:
     except NumericError as err:
         _print_error("numeric", err)
         return 3
+    except MemoryError as err:  # a size that cannot fit, at set-up or as a search grows
+        _print_error("memory", err)
+        return 3
 
 
 def entry() -> None:

@@ -351,12 +351,10 @@ def synth_corpus(cfg: SynthConfig) -> tuple[Vocabulary, list[Utterance]]:
     for i in range(cfg.count):
         length = int(rng.integers(cfg.min_len, cfg.max_len + 1))
         picks = rng.integers(0, cfg.vocab_size, size=length)
-        transcript = tuple(char_ids[p] for p in picks)
-        rows = []
-        for p in picks:
-            reps = int(rng.integers(cfg.min_frames_per_token, cfg.max_frames_per_token + 1))
-            rows.append(np.tile(prototypes[p], (reps, 1)))
-        features = np.concatenate(rows, axis=0)
+        transcript = tuple(char_ids[p] for p in picks.tolist())
+        # one vector draw takes the same 32-bit values as one scalar draw per token
+        reps = rng.integers(cfg.min_frames_per_token, cfg.max_frames_per_token + 1, size=length)
+        features = np.repeat(prototypes[picks], reps, axis=0)
         if cfg.noise > 0.0:
             features = features + cfg.noise * rng.normal(size=features.shape)
         corpus.append(

@@ -270,7 +270,12 @@ class Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch broadcasting over leading dims."""
+    """Matrix product with numpy batch broadcasting over leading dims.
+
+    With a 2-D ``b`` (a weight), backward forms each gradient as one 2-D
+    GEMM over ``a``'s flattened leading axes, rather than one small product
+    per batch row summed afterwards; the two differ only in summation order.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
@@ -278,6 +283,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def grad_fn(g):
         ga = gb = None
+        if b.ndim == 2:
+            g2 = g.reshape(-1, b.shape[1])
+            if a.requires_grad:
+                ga = (g2 @ b.data.T).reshape(a.shape)
+            if b.requires_grad:
+                gb = a.data.reshape(-1, b.shape[0]).T @ g2
+            return ga, gb
         if a.requires_grad:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         if b.requires_grad:

@@ -14,7 +14,7 @@ import numpy as np
 from ctcfuse import tensor as tz
 from ctcfuse.ctc import (NBestList, TokenSeq, _augment, _check_distribution, min_frames,
                          prefix_beam_nbest)
-from ctcfuse.data import pad_id_rows
+from ctcfuse.data import _SYNTH_ALPHABET, SynthConfig, Utterance, Vocabulary, pad_id_rows
 from ctcfuse.model import EncoderOutput
 from ctcfuse.tensor import Tensor
 
@@ -420,3 +420,42 @@ def adam_step(param, grad, m, v, step, lr, beta1=0.9, beta2=0.98, eps=1e-9):
     v_hat = v / (1.0 - beta2**step)
     param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
     return param, m, v
+
+
+def matmul_grads_reference(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """Both gradients of ``a @ b`` for upstream ``g``, batched: one product per
+    broadcast batch entry, summed down to each operand's shape."""
+    ga = tz._unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
+    gb = tz._unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
+    return ga, gb
+
+
+def synth_corpus_reference(cfg: SynthConfig):
+    """``data.synth_corpus`` one token at a time: a scalar frame-count draw
+    and a tiled prototype per token, concatenated."""
+    rng = np.random.default_rng(cfg.seed)
+    alphabet = _SYNTH_ALPHABET[: cfg.vocab_size]
+    vocab = Vocabulary.from_tokens(alphabet)
+    prototypes = rng.normal(size=(cfg.vocab_size, cfg.feature_dim))
+    char_ids = [vocab.token_to_id[ch] for ch in alphabet]
+
+    corpus = []
+    for i in range(cfg.count):
+        length = int(rng.integers(cfg.min_len, cfg.max_len + 1))
+        picks = rng.integers(0, cfg.vocab_size, size=length)
+        transcript = tuple(char_ids[p] for p in picks)
+        rows = []
+        for p in picks:
+            reps = int(rng.integers(cfg.min_frames_per_token, cfg.max_frames_per_token + 1))
+            rows.append(np.tile(prototypes[p], (reps, 1)))
+        features = np.concatenate(rows, axis=0)
+        if cfg.noise > 0.0:
+            features = features + cfg.noise * rng.normal(size=features.shape)
+        corpus.append(
+            Utterance(
+                utt_id=f"synth-{i:05d}",
+                features=features.astype(np.float32),
+                transcript=transcript,
+            )
+        )
+    return vocab, corpus

@@ -46,12 +46,12 @@ def one_data_error(err: str) -> str:
     return one_error(err, "data")
 
 
-def run_cli_process(*argv, cwd):
+def run_cli_process(*argv, cwd, preexec_fn=None):
     """``ctcfuse`` in a child process, so numpy's warnings reach its real stderr."""
     src = str(Path(ctcfuse.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ctcfuse.cli", *argv], cwd=cwd,
+        [sys.executable, "-m", "ctcfuse.cli", *argv], cwd=cwd, preexec_fn=preexec_fn,
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
     )
 
@@ -323,6 +323,24 @@ class TestTrain:
         monkeypatch.setattr(cli, "train", boom)
         assert run_cli("train", "--config", str(base_config)) == 3
         assert "kind=numeric" in capsys.readouterr().err
+
+    def test_memory_error_maps_to_exit_3(self, base_config, tmp_path):
+        import resource
+
+        def cap_address_space():  # a 2 GB cap, so the failing allocation cannot reach the machine
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+
+        payload = json.loads(base_config.read_text())
+        # ne.proj alone would need 10**8 * 8 * 8 floats
+        payload["fusion"] = {"method": "nbest_memory", "n": 10**8, "beam_width": 10**8}
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        done = run_cli_process("train", "--config", str(config), "--out", str(out), "--quiet",
+                               cwd=tmp_path, preexec_fn=cap_address_space)
+        assert done.returncode == 3, done.stderr
+        assert "Unable to allocate" in one_error(done.stderr, "memory")
+        assert not out.exists()
 
     def test_unknown_config_key_is_usage_error(self, base_config, tmp_path, capsys):
         payload = json.loads(base_config.read_text())

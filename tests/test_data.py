@@ -21,6 +21,8 @@ from ctcfuse.data import (
     write_features,
 )
 
+from oracles import synth_corpus_reference
+
 
 class TestVocabulary:
     def test_specials_plus_sorted_characters(self):
@@ -178,6 +180,32 @@ class TestSynthCorpus:
                 if tok in seen:
                     assert seen[tok] == key
                 seen[tok] = key
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SynthConfig(seed=5, count=20),
+            SynthConfig(seed=1, count=10, min_frames_per_token=3, max_frames_per_token=3),
+            SynthConfig(seed=2, count=10, noise=0.0),
+            SynthConfig(seed=4, count=10, vocab_size=36),
+            SynthConfig(seed=6, count=10, feature_dim=1),
+            SynthConfig(seed=8, count=4, min_len=1, max_len=1, min_frames_per_token=1,
+                        max_frames_per_token=1),
+            SynthConfig(seed=9, count=5, min_frames_per_token=1, max_frames_per_token=1000),
+            desk_synth_config(seed=3),
+        ],
+        ids=["default", "fixed-frames", "no-noise", "vocab-36", "dim-1", "one-frame",
+             "frames-1-1000", "desk"],
+    )
+    def test_bytes_equal_token_by_token_reference(self, cfg):
+        vocab, corpus = synth_corpus(cfg)
+        ref_vocab, ref = synth_corpus_reference(cfg)
+        assert vocab.id_to_token == ref_vocab.id_to_token
+        assert len(corpus) == len(ref)
+        for u, r in zip(corpus, ref):
+            assert u.utt_id == r.utt_id and u.transcript == r.transcript
+            assert u.features.shape == r.features.shape
+            assert u.features.tobytes() == r.features.tobytes()
 
     def test_degenerate_length_range_rejected(self):
         with pytest.raises(DataError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ctcfuse import tensor as T
 from ctcfuse.tensor import Tensor
 
-from oracles import conv2d_gather, conv2d_reference
+from oracles import conv2d_gather, conv2d_reference, matmul_grads_reference
 
 
 def matmul_oracle(a, b):
@@ -57,6 +57,40 @@ class TestMatmul:
             np.testing.assert_allclose(
                 T.matmul(Tensor(a), Tensor(b)).data, matmul_oracle(a, b), rtol=1e-12
             )
+
+    @staticmethod
+    def _grads(a_shape, b_shape, needs):
+        rng = np.random.default_rng(21)
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        ta, tb = Tensor(a, requires_grad=needs[0]), Tensor(b, requires_grad=needs[1])
+        out = T.matmul(ta, tb)
+        g = rng.normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        return (ta.grad, tb.grad), matmul_grads_reference(a, b, g)
+
+    NEEDS = [(True, True), (True, False), (False, True)]
+
+    @pytest.mark.parametrize("needs", NEEDS, ids=["both", "left", "right"])
+    @pytest.mark.parametrize("a_shape", [(3, 4), (2, 1, 4), (2, 5, 4), (2, 3, 5, 4)])
+    def test_weight_grads_match_batched_form(self, a_shape, needs):
+        got, ref = self._grads(a_shape, (4, 6), needs)
+        for grad, want, need in zip(got, ref, needs):
+            if not need:
+                assert grad is None
+                continue
+            assert grad.shape == want.shape
+            np.testing.assert_allclose(grad, want, rtol=1e-12, atol=0)
+            if len(a_shape) == 2:  # a 2-D left operand runs the same two GEMMs
+                assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("needs", NEEDS, ids=["both", "left", "right"])
+    def test_attention_grads_bit_equal_to_batched_form(self, needs):
+        got, ref = self._grads((2, 3, 5, 4), (2, 3, 4, 6), needs)
+        for grad, want, need in zip(got, ref, needs):
+            if not need:
+                assert grad is None
+                continue
+            assert grad.tobytes() == want.tobytes()
 
 
 class TestLogSoftmax:
@@ -408,6 +442,8 @@ class TestFiniteDifferences:
         "transpose": ([(2, 3, 4)], lambda a: a.transpose(2, 0, 1), None),
         "sum": ([(3, 4)], lambda a: a.sum(), None),
         "matmul": ([(2, 3, 4), (4, 5)], T.matmul, None),
+        "matmul_one_position": ([(3, 1, 4), (4, 5)], T.matmul, None),
+        "matmul_4d_left": ([(2, 3, 2, 4), (4, 5)], T.matmul, None),
         "concat": ([(2, 3), (2, 2)], lambda a, b: T.concat([a, b], axis=1), None),
         "relu": ([(3, 4)], T.relu, lambda d: d + 0.2 * np.sign(d)),
         "log_softmax": ([(3, 5)], T.log_softmax, None),
