@@ -192,6 +192,11 @@ def _load_model_and_vocab(args):
         raise DataError(
             "vocabulary does not match the checkpoint (pass the training vocab with --vocab)"
         )
+    if model.config.vocab_size != vocab.size:
+        raise DataError(
+            f"checkpoint model has vocab_size {model.config.vocab_size}, "
+            f"the vocabulary has {vocab.size} tokens"
+        )
     _check_corpus_fits(corpus, model.config)
     return model, vocab, corpus
 
@@ -350,7 +355,7 @@ def _apply_grid_point(payload: dict, point: dict[str, str]) -> dict:
             out["fusion"]["alpha"] = value
         elif key == "n":
             out["fusion"]["n"] = value
-            out["fusion"].setdefault("beam_width", max(value, 5))
+            out["fusion"].setdefault("beam_width", max(value, FusionConfig.beam_width))
         elif key == "t_l":
             out["gating"]["mode"] = "absolute"
             out["gating"]["t_l"] = value

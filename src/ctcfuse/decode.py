@@ -128,7 +128,7 @@ def _attention_search(
             if i < len(done):
                 grown.append(done[i])
                 continue
-            row, k = divmod(i - len(done), vocab.size)
+            row, k = divmod(i - len(done), logp.shape[1])
             toks, score = live[row][0], float(scores[i])
             if k == vocab.eos_id:
                 grown.append((toks, score, True, row))

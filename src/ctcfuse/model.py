@@ -150,12 +150,15 @@ def param_specs(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> dict[s
         specs[f"{prefix}.fc2.w"] = (ffn, d)
         specs[f"{prefix}.fc2.b"] = (d,)
 
-    for i in range(config.encoder_layers):
-        norm(f"encoder.layer{i}.ln1")
-        attention(f"encoder.layer{i}.attn")
-        norm(f"encoder.layer{i}.ln2")
-        ffn_block(f"encoder.layer{i}.ffn")
-    norm("encoder.ln")
+    def stack(prefix: str, layers: int):
+        for i in range(layers):
+            norm(f"{prefix}.layer{i}.ln1")
+            attention(f"{prefix}.layer{i}.attn")
+            norm(f"{prefix}.layer{i}.ln2")
+            ffn_block(f"{prefix}.layer{i}.ffn")
+        norm(f"{prefix}.ln")
+
+    stack("encoder", config.encoder_layers)
 
     specs["ctc_head.w"] = (d, v)
     specs["ctc_head.b"] = (v,)
@@ -178,12 +181,7 @@ def param_specs(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> dict[s
     if with_ne_memory:
         specs["ne.proj.w"] = (n * d, d)
         specs["ne.proj.b"] = (d,)
-        for i in range(config.ne_layers):
-            norm(f"ne.layer{i}.ln1")
-            attention(f"ne.layer{i}.attn")
-            norm(f"ne.layer{i}.ln2")
-            ffn_block(f"ne.layer{i}.ffn")
-        norm("ne.ln")
+        stack("ne", config.ne_layers)
     return specs
 
 
@@ -299,6 +297,15 @@ class Model:
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
         return self._linear(tz.relu(self._linear(x, f"{prefix}.fc1")), f"{prefix}.fc2")
 
+    def _stack(self, x: Tensor, prefix: str, layers: int, key_bias: np.ndarray | None) -> Tensor:
+        """``layers`` pre-norm self-attention/FFN blocks, then the final ``{prefix}.ln`` norm."""
+        for i in range(layers):
+            h = self._norm(x, f"{prefix}.layer{i}.ln1")
+            x = x + self._drop(self._mha(f"{prefix}.layer{i}.attn", h, h, key_bias))
+            h = self._norm(x, f"{prefix}.layer{i}.ln2")
+            x = x + self._drop(self._ffn(h, f"{prefix}.layer{i}.ffn"))
+        return self._norm(x, f"{prefix}.ln")
+
     # -- encoder ----------------------------------------------------------------
 
     def encode(self, features: np.ndarray, lengths: np.ndarray) -> EncoderOutput:
@@ -346,12 +353,7 @@ class Model:
         x = self._drop(x)
 
         key_bias = _length_bias(cur, t_sub)
-        for i in range(self.config.encoder_layers):
-            h = self._norm(x, f"encoder.layer{i}.ln1")
-            x = x + self._drop(self._mha(f"encoder.layer{i}.attn", h, h, key_bias))
-            h = self._norm(x, f"encoder.layer{i}.ln2")
-            x = x + self._drop(self._ffn(h, f"encoder.layer{i}.ffn"))
-        x = self._norm(x, "encoder.ln")
+        x = self._stack(x, "encoder", self.config.encoder_layers, key_bias)
         return EncoderOutput(h_s=x, lengths=cur, key_bias=key_bias)
 
     def ctc_head(self, enc: EncoderOutput) -> Tensor:
@@ -392,12 +394,7 @@ class Model:
         """Self-attention blocks over the hypothesis memory [B, L, d] (no causal mask)."""
         if self.config.ne_layers < 1:
             raise ValueError("ne_encode requires ne_layers >= 1")
-        for i in range(self.config.ne_layers):
-            h = self._norm(x, f"ne.layer{i}.ln1")
-            x = x + self._drop(self._mha(f"ne.layer{i}.attn", h, h, None))
-            h = self._norm(x, f"ne.layer{i}.ln2")
-            x = x + self._drop(self._ffn(h, f"ne.layer{i}.ffn"))
-        return self._norm(x, "ne.ln")
+        return self._stack(x, "ne", self.config.ne_layers, None)
 
     # -- decoder ----------------------------------------------------------------
 
@@ -443,7 +440,7 @@ class Model:
             h = self._norm(x, f"decoder.layer{i}.ln3")
             x = x + self._drop(self._ffn(h, f"decoder.layer{i}.ffn"))
         if cache is not None:
-            cache.advance(x.shape[1])
+            cache.length += x.shape[1]
         x = self._norm(x, "decoder.ln")
         return self._linear(x, "decoder.out")
 
@@ -453,16 +450,15 @@ class DecoderCache:
 
     Self-attention keys and values are plain arrays, one row per
     hypothesis, that grow by the positions of each
-    :meth:`Model.decoder_forward` call; a :meth:`reorder` since the last
-    call is folded into that growth. Encoder and N-best-memory keys and
-    values are projected on first use and reused by every later step.
+    :meth:`Model.decoder_forward` call; :meth:`reorder` gathers their rows
+    at once. Encoder and N-best-memory keys and values are projected on
+    first use and reused by every later step.
     """
 
     def __init__(self):
         self.length = 0  # positions fed so far
         self._grown: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # self-attention, per layer
         self._fixed: dict[str, tuple[Tensor, Tensor]] = {}  # encoder and memory, per layer
-        self._rows: np.ndarray | None = None  # pending reorder of the grown rows; None keeps them
 
     def keys_values(self, prefix: str, kv_in: Tensor, project) -> tuple[Tensor, Tensor]:
         """Keys and values for attention ``prefix``; ``project(prefix, kv_in)`` makes new ones."""
@@ -473,33 +469,24 @@ class DecoderCache:
         k, v = project(prefix, kv_in)
         if prefix in self._grown:
             old_k, old_v = self._grown[prefix]
-            if self._rows is not None:
-                old_k, old_v = old_k[self._rows], old_v[self._rows]
             k = Tensor(np.concatenate([old_k, k.data], axis=-1))
             v = Tensor(np.concatenate([old_v, v.data], axis=-2))
         self._grown[prefix] = (k.data, v.data)
         return k, v
 
-    def advance(self, positions: int) -> None:
-        """End a step of ``positions`` fed positions; every layer has applied the reorder."""
-        self.length += positions
-        self._rows = None
-
     def reorder(self, rows) -> None:
         """Keep self-attention row ``rows[j]`` as row ``j``, e.g. each survivor's parent beam.
 
-        Only records the rows: the next step gathers them as it appends.
-        Two reorders with no step between compose, and a reorder that keeps
-        every row in place, as every greedy step does, records nothing.
+        A reorder that keeps every row in place, as every greedy step
+        does, copies nothing.
         """
         if not self._grown:
             return
         rows = np.asarray(rows, dtype=np.int64)
-        if self._rows is not None:
-            rows = self._rows[rows]
         count = next(iter(self._grown.values()))[0].shape[0]
-        kept = len(rows) == count and bool((rows == np.arange(count)).all())
-        self._rows = None if kept else rows
+        if len(rows) == count and bool((rows == np.arange(count)).all()):
+            return
+        self._grown = {prefix: (k[rows], v[rows]) for prefix, (k, v) in self._grown.items()}
 
 
 def nbest_id_matrix(nbest: NBestList, n: int, max_len: int, pad_id: int) -> np.ndarray:

@@ -777,6 +777,27 @@ class TestDataErrors:
         msg = one_data_error(capsys.readouterr().err)
         assert "utterance synth-00000" in msg and "8 wide" in msg
 
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    @pytest.mark.parametrize("extra", [8, -2])
+    def test_checkpoint_vocab_size_unlike_the_vocabulary(
+        self, corpus_dir, tmp_path, capsys, never_decode, command, extra
+    ):
+        vocab = load_vocab_file(corpus_dir / "vocab.txt")
+        model_cfg = ModelConfig(
+            d_model=8, num_heads=2, ffn_dim=16, encoder_layers=1, decoder_layers=1,
+            vocab_size=vocab.size + extra, feature_dim=4,
+        )
+        model = Model(model_cfg, FusionConfig(), seed=0)
+        cfg = TrainConfig(model=model_cfg)
+        save_checkpoint(tmp_path / "model.ckpt", model, Adam(model.params, cfg), cfg, vocab, 1)
+        code = run_cli(
+            command, "--ckpt", str(tmp_path / "model.ckpt"),
+            "--manifest", str(corpus_dir / "manifest.tsv"), "--vocab", str(corpus_dir / "vocab.txt"),
+        )
+        assert code == 2
+        msg = one_data_error(capsys.readouterr().err)
+        assert f"vocab_size {vocab.size + extra}" in msg and f"{vocab.size} tokens" in msg
+
     def test_train_on_too_short_synth_utterance(self, base_config, tmp_path, capsys):
         synth = {"vocab_size": 4, "count": 20, "min_len": 1, "max_len": 2,
                  "min_frames_per_token": 1, "max_frames_per_token": 2, "feature_dim": 4}

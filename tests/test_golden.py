@@ -98,7 +98,9 @@ def test_outputs_match_golden_digests(tmp_path, monkeypatch, capsys):
             "on a commit whose outputs are known to be right"
         )
     expected = recorded[key]
+    # pytest keeps tmp_path, so a mismatching file can be diffed against a run of the parent
+    kept = f"(this run's outputs are in {tmp_path})"
     changed = sorted(p for p in expected.keys() & digests.keys() if expected[p] != digests[p])
-    assert changed == [], f"files differ from their golden digests: {changed}"
-    assert sorted(digests.keys() - expected.keys()) == [], "files written that have no digest"
-    assert sorted(expected.keys() - digests.keys()) == [], "files with a digest not written"
+    assert changed == [], f"files differ from their golden digests: {changed} {kept}"
+    assert sorted(digests.keys() - expected.keys()) == [], f"files written that have no digest {kept}"
+    assert sorted(expected.keys() - digests.keys()) == [], f"files with a digest not written {kept}"

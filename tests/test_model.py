@@ -400,6 +400,43 @@ class TestDecoder:
         assert seqs.shape[0] == 2
         assert cache.length == steps
 
+    def stepped_cache(self, rows=3):
+        """A cache after one decoder step of ``rows`` hypotheses, the model and encoder output."""
+        model = toy_model(vocab=8, seed=5)
+        enc = model.encode(random_features(np.random.default_rng(13), 1, 12), np.array([12]))
+        cache = DecoderCache()
+        ids = np.arange(rows).reshape(rows, 1) + 4
+        model.decoder_forward(model.embed_tokens(ids), enc, cache=cache)
+        return model, enc, cache
+
+    def test_identity_reorder_keeps_the_arrays(self):
+        _, _, cache = self.stepped_cache()
+        before = dict(cache._grown)
+        cache.reorder([0, 1, 2])
+        assert cache._grown.keys() == before.keys()
+        for prefix, (k, v) in cache._grown.items():
+            assert k is before[prefix][0] and v is before[prefix][1]
+
+    def test_reorder_gathers_rows(self):
+        _, _, cache = self.stepped_cache()
+        before = dict(cache._grown)
+        rows = [2, 0, 0, 1]
+        cache.reorder(rows)
+        for prefix, (k, v) in cache._grown.items():
+            assert k.tobytes() == before[prefix][0][rows].tobytes()
+            assert v.tobytes() == before[prefix][1][rows].tobytes()
+        assert cache.length == 1
+
+    def test_reorder_before_the_first_step_is_a_no_op(self):
+        model, enc, _ = self.stepped_cache()
+        ids = np.array([[4], [5]])
+        fresh, reordered = DecoderCache(), DecoderCache()
+        reordered.reorder([1, 0, 0])
+        assert reordered._grown == {} and reordered.length == 0
+        out_fresh = model.decoder_forward(model.embed_tokens(ids), enc, cache=fresh)
+        out = model.decoder_forward(model.embed_tokens(ids), enc, cache=reordered)
+        assert out.data.tobytes() == out_fresh.data.tobytes()
+
     def test_embedding_offset_continues_positions(self):
         model = toy_model()
         ids = np.array([[2, 4, 5, 6, 7]])
@@ -448,6 +485,19 @@ class TestCountParams:
         specs = param_specs(toy_config(vocab_size=9), True, 2)
         prefixes = {name.split(".")[0] for name in specs}
         assert prefixes == {"embed", "encoder", "ctc_head", "decoder", "ne"}
+
+
+class TestParamSpecs:
+    def test_memory_stack_mirrors_the_encoder_stack(self):
+        cfg = ModelConfig(**{**toy_config(9).__dict__, "encoder_layers": 3, "ne_layers": 3})
+        specs = param_specs(cfg, True, 2)
+
+        def stack(prefix):
+            names = [name for name in specs if name.startswith((f"{prefix}.layer", f"{prefix}.ln"))]
+            return [(name[len(prefix):], specs[name]) for name in names]
+
+        assert len(stack("encoder")) == 3 * 16 + 2  # 16 names per block, 2 for the final norm
+        assert stack("ne") == stack("encoder")
 
 
 class TestFullModelGradients:
