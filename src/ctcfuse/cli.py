@@ -185,18 +185,9 @@ def cmd_train(args) -> int:
 
 
 def _load_model_and_vocab(args):
-    """Checkpoint, vocabulary and corpus for decoding; the corpus fits the model."""
-    model, _, sidecar = load_checkpoint(args.ckpt)
+    """Corpus, then the checkpoint checked against its vocabulary; the corpus fits the model."""
     vocab, corpus, _ = load_corpus(args.manifest, args.vocab)
-    if vocab.content_hash() != sidecar.get("vocab_hash"):
-        raise DataError(
-            "vocabulary does not match the checkpoint (pass the training vocab with --vocab)"
-        )
-    if model.config.vocab_size != vocab.size:
-        raise DataError(
-            f"checkpoint model has vocab_size {model.config.vocab_size}, "
-            f"the vocabulary has {vocab.size} tokens"
-        )
+    model, _, _ = load_checkpoint(args.ckpt, vocab)
     _check_corpus_fits(corpus, model.config)
     return model, vocab, corpus
 
@@ -509,7 +500,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--vocab", default=None)
     _add_field_flags(p, DecodeConfig(), method=DECODE_METHODS)
-    p.add_argument("--nbest", type=int, default=0, help="also dump CTC N-best lists")
+    p.add_argument("--nbest", type=int, default=0,
+                   help="also write CTC N-best lists to OUT.nbest.tsv, without --out to "
+                        "./nbest.tsv (an existing file is overwritten)")
     p.add_argument("--out", default=None, help="hypothesis file (default: stdout)")
     p.set_defaults(handler=cmd_decode)
 

@@ -223,23 +223,6 @@ class Model:
         for p in self.params.values():
             p.grad = None
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        mismatched = [
-            name
-            for name in self.params
-            if name in arrays and arrays[name].shape != self.params[name].shape
-        ]
-        if mismatched:
-            raise ValueError(f"shape mismatch for parameters: {sorted(mismatched)}")
-        missing = [name for name in self.params if name not in arrays]
-        if missing:
-            raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
-        for name, p in self.params.items():
-            p.data = arrays[name].astype(p.data.dtype)
-
     # -- shared building blocks ----------------------------------------------
 
     def _linear(self, x: Tensor, name: str) -> Tensor:

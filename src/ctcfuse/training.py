@@ -32,6 +32,7 @@ from ctcfuse.model import (
     FusionConfig,
     Model,
     ModelConfig,
+    param_specs,
 )
 from ctcfuse.tensor import NumericError, Tensor, load_tensors, save_tensors
 
@@ -221,26 +222,6 @@ class Adam:
             if not np.isfinite(p.data).all():
                 raise NumericError(f"non-finite parameter after update: {name}")
         return lr
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"adam.step": np.array([self.step_count], dtype=np.int64)}
-        for name in self.params:
-            out[f"adam.m.{name}"] = self.m[name].copy()
-            out[f"adam.v.{name}"] = self.v[name].copy()
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore the step count and moments; a malformed entry raises ``ValueError``."""
-        step = arrays["adam.step"]
-        if step.shape != (1,) or not step[0] >= 0:
-            raise ValueError("adam.step must hold one non-negative count")
-        self.step_count = int(step[0])
-        for key, p in self.params.items():
-            for kind, moments in (("m", self.m), ("v", self.v)):
-                entry = arrays[f"adam.{kind}.{key}"]
-                if entry.shape != p.shape:
-                    raise ValueError(f"adam.{kind}.{key} has shape {entry.shape}, not {p.shape}")
-                moments[key] = entry.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +512,7 @@ def train(
     """
     model = Model(cfg.model, cfg.fusion, seed=cfg.seed)
     if cfg.pretrain_path:
-        init_from_pretrained(
-            model, cfg.pretrain_path, cfg.pretrain_selection or "encoder", vocab.content_hash()
-        )
+        init_from_pretrained(model, cfg.pretrain_path, cfg.pretrain_selection or "encoder", vocab)
     optimizer = Adam(model.params, cfg)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -595,13 +574,17 @@ def save_checkpoint(path, model: Model, optimizer: Adam, cfg: TrainConfig,
                     vocab: Vocabulary, epoch: int) -> None:
     """Binary tensor container plus a JSON sidecar at ``path`` / ``path.json``.
 
-    Each is written to a temporary name beside its target, then moved into
+    The container holds each parameter under its own name and the optimizer
+    state as ``adam.step``, ``adam.m.<name>`` and ``adam.v.<name>``. Each
+    file is written to a temporary name beside its target, then moved into
     place; a failed save leaves the previous pair and no temporary behind.
     The sidecar's ``optimizer`` object holds the settings of ``cfg`` that
     ``optimizer`` was built from, under the names :func:`load_checkpoint` reads.
     """
-    arrays = model.state_arrays()
-    arrays.update(optimizer.state_arrays())
+    arrays = {name: p.data for name, p in model.params.items()}
+    arrays.update({"adam.m." + name: m for name, m in optimizer.m.items()})
+    arrays.update({"adam.v." + name: v for name, v in optimizer.v.items()})
+    arrays["adam.step"] = np.array([optimizer.step_count], dtype=np.int64)
     sidecar = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model_config": asdict(model.config),
@@ -627,13 +610,27 @@ def save_checkpoint(path, model: Model, optimizer: Adam, cfg: TrainConfig,
         raise
 
 
-def load_checkpoint(path) -> tuple[Model, Adam, dict]:
+def _check_shapes(found: dict[str, tuple], expected: dict[str, tuple]) -> None:
+    """Raise ``ValueError`` naming the entries of ``expected`` that ``found`` lacks or reshapes."""
+    bad = [name + (f" {found[name]} not {shape}" if name in found else " missing")
+           for name, shape in sorted(expected.items()) if found.get(name) != shape]
+    if bad:
+        raise ValueError(f"{len(bad)} arrays unlike the model: {', '.join(bad[:5])}"
+                         + (", ..." if len(bad) > 5 else ""))
+
+
+def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, Adam, dict]:
     """Rebuild model and optimizer state from a checkpoint pair.
 
-    The optimizer takes its settings from the sidecar's ``optimizer`` object.
+    Every array the sidecar's configs call for is checked for presence and
+    shape before the model is built, so a sidecar cannot size an allocation.
+    The model and optimizer then take the loaded arrays as float64, and the
+    optimizer the settings of the sidecar's ``optimizer`` object.
 
-    Any failure to read or rebuild the pair (a mistyped config value too), or
-    a floating-point array holding a non-finite value, raises :class:`CheckpointError`.
+    Any failure to read or rebuild the pair (a mistyped config value, an
+    ``adam.step`` that is not one non-negative integer), a floating-point
+    array holding a non-finite value, or a ``vocab`` whose hash or size is
+    not the checkpoint's raises :class:`CheckpointError`.
     """
     try:
         with open(str(path) + ".json", "r", encoding="utf-8") as fh:
@@ -653,18 +650,41 @@ def load_checkpoint(path) -> tuple[Model, Adam, dict]:
             raise ValueError(f"unknown positional encoding {pos_encoding!r}")
         model_cfg = build_config(ModelConfig, model_sec, "model_config")
         fusion = build_config(FusionConfig, {**sidecar["fusion"]}, "fusion")
-        model = Model(model_cfg, fusion, seed=0)
+        settings = {key: sidecar["optimizer"][key] for key in _OPTIMIZER_SETTINGS}
+        optimizer_cfg = build_config(TrainConfig, {"model": model_cfg, **settings}, "optimizer")
         arrays = load_tensors(path)
         for name, arr in arrays.items():
             if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
                 raise ValueError(f"array {name!r} holds a non-finite value")
-        model.load_state_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
-        settings = {key: sidecar["optimizer"][key] for key in _OPTIMIZER_SETTINGS}
-        optimizer_cfg = build_config(TrainConfig, {"model": model_cfg, **settings}, "optimizer")
+        with_ne = fusion.method == METHOD_NBEST
+        layers = model_cfg.encoder_layers + model_cfg.decoder_layers + with_ne * model_cfg.ne_layers
+        if layers > len(arrays):  # each layer owns arrays of its own: reject before listing them
+            raise ValueError(f"model_config asks for {layers} layers, the container has "
+                             f"{len(arrays)} arrays")
+        specs = param_specs(model_cfg, with_ne, fusion.n)
+        layout = {prefix + name: shape for prefix in ("", "adam.m.", "adam.v.")
+                  for name, shape in specs.items()}
+        layout["adam.step"] = (1,)
+        _check_shapes({name: arr.shape for name, arr in arrays.items()}, layout)
+        step = arrays.pop("adam.step")
+        if step.dtype.kind != "i" or step[0] < 0:
+            raise ValueError(f"adam.step {step.tolist()} is not one non-negative integer")
+        arrays = {name: arr.astype(np.float64, copy=False) for name, arr in arrays.items()}
+        model = Model(model_cfg, fusion, seed=0)
+        for name, p in model.params.items():
+            p.data = arrays[name]
         optimizer = Adam(model.params, optimizer_cfg)
-        optimizer.load_state_arrays(arrays)
+        optimizer.step_count = int(step[0])
+        optimizer.m = {name: arrays["adam.m." + name] for name in specs}
+        optimizer.v = {name: arrays["adam.v." + name] for name in specs}
     except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as err:
         raise CheckpointError(f"{path}: unreadable checkpoint: {err}") from err
+    if vocab is not None and vocab.content_hash() != sidecar.get("vocab_hash"):
+        raise CheckpointError(f"{path}: vocabulary does not match the checkpoint (pass the "
+                              "training vocab with --vocab, or as data.vocab in a run config)")
+    if vocab is not None and model_cfg.vocab_size != vocab.size:
+        raise CheckpointError(f"{path}: checkpoint model has vocab_size {model_cfg.vocab_size}, "
+                              f"the vocabulary has {vocab.size} tokens")
     return model, optimizer, sidecar
 
 
@@ -679,31 +699,25 @@ def _is_ne_param(name: str) -> bool:
 
 
 def init_from_pretrained(
-    model: Model, checkpoint_path, selection: str, vocab_hash: str | None = None
+    model: Model, checkpoint_path, selection: str, vocab: Vocabulary | None = None
 ) -> Model:
     """Overwrite the selected parameter groups from a donor checkpoint.
 
     ``encoder`` covers the encoder stack and the CTC head;
     ``encoder_decoder`` additionally covers the decoder stack and the
     shared embedding table. N-best-memory parameters are never loaded.
+    The donor is read by :func:`load_checkpoint`, checked against ``vocab``.
     """
     if selection not in _SELECTION_PREFIXES:
         raise ValueError(f"unknown selection {selection!r}")
-    donor, _, sidecar = load_checkpoint(checkpoint_path)
+    donor, _, _ = load_checkpoint(checkpoint_path, vocab)
     prefixes = _SELECTION_PREFIXES[selection]
-    selected = [n for n in model.params if n.startswith(prefixes) and not _is_ne_param(n)]
-    missing = sorted(n for n in selected if n not in donor.params)
-    mismatched = sorted(
-        n for n in selected if n in donor.params and donor.params[n].shape != model.params[n].shape
-    )
-    if vocab_hash is not None and sidecar.get("vocab_hash") != vocab_hash:
-        problem = "donor checkpoint was trained with a different vocabulary"
-    elif missing:
-        problem = f"donor checkpoint missing parameters: {missing}"
-    elif mismatched:
-        problem = f"shape mismatch loading parameters: {mismatched}"
-    else:
-        for name in selected:
-            model.params[name].data = donor.params[name].data.astype(model.params[name].data.dtype)
-        return model
-    raise CheckpointError(f"{checkpoint_path}: {problem}")
+    selected = {name: p.shape for name, p in model.params.items()
+                if name.startswith(prefixes) and not _is_ne_param(name)}
+    try:
+        _check_shapes({name: p.shape for name, p in donor.params.items()}, selected)
+    except ValueError as err:
+        raise CheckpointError(f"{checkpoint_path}: donor checkpoint: {err}") from None
+    for name in selected:
+        model.params[name].data = donor.params[name].data
+    return model

@@ -477,7 +477,7 @@ def test_criterion_10_pretraining(desk_runs):
     aef_cfg = desk_train_config(vocab.size, method=METHOD_ALIGNED)
     fresh = Model(aef_cfg.model, aef_cfg.fusion, seed=123)
     before = {name: p.data.copy() for name, p in fresh.params.items()}
-    init_from_pretrained(fresh, donor_path, "encoder", vocab.content_hash())
+    init_from_pretrained(fresh, donor_path, "encoder", vocab)
 
     encoder_equal = all(
         fresh.params[n].data.tobytes() == donor_arrays[n].tobytes()

@@ -11,8 +11,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import struct
+import tempfile
 import typing
 
 import numpy as np
@@ -64,8 +66,12 @@ CFG = TrainConfig(
 
 
 def reference_arrays() -> dict:
+    """The tensor container of a fresh N-best-memory pair, as ``save_checkpoint`` writes it."""
     model = Model(CFG.model, CFG.fusion, seed=1)
-    return {**model.state_arrays(), **Adam(model.params, CFG).state_arrays()}
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "ref.ckpt")
+        save_checkpoint(path, model, Adam(model.params, CFG), CFG, VOCAB, epoch=1)
+        return load_tensors(path)
 
 
 # every entry of the reference checkpoint's tensor container

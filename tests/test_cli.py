@@ -403,6 +403,20 @@ class TestDecodeEval:
         lines = open(nbest).read().splitlines()
         assert all(len(l.split("\t")) == 4 for l in lines if l)
 
+    def test_decode_nbest_without_out_overwrites_nbest_tsv(self, trained, corpus_dir, tmp_path):
+        argv = ["decode", "--ckpt", str(trained / "model.ckpt"),
+                "--manifest", str(corpus_dir / "manifest.tsv"),
+                "--vocab", str(corpus_dir / "vocab.txt"), "--beam", "2", "--nbest", "2"]
+        hyp = tmp_path / "hyp.tsv"
+        assert run_cli(*argv, "--out", str(hyp)) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "nbest.tsv").write_text("old\n")
+        proc = run_cli_process(*argv, cwd=work)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == hyp.read_text()
+        assert (work / "nbest.tsv").read_bytes() == (tmp_path / "hyp.tsv.nbest.tsv").read_bytes()
+
     @pytest.mark.parametrize("method", ["attention", "ctc_rescore"])
     def test_decode_nbest_encodes_each_utterance_once(self, trained, corpus_dir, tmp_path,
                                                       monkeypatch, method):
@@ -797,6 +811,43 @@ class TestDataErrors:
         assert code == 2
         msg = one_data_error(capsys.readouterr().err)
         assert f"vocab_size {vocab.size + extra}" in msg and f"{vocab.size} tokens" in msg
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_vocabulary_unlike_the_checkpoints(
+        self, trained, corpus_dir, tmp_path, capsys, never_decode, command
+    ):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text((corpus_dir / "vocab.txt").read_text() + "z\n")
+        code = run_cli(
+            command, "--ckpt", str(trained / "model.ckpt"),
+            "--manifest", str(corpus_dir / "manifest.tsv"), "--vocab", str(vocab),
+        )
+        assert code == 2
+        msg = one_data_error(capsys.readouterr().err)
+        assert str(trained / "model.ckpt") in msg and "vocabulary does not match" in msg
+
+    @pytest.mark.parametrize("key,value", [
+        ("d_model", 20000), ("vocab_size", 10**8), ("encoder_layers", 10**7),
+    ])
+    def test_inflated_sidecar_is_rejected_before_allocation(
+        self, trained, corpus_dir, tmp_path, key, value
+    ):
+        import resource
+
+        def cap_address_space():  # a 2 GB cap, so an allocation it sizes cannot reach the machine
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+
+        sidecar = json.loads((trained / "model.ckpt.json").read_text())
+        sidecar["model_config"][key] = value
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes((trained / "model.ckpt").read_bytes())
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        done = run_cli_process(
+            "decode", "--ckpt", str(ckpt), "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--vocab", str(corpus_dir / "vocab.txt"), cwd=tmp_path, preexec_fn=cap_address_space,
+        )
+        assert done.returncode == 2, done.stderr
+        assert str(ckpt) in one_data_error(done.stderr)
 
     def test_train_on_too_short_synth_utterance(self, base_config, tmp_path, capsys):
         synth = {"vocab_size": 4, "count": 20, "min_len": 1, "max_len": 2,

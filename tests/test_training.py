@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctcfuse.alignment import GatingConfig
-from ctcfuse.data import SynthConfig, Utterance, synth_corpus
+from ctcfuse.data import SynthConfig, Utterance, build_vocab, synth_corpus
 from ctcfuse.model import (
     METHOD_ALIGNED,
     METHOD_BASELINE,
@@ -16,7 +16,7 @@ from ctcfuse.model import (
     FusionConfig,
     Model,
 )
-from ctcfuse.tensor import Tensor
+from ctcfuse.tensor import Tensor, load_tensors, save_tensors
 from ctcfuse import training as tr
 from ctcfuse.training import (
     Adam,
@@ -149,13 +149,10 @@ class TestAdam:
                 ref[name] = adam_step(param, grad, m, v, step, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
                 assert np.array_equal(p.data, ref[name][0]), (step, name)
         assert not np.array_equal(model.params[no_grad].data, before)
-        state = opt.state_arrays()
-        expected = {"adam.step": np.array([20])}
+        assert opt.step_count == 20
+        assert opt.m.keys() == opt.v.keys() == ref.keys()
         for name, (_, m, v) in ref.items():
-            expected[f"adam.m.{name}"], expected[f"adam.v.{name}"] = m, v
-        assert state.keys() == expected.keys()
-        for key, arr in expected.items():
-            assert np.array_equal(state[key], arr), key
+            assert np.array_equal(opt.m[name], m) and np.array_equal(opt.v[name], v), name
 
 
 class TestSmoothedCrossEntropy:
@@ -541,9 +538,41 @@ class TestCheckpoints:
             return
         loaded, _, _ = load_checkpoint(path)
         assert loaded.config == cfg.model
-        assert loaded.state_arrays().keys() == model.state_arrays().keys()
-        for name, array in model.state_arrays().items():
-            assert loaded.params[name].data.tobytes() == array.tobytes()
+        assert loaded.params.keys() == model.params.keys()
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    def saved_arrays(self, tmp_path):
+        """A fresh pair at ``tmp_path / "s.ckpt"`` and its container's arrays."""
+        vocab, corpus, cfg = tiny_setup()
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        opt = Adam(model.params, cfg)
+        train_epoch(corpus, vocab, model, opt, cfg, epoch=1)
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, model, opt, cfg, vocab, epoch=1)
+        return path, load_tensors(path)
+
+    @pytest.mark.parametrize("step", [np.array([2.5]), np.array([7.0], dtype=np.float32)])
+    def test_adam_step_must_be_an_integer(self, tmp_path, step):
+        path, arrays = self.saved_arrays(tmp_path)
+        arrays["adam.step"] = step
+        save_tensors(path, arrays)
+        with pytest.raises(CheckpointError, match="adam.step"):
+            load_checkpoint(path)
+
+    def test_float32_arrays_load_as_float64(self, tmp_path):
+        path, arrays = self.saved_arrays(tmp_path)
+        narrow = {name: arr if name == "adam.step" else arr.astype(np.float32)
+                  for name, arr in arrays.items()}
+        save_tensors(path, narrow)
+        model, opt, _ = load_checkpoint(path)
+        assert opt.step_count == int(arrays["adam.step"][0])
+        loaded = {name: p.data for name, p in model.params.items()}
+        for kind, moments in (("m", opt.m), ("v", opt.v)):
+            loaded.update({f"adam.{kind}.{name}": arr for name, arr in moments.items()})
+        assert loaded.keys() == narrow.keys() - {"adam.step"}
+        for name, arr in loaded.items():
+            assert arr.dtype == np.float64 and np.array_equal(arr, narrow[name]), name
 
 
 class TestInitFromPretrained:
@@ -560,7 +589,7 @@ class TestInitFromPretrained:
         donor, path = self.make_donor(tmp_path, vocab, corpus, cfg)
         target = Model(cfg.model, cfg.fusion, seed=99)
         before_decoder = target.params["decoder.out.w"].data.copy()
-        init_from_pretrained(target, path, "encoder", vocab.content_hash())
+        init_from_pretrained(target, path, "encoder", vocab)
         for name in target.params:
             if name.startswith(("encoder.", "ctc_head.")):
                 assert (
@@ -583,7 +612,7 @@ class TestInitFromPretrained:
             name: p.data.copy() for name, p in target.params.items()
             if tr._is_ne_param(name)
         }
-        init_from_pretrained(target, path, "encoder_decoder", vocab.content_hash())
+        init_from_pretrained(target, path, "encoder_decoder", vocab)
         for name, arr in fresh_ne.items():
             np.testing.assert_array_equal(target.params[name].data, arr)
         assert (
@@ -601,14 +630,14 @@ class TestInitFromPretrained:
         wide = dataclasses.replace(cfg.model, d_model=16, ffn_dim=32)
         target = Model(wide, cfg.fusion, seed=0)
         with pytest.raises(ValueError, match="encoder"):
-            init_from_pretrained(target, path, "encoder", vocab.content_hash())
+            init_from_pretrained(target, path, "encoder", vocab)
 
     def test_vocab_hash_mismatch(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
         donor, path = self.make_donor(tmp_path, vocab, corpus, cfg)
         target = Model(cfg.model, cfg.fusion, seed=0)
         with pytest.raises(ValueError, match="vocabulary"):
-            init_from_pretrained(target, path, "encoder", "deadbeef")
+            init_from_pretrained(target, path, "encoder", build_vocab(["xyz"]))
 
     def test_unsupported_format_version(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
@@ -619,7 +648,7 @@ class TestInitFromPretrained:
         )
         target = Model(cfg.model, cfg.fusion, seed=0)
         with pytest.raises(CheckpointError, match="version 9"):
-            init_from_pretrained(target, path, "encoder", vocab.content_hash())
+            init_from_pretrained(target, path, "encoder", vocab)
 
     def test_unknown_selection(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
