@@ -547,7 +547,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _print_error(kind: str, err: Exception) -> None:
+def _print_error(kind: str, err: Exception | str) -> None:
     # JSON-encoding keeps quotes and newlines in the message parsable
     msg = json.dumps(str(err), ensure_ascii=False)
     print(f"error kind={kind} msg={msg}", file=sys.stderr)
@@ -572,7 +572,7 @@ def main(argv=None) -> int:
         _print_error("numeric", err)
         return 3
     except MemoryError as err:  # a size that cannot fit, at set-up or as a search grows
-        _print_error("memory", err)
+        _print_error("memory", str(err) or "an allocation failed and named no size")
         return 3
 
 

@@ -501,7 +501,7 @@ def grad_check(
 _CONTAINER_MAGIC = b"TCNT"
 _CONTAINER_VERSION = 1
 _DTYPE_TAGS = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("<i8")}
-_TAG_FOR_KIND = {("f", 4): 1, ("f", 8): 2, ("i", 8): 3}
+_TAG_FOR_KIND = {(dtype.kind, dtype.itemsize): tag for tag, dtype in _DTYPE_TAGS.items()}
 
 
 def save_tensors(path, arrays: dict[str, np.ndarray]) -> None:

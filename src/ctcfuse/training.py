@@ -10,8 +10,10 @@ masks keep padded and blank-target positions out of the loss.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -427,34 +429,25 @@ def train_epoch(
     model.train(True)
     model.rng = np.random.default_rng(cfg.seed * 7919 + epoch)
     batches = make_batches(corpus, cfg.batch_size, seed=cfg.seed * 100003 + epoch)
-    totals = {"joint": 0.0, "ctc": 0.0, "att": 0.0}
-    blanks = incomplete = seen = reachable = 0
-    unreachable_ids: list[str] = []
-    counts = {d.value: 0 for d in PathwayDecision}
+    steps: list[StepStats] = []
     for batch_idx, batch in enumerate(batches):
         where = f"epoch {epoch} batch {batch_idx} ({batch.utt_ids[0]}...)"
         with tz.numeric_failure_names(where), tz.fp_guard():
-            stats = run_training_step(batch, model, optimizer, cfg, vocab)
-        totals["joint"] += stats.joint * stats.size
-        totals["att"] += stats.att * stats.size
-        totals["ctc"] += stats.ctc * stats.reachable
-        blanks += stats.blanks_inserted
-        unreachable_ids += stats.unreachable_ids
-        incomplete += stats.nbest_incomplete
-        seen += stats.size
-        reachable += stats.reachable
-        for key, val in stats.pathway_counts.items():
-            counts[key] += val
+            steps.append(run_training_step(batch, model, optimizer, cfg, vocab))
     model.train(False)
+    seen, reachable = sum(s.size for s in steps), sum(s.reachable for s in steps)
+
+    def mean(term, rows: int) -> float:  # in batch order: sum() of floats compensates from 3.12
+        return functools.reduce(operator.add, map(term, steps), 0.0) / rows
     return EpochMetrics(
         epoch=epoch,
-        joint_loss=totals["joint"] / seen,
-        ctc_loss=totals["ctc"] / reachable if reachable else None,
-        att_loss=totals["att"] / seen,
-        blanks_inserted=blanks,
-        pathway_counts=counts,
-        ctc_unreachable_ids=unreachable_ids,
-        nbest_incomplete=incomplete,
+        joint_loss=mean(lambda s: s.joint * s.size, seen),
+        ctc_loss=mean(lambda s: s.ctc * s.reachable, reachable) if reachable else None,
+        att_loss=mean(lambda s: s.att * s.size, seen),
+        blanks_inserted=sum(s.blanks_inserted for s in steps),
+        pathway_counts={d.value: sum(s.pathway_counts[d.value] for s in steps) for d in PathwayDecision},
+        ctc_unreachable_ids=[uid for s in steps for uid in s.unreachable_ids],
+        nbest_incomplete=sum(s.nbest_incomplete for s in steps),
         utterances=seen,
         train_cer=None,
         wall_time_s=time.perf_counter() - start,
@@ -531,8 +524,7 @@ def train(
     history: list[EpochMetrics] = []
     for epoch in range(1, cfg.epochs + 1):
         metrics = train_epoch(corpus, vocab, model, optimizer, cfg, epoch)
-        measure = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
-        if measure:
+        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             greedy = DecodeConfig(beam=1)
             report = evaluate(corpus, lambda utt: decode_utterance(utt, model, greedy, vocab)[0])
             metrics.train_cer = report.corpus_cer
@@ -694,10 +686,6 @@ _SELECTION_PREFIXES = {
 }
 
 
-def _is_ne_param(name: str) -> bool:
-    return name.startswith("ne.") or ".ne." in name or ".nproj." in name
-
-
 def init_from_pretrained(
     model: Model, checkpoint_path, selection: str, vocab: Vocabulary | None = None
 ) -> Model:
@@ -705,15 +693,16 @@ def init_from_pretrained(
 
     ``encoder`` covers the encoder stack and the CTC head;
     ``encoder_decoder`` additionally covers the decoder stack and the
-    shared embedding table. N-best-memory parameters are never loaded.
+    shared embedding table. Both select from the parameters of the model
+    without the N-best memory, so memory parameters are never loaded.
     The donor is read by :func:`load_checkpoint`, checked against ``vocab``.
     """
     if selection not in _SELECTION_PREFIXES:
         raise ValueError(f"unknown selection {selection!r}")
     donor, _, _ = load_checkpoint(checkpoint_path, vocab)
     prefixes = _SELECTION_PREFIXES[selection]
-    selected = {name: p.shape for name, p in model.params.items()
-                if name.startswith(prefixes) and not _is_ne_param(name)}
+    selected = {name: shape for name, shape in param_specs(model.config, False).items()
+                if name.startswith(prefixes)}
     try:
         _check_shapes({name: p.shape for name, p in donor.params.items()}, selected)
     except ValueError as err:

@@ -342,6 +342,16 @@ class TestTrain:
         assert "Unable to allocate" in one_error(done.stderr, "memory")
         assert not out.exists()
 
+    def test_memory_error_without_message_prints_fixed_text(self, capsys, monkeypatch):
+        from ctcfuse import cli
+
+        def no_message(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_report", no_message)
+        assert run_cli("report", "--metrics", "unread.jsonl") == 3
+        assert one_error(capsys.readouterr().err, "memory") == "an allocation failed and named no size"
+
     def test_unknown_config_key_is_usage_error(self, base_config, tmp_path, capsys):
         payload = json.loads(base_config.read_text())
         payload["train"]["learning_rate"] = 0.1  # typo for lr_base

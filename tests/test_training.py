@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from ctcfuse.alignment import GatingConfig
+from ctcfuse.alignment import GatingConfig, PathwayDecision
 from ctcfuse.data import SynthConfig, Utterance, build_vocab, synth_corpus
 from ctcfuse.model import (
     METHOD_ALIGNED,
@@ -456,6 +456,93 @@ class TestTrainingLoop:
         assert "nbest_incomplete" not in metrics.to_json_record()
 
 
+def short_frame_corpus(vocab_size: int, count: int) -> list[Utterance]:
+    """Two frames per token subsample to fewer encoder frames than tokens: no CTC path reaches any."""
+    synth = SynthConfig(vocab_size=vocab_size, count=count, min_len=3, max_len=4,
+                        min_frames_per_token=2, max_frames_per_token=2, feature_dim=4)
+    return [Utterance(f"short-{u.utt_id}", u.features, u.transcript)
+            for u in synth_corpus(synth)[1]]
+
+
+class TestEpochRecord:
+    """Every ``EpochMetrics`` field is derived from the ``StepStats`` its steps returned."""
+
+    def run_epoch(self, corpus, vocab, cfg, monkeypatch):
+        steps = []
+        run_step = tr.run_training_step
+
+        def recording_step(*args, **kwargs):  # wrapped by its module-global name, as the benchmark does
+            steps.append(run_step(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(tr, "run_training_step", recording_step)
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        metrics = train_epoch(corpus, vocab, model, Adam(model.params, cfg), cfg, epoch=1)
+        assert len(steps) == -(-len(corpus) // cfg.batch_size)
+        return metrics, steps
+
+    def assert_derived(self, metrics, steps):
+        joint = att = ctc = 0.0  # summed left to right in batch order
+        seen = reachable = 0
+        for s in steps:
+            joint += s.joint * s.size
+            att += s.att * s.size
+            ctc += s.ctc * s.reachable
+            seen += s.size
+            reachable += s.reachable
+        expected = {
+            "epoch": 1,
+            "joint_loss": joint / seen,
+            "ctc_loss": ctc / reachable if reachable else None,
+            "att_loss": att / seen,
+            "blanks_inserted": sum(s.blanks_inserted for s in steps),
+            "pathway_counts": {d.value: sum(s.pathway_counts[d.value] for s in steps)
+                               for d in PathwayDecision},
+            "ctc_unreachable_ids": [uid for s in steps for uid in s.unreachable_ids],
+            "nbest_incomplete": sum(s.nbest_incomplete for s in steps),
+            "utterances": seen,
+            "train_cer": None,
+        }
+        fields = [f.name for f in dataclasses.fields(metrics) if f.name != "wall_time_s"]
+        assert fields == list(expected)
+        assert {name: getattr(metrics, name) for name in fields} == expected
+        assert list(metrics.pathway_counts) == [d.value for d in PathwayDecision]
+        assert metrics.wall_time_s > 0.0
+
+    def test_aligned_epoch_with_unreachable_utterances(self, monkeypatch):
+        vocab, corpus, cfg = tiny_setup(method=METHOD_ALIGNED, count=8)
+        short = short_frame_corpus(vocab_size=5, count=4)
+        corpus = [u for pair in zip(corpus[::2], corpus[1::2], short) for u in pair]
+        metrics, steps = self.run_epoch(corpus, vocab, cfg, monkeypatch)
+        self.assert_derived(metrics, steps)
+        assert sorted(metrics.ctc_unreachable_ids) == sorted(u.utt_id for u in short)
+        assert 0 < sum(s.reachable for s in steps) < len(corpus)
+        assert metrics.blanks_inserted > 0 and metrics.ctc_loss is not None
+
+    def test_nbest_epoch_with_short_lists(self, monkeypatch):
+        # one encoder frame reaches only the empty prefix and single tokens: fewer than n
+        synth = SynthConfig(
+            vocab_size=2, count=5, min_len=1, max_len=1, min_frames_per_token=4,
+            max_frames_per_token=4, feature_dim=4, seed=1,
+        )
+        vocab, corpus = synth_corpus(synth)
+        cfg = TrainConfig(
+            model=toy_config(vocab_size=vocab.size),
+            fusion=FusionConfig(method=METHOD_NBEST, n=vocab.size + 1, beam_width=vocab.size + 1),
+            epochs=1, batch_size=2, seed=1, eval_every=100,
+        )
+        metrics, steps = self.run_epoch(corpus, vocab, cfg, monkeypatch)
+        self.assert_derived(metrics, steps)
+        assert metrics.nbest_incomplete == len(corpus) and len(steps) == 3
+
+    def test_epoch_without_reachable_row_has_null_ctc_loss(self, monkeypatch):
+        vocab, _, cfg = tiny_setup(method=METHOD_ALIGNED)
+        corpus = short_frame_corpus(vocab_size=5, count=8)
+        metrics, steps = self.run_epoch(corpus, vocab, cfg, monkeypatch)
+        self.assert_derived(metrics, steps)
+        assert metrics.ctc_loss is None and metrics.ctc_unreachable == len(corpus)
+
+
 class TestCheckpoints:
     def test_save_load_save_byte_identical(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
@@ -610,8 +697,9 @@ class TestInitFromPretrained:
         target = Model(ne_cfg.model, ne_cfg.fusion, seed=42)
         fresh_ne = {
             name: p.data.copy() for name, p in target.params.items()
-            if tr._is_ne_param(name)
+            if name.startswith("ne.") or ".ne." in name or ".nproj." in name
         }
+        assert fresh_ne
         init_from_pretrained(target, path, "encoder_decoder", vocab)
         for name, arr in fresh_ne.items():
             np.testing.assert_array_equal(target.params[name].data, arr)
