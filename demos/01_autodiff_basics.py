@@ -16,9 +16,11 @@ rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(4, 3)))
 w1 = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
 w2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+b1 = Tensor(np.zeros(5), requires_grad=True)
+b2 = Tensor(np.zeros(2), requires_grad=True)
 
-hidden = tz.relu(tz.matmul(x, w1))
-scores = tz.matmul(hidden, w2)
+hidden = tz.relu(tz.linear(x, w1, b1))  # one op: x @ w1 + b1
+scores = tz.linear(hidden, w2, b2)
 loss = (tz.log_softmax(scores, axis=-1) * -1.0).sum()
 print(f"loss = {loss.item():.4f}")
 
@@ -31,12 +33,12 @@ print("== the same gradients, checked against central differences ==")
 
 
 def f():
-    h = tz.relu(tz.matmul(x, w1))
-    s = tz.matmul(h, w2)
+    h = tz.relu(tz.linear(x, w1, b1))
+    s = tz.linear(h, w2, b2)
     return (tz.log_softmax(s, axis=-1) * -1.0).sum()
 
 
-result = tz.grad_check(f, {"w1": w1, "w2": w2}, step=1e-6, tolerance=1e-5)
+result = tz.grad_check(f, {"w1": w1, "b1": b1, "w2": w2, "b2": b2}, step=1e-6, tolerance=1e-5)
 for name, dev in result["deviations"].items():
     print(f"{name}: max relative deviation {dev:.2e}")
 print("passed:", result["passed"])

@@ -188,7 +188,9 @@ def param_specs(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> dict[s
 class Model:
     """Stateful parameter holder; all forward passes build fresh graphs."""
 
-    def __init__(self, config: ModelConfig, fusion: FusionConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, fusion: FusionConfig, seed: int = 0,
+                 arrays: dict[str, np.ndarray] | None = None):
+        """Parameters hold ``arrays[name]`` if given (no init draw), else an init drawn from ``seed``."""
         self.config = config
         self.fusion = fusion
         self.uses_ne_memory = fusion.method == METHOD_NBEST
@@ -200,7 +202,9 @@ class Model:
         init_rng = np.random.default_rng(seed)
         self.params: dict[str, Tensor] = {}
         for name, shape in param_specs(config, self.uses_ne_memory, fusion.n).items():
-            if ".ln" in name:
+            if arrays is not None:
+                self.params[name] = Tensor(arrays[name], requires_grad=True)
+            elif ".ln" in name:
                 fill = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
                 self.params[name] = Tensor(fill, requires_grad=True)
             elif name.endswith(".b"):
@@ -226,7 +230,7 @@ class Model:
     # -- shared building blocks ----------------------------------------------
 
     def _linear(self, x: Tensor, name: str) -> Tensor:
-        return tz.matmul(x, self.params[f"{name}.w"]) + self.params[f"{name}.b"]
+        return tz.linear(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _norm(self, x: Tensor, name: str) -> Tensor:
         return tz.layer_norm(x, self.params[f"{name}.g"], self.params[f"{name}.b"])
@@ -242,40 +246,17 @@ class Model:
         one row serves every query row. With a ``cache``, keys and values
         come from :meth:`DecoderCache.keys_values`.
         """
-        d, heads = self.config.d_model, self.config.num_heads
-        dh = d // heads
-        b, lq = q_in.shape[0], q_in.shape[1]
         q = self._linear(q_in, f"{prefix}.q")
-        # with one position, [b, 1, d] and [b, h, 1, dh] share one memory layout
-        if lq == 1:
-            q = q.reshape(b, heads, 1, dh)
-        else:
-            q = q.reshape(b, lq, heads, dh).transpose(0, 2, 1, 3)
         if cache is None:
             k, v = self._keys_values(prefix, kv_in)
         else:
             k, v = cache.keys_values(prefix, kv_in, self._keys_values)
-        scores = tz.matmul(q, k) * (1.0 / math.sqrt(dh))
-        if bias is not None:
-            scores = scores + Tensor(bias)
-        weights = tz.softmax(scores, axis=-1)
-        ctx = tz.matmul(weights, v)
-        if lq != 1:
-            ctx = ctx.transpose(0, 2, 1, 3)
-        return self._linear(ctx.reshape(b, lq, d), f"{prefix}.o")
+        ctx = tz.attention(q, k, v, self.config.num_heads, bias)
+        return self._linear(ctx, f"{prefix}.o")
 
     def _keys_values(self, prefix: str, kv_in: Tensor) -> tuple[Tensor, Tensor]:
-        """Per-head keys [Bk, H, dh, Lk] and values [Bk, H, Lk, dh] of ``kv_in``."""
-        heads = self.config.num_heads
-        dh = self.config.d_model // heads
-        bk, lk = kv_in.shape[0], kv_in.shape[1]
-        k = self._linear(kv_in, f"{prefix}.k")
-        v = self._linear(kv_in, f"{prefix}.v")
-        if lk == 1:  # one position: the head split is pure layout, as for queries in _mha
-            return k.reshape(bk, heads, dh, 1), v.reshape(bk, heads, 1, dh)
-        k = k.reshape(bk, lk, heads, dh).transpose(0, 2, 3, 1)
-        v = v.reshape(bk, lk, heads, dh).transpose(0, 2, 1, 3)
-        return k, v
+        """Keys and values [Bk, Lk, d] of ``kv_in``."""
+        return self._linear(kv_in, f"{prefix}.k"), self._linear(kv_in, f"{prefix}.v")
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
         return self._linear(tz.relu(self._linear(x, f"{prefix}.fc1")), f"{prefix}.fc2")
@@ -431,8 +412,8 @@ class Model:
 class DecoderCache:
     """Attention keys and values of one utterance's decoder, for decoding step by step.
 
-    Self-attention keys and values are plain arrays, one row per
-    hypothesis, that grow by the positions of each
+    Self-attention keys and values are plain [rows, L, d] arrays, one row
+    per hypothesis, that grow along L by the positions of each
     :meth:`Model.decoder_forward` call; :meth:`reorder` gathers their rows
     at once. Encoder and N-best-memory keys and values are projected on
     first use and reused by every later step.
@@ -452,8 +433,8 @@ class DecoderCache:
         k, v = project(prefix, kv_in)
         if prefix in self._grown:
             old_k, old_v = self._grown[prefix]
-            k = Tensor(np.concatenate([old_k, k.data], axis=-1))
-            v = Tensor(np.concatenate([old_v, v.data], axis=-2))
+            k = Tensor(np.concatenate([old_k, k.data], axis=1))
+            v = Tensor(np.concatenate([old_v, v.data], axis=1))
         self._grown[prefix] = (k.data, v.data)
         return k, v
 

@@ -269,34 +269,25 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch broadcasting over leading dims.
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a weight ``w`` [in, out] and bias ``b`` [out], as one op.
 
-    With a 2-D ``b`` (a weight), backward forms each gradient as one 2-D
-    GEMM over ``a``'s flattened leading axes, rather than one small product
-    per batch row summed afterwards; the two differ only in summation order.
+    Backward forms the gradients of ``x`` and ``w`` as one 2-D GEMM each over
+    ``x``'s flattened leading axes; the bias gradient sums over those axes.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul operands must have at least 2 dimensions")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"linear shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    out = np.matmul(x.data, w.data)
+    out += b.data
 
     def grad_fn(g):
-        ga = gb = None
-        if b.ndim == 2:
-            g2 = g.reshape(-1, b.shape[1])
-            if a.requires_grad:
-                ga = (g2 @ b.data.T).reshape(a.shape)
-            if b.requires_grad:
-                gb = a.data.reshape(-1, b.shape[0]).T @ g2
-            return ga, gb
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        g2 = g.reshape(-1, w.shape[1])
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x.data.reshape(-1, w.shape[0]).T @ g2 if w.requires_grad else None
+        # one reduction over all leading axes: g2.sum(0) would order the sum differently
+        return gx, gw, _unbroadcast(g, b.shape) if b.requires_grad else None
 
-    return Tensor._result(np.matmul(a.data, b.data), (a, b), grad_fn)
+    return Tensor._result(out, (x, w, b), grad_fn)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -328,16 +319,45 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(out_data, (a,), grad_fn)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - np.maximum.reduce(a.data, axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / np.add.reduce(e, axis, keepdims=True)
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias: np.ndarray | None) -> Tensor:
+    """Multi-head scaled dot-product attention as one op (Vaswani et al., 2017), [B, Lq, d].
+
+    ``q`` is [B, Lq, d]; ``k`` and ``v`` are [Bk, Lk, d], Bk 1 or B. Each head
+    of width ``dh = d // heads`` computes ``softmax(q k^T / sqrt(dh) + bias) v``,
+    ``bias`` a constant broadcast to [B, heads, Lq, Lk], or None.
+    """
+    (b, lq, d), (bk, lk, _) = q.shape, k.shape
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    # contiguous head splits (keys [Bk, H, dh, Lk], the others [., H, L, dh]); the scale
+    # follows the product and precedes the bias: reordering any of these changes bits
+    q4 = np.ascontiguousarray(q.data.reshape(b, lq, heads, dh).transpose(0, 2, 1, 3))
+    k4 = np.ascontiguousarray(k.data.reshape(bk, lk, heads, dh).transpose(0, 2, 3, 1))
+    v4 = np.ascontiguousarray(v.data.reshape(bk, lk, heads, dh).transpose(0, 2, 1, 3))
+    scores = np.matmul(q4, k4) * scale
+    if bias is not None:
+        scores += bias
+    e = np.exp(scores - np.maximum.reduce(scores, -1, keepdims=True))
+    weights = e / np.add.reduce(e, -1, keepdims=True)
+    out = np.ascontiguousarray(np.matmul(weights, v4).transpose(0, 2, 1, 3)).reshape(b, lq, d)
 
     def grad_fn(g):
-        dot = np.add.reduce(g * out_data, axis, keepdims=True)
-        return (out_data * (g - dot),)
+        g4 = g.reshape(b, lq, heads, dh).transpose(0, 2, 1, 3)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv4 = _unbroadcast(np.matmul(np.swapaxes(weights, -1, -2), g4), v4.shape)
+            gv = gv4.transpose(0, 2, 1, 3).reshape(bk, lk, d)
+        if q.requires_grad or k.requires_grad:
+            gw = np.matmul(g4, np.swapaxes(v4, -1, -2))
+            gs = weights * (gw - np.add.reduce(gw * weights, -1, keepdims=True)) * scale
+            if q.requires_grad:
+                gq = np.matmul(gs, np.swapaxes(k4, -1, -2)).transpose(0, 2, 1, 3).reshape(b, lq, d)
+            if k.requires_grad:
+                gk4 = _unbroadcast(np.matmul(np.swapaxes(q4, -1, -2), gs), k4.shape)
+                gk = gk4.transpose(0, 3, 1, 2).reshape(bk, lk, d)
+        return gq, gk, gv
 
-    return Tensor._result(out_data, (a,), grad_fn)
+    return Tensor._result(out, (q, k, v), grad_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, epsilon: float = 1e-6) -> Tensor:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, gate
-from ctcfuse.ctc import NBestList, ctc_loss_op, greedy_1best, min_frames, prefix_beam_nbest
+from ctcfuse.ctc import NBestLists, ctc_loss_op, greedy_1best, min_frames, prefix_beam_nbest
 from ctcfuse.data import (Batch, DataError, Utterance, Vocabulary, build_config, json_fits,
                           make_batches, pad_id_rows)
 from ctcfuse.decode import DecodeConfig, decode_utterance, evaluate
@@ -192,14 +192,16 @@ class Adam:
     the step's freed heap top back to the system and backward paid page faults.
     """
 
-    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
+    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig,
+                 state: tuple[int, dict, dict] | None = None):
+        """``state`` is a saved (step count, first moments, second moments); without it all start at 0."""
         self.params = params
         self.lr_base = cfg.lr_base
         self.warmup = cfg.warmup_steps
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
-        self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.step_count, self.m, self.v = state or (
+            0, {name: np.zeros_like(p.data) for name, p in params.items()},
+            {name: np.zeros_like(p.data) for name, p in params.items()})
         scratch = np.empty((2, max((p.data.size for p in params.values()), default=0)))
         self._scratch = {name: tuple(row[: p.data.size].reshape(p.shape) for row in scratch)
                          for name, p in params.items()}  # views in each parameter's shape
@@ -410,7 +412,7 @@ def run_training_step(
         blanks_inserted=dec.blanks_inserted,
         pathway_counts=dec.pathway_counts,
         unreachable_ids=[batch.utt_ids[i] for i in np.flatnonzero(~ctc.used)],
-        nbest_incomplete=sum(isinstance(h, NBestList) and h.incomplete for h in hyps),
+        nbest_incomplete=hyps.incomplete if isinstance(hyps, NBestLists) else 0,
         size=batch.size,
         reachable=int(ctc.used.sum()),
     )
@@ -662,13 +664,9 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, Adam,
         if step.dtype.kind != "i" or step[0] < 0:
             raise ValueError(f"adam.step {step.tolist()} is not one non-negative integer")
         arrays = {name: arr.astype(np.float64, copy=False) for name, arr in arrays.items()}
-        model = Model(model_cfg, fusion, seed=0)
-        for name, p in model.params.items():
-            p.data = arrays[name]
-        optimizer = Adam(model.params, optimizer_cfg)
-        optimizer.step_count = int(step[0])
-        optimizer.m = {name: arrays["adam.m." + name] for name in specs}
-        optimizer.v = {name: arrays["adam.v." + name] for name in specs}
+        model = Model(model_cfg, fusion, seed=0, arrays=arrays)
+        moments = [{name: arrays[prefix + name] for name in specs} for prefix in ("adam.m.", "adam.v.")]
+        optimizer = Adam(model.params, optimizer_cfg, (int(step[0]), *moments))
     except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as err:
         raise CheckpointError(f"{path}: unreadable checkpoint: {err}") from err
     if vocab is not None and vocab.content_hash() != sidecar.get("vocab_hash"):

@@ -422,6 +422,91 @@ def adam_step(param, grad, m, v, step, lr, beta1=0.9, beta2=0.98, eps=1e-9):
     return param, m, v
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """The matrix product op the engine had before ``tz.linear`` and ``tz.attention``.
+
+    Numpy batch broadcasting over leading dims; with a 2-D ``b`` each
+    gradient is one 2-D GEMM over ``a``'s flattened leading axes.
+    """
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError("matmul operands must have at least 2 dimensions")
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+
+    def grad_fn(g):
+        ga = gb = None
+        if b.ndim == 2:
+            g2 = g.reshape(-1, b.shape[1])
+            if a.requires_grad:
+                ga = (g2 @ b.data.T).reshape(a.shape)
+            if b.requires_grad:
+                gb = a.data.reshape(-1, b.shape[0]).T @ g2
+            return ga, gb
+        if a.requires_grad:
+            ga = tz._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = tz._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
+
+    return Tensor._result(np.matmul(a.data, b.data), (a, b), grad_fn)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """The softmax op the engine had before ``tz.attention``, stabilized by max subtraction."""
+    shifted = a.data - np.maximum.reduce(a.data, axis, keepdims=True)
+    e = np.exp(shifted)
+    out_data = e / np.add.reduce(e, axis, keepdims=True)
+
+    def grad_fn(g):
+        dot = np.add.reduce(g * out_data, axis, keepdims=True)
+        return (out_data * (g - dot),)
+
+    return Tensor._result(out_data, (a,), grad_fn)
+
+
+def linear_reference(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``tz.linear`` as two ops: :func:`matmul`, then the bias added by ``+``."""
+    return matmul(x, w) + b
+
+
+def attention_reference(q: Tensor, k: Tensor, v: Tensor, heads: int, bias) -> Tensor:
+    """``tz.attention`` as the ops ``Model._mha`` composed before it, one graph node each.
+
+    Head reshapes and transposes (pure reshapes for one query or one key
+    position), :func:`matmul`, the scale, the bias as a constant tensor,
+    :func:`softmax`, :func:`matmul` and the head merge.
+    """
+    (b, lq, d), (bk, lk, _) = q.shape, k.shape
+    dh = d // heads
+    if lq == 1:
+        q = q.reshape(b, heads, 1, dh)
+    else:
+        q = q.reshape(b, lq, heads, dh).transpose(0, 2, 1, 3)
+    if lk == 1:
+        k, v = k.reshape(bk, heads, dh, 1), v.reshape(bk, heads, 1, dh)
+    else:
+        k = k.reshape(bk, lk, heads, dh).transpose(0, 2, 3, 1)
+        v = v.reshape(bk, lk, heads, dh).transpose(0, 2, 1, 3)
+    scores = matmul(q, k) * (1.0 / math.sqrt(dh))
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    ctx = matmul(softmax(scores, axis=-1), v)
+    if lq != 1:
+        ctx = ctx.transpose(0, 2, 1, 3)
+    return ctx.reshape(b, lq, d)
+
+
+def mha_reference(params: dict, prefix: str, heads: int, q_in: Tensor, kv_in: Tensor, bias) -> Tensor:
+    """``Model._mha`` without a cache, built from :func:`linear_reference` and :func:`attention_reference`."""
+
+    def project(x, name):
+        return linear_reference(x, params[f"{prefix}.{name}.w"], params[f"{prefix}.{name}.b"])
+
+    q = project(q_in, "q")
+    k, v = project(kv_in, "k"), project(kv_in, "v")
+    return project(attention_reference(q, k, v, heads, bias), "o")
+
+
 def matmul_grads_reference(a: np.ndarray, b: np.ndarray, g: np.ndarray):
     """Both gradients of ``a @ b`` for upstream ``g``, batched: one product per
     broadcast batch entry, summed down to each operand's shape."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from ctcfuse.alignment import GatingConfig
 from ctcfuse.ctc import NBestList
 from ctcfuse.data import SynthConfig, make_batches, synth_corpus
 from ctcfuse.model import (
+    MASK_VALUE,
     METHOD_BASELINE,
     METHOD_FUSION,
     METHOD_NBEST,
@@ -23,7 +25,7 @@ from ctcfuse.model import (
 from ctcfuse.tensor import Tensor
 from ctcfuse.training import TrainConfig, build_decoder_input
 
-from oracles import fused_embedding_reference
+from oracles import fused_embedding_reference, mha_reference
 from toy import toy_config
 
 PAD = 3  # eos id in the reserved layout
@@ -293,6 +295,48 @@ class TestNeModule:
         b = model.ne_encode(x)
         assert a.shape == x.shape
         assert a.data.tobytes() == b.data.tobytes()
+
+
+class TestAttention:
+    # widths of the test and desk models, and a head width whose scale 1/sqrt(6) rounds
+    @pytest.mark.parametrize("d, heads", [(8, 2), (64, 4), (12, 2)], ids=["d8-h2", "d64-h4", "d12-h2"])
+    def test_mha_bit_equal_to_composed_ops(self, d, heads):
+        # BLAS picks kernels by shape and memory layout, and the composed ops
+        # split heads by a plain reshape for one query or key position: sweep
+        # both, shared and separate key rows, each bias, and self-attention
+        # (one input, three projections), comparing outputs and every gradient
+        rng = np.random.default_rng(23)
+        model = Model(ModelConfig(d_model=d, num_heads=heads, vocab_size=5), FusionConfig())
+        prefix = "encoder.layer0.attn"
+        names = [f"{prefix}.{p}.{part}" for p in "qkvo" for part in "wb"]
+        for name in names:
+            model.params[name].data = rng.normal(size=model.params[name].shape)
+        b = 4
+        for lq, lk, bk, mask, shared in itertools.product(
+            [1, 5], [1, 5, 7], [1, b], [None, "keys", "causal"], [False, True]
+        ):
+            if shared and (lq, bk) != (lk, b):
+                continue
+            bias = None
+            if mask == "keys":
+                real = rng.integers(1, lk + 1, size=bk)
+                bias = np.where(np.arange(lk) < real[:, None], 0.0, MASK_VALUE)[:, None, None, :]
+            elif mask == "causal":  # the last query sees every key, as after cached steps
+                bias = np.triu(np.full((lq, lk), MASK_VALUE), k=1 + lk - lq)[None, None]
+            data = [rng.normal(size=(b, lq, d)), rng.normal(size=(bk, lk, d))]
+            g = rng.normal(size=(b, lq, d))
+            results = []
+            for side in (model._mha, lambda prefix, q_in, kv_in, bias:
+                         mha_reference(model.params, prefix, heads, q_in, kv_in, bias)):
+                model.zero_grad()
+                q_in = Tensor(data[0], requires_grad=True)
+                kv_in = q_in if shared else Tensor(data[1], requires_grad=True)
+                out = side(prefix, q_in, kv_in, bias)
+                (out * Tensor(g)).sum().backward()
+                results.append([out.data, q_in.grad, kv_in.grad] + [model.params[n].grad for n in names])
+            point = (lq, lk, bk, mask, shared)
+            for what, new, ref in zip(["out", "q_in", "kv_in"] + names, *results):
+                assert new.tobytes() == ref.tobytes(), (what, point)
 
 
 class TestDecoder:

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcfuse import tensor as T
+from ctcfuse.model import MASK_VALUE as MASK
 from ctcfuse.tensor import Tensor
 
-from oracles import conv2d_gather, conv2d_reference, matmul_grads_reference
+from oracles import (attention_reference, conv2d_gather, conv2d_reference, matmul_grads_reference,
+                     softmax)
 
 
 def matmul_oracle(a, b):
@@ -29,33 +31,48 @@ def grad_of(t):
     return t.grad if t.grad is not None else np.zeros_like(t.data)
 
 
+def zero_bias(n):
+    return Tensor(np.zeros(n))
+
+
+def overflowing_linear():
+    """A linear op whose finite inputs give an infinite output."""
+    return T.linear(Tensor(np.full((1, 2), 1e308)), Tensor(np.full((2, 1), 10.0)), zero_bias(1))
+
+
 class TestMatmul:
+    """The matrix product ``linear`` runs, ``x @ w + b``."""
+
     def test_identity(self):
-        out = T.matmul(Tensor(np.eye(2)), Tensor([[5.0], [6.0]]))
+        out = T.linear(Tensor(np.eye(2)), Tensor([[5.0], [6.0]]), zero_bias(1))
         np.testing.assert_array_equal(out.data, [[5.0], [6.0]])
 
     def test_against_triple_loop(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[5.0], [6.0]])
-        out = T.matmul(Tensor(a), Tensor(b))
-        np.testing.assert_array_equal(out.data, [[17.0], [39.0]])
-        np.testing.assert_allclose(out.data, matmul_oracle(a, b), rtol=1e-15)
+        out = T.linear(Tensor(a), Tensor(b), Tensor([0.5]))
+        np.testing.assert_array_equal(out.data, [[17.5], [39.5]])
+        np.testing.assert_allclose(out.data, matmul_oracle(a, b) + 0.5, rtol=1e-15)
 
     def test_zero_matrix(self):
-        out = T.matmul(Tensor(np.zeros((3, 2))), Tensor(np.ones((2, 4))))
+        out = T.linear(Tensor(np.zeros((3, 2))), Tensor(np.ones((2, 4))), zero_bias(4))
         np.testing.assert_array_equal(out.data, np.zeros((3, 4)))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="inner dimensions"):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        # inner dimensions, bias width, a 1-D left operand, a 3-D weight
+        for x, w, b in [((2, 3), (2, 3), (3,)), ((2, 3), (3, 2), (3,)),
+                        ((3,), (3, 2), (2,)), ((2, 3), (1, 3, 2), (2,))]:
+            with pytest.raises(ValueError, match="linear shapes disagree"):
+                T.linear(Tensor(np.ones(x)), Tensor(np.ones(w)), Tensor(np.ones(b)))
 
     def test_random_against_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             a = rng.normal(size=(3, 4))
             b = rng.normal(size=(4, 2))
+            c = rng.normal(size=2)
             np.testing.assert_allclose(
-                T.matmul(Tensor(a), Tensor(b)).data, matmul_oracle(a, b), rtol=1e-12
+                T.linear(Tensor(a), Tensor(b), Tensor(c)).data, matmul_oracle(a, b) + c, rtol=1e-12
             )
 
     @staticmethod
@@ -63,7 +80,7 @@ class TestMatmul:
         rng = np.random.default_rng(21)
         a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
         ta, tb = Tensor(a, requires_grad=needs[0]), Tensor(b, requires_grad=needs[1])
-        out = T.matmul(ta, tb)
+        out = T.linear(ta, tb, zero_bias(b_shape[1]))
         g = rng.normal(size=out.shape)
         (out * Tensor(g)).sum().backward()
         return (ta.grad, tb.grad), matmul_grads_reference(a, b, g)
@@ -83,14 +100,23 @@ class TestMatmul:
             if len(a_shape) == 2:  # a 2-D left operand runs the same two GEMMs
                 assert grad.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("needs", NEEDS, ids=["both", "left", "right"])
+    @pytest.mark.parametrize("needs", [(True, True, True), (True, False, False), (False, True, True)],
+                             ids=["both", "left", "right"])
     def test_attention_grads_bit_equal_to_batched_form(self, needs):
-        got, ref = self._grads((2, 3, 5, 4), (2, 3, 4, 6), needs)
-        for grad, want, need in zip(got, ref, needs):
-            if not need:
-                assert grad is None
-                continue
-            assert grad.tobytes() == want.tobytes()
+        # the products of attention, left (queries) and right (keys and
+        # values) operands, against the ops attention_reference composes
+        rng = np.random.default_rng(22)
+        data = [rng.normal(size=(2, 5, 8)), rng.normal(size=(2, 6, 8)), rng.normal(size=(2, 6, 8))]
+        g = rng.normal(size=(2, 5, 8))
+        results = []
+        for op in (T.attention, attention_reference):
+            qkv = [Tensor(d, requires_grad=need) for d, need in zip(data, needs)]
+            out = op(*qkv, 2, None)
+            (out * Tensor(g)).sum().backward()
+            results.append([out.data] + [t.grad for t in qkv])
+        for new, ref in zip(*results):
+            assert (new is None and ref is None) or new.tobytes() == ref.tobytes()
+        assert [grad is not None for grad in results[0][1:]] == list(needs)
 
 
 class TestLogSoftmax:
@@ -227,13 +253,14 @@ class TestBackward:
         b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         g = Tensor(np.ones(4), requires_grad=True)
         c = Tensor(rng.normal(size=(3, 4)))
+        bias = Tensor(np.linspace(-1.0, 1.0, 4), requires_grad=True)
 
         def f():
-            h = T.layer_norm(T.matmul(a, b) + c, g, Tensor(np.zeros(4)))
+            h = T.layer_norm(T.linear(a, b, bias) + c, g, Tensor(np.zeros(4)))
             h = T.relu(h) + 0.1 * h
             return (T.log_softmax(h, axis=-1) * h).sum()
 
-        report = T.grad_check(f, {"a": a, "b": b, "g": g}, step=1e-6, tolerance=1e-5)
+        report = T.grad_check(f, {"a": a, "b": b, "g": g, "bias": bias}, step=1e-6, tolerance=1e-5)
         assert report["passed"], report
 
 
@@ -242,7 +269,8 @@ class TestGradCheck:
         rng = np.random.default_rng(7)
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        report = T.grad_check(lambda: T.matmul(a, b).sum(), {"a": a, "b": b})
+        c = Tensor(rng.normal(size=2), requires_grad=True)
+        report = T.grad_check(lambda: T.linear(a, b, c).sum(), {"a": a, "b": b, "c": c})
         assert report["passed"]
         assert report["max_deviation"] < 1e-5
 
@@ -295,9 +323,8 @@ class TestOps:
         assert (t + 1).data.dtype == np.float64
 
     def test_non_finite_forward_raises(self):
-        big = Tensor(np.full((1, 2), 1e308))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            T.matmul(big, Tensor(np.full((2, 1), 10.0)))
+            overflowing_linear()
 
     def test_concat_roundtrip_grads(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -414,7 +441,7 @@ class TestConstantOperands:
     OPS = {
         "add": lambda a, b: a + b,
         "mul": lambda a, b: a * b,
-        "matmul": T.matmul,
+        "matmul": lambda a, b: T.linear(a, b, zero_bias(3)),
     }
 
     @pytest.mark.parametrize("op", sorted(OPS))
@@ -441,13 +468,30 @@ class TestFiniteDifferences:
         "reshape": ([(2, 6)], lambda a: a.reshape(3, 2, 2), None),
         "transpose": ([(2, 3, 4)], lambda a: a.transpose(2, 0, 1), None),
         "sum": ([(3, 4)], lambda a: a.sum(), None),
-        "matmul": ([(2, 3, 4), (4, 5)], T.matmul, None),
-        "matmul_one_position": ([(3, 1, 4), (4, 5)], T.matmul, None),
-        "matmul_4d_left": ([(2, 3, 2, 4), (4, 5)], T.matmul, None),
+        # matmul*: linear, x @ w + b, over left operands of each rank the model passes
+        "matmul_2d_left": ([(3, 4), (4, 5), (5,)], T.linear, None),
+        "matmul": ([(2, 3, 4), (4, 5), (5,)], T.linear, None),
+        "matmul_one_position": ([(3, 1, 4), (4, 5), (5,)], T.linear, None),
+        "matmul_4d_left": ([(2, 3, 2, 4), (4, 5), (5,)], T.linear, None),
         "concat": ([(2, 3), (2, 2)], lambda a, b: T.concat([a, b], axis=1), None),
         "relu": ([(3, 4)], T.relu, lambda d: d + 0.2 * np.sign(d)),
         "log_softmax": ([(3, 5)], T.log_softmax, None),
-        "softmax": ([(3, 5)], T.softmax, None),
+        # the oracle's softmax, which attention_reference composes
+        "softmax": ([(3, 5)], softmax, None),
+        "attention_causal": (
+            [(2, 3, 4)] * 3,
+            lambda q, k, v: T.attention(q, k, v, 2, np.triu(np.full((3, 3), MASK), 1)),
+            None,
+        ),
+        "attention_one_query": (
+            [(2, 1, 4), (2, 5, 4), (2, 5, 4)], lambda q, k, v: T.attention(q, k, v, 2, None), None
+        ),
+        # one key/value row serves all three query rows; the last key is masked
+        "attention_cross_one_key_row": (
+            [(3, 2, 4), (1, 5, 4), (1, 5, 4)],
+            lambda q, k, v: T.attention(q, k, v, 2, np.array([0.0, 0.0, 0.0, 0.0, MASK])),
+            None,
+        ),
         "layer_norm": ([(3, 4), (4,), (4,)], T.layer_norm, None),
         "embedding": ([(5, 3)], lambda t: T.embedding(t, np.array([0, 2, 2, 4])), None),
         # a generator made inside the op draws the same mask on every call
@@ -478,19 +522,22 @@ class TestFiniteDifferences:
 class TestInference:
     def test_records_no_graph(self):
         w = Tensor(np.ones((2, 2)), requires_grad=True)
+        def forward():
+            x = T.linear(Tensor(np.eye(2)[None]), w, Tensor(np.ones(2)))
+            return T.attention(x, x, x, 1, None)
+
         with T.inference():
-            out = T.softmax(T.matmul(Tensor(np.eye(2)), w) + 1.0)
+            out = forward()
         assert not out.requires_grad
         assert out._parents == () and out._grad_fn is None
-        recorded = T.softmax(T.matmul(Tensor(np.eye(2)), w) + 1.0)
+        recorded = forward()
         assert recorded.requires_grad and recorded._parents and recorded._grad_fn is not None
         assert out.data.tobytes() == recorded.data.tobytes()
 
     def test_non_finite_still_raises(self):
-        big = Tensor(np.full((1, 2), 1e308))
         with T.inference():
             with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-                T.matmul(big, Tensor(np.full((2, 1), 10.0)))
+                overflowing_linear()
 
     def test_nests_and_restores_after_exception(self):
         w = Tensor(np.ones(3), requires_grad=True)
@@ -503,10 +550,9 @@ class TestInference:
                     raise RuntimeError("inside")
             assert not (w * 2.0).requires_grad
         assert (w * 2.0).requires_grad
-        big = Tensor(np.full((1, 2), 1e308))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             with T.inference():
-                T.matmul(big, Tensor(np.full((2, 1), 10.0)))
+                overflowing_linear()
         (w * 2.0).sum().backward()
         np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
 
@@ -519,12 +565,17 @@ GUARDED_OPS = {
     "reshape": (lambda a: Tensor(a).reshape(3, 2), [(2, 3)]),
     "transpose": (lambda a: Tensor(a).transpose(2, 0, 1), [(2, 1, 3)]),
     "sum": (lambda a: Tensor(a).sum(), [(2, 3)]),
-    "matmul": (lambda a, b: T.matmul(Tensor(a), Tensor(b)), [(2, 3), (3, 2)]),
-    "matmul_batched": (lambda a, b: T.matmul(Tensor(a), Tensor(b)), [(2, 1, 3), (3, 2)]),
+    "matmul": (lambda a, b, c: T.linear(Tensor(a), Tensor(b), Tensor(c)), [(2, 3), (3, 2), (2,)]),
+    "matmul_batched": (
+        lambda a, b, c: T.linear(Tensor(a), Tensor(b), Tensor(c)), [(2, 1, 3), (3, 2), (2,)]
+    ),
     "concat": (lambda a, b: T.concat([Tensor(a), Tensor(b)], axis=-1), [(2, 1), (2, 2)]),
     "relu": (lambda a: T.relu(Tensor(a)), [(2, 3)]),
     "log_softmax": (lambda a: T.log_softmax(Tensor(a)), [(2, 3)]),
-    "softmax": (lambda a: T.softmax(Tensor(a)), [(2, 3)]),
+    "attention": (
+        lambda q, k, v: T.attention(Tensor(q), Tensor(k), Tensor(v), 1, np.array([0.0, 0.0, MASK])),
+        [(1, 2, 2), (1, 3, 2), (1, 3, 2)],
+    ),
     "layer_norm": (
         lambda x, g, b: T.layer_norm(Tensor(x), Tensor(g), Tensor(b)), [(2, 3), (3,), (3,)]
     ),
@@ -571,7 +622,6 @@ class TestFpGuard:
             assert guarded.tobytes() == scanned.tobytes()
 
     def test_restores_callers_errstate_after_exception(self):
-        big = Tensor(np.full((1, 2), 1e308))
         with np.errstate(over="ignore", invalid="warn", divide="print", under="raise"):
             caller = np.geterr()
             with T.fp_guard():
@@ -583,11 +633,11 @@ class TestFpGuard:
             assert np.geterr() == caller
             with pytest.raises(FloatingPointError):
                 with T.fp_guard():
-                    T.matmul(big, Tensor(np.full((2, 1), 10.0)))
+                    overflowing_linear()
             assert np.geterr() == caller
             # outside again, the scan catches what over="ignore" lets through
             with pytest.raises(FloatingPointError, match="non-finite value"):
-                T.matmul(big, Tensor(np.full((2, 1), 10.0)))
+                overflowing_linear()
 
 
 class TestContainer:

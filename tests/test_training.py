@@ -13,9 +13,11 @@ from ctcfuse.model import (
     METHOD_BASELINE,
     METHOD_FUSION,
     METHOD_NBEST,
+    DecoderCache,
     FusionConfig,
     Model,
 )
+from ctcfuse import tensor as tz
 from ctcfuse.tensor import Tensor, load_tensors, save_tensors
 from ctcfuse import training as tr
 from ctcfuse.training import (
@@ -543,6 +545,49 @@ class TestEpochRecord:
         assert metrics.ctc_loss is None and metrics.ctc_unreachable == len(corpus)
 
 
+class TestOpCounts:
+    """Tensor ops per step on a tiny fixed model, each one ``Tensor._result`` call.
+
+    Linear layers and multi-head attention run as one op each; splitting
+    them into separate ops again changes these counts.
+    """
+
+    @staticmethod
+    def count_ops(monkeypatch, fn, *args) -> int:
+        """The ``Tensor._result`` calls ``fn(*args)`` makes."""
+        calls = []
+        result = Tensor._result
+        monkeypatch.setattr(Tensor, "_result", staticmethod(lambda *a: calls.append(1) or result(*a)))
+        fn(*args)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_incremental_decoder_step_at_beam_3(self, monkeypatch):
+        vocab, corpus, cfg = tiny_setup(METHOD_ALIGNED)
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        with tz.inference():
+            utt = corpus[0]
+            enc = model.encode(utt.features[None], np.array([len(utt.features)]))
+            cache = DecoderCache()
+            model.decoder_forward(model.embed_tokens(np.array([[vocab.sos_id]])), enc, cache=cache)
+            cache.reorder([0, 0, 0])
+            step = model.embed_tokens(np.array([[4], [5], [6]]), 1)
+            assert self.count_ops(monkeypatch, model.decoder_forward, step, enc, None, cache) == 36
+
+    @pytest.mark.parametrize(
+        "method, fusion_kw, ops",
+        [(METHOD_ALIGNED, {}, 95), (METHOD_NBEST, {"n": 2, "beam_width": 3}, 122)],
+        ids=[METHOD_ALIGNED, METHOD_NBEST],
+    )
+    def test_training_step(self, monkeypatch, method, fusion_kw, ops):
+        vocab, corpus, cfg = tiny_setup(method, **fusion_kw)
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        optimizer = Adam(model.params, cfg)
+        batch = tr.make_batches(corpus, cfg.batch_size, seed=1)[0]
+        model.train(True)
+        assert self.count_ops(monkeypatch, run_training_step, batch, model, optimizer, cfg, vocab) == ops
+
+
 class TestCheckpoints:
     def test_save_load_save_byte_identical(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
@@ -638,6 +683,25 @@ class TestCheckpoints:
         path = tmp_path / "s.ckpt"
         save_checkpoint(path, model, opt, cfg, vocab, epoch=1)
         return path, load_tensors(path)
+
+    def test_load_draws_no_init_and_allocates_no_zero_moments(self, tmp_path, monkeypatch):
+        path, arrays = self.saved_arrays(tmp_path)
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"load_checkpoint drew an init by Generator.{name}")
+
+        def no_zeros(*args, **kwargs):
+            raise AssertionError("load_checkpoint allocated zero moments")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
+        monkeypatch.setattr(np, "zeros_like", no_zeros)
+        model, opt, _ = load_checkpoint(path)
+        monkeypatch.undo()
+        for name, p in model.params.items():
+            assert p.data.tobytes() == arrays[name].tobytes()
+            assert opt.m[name].tobytes() == arrays["adam.m." + name].tobytes()
+            assert opt.v[name].tobytes() == arrays["adam.v." + name].tobytes()
 
     @pytest.mark.parametrize("step", [np.array([2.5]), np.array([7.0], dtype=np.float32)])
     def test_adam_step_must_be_an_integer(self, tmp_path, step):
