@@ -22,6 +22,7 @@ import itertools
 import json
 import os
 import sys
+import types
 import typing
 
 import numpy as np
@@ -33,7 +34,7 @@ from ctcfuse.data import (DataError, SynthConfig, UsageError, build_config, buil
                           read_text, save_corpus, synth_corpus)
 from ctcfuse.decode import (DECODE_METHODS, DecodeConfig, decode_utterance, evaluate,
                             format_hypothesis)
-from ctcfuse.model import FusionConfig, ModelConfig
+from ctcfuse.model import METHOD_NBEST, FusionConfig, ModelConfig, param_count
 from ctcfuse.training import (METRICS_FILE, EpochMetrics, NumericError, TrainConfig,
                               load_checkpoint, train)
 
@@ -129,6 +130,7 @@ def resolve_run_config(payload: dict, seed_override: int | None = None, points=(
         try:
             run = _apply_grid_point(payload, point)
             fusion_cfg = build_config(FusionConfig, run["fusion"], "fusion")
+            _check_model_size(model_cfg, fusion_cfg)
             gating_cfg = build_config(GatingConfig, run["gating"], "gating")
             train_sec = run["train"]
             if seed_override is not None:
@@ -148,6 +150,33 @@ def resolve_run_config(payload: dict, seed_override: int | None = None, points=(
         nested = {key: train_dict.pop(key) for key in ("model", "fusion", "gating")}
         runs.append((train_cfg, {"data": data_resolved, **nested, "train": train_dict}))
     return vocab, corpus, input_hash, runs
+
+
+# floats: a run config whose model would hold more is a usage error, refused
+# before anything of that size is allocated (the desk model holds 313,128)
+MAX_PARAMETERS = 10**8
+
+
+def _check_model_size(model_cfg: ModelConfig, fusion_cfg: FusionConfig) -> None:
+    """Refuse a model above ``MAX_PARAMETERS`` floats, naming the ``model.*`` or
+    ``fusion.*`` key whose default would shrink it most."""
+    sizes = {f"model.{f.name}": (getattr(model_cfg, f.name), f.default)
+             for f in dataclasses.fields(ModelConfig)}
+    memory = fusion_cfg.method == METHOD_NBEST
+    if memory:
+        sizes["fusion.n"] = (fusion_cfg.n, FusionConfig.n)
+
+    def count(reset: str | None = None) -> int:
+        given = {key: default if key == reset else value for key, (value, default) in sizes.items()}
+        model = types.SimpleNamespace(**{key[len("model."):]: value for key, value in given.items()
+                                         if key.startswith("model.")})
+        return param_count(model, memory, given.get("fusion.n", 1))
+
+    total = count()
+    if total > MAX_PARAMETERS:
+        key = min(sizes, key=count)
+        raise UsageError(f"{key} = {sizes[key][0]}: the model would hold {total:,} parameters, "
+                         f"more than {MAX_PARAMETERS:,}")
 
 
 def _check_corpus_fits(corpus, model_cfg: ModelConfig) -> None:

@@ -185,6 +185,32 @@ def param_specs(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> dict[s
     return specs
 
 
+def param_count(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> int:
+    """How many floats :func:`param_specs` declares, by arithmetic alone.
+
+    No shape is listed, so a size too large to build costs nothing here.
+    ``config`` may be any object with ``ModelConfig``'s size fields.
+    """
+    d, f, v = config.d_model, config.ffn_dim, config.vocab_size
+    conv, in_ch, freq = 0, 1, config.feature_dim
+    for _ in range(1 if config.subsample_factor == 2 else 2):
+        conv += d * in_ch * 9 + d
+        in_ch, freq = d, (freq + 1) // 2
+    attention, norm, ffn = 4 * (d * d + d), 2 * d, 2 * d * f + f + d
+
+    def stack(layers: int) -> int:
+        return layers * (2 * norm + attention + ffn) + norm
+
+    decoder_layer = 3 * norm + 2 * attention + ffn
+    memory = 0
+    if with_ne_memory:
+        decoder_layer += attention + 2 * d * d + d
+        memory = n * d * d + d + stack(config.ne_layers)
+    # embedding, conv front end and projection, encoder, CTC head, decoder, output
+    return (v * d + conv + d * freq * d + d + stack(config.encoder_layers) + d * v + v
+            + config.decoder_layers * decoder_layer + norm + d * v + v + memory)
+
+
 class Model:
     """Stateful parameter holder; all forward passes build fresh graphs."""
 

@@ -3,7 +3,8 @@
 Small tape-based engine over numpy arrays: every operation records its
 inputs and a closure that maps the upstream gradient to per-input
 gradients. ``backward`` walks the recorded graph in reverse topological
-order. Inside :func:`inference` no graph is recorded. Every tensor holds
+order and releases it as it goes, so each graph is differentiated once.
+Inside :func:`inference` no graph is recorded. Every tensor holds
 float64: the constructor converts whatever it is given, float32 feature
 matrices included.
 
@@ -16,6 +17,7 @@ divide-by-zero flags raise at the op instead (Goldberg, 1991).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -104,15 +106,14 @@ class Tensor:
     keep ``grad=None``, which readers treat as zero.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()  # None once backward released it
         self._grad_fn: Callable[[np.ndarray], tuple] | None = None
-        self._done = False
 
     # -- construction -------------------------------------------------
 
@@ -128,7 +129,6 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out._done = False
         if _recording.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
@@ -215,14 +215,16 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every requires_grad tensor reachable from a scalar loss.
 
-        A second backward through the same graph is an error; build a
-        fresh graph per step instead.
+        The walk releases the graph as it goes: once a node has passed its
+        gradient on, it drops its grad closure (and the forward arrays that
+        closure saved) and its parent links, so what only the graph held is
+        freed before the walk ends. Tensors the caller holds keep ``data``
+        and ``grad``. Each graph is differentiated once: a backward that
+        reaches a released node raises ``RuntimeError`` before it writes any
+        gradient; build a fresh graph per step instead.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
-        if self._done:
-            raise RuntimeError("backward already ran on this graph; rebuild it before differentiating again")
-        self._done = True
 
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -234,14 +236,18 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._parents is None:
+                raise RuntimeError("backward already ran on this graph; rebuild it before differentiating again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
 
+        # popping walks ``reversed(topo)`` and lets each node go once it is done
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
@@ -250,7 +256,9 @@ class Tensor:
             if node._grad_fn is None:
                 continue
             parent_grads = node._grad_fn(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            parents = node._parents
+            node._grad_fn = node._parents = None  # released
+            for parent, pg in zip(parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
                 if pg.shape != parent.shape:
@@ -547,38 +555,45 @@ def save_tensors(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
-    """Read a container written by :func:`save_tensors`."""
+    """Read a container written by :func:`save_tensors`.
+
+    Each entry is read straight into its own array. Every size the file
+    claims is checked against the bytes left in it first, so a truncated or
+    inflated container is refused before anything of that size exists.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        left = os.fstat(fh.fileno()).st_size
 
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise ValueError(f"truncated tensor container: expected {what}")
-        piece = blob[offset : offset + n]
-        offset += n
-        return piece
+        def take(n: int, what: str, make=bytearray):
+            """The next ``n`` bytes, read into ``make(n)`` once the file is known to hold them."""
+            nonlocal left
+            if n > left:
+                raise ValueError(f"truncated tensor container: expected {what}")
+            left -= n
+            buf = make(n)
+            # a zero-size array has no byte view to read into
+            if n and fh.readinto(memoryview(buf).cast("B")) != n:
+                raise ValueError(f"truncated tensor container: expected {what}")
+            return buf
 
-    offset = 0
-    if take(4, "magic") != _CONTAINER_MAGIC:
-        raise ValueError("not a tensor container (bad magic)")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != _CONTAINER_VERSION:
-        raise ValueError(f"tensor container version mismatch: file has {version}, expected {_CONTAINER_VERSION}")
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
-        tag, ndim = struct.unpack("<BI", take(5, "entry header"))
-        if tag not in _DTYPE_TAGS:
-            raise ValueError(f"unknown dtype tag {tag} for entry {name!r}")
-        shape = struct.unpack(f"<{ndim}q", take(8 * ndim, "shape"))
-        if min(shape, default=0) < 0:
-            raise ValueError(f"negative dimension in the shape {shape} of entry {name!r}")
-        dtype = _DTYPE_TAGS[tag]
-        n_bytes = math.prod(shape) * dtype.itemsize  # exact: no int64 wrap-around
-        payload = take(n_bytes, f"payload of {name!r}")
-        out[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        if take(4, "magic") != _CONTAINER_MAGIC:
+            raise ValueError("not a tensor container (bad magic)")
+        version, count = struct.unpack("<II", take(8, "header"))
+        if version != _CONTAINER_VERSION:
+            raise ValueError(f"tensor container version mismatch: file has {version}, expected {_CONTAINER_VERSION}")
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4, "name length"))
+            name = take(name_len, "name").decode("utf-8")
+            tag, ndim = struct.unpack("<BI", take(5, "entry header"))
+            if tag not in _DTYPE_TAGS:
+                raise ValueError(f"unknown dtype tag {tag} for entry {name!r}")
+            shape = struct.unpack(f"<{ndim}q", take(8 * ndim, "shape"))
+            if min(shape, default=0) < 0:
+                raise ValueError(f"negative dimension in the shape {shape} of entry {name!r}")
+            dtype = _DTYPE_TAGS[tag]
+            n_bytes = math.prod(shape) * dtype.itemsize  # exact: no int64 wrap-around
+            out[name] = take(n_bytes, f"payload of {name!r}", lambda _: np.empty(shape, dtype))
     return out
 
 

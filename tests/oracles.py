@@ -6,6 +6,7 @@ algorithms.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import product
 
@@ -544,3 +545,42 @@ def synth_corpus_reference(cfg: SynthConfig):
             )
         )
     return vocab, corpus
+
+
+def load_tensors_reference(path) -> dict[str, np.ndarray]:
+    """The container reader ``tz.load_tensors`` had before it read entries into place.
+
+    Reads the whole file into one ``bytes``, then copies each entry out of
+    a slice of it.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal offset
+        if offset + n > len(blob):
+            raise ValueError(f"truncated tensor container: expected {what}")
+        piece = blob[offset : offset + n]
+        offset += n
+        return piece
+
+    offset = 0
+    if take(4, "magic") != tz._CONTAINER_MAGIC:
+        raise ValueError("not a tensor container (bad magic)")
+    version, count = struct.unpack("<II", take(8, "header"))
+    if version != tz._CONTAINER_VERSION:
+        raise ValueError(f"tensor container version mismatch: file has {version}")
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        name = take(name_len, "name").decode("utf-8")
+        tag, ndim = struct.unpack("<BI", take(5, "entry header"))
+        if tag not in tz._DTYPE_TAGS:
+            raise ValueError(f"unknown dtype tag {tag} for entry {name!r}")
+        shape = struct.unpack(f"<{ndim}q", take(8 * ndim, "shape"))
+        if min(shape, default=0) < 0:
+            raise ValueError(f"negative dimension in the shape {shape} of entry {name!r}")
+        dtype = tz._DTYPE_TAGS[tag]
+        payload = take(math.prod(shape) * dtype.itemsize, f"payload of {name!r}")
+        out[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    return out

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -331,8 +332,8 @@ class TestTrain:
             resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
 
         payload = json.loads(base_config.read_text())
-        # ne.proj alone would need 10**8 * 8 * 8 floats
-        payload["fusion"] = {"method": "nbest_memory", "n": 10**8, "beam_width": 10**8}
+        # ne.proj alone needs 1.5 * 10**6 * 8 * 8 floats: under cli.MAX_PARAMETERS, over the cap
+        payload["fusion"] = {"method": "nbest_memory", "n": 1_500_000, "beam_width": 1_500_000}
         config = tmp_path / "huge.json"
         config.write_text(json.dumps(payload))
         out = tmp_path / "run"
@@ -340,6 +341,25 @@ class TestTrain:
                                cwd=tmp_path, preexec_fn=cap_address_space)
         assert done.returncode == 3, done.stderr
         assert "Unable to allocate" in one_error(done.stderr, "memory")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "d_model", 10**6), ("model", "encoder_layers", 10**6), ("fusion", "n", 10**8),
+    ])
+    def test_a_model_too_large_is_refused_naming_its_key(self, base_config, tmp_path, capsys,
+                                                         section, key, value):
+        payload = json.loads(base_config.read_text())
+        payload[section] = {**payload.get(section, {}), key: value}
+        if section == "fusion":
+            payload["fusion"].update(method="nbest_memory", beam_width=value)
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        start = time.perf_counter()
+        assert run_cli("train", "--config", str(config), "--out", str(out), "--quiet") == 1
+        assert time.perf_counter() - start < 1.0
+        msg = one_error(capsys.readouterr().err, "usage")
+        assert msg.startswith(f"{section}.{key} = {value}: the model would hold ")
         assert not out.exists()
 
     def test_memory_error_without_message_prints_fixed_text(self, capsys, monkeypatch):

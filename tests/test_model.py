@@ -20,6 +20,7 @@ from ctcfuse.model import (
     Model,
     ModelConfig,
     nbest_id_matrix,
+    param_count,
     param_specs,
 )
 from ctcfuse.tensor import Tensor
@@ -524,6 +525,16 @@ class TestCountParams:
         big = ModelConfig(d_model=64, ffn_dim=128, vocab_size=50, num_heads=4)
         r = count_params(big, FusionConfig()) / count_params(small, FusionConfig())
         assert 2.5 < r < 4.5  # linear layers quadruple, embeddings double
+
+    def test_arithmetic_count_equals_the_specs(self):
+        grid = itertools.product([4, 6, 8], [3, 16], [1, 3], [1, 2], [0, 1, 2], [3, 20], [2, 4], [1, 7, 8])
+        for d, ffn, enc, dec, ne, vocab, factor, feat in grid:
+            cfg = ModelConfig(d_model=d, num_heads=2, ffn_dim=ffn, encoder_layers=enc,
+                              decoder_layers=dec, ne_layers=ne, vocab_size=vocab,
+                              subsample_factor=factor, feature_dim=feat)
+            for method, n in [(METHOD_BASELINE, 1), (METHOD_NBEST, 1), (METHOD_NBEST, 3)]:
+                fusion = FusionConfig(method=method, n=n, beam_width=n)
+                assert param_count(cfg, method == METHOD_NBEST, n) == count_params(cfg, fusion)
 
     def test_specs_cover_all_prefixes(self):
         specs = param_specs(toy_config(vocab_size=9), True, 2)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -240,6 +241,53 @@ class TestBackward:
         loss.backward()
         with pytest.raises(RuntimeError, match="already ran"):
             loss.backward()
+
+    def test_backward_frees_what_only_the_graph_holds(self):
+        w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        hidden = T.relu(w * 2.0)
+        held = hidden * w
+        loss = held.sum()
+        watch = weakref.ref(hidden.data)
+        del hidden  # from here on only the graph refers to it
+        assert watch() is not None
+        loss.backward()
+        assert watch() is None
+        np.testing.assert_array_equal(held.data, [2.0, 0.0, 18.0])
+        np.testing.assert_array_equal(held.grad, np.ones(3))
+        np.testing.assert_array_equal(w.data, [1.0, -2.0, 3.0])
+        np.testing.assert_array_equal(w.grad, [4.0, 0.0, 12.0])
+        assert loss.item() == 20.0 and loss.grad == 1.0
+
+    @staticmethod
+    def _two_losses():
+        """Two losses that share the intermediate ``shared``."""
+        w = Tensor(np.array([0.3, -1.7, 2.2, 0.9]), requires_grad=True)
+        v = Tensor(np.array([1.1, 0.4, -0.9, -2.5]), requires_grad=True)
+        shared = T.relu(w * v + w)
+        first = (shared * w).sum()
+        second = (shared * v * shared).reshape(2, 2).transpose(1, 0).sum()
+        return w, v, shared, first, second
+
+    def test_second_loss_through_a_released_node_is_refused(self):
+        w, v, shared, first, second = self._two_losses()
+        first.backward()
+        held = {"w": w, "v": v, "shared": shared, "first": first, "second": second}
+        before = {name: None if t.grad is None else t.grad.tobytes() for name, t in held.items()}
+        with pytest.raises(RuntimeError, match="already ran"):
+            second.backward()
+        after = {name: None if t.grad is None else t.grad.tobytes() for name, t in held.items()}
+        assert after == before and before["second"] is None
+
+    def test_summed_loss_gradients_are_pinned_bit_for_bit(self):
+        # recorded from the walk that kept the whole graph until it ended
+        w, v, _, first, second = self._two_losses()
+        (first + second).backward()
+        pinned = {
+            "w": ["0x1.0aeb1c432ca58p+2", "-0x0.0p+0", "0x1.9a027525460a4p-2", "0x0.0p+0"],
+            "v": ["0x1.ce2eb1c432ca6p-1", "0x0.0p+0", "0x1.0119ce075f6fep+2", "0x0.0p+0"],
+        }
+        for name, t in (("w", w), ("v", v)):
+            assert t.grad.tobytes() == np.array([float.fromhex(h) for h in pinned[name]]).tobytes()
 
     def test_shared_tensor_accumulates(self):
         w = Tensor(np.array([2.0]), requires_grad=True)
