@@ -300,6 +300,11 @@ def load_vocab_file(path) -> Vocabulary:
 
 _SYNTH_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
+# feature values: a synthetic corpus that could hold more (count x max_len x
+# max_frames_per_token x feature_dim) is a data error, refused before any is
+# generated (the desk corpus can hold 115,200)
+MAX_SYNTH_FLOATS = 10**8
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -337,6 +342,10 @@ class SynthConfig:
             raise DataError("noise must be a finite number >= 0")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
+        floats = self.count * self.max_len * self.max_frames_per_token * self.feature_dim
+        if floats > MAX_SYNTH_FLOATS:
+            raise DataError(f"count = {self.count}: the corpus could hold {floats:,} feature "
+                            f"values, more than {MAX_SYNTH_FLOATS:,}")
 
 
 def synth_corpus(cfg: SynthConfig) -> tuple[Vocabulary, list[Utterance]]:

@@ -62,10 +62,6 @@ class ModelConfig:
         if self.subsample_factor not in (2, 4):
             raise ValueError("subsample factor must be 2 or 4 (stride-2 conv stages)")
 
-    @property
-    def conv_stages(self) -> int:
-        return 1 if self.subsample_factor == 2 else 2
-
 
 @dataclass(frozen=True)
 class FusionConfig:
@@ -119,96 +115,69 @@ def _length_bias(lengths: np.ndarray, t_max: int) -> np.ndarray:
     return bias[:, None, None, :]
 
 
-def param_specs(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> dict[str, tuple]:
-    """Deterministic name -> shape map for every trainable tensor."""
-    d, ffn, v, heads = config.d_model, config.ffn_dim, config.vocab_size, config.num_heads
-    ch = d
-    specs: dict[str, tuple] = {"embed.table": (v, d)}
+def _conv_stages(config) -> int:
+    """Stride-2 conv stages in the front end: one per halving of ``subsample_factor``."""
+    return 1 if config.subsample_factor == 2 else 2
 
-    freq = config.feature_dim
-    in_ch = 1
-    for stage in range(1, config.conv_stages + 1):
-        specs[f"encoder.sub.conv{stage}.w"] = (ch, in_ch, 3, 3)
-        specs[f"encoder.sub.conv{stage}.b"] = (ch,)
-        freq = (freq + 1) // 2
-        in_ch = ch
-    specs["encoder.sub.proj.w"] = (ch * freq, d)
-    specs["encoder.sub.proj.b"] = (d,)
 
-    def attention(prefix: str):
-        for name in ("q", "k", "v", "o"):
-            specs[f"{prefix}.{name}.w"] = (d, d)
-            specs[f"{prefix}.{name}.b"] = (d,)
+def _layout(config, with_ne_memory: bool, n: int) -> list[tuple[str, int, dict[str, tuple]]]:
+    """The parameter table: ``(prefix, repeats, {name: shape})`` blocks in init order.
 
-    def norm(prefix: str):
-        specs[f"{prefix}.g"] = (d,)
-        specs[f"{prefix}.b"] = (d,)
+    A block is repeated ``repeats`` times, its ``{i}`` in the prefix
+    numbering the copies; the encoder and the N-best memory share one
+    layer block. ``config`` may be any object with ``ModelConfig``'s size
+    fields.
+    """
+    d, f, v = config.d_model, config.ffn_dim, config.vocab_size
 
-    def ffn_block(prefix: str):
-        specs[f"{prefix}.fc1.w"] = (d, ffn)
-        specs[f"{prefix}.fc1.b"] = (ffn,)
-        specs[f"{prefix}.fc2.w"] = (ffn, d)
-        specs[f"{prefix}.fc2.b"] = (d,)
+    def linear(rows: int, cols: int) -> dict:
+        return {"w": (rows, cols), "b": (cols,)}
 
-    def stack(prefix: str, layers: int):
-        for i in range(layers):
-            norm(f"{prefix}.layer{i}.ln1")
-            attention(f"{prefix}.layer{i}.attn")
-            norm(f"{prefix}.layer{i}.ln2")
-            ffn_block(f"{prefix}.layer{i}.ffn")
-        norm(f"{prefix}.ln")
+    def nest(**parts: dict) -> dict:
+        return {f"{part}.{name}": shape for part, block in parts.items()
+                for name, shape in block.items()}
 
-    stack("encoder", config.encoder_layers)
-
-    specs["ctc_head.w"] = (d, v)
-    specs["ctc_head.b"] = (v,)
-
-    for i in range(config.decoder_layers):
-        norm(f"decoder.layer{i}.ln1")
-        attention(f"decoder.layer{i}.self")
-        if with_ne_memory:
-            attention(f"decoder.layer{i}.ne")
-            specs[f"decoder.layer{i}.nproj.w"] = (2 * d, d)
-            specs[f"decoder.layer{i}.nproj.b"] = (d,)
-        norm(f"decoder.layer{i}.ln2")
-        attention(f"decoder.layer{i}.cross")
-        norm(f"decoder.layer{i}.ln3")
-        ffn_block(f"decoder.layer{i}.ffn")
-    norm("decoder.ln")
-    specs["decoder.out.w"] = (d, v)
-    specs["decoder.out.b"] = (v,)
-
+    norm = {"g": (d,), "b": (d,)}
+    attention = nest(q=linear(d, d), k=linear(d, d), v=linear(d, d), o=linear(d, d))
+    ffn = nest(fc1=linear(d, f), fc2=linear(f, d))
+    layer = nest(ln1=norm, attn=attention, ln2=norm, ffn=ffn)
+    conv, in_ch, freq = {}, 1, config.feature_dim
+    for stage in range(1, _conv_stages(config) + 1):
+        conv[f"conv{stage}"] = {"w": (d, in_ch, 3, 3), "b": (d,)}
+        in_ch, freq = d, (freq + 1) // 2
+    side = {"ne": attention, "nproj": linear(2 * d, d)} if with_ne_memory else {}
+    blocks = [
+        ("embed", 1, {"table": (v, d)}),
+        ("encoder.sub", 1, nest(**conv, proj=linear(d * freq, d))),
+        ("encoder.layer{i}", config.encoder_layers, layer),
+        ("encoder.ln", 1, norm),
+        ("ctc_head", 1, linear(d, v)),
+        ("decoder.layer{i}", config.decoder_layers,
+         nest(ln1=norm, self=attention, **side, ln2=norm, cross=attention, ln3=norm, ffn=ffn)),
+        ("decoder.ln", 1, norm),
+        ("decoder.out", 1, linear(d, v)),
+    ]
     if with_ne_memory:
-        specs["ne.proj.w"] = (n * d, d)
-        specs["ne.proj.b"] = (d,)
-        stack("ne", config.ne_layers)
-    return specs
+        blocks += [("ne.proj", 1, linear(n * d, d)), ("ne.layer{i}", config.ne_layers, layer),
+                   ("ne.ln", 1, norm)]
+    return blocks
+
+
+def param_specs(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> dict[str, tuple]:
+    """Deterministic name -> shape map for every trainable tensor, in init order."""
+    return {f"{prefix.format(i=i)}.{name}": shape
+            for prefix, repeats, block in _layout(config, with_ne_memory, n)
+            for i in range(repeats) for name, shape in block.items()}
 
 
 def param_count(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> int:
-    """How many floats :func:`param_specs` declares, by arithmetic alone.
+    """How many floats :func:`param_specs` declares, summed block by block.
 
-    No shape is listed, so a size too large to build costs nothing here.
+    No name is listed, so a size too large to build costs nothing here.
     ``config`` may be any object with ``ModelConfig``'s size fields.
     """
-    d, f, v = config.d_model, config.ffn_dim, config.vocab_size
-    conv, in_ch, freq = 0, 1, config.feature_dim
-    for _ in range(1 if config.subsample_factor == 2 else 2):
-        conv += d * in_ch * 9 + d
-        in_ch, freq = d, (freq + 1) // 2
-    attention, norm, ffn = 4 * (d * d + d), 2 * d, 2 * d * f + f + d
-
-    def stack(layers: int) -> int:
-        return layers * (2 * norm + attention + ffn) + norm
-
-    decoder_layer = 3 * norm + 2 * attention + ffn
-    memory = 0
-    if with_ne_memory:
-        decoder_layer += attention + 2 * d * d + d
-        memory = n * d * d + d + stack(config.ne_layers)
-    # embedding, conv front end and projection, encoder, CTC head, decoder, output
-    return (v * d + conv + d * freq * d + d + stack(config.encoder_layers) + d * v + v
-            + config.decoder_layers * decoder_layer + norm + d * v + v + memory)
+    return sum(repeats * sum(math.prod(shape) for shape in block.values())
+               for _, repeats, block in _layout(config, with_ne_memory, n))
 
 
 class Model:
@@ -321,7 +290,7 @@ class Model:
         b, t_max, _ = features.shape
         x = Tensor(features.reshape(b, 1, t_max, features.shape[2]))
         cur = lengths.copy()
-        for stage in range(1, self.config.conv_stages + 1):
+        for stage in range(1, _conv_stages(self.config) + 1):
             x = tz.relu(
                 tz.conv2d(
                     x,

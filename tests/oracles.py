@@ -16,7 +16,7 @@ from ctcfuse import tensor as tz
 from ctcfuse.ctc import (NBestList, TokenSeq, _augment, _check_distribution, min_frames,
                          prefix_beam_nbest)
 from ctcfuse.data import _SYNTH_ALPHABET, SynthConfig, Utterance, Vocabulary, pad_id_rows
-from ctcfuse.model import EncoderOutput
+from ctcfuse.model import EncoderOutput, ModelConfig
 from ctcfuse.tensor import Tensor
 
 NEG_INF = -math.inf
@@ -584,3 +584,94 @@ def load_tensors_reference(path) -> dict[str, np.ndarray]:
         payload = take(math.prod(shape) * dtype.itemsize, f"payload of {name!r}")
         out[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
     return out
+
+
+def param_specs_reference(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> dict[str, tuple]:
+    """``model.param_specs`` as it was before the block table: every name and
+    shape listed one by one, in init order."""
+    d, ffn, v, heads = config.d_model, config.ffn_dim, config.vocab_size, config.num_heads
+    ch = d
+    specs: dict[str, tuple] = {"embed.table": (v, d)}
+
+    freq = config.feature_dim
+    in_ch = 1
+    for stage in range(1, (1 if config.subsample_factor == 2 else 2) + 1):
+        specs[f"encoder.sub.conv{stage}.w"] = (ch, in_ch, 3, 3)
+        specs[f"encoder.sub.conv{stage}.b"] = (ch,)
+        freq = (freq + 1) // 2
+        in_ch = ch
+    specs["encoder.sub.proj.w"] = (ch * freq, d)
+    specs["encoder.sub.proj.b"] = (d,)
+
+    def attention(prefix: str):
+        for name in ("q", "k", "v", "o"):
+            specs[f"{prefix}.{name}.w"] = (d, d)
+            specs[f"{prefix}.{name}.b"] = (d,)
+
+    def norm(prefix: str):
+        specs[f"{prefix}.g"] = (d,)
+        specs[f"{prefix}.b"] = (d,)
+
+    def ffn_block(prefix: str):
+        specs[f"{prefix}.fc1.w"] = (d, ffn)
+        specs[f"{prefix}.fc1.b"] = (ffn,)
+        specs[f"{prefix}.fc2.w"] = (ffn, d)
+        specs[f"{prefix}.fc2.b"] = (d,)
+
+    def stack(prefix: str, layers: int):
+        for i in range(layers):
+            norm(f"{prefix}.layer{i}.ln1")
+            attention(f"{prefix}.layer{i}.attn")
+            norm(f"{prefix}.layer{i}.ln2")
+            ffn_block(f"{prefix}.layer{i}.ffn")
+        norm(f"{prefix}.ln")
+
+    stack("encoder", config.encoder_layers)
+
+    specs["ctc_head.w"] = (d, v)
+    specs["ctc_head.b"] = (v,)
+
+    for i in range(config.decoder_layers):
+        norm(f"decoder.layer{i}.ln1")
+        attention(f"decoder.layer{i}.self")
+        if with_ne_memory:
+            attention(f"decoder.layer{i}.ne")
+            specs[f"decoder.layer{i}.nproj.w"] = (2 * d, d)
+            specs[f"decoder.layer{i}.nproj.b"] = (d,)
+        norm(f"decoder.layer{i}.ln2")
+        attention(f"decoder.layer{i}.cross")
+        norm(f"decoder.layer{i}.ln3")
+        ffn_block(f"decoder.layer{i}.ffn")
+    norm("decoder.ln")
+    specs["decoder.out.w"] = (d, v)
+    specs["decoder.out.b"] = (v,)
+
+    if with_ne_memory:
+        specs["ne.proj.w"] = (n * d, d)
+        specs["ne.proj.b"] = (d,)
+        stack("ne", config.ne_layers)
+    return specs
+
+
+def param_count_reference(config: ModelConfig, with_ne_memory: bool, n: int = 1) -> int:
+    """``model.param_count`` as it was before the block table: the floats
+    :func:`param_specs_reference` declares, by arithmetic alone."""
+    d, f, v = config.d_model, config.ffn_dim, config.vocab_size
+    conv, in_ch, freq = 0, 1, config.feature_dim
+    for _ in range(1 if config.subsample_factor == 2 else 2):
+        conv += d * in_ch * 9 + d
+        in_ch, freq = d, (freq + 1) // 2
+    attention, norm, ffn = 4 * (d * d + d), 2 * d, 2 * d * f + f + d
+
+    def stack(layers: int) -> int:
+        return layers * (2 * norm + attention + ffn) + norm
+
+    decoder_layer = 3 * norm + 2 * attention + ffn
+    memory = 0
+    if with_ne_memory:
+        decoder_layer += attention + 2 * d * d + d
+        memory = n * d * d + d + stack(config.ne_layers)
+    # embedding, conv front end and projection, encoder, CTC head, decoder, output
+    return (v * d + conv + d * freq * d + d + stack(config.encoder_layers) + d * v + v
+            + config.decoder_layers * decoder_layer + norm + d * v + v + memory)
+

@@ -362,6 +362,24 @@ class TestTrain:
         assert msg.startswith(f"{section}.{key} = {value}: the model would hold ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_a_synthetic_corpus_too_large_is_refused_naming_count(self, base_config, tmp_path,
+                                                                  capsys, command):
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--out", str(out), "--count", str(10**9)]
+        else:
+            payload = json.loads(base_config.read_text())
+            payload["data"] = {"synth": {"count": 10**9, "feature_dim": 4}}
+            config = tmp_path / "huge.json"
+            config.write_text(json.dumps(payload))
+            argv = ["train", "--config", str(config), "--out", str(out), "--quiet"]
+        start = time.perf_counter()
+        assert run_cli(*argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert one_data_error(capsys.readouterr().err).startswith(f"count = {10**9}: ")
+        assert not out.exists()
+
     def test_memory_error_without_message_prints_fixed_text(self, capsys, monkeypatch):
         from ctcfuse import cli
 

@@ -26,7 +26,8 @@ from ctcfuse.model import (
 from ctcfuse.tensor import Tensor
 from ctcfuse.training import TrainConfig, build_decoder_input
 
-from oracles import fused_embedding_reference, mha_reference
+from oracles import (fused_embedding_reference, mha_reference, param_count_reference,
+                     param_specs_reference)
 from toy import toy_config
 
 PAD = 3  # eos id in the reserved layout
@@ -534,7 +535,12 @@ class TestCountParams:
                               subsample_factor=factor, feature_dim=feat)
             for method, n in [(METHOD_BASELINE, 1), (METHOD_NBEST, 1), (METHOD_NBEST, 3)]:
                 fusion = FusionConfig(method=method, n=n, beam_width=n)
-                assert param_count(cfg, method == METHOD_NBEST, n) == count_params(cfg, fusion)
+                memory = method == METHOD_NBEST
+                # the order of the items is the order of the init draws
+                assert (list(param_specs(cfg, memory, n).items())
+                        == list(param_specs_reference(cfg, memory, n).items()))
+                count = param_count(cfg, memory, n)
+                assert count == count_params(cfg, fusion) == param_count_reference(cfg, memory, n)
 
     def test_specs_cover_all_prefixes(self):
         specs = param_specs(toy_config(vocab_size=9), True, 2)
