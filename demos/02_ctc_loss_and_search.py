@@ -19,7 +19,7 @@ BLANK = 0
 
 def one_utterance_loss(log_probs, target):
     """Loss and gradient of one utterance: the training loss on a batch of one."""
-    _, res = ctc_loss_op(Tensor(log_probs[None]), [len(log_probs)], [target], [True], BLANK)
+    _, res = ctc_loss_op(Tensor(log_probs[None]), [len(log_probs)], [target], BLANK)
     return res.losses[0], res.grad[0]
 
 

@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Failures print one machine-parsable line to stderr:
 ``error kind=<usage|data|numeric> msg="..."``, the message JSON-encoded.
 
-Environment overrides: ``CTCFUSE_OUTDIR`` replaces the output directory,
-``CTCFUSE_THREADS`` sizes the numeric thread pools, 1 when unset (pinned
-by ``import ctcfuse``, before numpy loads; a pool variable already set wins).
+Environment: ``CTCFUSE_THREADS`` sizes the numeric thread pools, 1 when
+unset (pinned by ``import ctcfuse``, before numpy loads; a pool variable
+already set wins).
 
 The decode and synth flags are the fields of ``DecodeConfig`` and
 ``SynthConfig``; their defaults are ``DecodeConfig()`` and
@@ -42,10 +42,6 @@ from ctcfuse.training import (METRICS_FILE, EpochMetrics, NumericError, TrainCon
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); map to our code 1
         raise UsageError(message)
-
-
-def _outdir(args) -> str | None:
-    return os.environ.get("CTCFUSE_OUTDIR") or getattr(args, "out", None)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +202,7 @@ def _run_meta(cfg: TrainConfig, input_hash: str, vocab) -> dict:
 def cmd_train(args) -> int:
     payload = _load_json(args.config)
     vocab, corpus, input_hash, [(cfg, resolved)] = resolve_run_config(payload, args.seed)
-    result = train(corpus, vocab, cfg, out_dir=_outdir(args), log=None if args.quiet else print,
+    result = train(corpus, vocab, cfg, out_dir=args.out, log=None if args.quiet else print,
                    resolved_config=resolved, run_meta=_run_meta(cfg, input_hash, vocab))
     final = result.history[-1]
     print(f"done epochs={final.epoch} joint={final.joint_loss:.4f} train_cer={final.train_cer:.4f}")
@@ -309,11 +305,8 @@ def cmd_align(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out_dir = _outdir(args)
-    if not out_dir:
-        raise UsageError("synth needs --out (or CTCFUSE_OUTDIR)")
     vocab, corpus = synth_corpus(SynthConfig(**_field_values(SynthConfig, args)))
-    manifest = save_corpus(out_dir, corpus, vocab)
+    manifest = save_corpus(args.out, corpus, vocab)
     print(f"wrote {len(corpus)} utterances to {manifest}")
     return 0
 
@@ -334,9 +327,40 @@ def cmd_stats(args) -> int:
     return 0
 
 
-_SWEEP_KEYS = ("method", "t_l", "t_r", "alpha", "n", "pretrain")
-# the type each numeric grid key's values are read as; the other keys take strings
-_GRID_NUMBERS = {"t_l": int, "t_r": float, "alpha": float, "n": int}
+def _beam_width(fusion: dict, n: int) -> int:
+    """A grid point's beam width: the base config's, else the default widened to ``n``."""
+    return fusion.get("beam_width", max(n, FusionConfig.beam_width))
+
+
+def _pretrain_path(train: dict, selection: str | None) -> str | None:
+    """A grid point's donor: the base config's for a selection, none for ``pretrain=none``."""
+    if selection is None:
+        return None
+    if not train.get("pretrain_path"):
+        raise UsageError("grid over pretrain needs train.pretrain_path in the base config")
+    return train["pretrain_path"]
+
+
+# grid key -> (config section, field, the settings its value implies); an implied
+# setting that is callable computes it from the section and the value
+_GRID_KEYS = {
+    "method": ("fusion", "method", {}),
+    "t_l": ("gating", "t_l", {"mode": "absolute"}),
+    "t_r": ("gating", "t_r", {"mode": "relative"}),
+    "alpha": ("fusion", "alpha", {}),
+    "n": ("fusion", "n", {"beam_width": _beam_width}),
+    "pretrain": ("train", "pretrain_selection", {"pretrain_path": _pretrain_path}),
+}
+_GRID_SECTIONS = {"fusion": FusionConfig, "gating": GatingConfig, "train": TrainConfig}
+
+
+def _read_grid_value(key: str, raw: str):
+    """``raw`` read as the type of the field ``key`` sets; a non-number raises ``ValueError``."""
+    section, name, _ = _GRID_KEYS[key]
+    hint = typing.get_type_hints(_GRID_SECTIONS[section])[name]
+    if isinstance(hint, type):
+        return hint(raw)
+    return None if raw == "none" else raw  # an optional string, such as pretrain=none
 
 
 def _parse_grid(items: list[str]) -> dict[str, list[str]]:
@@ -346,13 +370,13 @@ def _parse_grid(items: list[str]) -> dict[str, list[str]]:
         if "=" not in item:
             raise UsageError(f"grid item {item!r} must look like key=v1,v2")
         key, _, values = item.partition("=")
-        if key not in _SWEEP_KEYS:
-            raise UsageError(f"unknown grid key {key!r}; allowed: {', '.join(_SWEEP_KEYS)}")
+        if key not in _GRID_KEYS:
+            raise UsageError(f"unknown grid key {key!r}; allowed: {', '.join(_GRID_KEYS)}")
         if key in grid:
             raise UsageError(f"grid key {key!r} given twice")
         grid[key] = values.split(",")
         try:
-            read = [_GRID_NUMBERS.get(key, str)(value) for value in grid[key]]
+            read = [_read_grid_value(key, value) for value in grid[key]]
         except ValueError as err:
             raise UsageError(f"grid key {key!r}: {err}") from None
         if len(set(read)) < len(read):
@@ -365,52 +389,30 @@ def _parse_grid(items: list[str]) -> dict[str, list[str]]:
 def _apply_grid_point(payload: dict, point: dict[str, str]) -> dict:
     """A deep copy of ``payload`` holding one grid point; a non-number raises ``ValueError``."""
     out = json.loads(json.dumps(payload))  # deep copy
-    for key in ("fusion", "gating", "train"):
+    for key in _GRID_SECTIONS:
         out[key] = _section(out, key, key)
     for key, raw in point.items():
-        value = _GRID_NUMBERS.get(key, str)(raw)
-        if key == "method":
-            out["fusion"]["method"] = value
-        elif key == "alpha":
-            out["fusion"]["alpha"] = value
-        elif key == "n":
-            out["fusion"]["n"] = value
-            out["fusion"].setdefault("beam_width", max(value, FusionConfig.beam_width))
-        elif key == "t_l":
-            out["gating"]["mode"] = "absolute"
-            out["gating"]["t_l"] = value
-        elif key == "t_r":
-            out["gating"]["mode"] = "relative"
-            out["gating"]["t_r"] = value
-        elif key == "pretrain":
-            if raw == "none":
-                out["train"]["pretrain_path"] = None
-                out["train"]["pretrain_selection"] = None
-            else:
-                if not out["train"].get("pretrain_path"):
-                    raise UsageError(
-                        "grid over pretrain needs train.pretrain_path in the base config"
-                    )
-                out["train"]["pretrain_selection"] = raw
+        section, name, implied = _GRID_KEYS[key]
+        value = _read_grid_value(key, raw)
+        for field, setting in implied.items():
+            out[section][field] = setting(out[section], value) if callable(setting) else setting
+        out[section][name] = value
     return out
 
 
 def cmd_sweep(args) -> int:
     payload = _load_json(args.config)
     grid = _parse_grid(args.grid)
-    out_dir = _outdir(args)
-    if not out_dir:
-        raise UsageError("sweep needs --out (or CTCFUSE_OUTDIR)")
     keys = sorted(grid)
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
     # every grid point is checked before the first run starts or --out is made
     vocab, corpus, input_hash, runs = resolve_run_config(payload, args.seed, points)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
 
     rows = []
     for point, (cfg, resolved) in zip(points, runs):
         name = "run_" + "_".join(f"{k}={v}" for k, v in sorted(point.items()))
-        result = train(corpus, vocab, cfg, out_dir=os.path.join(out_dir, name),
+        result = train(corpus, vocab, cfg, out_dir=os.path.join(args.out, name),
                        resolved_config=resolved, run_meta=_run_meta(cfg, input_hash, vocab))
         final = result.history[-1]  # always measured
         rows.append({"run": name, **point, "epochs": final.epoch,
@@ -420,12 +422,12 @@ def cmd_sweep(args) -> int:
             print(f"{name}: joint={final.joint_loss:.4f} cer={final.train_cer}")
 
     header = ["run", *keys, "epochs", "joint_loss", "train_cer"]
-    table_path = os.path.join(out_dir, "comparison.tsv")
+    table_path = os.path.join(args.out, "comparison.tsv")
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(str(row.get(col, "")) for col in header) + "\n")
-    print(f"wrote {len(rows)} runs to {out_dir} (table: {table_path})")
+    print(f"wrote {len(rows)} runs to {args.out} (table: {table_path})")
     return 0
 
 
@@ -472,7 +474,7 @@ def cmd_report(args) -> int:
         )
     print("\n".join(lines))
 
-    out_dir = _outdir(args) or os.path.dirname(metrics_path) or "."
+    out_dir = args.out or os.path.dirname(metrics_path) or "."
     os.makedirs(out_dir, exist_ok=True)
     loss_csv = os.path.join(out_dir, "loss.csv")
     with open(loss_csv, "w", encoding="utf-8") as fh:
@@ -550,7 +552,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=cmd_align)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--out", default=None, required=False)
+    p.add_argument("--out", required=True, help="corpus directory")
     _add_field_flags(p, desk_synth_config())
     p.set_defaults(handler=cmd_synth)
 
@@ -562,7 +564,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="grid of training runs plus a comparison table")
     p.add_argument("--config", required=True)
     p.add_argument("--grid", nargs="+", action="extend", required=True, metavar="key=v1,v2")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", required=True, help="sweep directory")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(handler=cmd_sweep)

@@ -93,9 +93,9 @@ class CtcBatchLoss:
     """Per-row CTC losses of a padded batch, with the gradient of each row's own loss.
 
     ``losses[i]`` is +inf where no frame path can collapse to row ``i``'s
-    target. ``grad[i]`` is the gradient of ``losses[i]`` w.r.t. the
-    log-probabilities for the rows ``used`` marks, zero past the row's
-    frames, and all zero for every other row.
+    target, and ``used`` marks the other rows. ``grad[i]`` is the gradient
+    of ``losses[i]`` w.r.t. the log-probabilities for the used rows, zero
+    past the row's frames, and all zero for every other row.
     """
 
     losses: np.ndarray  # [B]
@@ -114,12 +114,6 @@ def collapse(path, blank: int) -> TokenSeq:
     return tuple(t for t in out if t != blank)
 
 
-def min_frames(target) -> int:
-    """Fewest frames that can emit ``target``: length plus forced separators."""
-    reps = sum(1 for a, b in zip(target, target[1:]) if a == b)
-    return len(target) + reps
-
-
 def _augment(target, blank: int) -> np.ndarray:
     aug = np.empty(2 * len(target) + 1, dtype=np.int64)
     aug[::2] = blank
@@ -128,26 +122,26 @@ def _augment(target, blank: int) -> np.ndarray:
 
 
 def ctc_loss_op(
-    posterior_tensor: Tensor, lengths, targets, use, blank_id: int
+    posterior_tensor: Tensor, lengths, targets, blank_id: int
 ) -> tuple[Tensor, CtcBatchLoss]:
-    """Mean CTC loss over the rows ``use`` selects, as one autodiff op over a padded batch.
+    """Mean CTC loss over the rows some frame path reaches, as one autodiff op over a padded batch.
 
     ``posterior_tensor`` holds [B, T, V] log-probabilities; row ``i`` has
     ``lengths[i]`` real frames and the target ``targets[i]``. One log-domain
     lattice over the blank-augmented targets, padded to [B, T, S], runs one
     loop over T forward and one backward, and the gradient is one scatter
     over S; every real frame's row must be a distribution, and no target may
-    hold the blank. The mean sums the used rows' losses in row order. A used
-    row whose target no frame path reaches is a contract violation (the
-    training loop screens such utterances out); rows left out contribute an
-    all-zero gradient.
+    hold the blank. The lattice decides reachability: a row whose end it
+    cannot reach (``losses[i]`` is +inf; with finite log-probabilities, a
+    target of U tokens with r adjacent repeats in fewer than U + r frames)
+    is left out of the mean and gets an all-zero gradient, and ``used``
+    marks the others. The mean sums the used rows' losses in row order.
     """
     lp = posterior_tensor.data
     lengths = _check_batch(lp, lengths, blank_id)
     b, t_max, _ = lp.shape
-    use = np.asarray(use, dtype=bool)
-    if use.shape != (b,) or len(targets) != b:
-        raise ValueError("targets and use must each give one entry per row")
+    if len(targets) != b:
+        raise ValueError("targets must give one entry per row")
     targets = [tuple(int(t) for t in y) for y in targets]
     if any(blank_id in y for y in targets):
         raise ValueError("CTC target must not contain the blank token")
@@ -181,10 +175,8 @@ def ctc_loss_op(
     log_p = np.where(
         s_len == 1, end, np.logaddexp(end, alpha[rows, last, np.maximum(s_len - 2, 0)])
     )
-    if np.any(use & (log_p == NEG_INF)):
-        raise ValueError("ctc_loss_op called with an unreachable target")
-
-    kept = np.flatnonzero(use)
+    used = log_p != NEG_INF
+    kept = np.flatnonzero(used)
     grad = np.zeros_like(lp)
     if kept.size:
         em, t_end, s_end = emit[kept], last[kept], s_len[kept]
@@ -215,7 +207,7 @@ def ctc_loss_op(
             -gamma,
         )
 
-    result = CtcBatchLoss(losses=-log_p, grad=grad, used=use)
+    result = CtcBatchLoss(losses=-log_p, grad=grad, used=used)
     if not kept.size:
         return Tensor(np.asarray(0.0)), result
     total = float(result.losses[kept[0]])

@@ -304,6 +304,11 @@ _SYNTH_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 # max_frames_per_token x feature_dim) is a data error, refused before any is
 # generated (the desk corpus can hold 115,200)
 MAX_SYNTH_FLOATS = 10**8
+# utterances: each costs Python objects far larger than its floats (a
+# one-frame utterance took about 35 us and 0.35 KB on a 2-CPU Xeon), so a
+# corpus of more is a data error too (the desk corpus has 200, the
+# benchmark pool 1,200)
+MAX_SYNTH_UTTERANCES = 10**6
 
 
 @dataclass(frozen=True)
@@ -342,6 +347,8 @@ class SynthConfig:
             raise DataError("noise must be a finite number >= 0")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
+        if self.count > MAX_SYNTH_UTTERANCES:
+            raise DataError(f"count = {self.count}: more than {MAX_SYNTH_UTTERANCES:,} utterances")
         floats = self.count * self.max_len * self.max_frames_per_token * self.feature_dim
         if floats > MAX_SYNTH_FLOATS:
             raise DataError(f"count = {self.count}: the corpus could hold {floats:,} feature "

@@ -22,7 +22,7 @@ import numpy as np
 
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, gate
-from ctcfuse.ctc import NBestLists, ctc_loss_op, greedy_1best, min_frames, prefix_beam_nbest
+from ctcfuse.ctc import NBestLists, ctc_loss_op, greedy_1best, prefix_beam_nbest
 from ctcfuse.data import (Batch, DataError, Utterance, Vocabulary, build_config, json_fits,
                           make_batches, pad_id_rows)
 from ctcfuse.decode import DecodeConfig, decode_utterance, evaluate
@@ -240,7 +240,6 @@ class DecoderInputs:
     loss_mask: np.ndarray  # [B, L] float64
     pathway_counts: dict[str, int]
     blanks_inserted: int
-    ctc_reachable: list[bool]
     ne_memory: Tensor | None
 
 
@@ -277,21 +276,21 @@ def build_decoder_input(
     cfg: TrainConfig,
     vocab: Vocabulary,
     hyps: list,
-    enc_lengths: np.ndarray,
+    reachable: np.ndarray,
 ) -> DecoderInputs:
     """Assemble per-utterance decoder inputs, targets, and loss masks.
 
     Pathways: equal lengths fuse reference and hypothesis embeddings;
     close lengths feed the hypothesis (aligned first for the aligned
     method); distant lengths fall back to plain teacher forcing.
-    Utterances whose target cannot be reached by any CTC path are forced
-    to plain teacher forcing and excluded from the CTC term upstream.
+    ``reachable`` is the CTC loss's ``used`` mask: an utterance whose
+    target no CTC path reaches gets plain teacher forcing, as it gets no
+    CTC term.
     """
     method = cfg.fusion.method
     sos, eos, blank = vocab.sos_id, vocab.eos_id, vocab.blank_id
     counts = {d.value: 0 for d in PathwayDecision}
     blanks_total = 0
-    reachable: list[bool] = []
     y_rows: list[list[int]] = []
     w_rows: list[list[int]] = []
     tgt_rows: list[list[int]] = []
@@ -300,8 +299,6 @@ def build_decoder_input(
 
     for i, y in enumerate(batch.transcripts):
         y = list(y)
-        can_reach = int(enc_lengths[i]) >= min_frames(y)
-        reachable.append(can_reach)
         y_in, w_in, tgt = [sos] + y, [sos] + y, y + [eos]
         decision = PathwayDecision.GROUND_TRUTH_ONLY
 
@@ -314,7 +311,7 @@ def build_decoder_input(
                 pair = aef_align(tuple(y), tuple(w), blank)
                 blanks_total += pair.blanks_inserted
             decision = gate(len(w), len(y), cfg.gating)
-            if not can_reach:
+            if not reachable[i]:
                 decision = PathwayDecision.GROUND_TRUTH_ONLY
             if decision is not PathwayDecision.GROUND_TRUTH_ONLY:
                 if pair is not None:
@@ -355,7 +352,6 @@ def build_decoder_input(
         loss_mask=mask,
         pathway_counts=counts,
         blanks_inserted=blanks_total,
-        ctc_reachable=reachable,
         ne_memory=ne_memory,
     )
 
@@ -392,11 +388,8 @@ def run_training_step(
     enc = model.encode(batch.features, batch.feat_lengths)
     posterior = model.ctc_head(enc)
     hyps = compute_ctc_hypotheses(posterior.data, enc.lengths, cfg.fusion, vocab.blank_id)
-    dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc.lengths)
-
-    ctc_mean, ctc = ctc_loss_op(
-        posterior, enc.lengths, batch.transcripts, dec.ctc_reachable, vocab.blank_id
-    )
+    ctc_mean, ctc = ctc_loss_op(posterior, enc.lengths, batch.transcripts, vocab.blank_id)
+    dec = build_decoder_input(batch, model, cfg, vocab, hyps, ctc.used)
     logits = model.decoder_forward(dec.input_emb, enc, dec.ne_memory)
     att = smoothed_cross_entropy(logits, dec.targets, dec.loss_mask, cfg.label_smoothing)
     total = joint_loss(ctc_mean, att, cfg.ctc_weight)

@@ -13,8 +13,7 @@ from itertools import product
 import numpy as np
 
 from ctcfuse import tensor as tz
-from ctcfuse.ctc import (NBestList, TokenSeq, _augment, _check_distribution, min_frames,
-                         prefix_beam_nbest)
+from ctcfuse.ctc import NBestList, TokenSeq, _augment, _check_distribution, prefix_beam_nbest
 from ctcfuse.data import _SYNTH_ALPHABET, SynthConfig, Utterance, Vocabulary, pad_id_rows
 from ctcfuse.model import EncoderOutput, ModelConfig
 from ctcfuse.tensor import Tensor
@@ -66,6 +65,16 @@ def exhaustive_ctc_loss(log_probs: np.ndarray, target, blank: int) -> float:
     totals = exhaustive_ctc_scores(log_probs, blank)
     p = totals.get(tuple(target), 0.0)
     return float("inf") if p == 0.0 else -float(np.log(p))
+
+
+def min_frames(target) -> int:
+    """Fewest frames that can emit ``target``: length plus forced separators.
+
+    A target of U tokens with r adjacent repeats needs U + r frames
+    (Graves et al., 2006); ``ctc_loss_op`` lets its lattice decide instead.
+    """
+    reps = sum(1 for a, b in zip(target, target[1:]) if a == b)
+    return len(target) + reps
 
 
 @dataclass

@@ -15,7 +15,7 @@ import pytest
 
 from ctcfuse import tensor as tz
 from ctcfuse.alignment import GatingConfig, PathwayDecision, aef_align, gate
-from ctcfuse.ctc import ctc_loss_op, min_frames, prefix_beam_nbest
+from ctcfuse.ctc import ctc_loss_op, prefix_beam_nbest
 from ctcfuse.data import desk_synth_config, synth_corpus
 from ctcfuse.model import (
     METHOD_ALIGNED,
@@ -45,14 +45,10 @@ BLANK = 0
 
 
 def ctc_rows(lp: np.ndarray, targets):
-    """``ctc_loss_op`` over one [T, V] posterior repeated once per target.
-
-    As in training, a row is used only when it has enough frames for its target.
-    """
+    """``ctc_loss_op`` over one [T, V] posterior repeated once per target."""
     t_frames = lp.shape[0]
-    use = [t_frames >= min_frames(target) for target in targets]
     batch = Tensor(np.repeat(lp[None], len(targets), axis=0))
-    return ctc_loss_op(batch, [t_frames] * len(targets), targets, use, BLANK)[1]
+    return ctc_loss_op(batch, [t_frames] * len(targets), targets, BLANK)[1]
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -257,11 +253,9 @@ def gradient_reports():
             model.zero_grad()
             enc = model.encode(batch.features, batch.feat_lengths)
             post = model.ctc_head(enc)
-            dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc.lengths)
-            assert all(dec.ctc_reachable), "toy instances must keep CTC reachable"
-            ctc_mean, _ = ctc_loss_op(
-                post, enc.lengths, batch.transcripts, dec.ctc_reachable, BLANK
-            )
+            ctc_mean, ctc = ctc_loss_op(post, enc.lengths, batch.transcripts, BLANK)
+            assert ctc.used.all(), "toy instances must keep CTC reachable"
+            dec = build_decoder_input(batch, model, cfg, vocab, hyps, ctc.used)
             logits = model.decoder_forward(dec.input_emb, enc, dec.ne_memory)
             att = smoothed_cross_entropy(logits, dec.targets, dec.loss_mask, 0.1)
             return joint_loss(ctc_mean, att, 0.3)
@@ -380,12 +374,10 @@ def test_criterion_6_fusion_degeneracy(desk):
                 hyps = [tuple(4 for _ in y) for y in batch.transcripts]
             else:
                 hyps = [None] * batch.size
-            dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc.lengths)
+            ctc_mean, ctc = ctc_loss_op(post, enc.lengths, batch.transcripts, vocab.blank_id)
+            dec = build_decoder_input(batch, model, cfg, vocab, hyps, ctc.used)
             if cfg.fusion.method == METHOD_FUSION:
                 assert dec.pathway_counts["fuse"] == batch.size
-            ctc_mean, _ = ctc_loss_op(
-                post, enc.lengths, batch.transcripts, dec.ctc_reachable, vocab.blank_id
-            )
             logits = model.decoder_forward(dec.input_emb, enc, dec.ne_memory)
             att = smoothed_cross_entropy(logits, dec.targets, dec.loss_mask, 0.1)
             losses.append(joint_loss(ctc_mean, att, 0.3).item())

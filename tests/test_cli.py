@@ -15,7 +15,8 @@ import pytest
 
 import ctcfuse
 from ctcfuse.cli import _apply_grid_point, main
-from ctcfuse.data import SynthConfig, build_vocab, load_vocab_file, synth_corpus, write_features
+from ctcfuse.data import (SynthConfig, UsageError, build_vocab, load_vocab_file, synth_corpus,
+                          write_features)
 from ctcfuse.model import FusionConfig, Model, ModelConfig
 from ctcfuse.tensor import load_tensors, save_tensors
 from ctcfuse.training import Adam, TrainConfig, save_checkpoint
@@ -137,6 +138,18 @@ class TestSynthAndStats:
         assert run_cli("stats") == 1
         assert "kind=usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "sweep"])
+    def test_missing_out_is_usage_error(self, base_config, tmp_path, monkeypatch, capsys,
+                                        command):
+        argv = [command]
+        if command == "sweep":
+            argv += ["--config", str(base_config), "--grid", "method=baseline"]
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        assert run_cli(*argv) == 1
+        assert "--out" in one_error(capsys.readouterr().err, "usage")
+        assert sorted(os.listdir(tmp_path)) == before
+
 
 POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "CTCFUSE_THREADS")
 
@@ -189,7 +202,7 @@ class TestFlagDefaults:
         from ctcfuse import cli
         from ctcfuse.data import SynthConfig, desk_synth_config
 
-        args = cli._build_parser().parse_args(["synth"])
+        args = cli._build_parser().parse_args(["synth", "--out", "corpus"])  # parsed, not run
         assert SynthConfig(**cli._field_values(SynthConfig, args)) == desk_synth_config()
 
 
@@ -362,22 +375,30 @@ class TestTrain:
         assert msg.startswith(f"{section}.{key} = {value}: the model would hold ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["synth", "train"])
+    # a corpus of 10**9 default utterances holds too many feature values, and
+    # one of 10**8 one-float utterances too many utterances
+    @pytest.mark.parametrize("command, count", [("synth", 10**9), ("train", 10**9),
+                                                ("synth-tiny", 10**8)],
+                             ids=["synth", "train", "synth-tiny"])
     def test_a_synthetic_corpus_too_large_is_refused_naming_count(self, base_config, tmp_path,
-                                                                  capsys, command):
+                                                                  capsys, command, count):
         out = tmp_path / "out"
         if command == "synth":
-            argv = ["synth", "--out", str(out), "--count", str(10**9)]
+            argv = ["synth", "--out", str(out), "--count", str(count)]
+        elif command == "synth-tiny":
+            argv = ["synth", "--out", str(out), "--count", str(count), "--min-len", "1",
+                    "--max-len", "1", "--min-frames", "1", "--max-frames", "1",
+                    "--feature-dim", "1"]
         else:
             payload = json.loads(base_config.read_text())
-            payload["data"] = {"synth": {"count": 10**9, "feature_dim": 4}}
+            payload["data"] = {"synth": {"count": count, "feature_dim": 4}}
             config = tmp_path / "huge.json"
             config.write_text(json.dumps(payload))
             argv = ["train", "--config", str(config), "--out", str(out), "--quiet"]
         start = time.perf_counter()
         assert run_cli(*argv) == 2
         assert time.perf_counter() - start < 1.0
-        assert one_data_error(capsys.readouterr().err).startswith(f"count = {10**9}: ")
+        assert one_data_error(capsys.readouterr().err).startswith(f"count = {count}: ")
         assert not out.exists()
 
     def test_memory_error_without_message_prints_fixed_text(self, capsys, monkeypatch):
@@ -1009,6 +1030,31 @@ class TestSweepReport:
         assert code == 0
         assert len([d for d in os.listdir(out) if d.startswith("run_")]) == 4
         assert len((out / "comparison.tsv").read_text().splitlines()) == 5  # header + 4 rows
+
+    @pytest.mark.parametrize("key, raw, section, expected", [
+        ("method", "embed_fusion", "fusion", {"method": "embed_fusion"}),
+        ("alpha", "0.5", "fusion", {"alpha": 0.5}),
+        ("n", "9", "fusion", {"n": 9, "beam_width": 9}),
+        ("n", "2", "fusion", {"n": 2, "beam_width": FusionConfig.beam_width}),
+        ("t_l", "3", "gating", {"mode": "absolute", "t_l": 3}),
+        ("t_r", "0.25", "gating", {"mode": "relative", "t_r": 0.25}),
+        ("pretrain", "none", "train", {"pretrain_path": None, "pretrain_selection": None}),
+    ])
+    def test_grid_point_sets_its_field_and_implied_settings(self, key, raw, section, expected):
+        payload = {"gating": {"mode": "relative" if key == "t_l" else "absolute"},
+                   "train": {"pretrain_path": "donor.ckpt", "pretrain_selection": "encoder"}}
+        run = _apply_grid_point(payload, {key: raw})
+        assert {k: run[section][k] for k in expected} == expected
+        assert all(type(run[section][k]) is type(v) for k, v in expected.items())
+
+    def test_grid_point_keeps_base_beam_width_and_donor(self):
+        payload = {"fusion": {"beam_width": 3}, "train": {"pretrain_path": "donor.ckpt"}}
+        run = _apply_grid_point(payload, {"n": "2", "pretrain": "encoder_decoder"})
+        assert run["fusion"] == {"beam_width": 3, "n": 2}
+        assert run["train"] == {"pretrain_path": "donor.ckpt",
+                                "pretrain_selection": "encoder_decoder"}
+        with pytest.raises(UsageError, match="needs train.pretrain_path"):
+            _apply_grid_point({}, {"pretrain": "encoder"})
 
     def test_sweep_rejects_unknown_key(self, base_config, tmp_path, capsys):
         assert (

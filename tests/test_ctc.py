@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctcfuse import ctc
 from ctcfuse.ctc import collapse, greedy_1best, prefix_beam_nbest
@@ -14,6 +16,7 @@ from oracles import (
     ctc_loss_reference,
     exhaustive_ctc_loss,
     exhaustive_ctc_scores,
+    min_frames,
     prefix_beam_reference,
     random_posterior,
 )
@@ -40,12 +43,8 @@ def search_one(lp: np.ndarray, beam_width: int, n: int, blank: int = BLANK):
 
 
 def op_loss(lp: np.ndarray, target) -> tuple[float, np.ndarray]:
-    """Loss and [T, V] gradient of ``ctc_loss_op`` on a batch of one.
-
-    As in training, the row is used only when it has enough frames for its target.
-    """
-    use = lp.shape[0] >= ctc.min_frames(target)
-    _, res = ctc.ctc_loss_op(Tensor(lp[None]), [lp.shape[0]], [target], [use], BLANK)
+    """Loss and [T, V] gradient of ``ctc_loss_op`` on a batch of one."""
+    _, res = ctc.ctc_loss_op(Tensor(lp[None]), [lp.shape[0]], [target], BLANK)
     return float(res.losses[0]), res.grad[0]
 
 
@@ -139,16 +138,18 @@ class TestCtcLoss:
     def test_autodiff_wrapper_backpropagates(self):
         rng = np.random.default_rng(8)
         lp = Tensor(random_posterior(rng, 4, 3)[None], requires_grad=True)
-        loss, res = ctc.ctc_loss_op(lp, [4], [(1,)], [True], BLANK)
+        loss, res = ctc.ctc_loss_op(lp, [4], [(1,)], BLANK)
         (loss * 2.0).backward()
         np.testing.assert_allclose(lp.grad, 2.0 * res.grad, rtol=1e-12)
 
-    def test_autodiff_wrapper_rejects_unreachable(self):
-        # the second row's target needs three frames
+    def test_autodiff_wrapper_excludes_unreachable(self):
+        # the second row's target needs three frames: the mean is the first row's loss
         lp = Tensor(np.stack([uniform_posterior(2, 2).log_probs] * 2), requires_grad=True)
-        with pytest.raises(ValueError, match="unreachable"):
-            ctc.ctc_loss_op(lp, [2, 2], [(1,), (1, 1)], [True, True], BLANK)
-        ctc.ctc_loss_op(lp, [2, 2], [(1,), (1, 1)], [True, False], BLANK)
+        loss, res = ctc.ctc_loss_op(lp, [2, 2], [(1,), (1, 1)], BLANK)
+        assert res.used.tolist() == [True, False] and res.losses[1] == math.inf
+        assert loss.item() == res.losses[0]
+        loss.backward()
+        assert np.array_equal(lp.grad, res.grad) and np.all(lp.grad[1] == 0.0)
 
 
 
@@ -160,36 +161,34 @@ def padded_batch(rng, lengths, vocab, t_max=None):
 
 class TestBatchedLoss:
     # mixed frame counts and target lengths, repeated tokens, a one-frame
-    # utterance, an empty target, an unreachable row and a reachable row
-    # that ``use`` leaves out
+    # utterance, an empty target and an unreachable row
     LENGTHS = [6, 1, 9, 4, 7, 3, 8, 5]
     TARGETS = [(1, 2, 1), (2,), (3, 3, 1, 1), (), (1, 1, 1), (2, 2, 2), (3, 1, 2, 3), (1, 3)]
-    USE = [True, True, True, True, True, False, True, False]
+    USED = [True, True, True, True, True, False, True, True]
 
     def test_rows_match_per_utterance_loss(self):
         rng = np.random.default_rng(11)
         lp, lengths = padded_batch(rng, self.LENGTHS, 4)
-        _, res = ctc.ctc_loss_op(Tensor(lp), lengths, self.TARGETS, self.USE, BLANK)
+        _, res = ctc.ctc_loss_op(Tensor(lp), lengths, self.TARGETS, BLANK)
         for i, (t_i, target) in enumerate(zip(lengths, self.TARGETS)):
             ref = ctc_loss_reference(CtcPosterior(lp[i, :t_i], BLANK), target)
+            assert res.used[i] == ref.reachable
             if not ref.reachable:
                 assert res.losses[i] == math.inf
+                assert np.all(res.grad[i] == 0.0)
             else:
                 np.testing.assert_allclose(res.losses[i], ref.loss, rtol=1e-12)
-            if self.USE[i]:
                 np.testing.assert_allclose(res.grad[i, :t_i], ref.grad, rtol=1e-12, atol=1e-300)
                 assert np.all(res.grad[i, t_i:] == 0.0)
-            else:
-                assert np.all(res.grad[i] == 0.0)
         # row 5 ((2, 2, 2) in 3 frames) is the unreachable one
-        assert res.losses[5] == math.inf and math.isfinite(res.losses[7])
+        assert res.used.tolist() == self.USED and res.losses[5] == math.inf
 
     def test_mean_sums_used_rows_in_order(self):
         rng = np.random.default_rng(12)
         lp, lengths = padded_batch(rng, self.LENGTHS, 4)
         post = Tensor(lp, requires_grad=True)
-        loss, res = ctc.ctc_loss_op(post, lengths, self.TARGETS, self.USE, BLANK)
-        used = [i for i, ok in enumerate(self.USE) if ok]
+        loss, res = ctc.ctc_loss_op(post, lengths, self.TARGETS, BLANK)
+        used = [i for i, ok in enumerate(self.USED) if ok]
         total = 0.0
         for i in used:
             total += ctc_loss_reference(
@@ -202,11 +201,10 @@ class TestBatchedLoss:
     def test_row_alone_equals_row_in_padded_batch(self):
         rng = np.random.default_rng(13)
         lp, lengths = padded_batch(rng, self.LENGTHS, 4, t_max=12)
-        use = [True] * 5 + [False] + [True, True]
-        _, batch = ctc.ctc_loss_op(Tensor(lp), lengths, self.TARGETS, use, BLANK)
-        for i in np.flatnonzero(use):
+        _, batch = ctc.ctc_loss_op(Tensor(lp), lengths, self.TARGETS, BLANK)
+        for i in np.flatnonzero(self.USED):
             t_i = lengths[i]
-            _, alone = ctc.ctc_loss_op(Tensor(lp[i : i + 1, :t_i]), [t_i], [self.TARGETS[i]], [True], BLANK)
+            _, alone = ctc.ctc_loss_op(Tensor(lp[i : i + 1, :t_i]), [t_i], [self.TARGETS[i]], BLANK)
             assert alone.losses[0] == batch.losses[i]
             assert np.array_equal(alone.grad[0], batch.grad[i, :t_i])
 
@@ -214,23 +212,52 @@ class TestBatchedLoss:
         rng = np.random.default_rng(14)
         lp, lengths = padded_batch(rng, [3, 4], 3)
         post = Tensor(lp, requires_grad=True)
-        loss, res = ctc.ctc_loss_op(post, lengths, [(1,), (2,)], [False, False], BLANK)
+        # (1, 1, 2, 2) needs six frames and (2, 2, 2, 1) five
+        loss, res = ctc.ctc_loss_op(post, lengths, [(1, 1, 2, 2), (2, 2, 2, 1)], BLANK)
+        assert not res.used.any() and np.all(res.losses == math.inf)
         assert loss.item() == 0.0 and not loss.requires_grad
         assert np.all(res.grad == 0.0)
 
     def test_blank_in_target_rejected(self):
         lp = np.stack([uniform_posterior(3, 2).log_probs] * 2)
         with pytest.raises(ValueError, match="blank"):
-            ctc.ctc_loss_op(Tensor(lp), [3, 3], [(1,), (BLANK,)], [True, True], BLANK)
+            ctc.ctc_loss_op(Tensor(lp), [3, 3], [(1,), (BLANK,)], BLANK)
 
     def test_real_frames_must_be_distributions(self):
         rng = np.random.default_rng(15)
         lp, lengths = padded_batch(rng, [3, 4], 3, t_max=5)
         lp[0, 4] += 1.0  # padding frame: not checked
-        ctc.ctc_loss_op(Tensor(lp), lengths, [(1,), (2,)], [True, True], BLANK)
+        ctc.ctc_loss_op(Tensor(lp), lengths, [(1,), (2,)], BLANK)
         lp[1, 3] += 1.0  # last real frame of row 1
         with pytest.raises(ValueError, match="distribution"):
-            ctc.ctc_loss_op(Tensor(lp), lengths, [(1,), (2,)], [True, True], BLANK)
+            ctc.ctc_loss_op(Tensor(lp), lengths, [(1,), (2,)], BLANK)
+
+
+# (frames, target) rows over tokens 1..3: few tokens make adjacent repeats
+# common, and targets up to 7 tokens long often outgrow their 1..8 frames
+ROWS = st.lists(
+    st.tuples(st.integers(1, 8), st.lists(st.integers(1, 3), max_size=7).map(tuple)),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rows=ROWS, pad=st.integers(0, 3), scale=st.sampled_from([0.5, 2.0, 30.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=[(3, ()), (3, (1, 1)), (2, (1, 1)), (4, (2, 3, 3))], pad=2, scale=2.0, seed=0)
+def test_lattice_reaches_exactly_the_rows_with_enough_frames(rows, pad, scale, seed):
+    """On finite posteriors, ``used`` is the frame-count rule U + repeats <= T."""
+    rng = np.random.default_rng(seed)
+    lengths = [t for t, _ in rows]
+    targets = [y for _, y in rows]
+    t_max = max(lengths) + pad
+    lp = np.stack([random_posterior(rng, t_max, 4) for _ in rows])
+    lp *= scale  # flatten or sharpen each frame, then re-normalise it
+    lp -= np.log(np.exp(lp).sum(axis=2, keepdims=True))
+    _, res = ctc.ctc_loss_op(Tensor(lp), lengths, targets, BLANK)
+    assert res.used.tolist() == [t >= min_frames(y) for t, y in rows]
+    assert np.all(np.isfinite(res.losses[res.used])) and np.all(res.losses[~res.used] == math.inf)
 
 
 class TestGreedy:
@@ -525,7 +552,7 @@ def test_nan_in_a_real_frame_is_a_numeric_failure(search):
     call = {
         "prefix_beam_nbest": lambda: prefix_beam_nbest(lp, [3], BLANK, 3, 3),
         "greedy_1best": lambda: greedy_1best(lp, [3], BLANK),
-        "ctc_loss_op": lambda: ctc.ctc_loss_op(Tensor(lp), [3], [(1,)], [True], BLANK),
+        "ctc_loss_op": lambda: ctc.ctc_loss_op(Tensor(lp), [3], [(1,)], BLANK),
     }[search]
     with pytest.raises(NumericError, match="non-finite posterior"):
         call()

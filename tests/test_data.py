@@ -215,6 +215,14 @@ class TestSynthCorpus:
         with pytest.raises(DataError):
             SynthConfig(vocab_size=1)
 
+    def test_utterance_count_bound(self):
+        # one-float utterances: the feature-value bound alone would admit 10**8
+        tiny = dict(min_len=1, max_len=1, min_frames_per_token=1, max_frames_per_token=1,
+                    feature_dim=1)
+        SynthConfig(count=D.MAX_SYNTH_UTTERANCES, **tiny)  # checked, not generated
+        with pytest.raises(DataError, match=r"^count = 1000001: "):
+            SynthConfig(count=D.MAX_SYNTH_UTTERANCES + 1, **tiny)
+
     def test_desk_defaults(self):
         cfg = desk_synth_config(seed=7)
         assert cfg.count == 200 and cfg.vocab_size == 16

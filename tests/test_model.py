@@ -194,8 +194,8 @@ class TestFusion:
         model = Model(cfg.model, cfg.fusion, seed=0)
         batch = make_batches(corpus, len(corpus))[0]
         batch.transcripts[:] = transcripts
-        enc_lengths = np.full(len(transcripts), 20)
-        dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc_lengths)
+        reachable = np.ones(len(transcripts), dtype=bool)
+        dec = build_decoder_input(batch, model, cfg, vocab, hyps, reachable)
         return model, vocab, dec
 
     def test_alpha_zero_returns_reference_operand(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ctcfuse.alignment import GatingConfig, PathwayDecision
+from ctcfuse.ctc import ctc_loss_op
 from ctcfuse.data import SynthConfig, Utterance, build_vocab, synth_corpus
 from ctcfuse.model import (
     METHOD_ALIGNED,
@@ -191,8 +192,8 @@ class TestBuildDecoderInput:
         model = Model(cfg.model, cfg.fusion, seed=0)
         batches = tr.make_batches(corpus[:4], 4)
         batch = batches[0]
-        enc_lengths = np.array([u // 4 + 2 for u in batch.feat_lengths])
-        dec = build_decoder_input(batch, model, cfg, vocab, [None] * batch.size, enc_lengths)
+        reachable = np.ones(batch.size, dtype=bool)
+        dec = build_decoder_input(batch, model, cfg, vocab, [None] * batch.size, reachable)
         assert dec.pathway_counts["ground_truth_only"] == batch.size
         assert sum(dec.pathway_counts.values()) == batch.size
         rows = [[vocab.sos_id] + list(y) for y in batch.transcripts]
@@ -211,9 +212,7 @@ class TestBuildDecoderInput:
         utt = dataclasses.replace(utt, transcript=(a, b, c, a)) if dataclasses.is_dataclass(utt) else utt
         batch = tr.make_batches([utt], 1)[0]
         batch.transcripts[0] = (a, b, c, a)
-        dec = build_decoder_input(
-            batch, model, cfg, vocab, [(a, c, a)], np.array([10])
-        )
+        dec = build_decoder_input(batch, model, cfg, vocab, [(a, c, a)], np.array([True]))
         expected = fused_embedding_reference(
             model, vocab.pad_id, [[vocab.sos_id, a, b, c, a]],
             [[vocab.sos_id, a, vocab.blank_id, c, a]], [0.5],
@@ -231,7 +230,7 @@ class TestBuildDecoderInput:
         batch = tr.make_batches([corpus[0]], 1)[0]
         batch.transcripts[0] = (a, b)
         # hypothesis inserts an extra token: reference side gets a blank target
-        dec = build_decoder_input(batch, model, cfg, vocab, [(a, 6, b)], np.array([10]))
+        dec = build_decoder_input(batch, model, cfg, vocab, [(a, 6, b)], np.array([True]))
         expected = fused_embedding_reference(
             model, vocab.pad_id, [[vocab.sos_id, a, vocab.blank_id, b]],
             [[vocab.sos_id, a, 6, b]], [0.5],
@@ -250,7 +249,7 @@ class TestBuildDecoderInput:
             tuple(y1)[:-1] if len(y1) > 1 else (4,) * (len(y1) + 1),  # off by one -> ctc input
             (4,) * (len(y2) + 9),          # far -> ground truth
         ]
-        dec = build_decoder_input(batch, model, cfg, vocab, hyps, np.array([20, 20, 20]))
+        dec = build_decoder_input(batch, model, cfg, vocab, hyps, np.ones(3, dtype=bool))
         assert dec.pathway_counts == {"fuse": 1, "ctc_as_input": 1, "ground_truth_only": 1}
         assert len(hyps[1]) == len(y1) - 1
         y_rows = [[vocab.sos_id] + list(y) for y in (y0, y1, y2)]
@@ -264,9 +263,11 @@ class TestBuildDecoderInput:
         model = Model(cfg.model, cfg.fusion, seed=0)
         batch = tr.make_batches([corpus[0]], 1)[0]
         y = batch.transcripts[0]
-        dec = build_decoder_input(batch, model, cfg, vocab, [tuple(y)], np.array([1]))
+        # an equal-length hypothesis fuses only while the CTC loss reaches the row
+        reached = build_decoder_input(batch, model, cfg, vocab, [tuple(y)], np.array([True]))
+        assert reached.pathway_counts["fuse"] == 1
+        dec = build_decoder_input(batch, model, cfg, vocab, [tuple(y)], np.array([False]))
         assert dec.pathway_counts["ground_truth_only"] == 1
-        assert dec.ctc_reachable == [False]
 
 
     def test_baseline_builds_no_posterior(self):
@@ -298,7 +299,8 @@ class TestFusionDegeneracy:
             model.rng = np.random.default_rng(99)
             enc = model.encode(batch.features, batch.feat_lengths)
             post = model.ctc_head(enc)
-            dec = build_decoder_input(batch, model, cfg, vocab, use_hyps, enc.lengths)
+            _, ctc = ctc_loss_op(post, enc.lengths, batch.transcripts, vocab.blank_id)
+            dec = build_decoder_input(batch, model, cfg, vocab, use_hyps, ctc.used)
             logits = model.decoder_forward(dec.input_emb, enc, dec.ne_memory)
             att = smoothed_cross_entropy(logits, dec.targets, dec.loss_mask, 0.1)
             losses.append((att.item(), logits.data.tobytes()))
@@ -373,12 +375,8 @@ class TestTrainingLoop:
         enc = model.encode(batch.features, batch.feat_lengths)
         post = model.ctc_head(enc)
         hyps = compute_ctc_hypotheses(post.data, enc.lengths, cfg.fusion, vocab.blank_id)
-        dec = build_decoder_input(batch, model, cfg, vocab, hyps, enc.lengths)
-        from ctcfuse.ctc import ctc_loss_op
-
-        ctc_mean, _ = ctc_loss_op(
-            post, enc.lengths, batch.transcripts, dec.ctc_reachable, vocab.blank_id
-        )
+        ctc_mean, ctc = ctc_loss_op(post, enc.lengths, batch.transcripts, vocab.blank_id)
+        dec = build_decoder_input(batch, model, cfg, vocab, hyps, ctc.used)
         logits = model.decoder_forward(dec.input_emb, enc, dec.ne_memory)
         att = smoothed_cross_entropy(logits, dec.targets, dec.loss_mask, 0.1)
         joint_loss(ctc_mean, att, 1.0).backward()
