@@ -85,6 +85,8 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.pretrain_selection not in (None, "encoder", "encoder_decoder"):
             raise ValueError(f"unknown pretrain selection {self.pretrain_selection!r}")
+        if self.pretrain_selection is not None and not self.pretrain_path:
+            raise ValueError(f"pretrain_selection {self.pretrain_selection!r} needs a pretrain_path")
 
 
 def desk_train_config(
@@ -184,12 +186,29 @@ def lr_schedule(base: float, step: int, warmup: int) -> float:
     return base * min(step**-0.5, step * warmup**-1.5)
 
 
+def _views(flat: np.ndarray, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """``flat`` cut into one view per parameter, in ``params`` order and in its shape."""
+    views, start = {}, 0
+    for name, p in params.items():
+        views[name] = flat[start : start + p.data.size].reshape(p.shape)
+        start += p.data.size
+    return views
+
+
 class Adam:
     """Adaptive-moment optimizer over a named parameter dict (Kingma & Ba, 2015).
 
-    Moments update in place through one scratch pair sized to the largest
-    parameter. Each parameter gets a new array: updated in place, glibc gave
-    the step's freed heap top back to the system and backward paid page faults.
+    The parameters and both moments live in flat float64 arenas, in
+    ``params`` order, as ZeRO packs its buffers (Rajbhandari et al., 2020):
+    a step is a dozen numpy calls over whole arenas, not a dozen per
+    parameter. Each ``p.data`` becomes a view into the parameter arena,
+    which every step updates in place; rebinding a ``p.data`` after the
+    first step detaches that parameter, and steps no longer reach it.
+
+    Packing waits for the first :meth:`step`, so a loaded model that only
+    decodes keeps its loaded arrays and copies nothing. A fresh optimizer's
+    moments start as views into two flat zero arrays, which the packing
+    takes as they are; saved moments are copied into new arenas.
     """
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig,
@@ -199,32 +218,45 @@ class Adam:
         self.lr_base = cfg.lr_base
         self.warmup = cfg.warmup_steps
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
-        self.step_count, self.m, self.v = state or (
-            0, {name: np.zeros_like(p.data) for name, p in params.items()},
-            {name: np.zeros_like(p.data) for name, p in params.items()})
-        scratch = np.empty((2, max((p.data.size for p in params.values()), default=0)))
-        self._scratch = {name: tuple(row[: p.data.size].reshape(p.shape) for row in scratch)
-                         for name, p in params.items()}  # views in each parameter's shape
+        self._moments = None  # flat first and second moments, when self.m and self.v view them
+        if state is None:
+            self._moments = [np.zeros(sum(p.data.size for p in params.values())) for _ in range(2)]
+            state = (0, *(_views(flat, params) for flat in self._moments))
+        self.step_count, self.m, self.v = state
+        self._arenas = None  # parameters, m, v, gradient and scratch, packed by the first step
+
+    def _pack(self) -> None:
+        flat = np.concatenate([p.data for p in self.params.values()], axis=None)
+        for p, view in zip(self.params.values(), _views(flat, self.params).values()):
+            p.data = view
+        if self._moments is None:
+            self._moments = [np.concatenate([moments[name] for name in self.params], axis=None)
+                             for moments in (self.m, self.v)]
+            self.m, self.v = (_views(moments, self.params) for moments in self._moments)
+        self._arenas = (flat, *self._moments, np.empty_like(flat), np.empty_like(flat))
 
     def step(self) -> float:
+        if self._arenas is None:
+            self._pack()
+        flat, m, v, grad, t = self._arenas
+        np.concatenate([np.zeros(p.shape) if p.grad is None else p.grad
+                        for p in self.params.values()], axis=None, out=grad)
         self.step_count += 1
         lr = lr_schedule(self.lr_base, self.step_count, self.warmup)
         m_scale, v_scale = 1.0 - self.beta1**self.step_count, 1.0 - self.beta2**self.step_count
-        for name, p in self.params.items():
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m, v = self.m[name], self.v[name]
-            t, u = self._scratch[name]
-            # the operations, in order, of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g
-            # and p = p - lr * (m / m_scale) / (sqrt(v / v_scale) + eps): the same bits
-            m *= self.beta1
-            m += np.multiply(grad, 1.0 - self.beta1, out=t)
-            v *= self.beta2
-            v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=t), grad, out=t)
-            np.multiply(np.divide(m, m_scale, out=t), lr, out=t)
-            np.add(np.sqrt(np.divide(v, v_scale, out=u), out=u), self.eps, out=u)
-            p.data = p.data - np.divide(t, u, out=t)
-            if not np.isfinite(p.data).all():
-                raise NumericError(f"non-finite parameter after update: {name}")
+        # the operations, in order, of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g
+        # and p = p - lr * (m / m_scale) / (sqrt(v / v_scale) + eps): the same bits
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=t)
+        v *= self.beta2
+        v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=t), grad, out=t)
+        np.multiply(np.divide(m, m_scale, out=t), lr, out=t)
+        u = grad  # the gradient is spent: its array takes the denominator
+        np.add(np.sqrt(np.divide(v, v_scale, out=u), out=u), self.eps, out=u)
+        flat -= np.divide(t, u, out=t)
+        if not np.isfinite(flat).all():
+            name = next(name for name, p in self.params.items() if not np.isfinite(p.data).all())
+            raise NumericError(f"non-finite parameter after update: {name}")
         return lr
 
 

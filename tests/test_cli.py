@@ -1244,6 +1244,22 @@ class TestMalformedInput:
         assert f"{key} {self.RANGES[key]}" in one_error(capsys.readouterr().err, "usage")
         assert not out.exists()
 
+    @pytest.mark.parametrize("path", ["absent", "", None])
+    def test_pretrain_selection_without_a_donor_is_usage_error(
+        self, base_config, tmp_path, capsys, path
+    ):
+        payload = json.loads(base_config.read_text())
+        payload["train"]["pretrain_selection"] = "encoder_decoder"
+        if path != "absent":
+            payload["train"]["pretrain_path"] = path
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(config), "--out", str(out)) == 1
+        msg = one_error(capsys.readouterr().err, "usage")
+        assert "pretrain_selection 'encoder_decoder' needs a pretrain_path" in msg
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_negative_seed_flag_is_usage_error(self, base_config, tmp_path, capsys, command):
         argv = [command, "--config", str(base_config), "--seed", "-1"]

@@ -157,6 +157,58 @@ class TestAdam:
         for name, (_, m, v) in ref.items():
             assert np.array_equal(opt.m[name], m) and np.array_equal(opt.v[name], v), name
 
+    def test_steps_update_parameters_in_place(self):
+        cfg = desk_train_config(vocab_size=12, method=METHOD_ALIGNED)
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        opt = Adam(model.params, cfg)
+        rng = np.random.default_rng(5)
+        for step in range(2):
+            for p in model.params.values():
+                p.grad = rng.normal(size=p.shape)
+            opt.step()
+            if step == 0:
+                first = {name: p.data for name, p in model.params.items()}
+        arena = next(iter(model.params.values())).data.base
+        assert arena.size == sum(p.data.size for p in model.params.values())
+        for name, p in model.params.items():
+            assert p.data is first[name] and p.data.base is arena, name
+        for moments in (opt.m, opt.v):
+            assert len({id(moment.base) for moment in moments.values()}) == 1
+
+    def test_a_loaded_optimizer_steps_like_the_one_that_saved_it(self, tmp_path):
+        vocab, _, cfg = tiny_setup(method=METHOD_ALIGNED)
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        opt = Adam(model.params, cfg)
+        rng = np.random.default_rng(6)
+        grads = [{name: None if (step + i) % 7 == 0 else rng.normal(size=p.shape)
+                  for i, (name, p) in enumerate(model.params.items())} for step in range(8)]
+        for step in range(3):
+            for name, p in model.params.items():
+                p.grad = grads[step][name]
+            opt.step()
+        save_checkpoint(tmp_path / "model.ckpt", model, opt, cfg, vocab, epoch=1)
+        loaded, loaded_opt, _ = load_checkpoint(tmp_path / "model.ckpt", vocab)
+        for step in range(3, 8):
+            for params, optimizer in ((model.params, opt), (loaded.params, loaded_opt)):
+                for name, p in params.items():
+                    p.grad = grads[step][name]
+                optimizer.step()
+        assert loaded_opt.step_count == opt.step_count == 8
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+            assert loaded_opt.m[name].tobytes() == opt.m[name].tobytes(), name
+            assert loaded_opt.v[name].tobytes() == opt.v[name].tobytes(), name
+
+    def test_an_overflowing_update_is_named(self):
+        # outside fp_guard numpy's flags do not raise: the scan after the update finds it
+        params = {name: Tensor(np.full(2, 1e308), requires_grad=True) for name in "abc"}
+        cfg = TrainConfig(model=toy_config(vocab_size=5), lr_base=1e308, warmup_steps=1)
+        opt = Adam(params, cfg)
+        params["b"].grad = -np.ones(2)  # a step of about lr upward, past the largest float
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+            opt.step()
+        assert str(err.value) == "non-finite parameter after update: b"
+
 
 class TestSmoothedCrossEntropy:
     def test_masked_positions_contribute_nothing(self):
