@@ -311,7 +311,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    mask = (a.data > 0).astype(np.float64)  # numpy multiplies float by bool through a casting loop
     return Tensor._result(a.data * mask, (a,), lambda g: (g * mask,))
 
 

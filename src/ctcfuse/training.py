@@ -39,6 +39,7 @@ from ctcfuse.model import (
 from ctcfuse.tensor import NumericError, Tensor, load_tensors, save_tensors
 
 CHECKPOINT_FORMAT_VERSION = 1
+ADAM_CHUNK = 32_768  # floats an Adam step updates at a time: its two buffers stay cache-sized
 
 
 class CheckpointError(DataError, ValueError):
@@ -195,15 +196,24 @@ def _views(flat: np.ndarray, params: dict[str, Tensor]) -> dict[str, np.ndarray]
     return views
 
 
+def _packed(arrays: dict[str, np.ndarray], params: dict[str, Tensor]) -> np.ndarray:
+    """A new flat arena holding ``arrays`` (name -> array) in ``params`` order."""
+    flat = np.empty(sum(p.data.size for p in params.values()))
+    for name, view in _views(flat, params).items():
+        view[...] = arrays[name]
+    return flat
+
+
 class Adam:
     """Adaptive-moment optimizer over a named parameter dict (Kingma & Ba, 2015).
 
-    The parameters and both moments live in flat float64 arenas, in
-    ``params`` order, as ZeRO packs its buffers (Rajbhandari et al., 2020):
-    a step is a dozen numpy calls over whole arenas, not a dozen per
-    parameter. Each ``p.data`` becomes a view into the parameter arena,
-    which every step updates in place; rebinding a ``p.data`` after the
-    first step detaches that parameter, and steps no longer reach it.
+    The parameters and both moments live in three flat float64 arenas, in
+    ``params`` order, as ZeRO packs its buffers (Rajbhandari et al., 2020).
+    A step runs a dozen numpy calls per chunk of the arenas (consecutive
+    parameters up to ``ADAM_CHUNK`` floats, or one larger parameter) with a
+    chunk-sized gradient buffer and a chunk-sized scratch buffer. Each
+    ``p.data`` becomes a view into the parameter arena, updated in place;
+    rebinding a ``p.data`` after the first step detaches that parameter.
 
     Packing waits for the first :meth:`step`, so a loaded model that only
     decodes keeps its loaded arrays and copies nothing. A fresh optimizer's
@@ -223,38 +233,47 @@ class Adam:
             self._moments = [np.zeros(sum(p.data.size for p in params.values())) for _ in range(2)]
             state = (0, *(_views(flat, params) for flat in self._moments))
         self.step_count, self.m, self.v = state
-        self._arenas = None  # parameters, m, v, gradient and scratch, packed by the first step
+        self._chunks = None  # (parameters, slices of the three arenas and two buffers), set by the first step
 
     def _pack(self) -> None:
-        flat = np.concatenate([p.data for p in self.params.values()], axis=None)
+        flat = _packed({name: p.data for name, p in self.params.items()}, self.params)
         for p, view in zip(self.params.values(), _views(flat, self.params).values()):
             p.data = view
         if self._moments is None:
-            self._moments = [np.concatenate([moments[name] for name in self.params], axis=None)
-                             for moments in (self.m, self.v)]
+            self._moments = [_packed(moments, self.params) for moments in (self.m, self.v)]
             self.m, self.v = (_views(moments, self.params) for moments in self._moments)
-        self._arenas = (flat, *self._moments, np.empty_like(flat), np.empty_like(flat))
+        chunks = []  # [parameters, floats]: consecutive ones up to ADAM_CHUNK floats, or one larger one
+        for p in self.params.values():
+            if not chunks or chunks[-1][1] + p.data.size > ADAM_CHUNK:
+                chunks.append([[], 0])
+            chunks[-1][0].append(p)
+            chunks[-1][1] += p.data.size
+        buffers = [np.empty(max((size for _, size in chunks), default=0)) for _ in range(2)]
+        ends = np.cumsum([size for _, size in chunks], dtype=int)
+        self._chunks = [(group, *(arena[end - size : end] for arena in (flat, *self._moments)),
+                         *(buffer[:size] for buffer in buffers)) for (group, size), end in zip(chunks, ends)]
 
     def step(self) -> float:
-        if self._arenas is None:
+        if self._chunks is None:
             self._pack()
-        flat, m, v, grad, t = self._arenas
-        np.concatenate([np.zeros(p.shape) if p.grad is None else p.grad
-                        for p in self.params.values()], axis=None, out=grad)
         self.step_count += 1
         lr = lr_schedule(self.lr_base, self.step_count, self.warmup)
         m_scale, v_scale = 1.0 - self.beta1**self.step_count, 1.0 - self.beta2**self.step_count
-        # the operations, in order, of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g
-        # and p = p - lr * (m / m_scale) / (sqrt(v / v_scale) + eps): the same bits
-        m *= self.beta1
-        m += np.multiply(grad, 1.0 - self.beta1, out=t)
-        v *= self.beta2
-        v += np.multiply(np.multiply(grad, 1.0 - self.beta2, out=t), grad, out=t)
-        np.multiply(np.divide(m, m_scale, out=t), lr, out=t)
-        u = grad  # the gradient is spent: its array takes the denominator
-        np.add(np.sqrt(np.divide(v, v_scale, out=u), out=u), self.eps, out=u)
-        flat -= np.divide(t, u, out=t)
-        if not np.isfinite(flat).all():
+        finite = True
+        for group, flat, m, v, g, t in self._chunks:
+            np.concatenate([np.zeros(p.shape) if p.grad is None else p.grad for p in group], axis=None, out=g)
+            # the operations, in order, of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g
+            # and p = p - lr * (m / m_scale) / (sqrt(v / v_scale) + eps): the same bits
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=t)
+            v *= self.beta2
+            v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=t), g, out=t)
+            np.multiply(np.divide(m, m_scale, out=t), lr, out=t)
+            u = g  # the gradient is spent: its buffer takes the denominator
+            np.add(np.sqrt(np.divide(v, v_scale, out=u), out=u), self.eps, out=u)
+            flat -= np.divide(t, u, out=t)
+            finite = finite and np.isfinite(flat).all()
+        if not finite:
             name = next(name for name, p in self.params.items() if not np.isfinite(p.data).all())
             raise NumericError(f"non-finite parameter after update: {name}")
         return lr

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ctcfuse import tensor as tz
 from ctcfuse.tensor import Tensor, load_tensors, save_tensors
 from ctcfuse import training as tr
 from ctcfuse.training import (
+    ADAM_CHUNK,
     Adam,
     CheckpointError,
     NumericError,
@@ -156,6 +158,58 @@ class TestAdam:
         assert opt.m.keys() == opt.v.keys() == ref.keys()
         for name, (_, m, v) in ref.items():
             assert np.array_equal(opt.m[name], m) and np.array_equal(opt.v[name], v), name
+
+    def test_chunked_steps_are_bit_equal_to_the_reference(self):
+        # nbest_memory's parameters span several chunks: groups of small parameters and
+        # encoder.sub.conv2.w, larger than one chunk, alone
+        cfg = desk_train_config(vocab_size=12, method=METHOD_NBEST)
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        assert model.params["encoder.sub.conv2.w"].data.size > ADAM_CHUNK
+        assert sum(p.data.size for p in model.params.values()) > 4 * ADAM_CHUNK
+        opt = Adam(model.params, cfg)
+        ref = {name: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for name, p in model.params.items()}
+        # from step 11 on a parameter inside a chunk of several has no gradient
+        no_grad = list(model.params)[-3]
+        rng = np.random.default_rng(7)
+        for step in range(1, 21):
+            for name, p in model.params.items():
+                scale = 10.0 ** rng.integers(-6, 2)
+                p.grad = None if name == no_grad and step > 10 else rng.normal(size=p.shape) * scale
+            lr = opt.step()
+            for name, p in model.params.items():
+                grad = np.zeros_like(p.data) if p.grad is None else p.grad
+                param, m, v = ref[name]
+                ref[name] = adam_step(param, grad, m, v, step, lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+                assert p.data.tobytes() == ref[name][0].tobytes(), (step, name)
+        for name, (_, m, v) in ref.items():
+            assert opt.m[name].tobytes() == m.tobytes() and opt.v[name].tobytes() == v.tobytes(), name
+
+    @pytest.mark.parametrize("method", [METHOD_ALIGNED, METHOD_NBEST])
+    def test_between_steps_it_holds_three_parameter_sized_arrays(self, method):
+        # the parameters and two moments persist; gradient and scratch are chunk-sized
+        cfg = desk_train_config(vocab_size=12, method=method)
+        tracemalloc.start()
+        try:
+            model = Model(cfg.model, cfg.fusion, seed=0)
+            opt = Adam(model.params, cfg)
+            rng = np.random.default_rng(8)
+            for _ in range(2):
+                for p in model.params.values():
+                    p.grad = rng.normal(size=p.shape)
+                opt.step()
+            model.zero_grad()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(p.data.nbytes for p in model.params.values())
+        assert held < 4 * param_bytes, held / param_bytes
+
+    def test_no_parameters_still_count_steps(self):
+        cfg = TrainConfig(model=toy_config(vocab_size=5), warmup_steps=4)
+        opt = Adam({}, cfg)
+        assert [opt.step() for _ in range(2)] == [lr_schedule(cfg.lr_base, s, 4) for s in (1, 2)]
+        assert opt.step_count == 2 and opt.m == opt.v == {}
 
     def test_steps_update_parameters_in_place(self):
         cfg = desk_train_config(vocab_size=12, method=METHOD_ALIGNED)
