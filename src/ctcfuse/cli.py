@@ -1,8 +1,8 @@
 """Command-line surface: train, decode, eval, align, synth, stats, sweep, report.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Failures print one machine-parsable line to stderr:
-``error kind=<usage|data|numeric> msg="..."``, the message JSON-encoded.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure or
+out of memory. Failures print one machine-parsable line to stderr:
+``error kind=<usage|data|numeric|memory> msg="..."``, the message JSON-encoded.
 
 Environment: ``CTCFUSE_THREADS`` sizes the numeric thread pools, 1 when
 unset (pinned by ``import ctcfuse``, before numpy loads; a pool variable

@@ -559,7 +559,9 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 
     Each entry is read straight into its own array. Every size the file
     claims is checked against the bytes left in it first, so a truncated or
-    inflated container is refused before anything of that size exists.
+    inflated container is refused before anything of that size exists. A
+    container that repeats an entry name, or holds bytes after its last
+    entry, is refused too.
     """
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
@@ -585,6 +587,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack("<I", take(4, "name length"))
             name = take(name_len, "name").decode("utf-8")
+            if name in out:
+                raise ValueError(f"tensor container repeats the entry {name!r}")
             tag, ndim = struct.unpack("<BI", take(5, "entry header"))
             if tag not in _DTYPE_TAGS:
                 raise ValueError(f"unknown dtype tag {tag} for entry {name!r}")
@@ -594,6 +598,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             dtype = _DTYPE_TAGS[tag]
             n_bytes = math.prod(shape) * dtype.itemsize  # exact: no int64 wrap-around
             out[name] = take(n_bytes, f"payload of {name!r}", lambda _: np.empty(shape, dtype))
+        if left:
+            raise ValueError(f"tensor container has {left} bytes after its last entry")
     return out
 
 

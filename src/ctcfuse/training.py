@@ -209,16 +209,12 @@ class Adam:
 
     The parameters and both moments live in three flat float64 arenas, in
     ``params`` order, as ZeRO packs its buffers (Rajbhandari et al., 2020).
-    A step runs a dozen numpy calls per chunk of the arenas (consecutive
-    parameters up to ``ADAM_CHUNK`` floats, or one larger parameter) with a
-    chunk-sized gradient buffer and a chunk-sized scratch buffer. Each
-    ``p.data`` becomes a view into the parameter arena, updated in place;
-    rebinding a ``p.data`` after the first step detaches that parameter.
-
-    Packing waits for the first :meth:`step`, so a loaded model that only
-    decodes keeps its loaded arrays and copies nothing. A fresh optimizer's
-    moments start as views into two flat zero arrays, which the packing
-    takes as they are; saved moments are copied into new arenas.
+    The constructor copies the parameters into their arena and makes each
+    ``p.data`` a view into it, updated in place by every step; rebinding a
+    ``p.data`` afterwards detaches that parameter. A step runs a dozen numpy
+    calls per chunk of the arenas (consecutive parameters up to
+    ``ADAM_CHUNK`` floats, or one larger parameter) with a chunk-sized
+    gradient buffer and a chunk-sized scratch buffer.
     """
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig,
@@ -228,34 +224,27 @@ class Adam:
         self.lr_base = cfg.lr_base
         self.warmup = cfg.warmup_steps
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
-        self._moments = None  # flat first and second moments, when self.m and self.v view them
-        if state is None:
-            self._moments = [np.zeros(sum(p.data.size for p in params.values())) for _ in range(2)]
-            state = (0, *(_views(flat, params) for flat in self._moments))
-        self.step_count, self.m, self.v = state
-        self._chunks = None  # (parameters, slices of the three arenas and two buffers), set by the first step
-
-    def _pack(self) -> None:
-        flat = _packed({name: p.data for name, p in self.params.items()}, self.params)
-        for p, view in zip(self.params.values(), _views(flat, self.params).values()):
+        flat = _packed({name: p.data for name, p in params.items()}, params)
+        for p, view in zip(params.values(), _views(flat, params).values()):
             p.data = view
-        if self._moments is None:
-            self._moments = [_packed(moments, self.params) for moments in (self.m, self.v)]
-            self.m, self.v = (_views(moments, self.params) for moments in self._moments)
+        if state is None:
+            self.step_count, moments = 0, [np.zeros(flat.size) for _ in range(2)]
+        else:
+            self.step_count, moments = state[0], [_packed(saved, params) for saved in state[1:]]
+        self.m, self.v = (_views(arena, params) for arena in moments)
         chunks = []  # [parameters, floats]: consecutive ones up to ADAM_CHUNK floats, or one larger one
-        for p in self.params.values():
+        for p in params.values():
             if not chunks or chunks[-1][1] + p.data.size > ADAM_CHUNK:
                 chunks.append([[], 0])
             chunks[-1][0].append(p)
             chunks[-1][1] += p.data.size
         buffers = [np.empty(max((size for _, size in chunks), default=0)) for _ in range(2)]
         ends = np.cumsum([size for _, size in chunks], dtype=int)
-        self._chunks = [(group, *(arena[end - size : end] for arena in (flat, *self._moments)),
+        # (parameters, their slices of the three arenas and of the two buffers)
+        self._chunks = [(group, *(arena[end - size : end] for arena in (flat, *moments)),
                          *(buffer[:size] for buffer in buffers)) for (group, size), end in zip(chunks, ends)]
 
     def step(self) -> float:
-        if self._chunks is None:
-            self._pack()
         self.step_count += 1
         lr = lr_schedule(self.lr_base, self.step_count, self.warmup)
         m_scale, v_scale = 1.0 - self.beta1**self.step_count, 1.0 - self.beta2**self.step_count
@@ -657,13 +646,15 @@ def _check_shapes(found: dict[str, tuple], expected: dict[str, tuple]) -> None:
                          + (", ..." if len(bad) > 5 else ""))
 
 
-def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, Adam, dict]:
-    """Rebuild model and optimizer state from a checkpoint pair.
+def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, tuple[int, dict, dict], dict]:
+    """The model, the saved optimizer state ``(step, m, v)`` and the sidecar of a pair.
 
     Every array the sidecar's configs call for is checked for presence and
     shape before the model is built, so a sidecar cannot size an allocation.
-    The model and optimizer then take the loaded arrays as float64, and the
-    optimizer the settings of the sidecar's ``optimizer`` object.
+    The model then takes the loaded arrays as float64, and ``m`` and ``v``
+    map each name to its loaded moment, as ``Adam(params, cfg, state)``
+    takes them. No optimizer is built; the sidecar's ``optimizer`` settings
+    are checked all the same.
 
     Any failure to read or rebuild the pair (a mistyped config value, an
     ``adam.step`` that is not one non-negative integer), a floating-point
@@ -689,7 +680,7 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, Adam,
         model_cfg = build_config(ModelConfig, model_sec, "model_config")
         fusion = build_config(FusionConfig, {**sidecar["fusion"]}, "fusion")
         settings = {key: sidecar["optimizer"][key] for key in _OPTIMIZER_SETTINGS}
-        optimizer_cfg = build_config(TrainConfig, {"model": model_cfg, **settings}, "optimizer")
+        build_config(TrainConfig, {"model": model_cfg, **settings}, "optimizer")
         arrays = load_tensors(path)
         for name, arr in arrays.items():
             if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
@@ -710,7 +701,6 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, Adam,
         arrays = {name: arr.astype(np.float64, copy=False) for name, arr in arrays.items()}
         model = Model(model_cfg, fusion, seed=0, arrays=arrays)
         moments = [{name: arrays[prefix + name] for name in specs} for prefix in ("adam.m.", "adam.v.")]
-        optimizer = Adam(model.params, optimizer_cfg, (int(step[0]), *moments))
     except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as err:
         raise CheckpointError(f"{path}: unreadable checkpoint: {err}") from err
     if vocab is not None and vocab.content_hash() != sidecar.get("vocab_hash"):
@@ -719,7 +709,7 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, Adam,
     if vocab is not None and model_cfg.vocab_size != vocab.size:
         raise CheckpointError(f"{path}: checkpoint model has vocab_size {model_cfg.vocab_size}, "
                               f"the vocabulary has {vocab.size} tokens")
-    return model, optimizer, sidecar
+    return model, (int(step[0]), *moments), sidecar
 
 
 _SELECTION_PREFIXES = {
@@ -749,6 +739,6 @@ def init_from_pretrained(
         _check_shapes({name: p.shape for name, p in donor.params.items()}, selected)
     except ValueError as err:
         raise CheckpointError(f"{checkpoint_path}: donor checkpoint: {err}") from None
-    for name in selected:
-        model.params[name].data = donor.params[name].data
+    for name in selected:  # in place: an optimizer over the model keeps its views
+        model.params[name].data[...] = donor.params[name].data
     return model

@@ -521,6 +521,21 @@ class TestDecodeEval:
         lines = report.read_text().splitlines()
         assert json.loads(lines[-1])["summary"] is True
 
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_a_loaded_checkpoint_builds_no_optimizer(self, trained, corpus_dir, tmp_path,
+                                                     monkeypatch, command):
+        def no_optimizer(*args, **kwargs):
+            raise AssertionError(f"{command} built an optimizer")
+
+        monkeypatch.setattr(Adam, "__init__", no_optimizer)
+        code = run_cli(
+            command, "--ckpt", str(trained / "model.ckpt"),
+            "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--vocab", str(corpus_dir / "vocab.txt"),
+            "--beam", "1", "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+
     def test_eval_from_perfect_hypothesis_file(self, corpus_dir, tmp_path, capsys):
         manifest = corpus_dir / "manifest.tsv"
         rows = [l.split("\t") for l in manifest.read_text().splitlines()]

@@ -1,7 +1,8 @@
 """Edge cases of ``tensor.load_tensors``, which reads each entry straight into its array.
 
 Beside the property tests of ``test_checkpoint_fuzz.py``: an empty entry, a
-size claim larger than the file, a read that comes back short, and a saved
+size claim larger than the file, a read that comes back short, a repeated
+entry name, bytes after the last entry, and a saved
 desk checkpoint against the reader that copied entries out of a whole-file
 ``bytes`` (``oracles.load_tensors_reference``).
 """
@@ -60,6 +61,24 @@ def test_a_short_read_is_refused(tmp_path, monkeypatch):
     # the size check passes, and the read then comes back short, as if the file shrank
     monkeypatch.setattr(T.os, "fstat", lambda fd: types.SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
     with pytest.raises(ValueError, match="truncated tensor container: expected payload of 'x'"):
+        T.load_tensors(path)
+
+
+def test_a_repeated_entry_name_is_refused(tmp_path):
+    path = tmp_path / "twice.bin"
+    T.save_tensors(path, {"x": np.ones(2), "y": np.zeros(3)})
+    blob = path.read_bytes()
+    # the second entry renamed to the first: the header counts two entries, both named x
+    path.write_bytes(blob.replace(struct.pack("<I", 1) + b"y", struct.pack("<I", 1) + b"x"))
+    with pytest.raises(ValueError, match="repeats the entry 'x'"):
+        T.load_tensors(path)
+
+
+def test_bytes_after_the_last_entry_are_refused(tmp_path):
+    path = tmp_path / "trailing.bin"
+    T.save_tensors(path, {"x": np.ones(2)})
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="1 bytes after its last entry"):
         T.load_tensors(path)
 
 

@@ -241,7 +241,8 @@ class TestAdam:
                 p.grad = grads[step][name]
             opt.step()
         save_checkpoint(tmp_path / "model.ckpt", model, opt, cfg, vocab, epoch=1)
-        loaded, loaded_opt, _ = load_checkpoint(tmp_path / "model.ckpt", vocab)
+        loaded, state, _ = load_checkpoint(tmp_path / "model.ckpt", vocab)
+        loaded_opt = Adam(loaded.params, cfg, state)
         for step in range(3, 8):
             for params, optimizer in ((model.params, opt), (loaded.params, loaded_opt)):
                 for name, p in params.items():
@@ -701,8 +702,8 @@ class TestCheckpoints:
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         save_checkpoint(p1, model, opt, cfg, vocab, epoch=1)
-        model2, opt2, meta = load_checkpoint(p1)
-        save_checkpoint(p2, model2, opt2, cfg, vocab, epoch=1)
+        model2, state, meta = load_checkpoint(p1)
+        save_checkpoint(p2, model2, Adam(model2.params, cfg, state), cfg, vocab, epoch=1)
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.ckpt.json").read_bytes() == (tmp_path / "b.ckpt.json").read_bytes()
 
@@ -779,17 +780,17 @@ class TestCheckpoints:
             assert loaded.params[name].data.tobytes() == p.data.tobytes()
 
     def saved_arrays(self, tmp_path):
-        """A fresh pair at ``tmp_path / "s.ckpt"`` and its container's arrays."""
+        """A fresh pair at ``tmp_path / "s.ckpt"``, its container's arrays and its config."""
         vocab, corpus, cfg = tiny_setup()
         model = Model(cfg.model, cfg.fusion, seed=0)
         opt = Adam(model.params, cfg)
         train_epoch(corpus, vocab, model, opt, cfg, epoch=1)
         path = tmp_path / "s.ckpt"
         save_checkpoint(path, model, opt, cfg, vocab, epoch=1)
-        return path, load_tensors(path)
+        return path, load_tensors(path), cfg
 
     def test_load_draws_no_init_and_allocates_no_zero_moments(self, tmp_path, monkeypatch):
-        path, arrays = self.saved_arrays(tmp_path)
+        path, arrays, cfg = self.saved_arrays(tmp_path)
 
         class NoDraws:
             def __getattr__(self, name):
@@ -800,7 +801,8 @@ class TestCheckpoints:
 
         monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
         monkeypatch.setattr(np, "zeros_like", no_zeros)
-        model, opt, _ = load_checkpoint(path)
+        model, state, _ = load_checkpoint(path)
+        opt = Adam(model.params, cfg, state)
         monkeypatch.undo()
         for name, p in model.params.items():
             assert p.data.tobytes() == arrays[name].tobytes()
@@ -809,18 +811,19 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("step", [np.array([2.5]), np.array([7.0], dtype=np.float32)])
     def test_adam_step_must_be_an_integer(self, tmp_path, step):
-        path, arrays = self.saved_arrays(tmp_path)
+        path, arrays, _ = self.saved_arrays(tmp_path)
         arrays["adam.step"] = step
         save_tensors(path, arrays)
         with pytest.raises(CheckpointError, match="adam.step"):
             load_checkpoint(path)
 
     def test_float32_arrays_load_as_float64(self, tmp_path):
-        path, arrays = self.saved_arrays(tmp_path)
+        path, arrays, cfg = self.saved_arrays(tmp_path)
         narrow = {name: arr if name == "adam.step" else arr.astype(np.float32)
                   for name, arr in arrays.items()}
         save_tensors(path, narrow)
-        model, opt, _ = load_checkpoint(path)
+        model, state, _ = load_checkpoint(path)
+        opt = Adam(model.params, cfg, state)
         assert opt.step_count == int(arrays["adam.step"][0])
         loaded = {name: p.data for name, p in model.params.items()}
         for kind, moments in (("m", opt.m), ("v", opt.v)):
@@ -879,6 +882,25 @@ class TestInitFromPretrained:
             target.params["decoder.layer0.self.q.w"].data.tobytes()
             == donor.params["decoder.layer0.self.q.w"].data.tobytes()
         )
+
+    def test_selected_parameters_stay_with_a_stepped_optimizer(self, tmp_path):
+        vocab, corpus, cfg = tiny_setup()
+        donor, path = self.make_donor(tmp_path, vocab, corpus, cfg)
+        target = Model(cfg.model, cfg.fusion, seed=99)
+        opt = Adam(target.params, cfg)
+        rng = np.random.default_rng(9)
+
+        def step():
+            for p in target.params.values():
+                p.grad = rng.normal(size=p.shape)
+            opt.step()
+
+        step()
+        init_from_pretrained(target, path, "encoder", vocab)
+        conv = target.params["encoder.sub.conv1.w"]
+        assert conv.data.tobytes() == donor.params["encoder.sub.conv1.w"].data.tobytes()
+        step()  # the donor's values are in the arena the optimizer updates
+        assert conv.data.tobytes() != donor.params["encoder.sub.conv1.w"].data.tobytes()
 
     def test_width_mismatch_lists_names(self, tmp_path):
         vocab, corpus, cfg = tiny_setup()
