@@ -7,9 +7,9 @@ decoder, optionally extended per layer with a parallel attention
 sub-layer over an encoded N-best memory whose output is concatenated
 with self-attention and projected back to model width.
 
-Parameters live in a flat name->Tensor dict (prefixes ``embed.``,
-``encoder.``, ``ctc_head.``, ``decoder.``, ``ne.``) so checkpoints can
-be loaded selectively by module.
+Parameters live in one name->Tensor ``tensor.Parameters`` over a flat
+float64 arena (prefixes ``embed.``, ``encoder.``, ``ctc_head.``,
+``decoder.``, ``ne.``) so checkpoints can be loaded selectively by module.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ class Model:
 
     def __init__(self, config: ModelConfig, fusion: FusionConfig, seed: int = 0,
                  arrays: dict[str, np.ndarray] | None = None):
-        """Parameters hold ``arrays[name]`` if given (no init draw), else an init drawn from ``seed``."""
+        """Parameters copy ``arrays[name]`` if given (no init draw), else hold an init drawn from ``seed``."""
         self.config = config
         self.fusion = fusion
         self.uses_ne_memory = fusion.method == METHOD_NBEST
@@ -195,22 +195,17 @@ class Model:
         self.rng = np.random.default_rng(seed + 1)
 
         init_rng = np.random.default_rng(seed)
-        self.params: dict[str, Tensor] = {}
+        values = {}
         for name, shape in param_specs(config, self.uses_ne_memory, fusion.n).items():
             if arrays is not None:
-                self.params[name] = Tensor(arrays[name], requires_grad=True)
-            elif ".ln" in name:
-                fill = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
-                self.params[name] = Tensor(fill, requires_grad=True)
-            elif name.endswith(".b"):
-                self.params[name] = Tensor(np.zeros(shape), requires_grad=True)
+                values[name] = arrays[name]
+            elif name.endswith((".g", ".b")):  # norm gains start at 1, norm shifts and biases at 0
+                values[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
             elif name == "embed.table":
-                scale = config.d_model ** -0.5
-                self.params[name] = Tensor(
-                    init_rng.normal(0.0, scale, size=shape), requires_grad=True
-                )
+                values[name] = init_rng.normal(0.0, config.d_model ** -0.5, size=shape)
             else:
-                self.params[name] = tz.parameter(shape, init_rng)
+                values[name] = tz.glorot(shape, init_rng)
+        self.params = tz.Parameters(values)
 
     # -- mode & parameter plumbing ------------------------------------------
 

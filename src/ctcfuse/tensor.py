@@ -603,12 +603,36 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     return out
 
 
-def parameter(shape: tuple, rng: np.random.Generator) -> Tensor:
-    """Trainable matrix ``[in, out]`` or conv kernel with uniform Glorot init."""
+def glorot(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Uniform Glorot init of a matrix ``[in, out]`` or a conv kernel."""
     if len(shape) == 4:  # conv kernel [out_ch, in_ch, kh, kw]
         receptive = shape[2] * shape[3]
         fan_in, fan_out = shape[1] * receptive, shape[0] * receptive
     else:
         fan_in, fan_out = shape
     scale = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+    return rng.uniform(-scale, scale, size=shape)
+
+
+def views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """``flat`` cut into consecutive views, one per name in ``shapes`` order, each in its shape."""
+    out, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        out[name] = flat[start : start + size].reshape(shape)
+        start += size
+    return out
+
+
+class Parameters(dict):
+    """Name -> trainable ``Tensor``, the ``data`` consecutive views of one float64 arena ``flat``.
+
+    Built once from ``arrays`` in dict order; rebinding a ``p.data`` detaches that parameter.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        # the leading empty array makes the join of no arrays an empty arena
+        self.flat = np.concatenate([np.empty(0), *arrays.values()], axis=None, dtype=np.float64)
+        shapes = {name: np.shape(arr) for name, arr in arrays.items()}
+        super().__init__((name, Tensor(view, requires_grad=True))
+                         for name, view in views(self.flat, shapes).items())

@@ -187,51 +187,32 @@ def lr_schedule(base: float, step: int, warmup: int) -> float:
     return base * min(step**-0.5, step * warmup**-1.5)
 
 
-def _views(flat: np.ndarray, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """``flat`` cut into one view per parameter, in ``params`` order and in its shape."""
-    views, start = {}, 0
-    for name, p in params.items():
-        views[name] = flat[start : start + p.data.size].reshape(p.shape)
-        start += p.data.size
-    return views
-
-
-def _packed(arrays: dict[str, np.ndarray], params: dict[str, Tensor]) -> np.ndarray:
-    """A new flat arena holding ``arrays`` (name -> array) in ``params`` order."""
-    flat = np.empty(sum(p.data.size for p in params.values()))
-    for name, view in _views(flat, params).items():
-        view[...] = arrays[name]
-    return flat
-
-
 class Adam:
-    """Adaptive-moment optimizer over a named parameter dict (Kingma & Ba, 2015).
+    """Adaptive-moment optimizer over a model's parameters (Kingma & Ba, 2015).
 
-    The parameters and both moments live in three flat float64 arenas, in
-    ``params`` order, as ZeRO packs its buffers (Rajbhandari et al., 2020).
-    The constructor copies the parameters into their arena and makes each
-    ``p.data`` a view into it, updated in place by every step; rebinding a
-    ``p.data`` afterwards detaches that parameter. A step runs a dozen numpy
+    Steps update the parameter arena ``params.flat`` in place and keep both
+    moments in two more flat float64 arenas in ``params`` order, as ZeRO
+    packs its buffers (Rajbhandari et al., 2020). A step runs a dozen numpy
     calls per chunk of the arenas (consecutive parameters up to
     ``ADAM_CHUNK`` floats, or one larger parameter) with a chunk-sized
     gradient buffer and a chunk-sized scratch buffer.
     """
 
-    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig,
+    def __init__(self, params: tz.Parameters, cfg: TrainConfig,
                  state: tuple[int, dict, dict] | None = None):
         """``state`` is a saved (step count, first moments, second moments); without it all start at 0."""
         self.params = params
         self.lr_base = cfg.lr_base
         self.warmup = cfg.warmup_steps
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
-        flat = _packed({name: p.data for name, p in params.items()}, params)
-        for p, view in zip(params.values(), _views(flat, params).values()):
-            p.data = view
         if state is None:
-            self.step_count, moments = 0, [np.zeros(flat.size) for _ in range(2)]
+            self.step_count, moments = 0, [np.zeros(params.flat.size) for _ in range(2)]
         else:
-            self.step_count, moments = state[0], [_packed(saved, params) for saved in state[1:]]
-        self.m, self.v = (_views(arena, params) for arena in moments)
+            self.step_count = state[0]
+            moments = [np.concatenate([saved[name] for name in params], axis=None, dtype=np.float64)
+                       for saved in state[1:]]
+        shapes = {name: p.shape for name, p in params.items()}
+        self.m, self.v = (tz.views(arena, shapes) for arena in moments)
         chunks = []  # [parameters, floats]: consecutive ones up to ADAM_CHUNK floats, or one larger one
         for p in params.values():
             if not chunks or chunks[-1][1] + p.data.size > ADAM_CHUNK:
@@ -241,7 +222,7 @@ class Adam:
         buffers = [np.empty(max((size for _, size in chunks), default=0)) for _ in range(2)]
         ends = np.cumsum([size for _, size in chunks], dtype=int)
         # (parameters, their slices of the three arenas and of the two buffers)
-        self._chunks = [(group, *(arena[end - size : end] for arena in (flat, *moments)),
+        self._chunks = [(group, *(arena[end - size : end] for arena in (params.flat, *moments)),
                          *(buffer[:size] for buffer in buffers)) for (group, size), end in zip(chunks, ends)]
 
     def step(self) -> float:
@@ -651,10 +632,10 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, tuple
 
     Every array the sidecar's configs call for is checked for presence and
     shape before the model is built, so a sidecar cannot size an allocation.
-    The model then takes the loaded arrays as float64, and ``m`` and ``v``
-    map each name to its loaded moment, as ``Adam(params, cfg, state)``
-    takes them. No optimizer is built; the sidecar's ``optimizer`` settings
-    are checked all the same.
+    The model then copies the loaded parameters into its arena, and ``m``
+    and ``v`` map each name to its loaded moment, as ``Adam(params, cfg,
+    state)`` takes them. No optimizer is built; the sidecar's ``optimizer``
+    settings are checked all the same.
 
     Any failure to read or rebuild the pair (a mistyped config value, an
     ``adam.step`` that is not one non-negative integer), a floating-point
@@ -698,7 +679,6 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, tuple
         step = arrays.pop("adam.step")
         if step.dtype.kind != "i" or step[0] < 0:
             raise ValueError(f"adam.step {step.tolist()} is not one non-negative integer")
-        arrays = {name: arr.astype(np.float64, copy=False) for name, arr in arrays.items()}
         model = Model(model_cfg, fusion, seed=0, arrays=arrays)
         moments = [{name: arrays[prefix + name] for name in specs} for prefix in ("adam.m.", "adam.v.")]
     except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as err:

@@ -18,6 +18,7 @@ from ctcfuse.model import (
     DecoderCache,
     FusionConfig,
     Model,
+    param_specs,
 )
 from ctcfuse import tensor as tz
 from ctcfuse.tensor import Tensor, load_tensors, save_tensors
@@ -122,8 +123,7 @@ class TestAdam:
         assert abs(w[0]) < 1e-3
 
     def test_optimizer_updates_and_none_grad_is_zero(self):
-        params = {"a": Tensor(np.ones(2), requires_grad=True),
-                  "b": Tensor(np.ones(2), requires_grad=True)}
+        params = tz.Parameters({"a": np.ones(2), "b": np.ones(2)})
         cfg = TrainConfig(model=toy_config(vocab_size=5))
         opt = Adam(params, cfg)
         params["a"].grad = np.ones(2)
@@ -205,9 +205,35 @@ class TestAdam:
         param_bytes = sum(p.data.nbytes for p in model.params.values())
         assert held < 4 * param_bytes, held / param_bytes
 
+    @pytest.mark.parametrize("method", [METHOD_ALIGNED, METHOD_NBEST])
+    def test_construction_holds_two_moment_arenas_and_chunk_buffers(self, method):
+        # the parameters stay the model's: building an optimizer copies none of them
+        cfg = desk_train_config(vocab_size=12, method=method)
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        tracemalloc.start()
+        try:
+            opt = Adam(model.params, cfg)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(p.data.nbytes for p in model.params.values())
+        assert opt.step_count == 0 and held < 2.5 * param_bytes, held / param_bytes
+
+    def test_a_second_optimizer_leaves_the_first_moving_the_model(self):
+        cfg = desk_train_config(vocab_size=12, method=METHOD_ALIGNED)
+        model = Model(cfg.model, cfg.fusion, seed=0)
+        rng = np.random.default_rng(9)
+        for optimizer in [Adam(model.params, cfg), Adam(model.params, cfg)]:
+            for p in model.params.values():
+                p.grad = rng.normal(size=p.shape)
+            before = {name: p.data.copy() for name, p in model.params.items()}
+            optimizer.step()
+            unmoved = [name for name, p in model.params.items() if np.array_equal(p.data, before[name])]
+            assert unmoved == [], f"{len(unmoved)} of {len(model.params)} parameters did not move"
+
     def test_no_parameters_still_count_steps(self):
         cfg = TrainConfig(model=toy_config(vocab_size=5), warmup_steps=4)
-        opt = Adam({}, cfg)
+        opt = Adam(tz.Parameters({}), cfg)
         assert [opt.step() for _ in range(2)] == [lr_schedule(cfg.lr_base, s, 4) for s in (1, 2)]
         assert opt.step_count == 2 and opt.m == opt.v == {}
 
@@ -222,7 +248,7 @@ class TestAdam:
             opt.step()
             if step == 0:
                 first = {name: p.data for name, p in model.params.items()}
-        arena = next(iter(model.params.values())).data.base
+        arena = model.params.flat
         assert arena.size == sum(p.data.size for p in model.params.values())
         for name, p in model.params.items():
             assert p.data is first[name] and p.data.base is arena, name
@@ -256,7 +282,7 @@ class TestAdam:
 
     def test_an_overflowing_update_is_named(self):
         # outside fp_guard numpy's flags do not raise: the scan after the update finds it
-        params = {name: Tensor(np.full(2, 1e308), requires_grad=True) for name in "abc"}
+        params = tz.Parameters({name: np.full(2, 1e308) for name in "abc"})
         cfg = TrainConfig(model=toy_config(vocab_size=5), lr_base=1e308, warmup_steps=1)
         opt = Adam(params, cfg)
         params["b"].grad = -np.ones(2)  # a step of about lr upward, past the largest float
@@ -778,6 +804,23 @@ class TestCheckpoints:
         assert loaded.params.keys() == model.params.keys()
         for name, p in model.params.items():
             assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    @pytest.mark.parametrize("method", [METHOD_BASELINE, METHOD_NBEST])
+    def test_drawn_and_loaded_parameters_are_consecutive_views_of_one_arena(self, tmp_path, method):
+        # no optimizer is built over either model: each lays out its own arena
+        vocab, _, cfg = tiny_setup(method=method, n=2)
+        saved = Model(cfg.model, cfg.fusion, seed=1)
+        save_checkpoint(tmp_path / "v.ckpt", saved, Adam(saved.params, cfg), cfg, vocab, epoch=1)
+        loaded, _, _ = load_checkpoint(tmp_path / "v.ckpt", vocab)
+        specs = param_specs(cfg.model, method == METHOD_NBEST, 2)
+        for model in (Model(cfg.model, cfg.fusion, seed=0), loaded):
+            flat, start = model.params.flat, 0
+            assert flat.dtype == np.float64 and list(model.params) == list(specs)
+            for (name, p), shape in zip(model.params.items(), specs.values()):
+                assert p.data.base is flat and p.data.shape == shape, name
+                assert p.data.flags.c_contiguous and p.data.ctypes.data == flat.ctypes.data + 8 * start, name
+                start += p.data.size
+            assert start == flat.size
 
     def saved_arrays(self, tmp_path):
         """A fresh pair at ``tmp_path / "s.ckpt"``, its container's arrays and its config."""
