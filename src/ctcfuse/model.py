@@ -184,8 +184,9 @@ class Model:
     """Stateful parameter holder; all forward passes build fresh graphs."""
 
     def __init__(self, config: ModelConfig, fusion: FusionConfig, seed: int = 0,
-                 arrays: dict[str, np.ndarray] | None = None):
-        """Parameters copy ``arrays[name]`` if given (no init draw), else hold an init drawn from ``seed``."""
+                 flat: np.ndarray | None = None):
+        """The parameters are views of ``flat`` if given, a float64 arena in ``param_specs``
+        order used as it is (no init draw), else of a new arena an init drawn from ``seed`` fills."""
         self.config = config
         self.fusion = fusion
         self.uses_ne_memory = fusion.method == METHOD_NBEST
@@ -194,18 +195,18 @@ class Model:
         self.training = False
         self.rng = np.random.default_rng(seed + 1)
 
-        init_rng = np.random.default_rng(seed)
-        values = {}
-        for name, shape in param_specs(config, self.uses_ne_memory, fusion.n).items():
-            if arrays is not None:
-                values[name] = arrays[name]
-            elif name.endswith((".g", ".b")):  # norm gains start at 1, norm shifts and biases at 0
-                values[name] = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
-            elif name == "embed.table":
-                values[name] = init_rng.normal(0.0, config.d_model ** -0.5, size=shape)
-            else:
-                values[name] = tz.glorot(shape, init_rng)
-        self.params = tz.Parameters(values)
+        specs = param_specs(config, self.uses_ne_memory, fusion.n)
+        if flat is None:
+            flat = np.empty(param_count(config, self.uses_ne_memory, fusion.n))
+            init_rng = np.random.default_rng(seed)
+            for name, view in tz.views(flat, specs).items():
+                if name.endswith((".g", ".b")):  # norm gains start at 1, norm shifts and biases at 0
+                    view[...] = 1.0 if name.endswith(".g") else 0.0
+                elif name == "embed.table":
+                    view[...] = init_rng.normal(0.0, config.d_model ** -0.5, size=view.shape)
+                else:
+                    view[...] = tz.glorot(view.shape, init_rng)
+        self.params = tz.Parameters(flat, specs)
 
     # -- mode & parameter plumbing ------------------------------------------
 

@@ -536,7 +536,8 @@ def save_tensors(path, arrays: dict[str, np.ndarray]) -> None:
     """Write named arrays to a flat little-endian binary container.
 
     Entries are sorted by name so identical contents produce identical
-    bytes regardless of dict order.
+    bytes regardless of dict order. Each payload is written from the
+    array's own buffer when it is already contiguous and of its dtype.
     """
     with open(path, "wb") as fh:
         fh.write(_CONTAINER_MAGIC)
@@ -551,18 +552,24 @@ def save_tensors(path, arrays: dict[str, np.ndarray]) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<BI", tag, arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]))
 
 
-def load_tensors(path) -> dict[str, np.ndarray]:
+def load_tensors(path, into: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Read a container written by :func:`save_tensors`.
 
-    Each entry is read straight into its own array. Every size the file
-    claims is checked against the bytes left in it first, so a truncated or
-    inflated container is refused before anything of that size exists. A
-    container that repeats an entry name, or holds bytes after its last
-    entry, is refused too.
+    Each entry is read straight into the array it is returned as. For an
+    entry that ``into`` names with the entry's shape, that is ``into``'s
+    array: a payload of its dtype is read into it, one of another dtype is
+    cast into it. Any other entry, one of another shape included, is read
+    into a new array of its own, and ``into``'s array is left untouched.
+
+    Every size the file claims is checked against the bytes left in it
+    first, so a truncated or inflated container is refused before anything
+    of that size exists. A container that repeats an entry name, or holds
+    bytes after its last entry, is refused too.
     """
+    into = into or {}
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
 
@@ -597,7 +604,14 @@ def load_tensors(path) -> dict[str, np.ndarray]:
                 raise ValueError(f"negative dimension in the shape {shape} of entry {name!r}")
             dtype = _DTYPE_TAGS[tag]
             n_bytes = math.prod(shape) * dtype.itemsize  # exact: no int64 wrap-around
-            out[name] = take(n_bytes, f"payload of {name!r}", lambda _: np.empty(shape, dtype))
+            what, target = f"payload of {name!r}", into.get(name)
+            if target is None or target.shape != shape:
+                out[name] = take(n_bytes, what, lambda _: np.empty(shape, dtype))
+            elif target.dtype == dtype:
+                out[name] = take(n_bytes, what, lambda _: target)
+            else:
+                target[...] = take(n_bytes, what, lambda _: np.empty(shape, dtype))
+                out[name] = target
         if left:
             raise ValueError(f"tensor container has {left} bytes after its last entry")
     return out
@@ -627,12 +641,16 @@ def views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
 class Parameters(dict):
     """Name -> trainable ``Tensor``, the ``data`` consecutive views of one float64 arena ``flat``.
 
-    Built once from ``arrays`` in dict order; rebinding a ``p.data`` detaches that parameter.
+    Built over the arena it is given, cut by :func:`views` in ``shapes``
+    order, so it copies nothing and the values are whatever ``flat`` holds;
+    rebinding a ``p.data`` detaches that parameter.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        # the leading empty array makes the join of no arrays an empty arena
-        self.flat = np.concatenate([np.empty(0), *arrays.values()], axis=None, dtype=np.float64)
-        shapes = {name: np.shape(arr) for name, arr in arrays.items()}
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple]):
+        size = sum(math.prod(shape) for shape in shapes.values())
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise ValueError(f"a parameter arena of {flat.shape} {flat.dtype}; "
+                             f"these shapes need ({size},) float64")
+        self.flat = flat
         super().__init__((name, Tensor(view, requires_grad=True))
-                         for name, view in views(self.flat, shapes).items())
+                         for name, view in views(flat, shapes).items())

@@ -34,6 +34,7 @@ from ctcfuse.model import (
     FusionConfig,
     Model,
     ModelConfig,
+    param_count,
     param_specs,
 )
 from ctcfuse.tensor import NumericError, Tensor, load_tensors, save_tensors
@@ -199,18 +200,24 @@ class Adam:
     """
 
     def __init__(self, params: tz.Parameters, cfg: TrainConfig,
-                 state: tuple[int, dict, dict] | None = None):
-        """``state`` is a saved (step count, first moments, second moments); without it all start at 0."""
+                 state: tuple[int, np.ndarray, np.ndarray] | None = None):
+        """``state`` is a saved (step count, first-moment arena, second-moment arena), as
+        :func:`load_checkpoint` returns it; without it all start at 0.
+
+        The two arenas, float64 in ``params`` order, become the moments
+        themselves, not copies; one of another size or dtype raises ``ValueError``.
+        """
         self.params = params
         self.lr_base = cfg.lr_base
         self.warmup = cfg.warmup_steps
         self.beta1, self.beta2, self.eps = cfg.beta1, cfg.beta2, cfg.adam_eps
         if state is None:
-            self.step_count, moments = 0, [np.zeros(params.flat.size) for _ in range(2)]
-        else:
-            self.step_count = state[0]
-            moments = [np.concatenate([saved[name] for name in params], axis=None, dtype=np.float64)
-                       for saved in state[1:]]
+            state = (0, np.zeros(params.flat.size), np.zeros(params.flat.size))
+        self.step_count, *moments = state
+        for arena in moments:
+            if arena.dtype != np.float64 or arena.shape != params.flat.shape:
+                raise ValueError(f"a moment arena of {arena.size} {arena.dtype} values; these "
+                                 f"parameters need {params.flat.size} float64")
         shapes = {name: p.shape for name, p in params.items()}
         self.m, self.v = (tz.views(arena, shapes) for arena in moments)
         chunks = []  # [parameters, floats]: consecutive ones up to ADAM_CHUNK floats, or one larger one
@@ -627,15 +634,19 @@ def _check_shapes(found: dict[str, tuple], expected: dict[str, tuple]) -> None:
                          + (", ..." if len(bad) > 5 else ""))
 
 
-def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, tuple[int, dict, dict], dict]:
+def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, tuple[int, np.ndarray, np.ndarray], dict]:
     """The model, the saved optimizer state ``(step, m, v)`` and the sidecar of a pair.
 
-    Every array the sidecar's configs call for is checked for presence and
-    shape before the model is built, so a sidecar cannot size an allocation.
-    The model then copies the loaded parameters into its arena, and ``m``
-    and ``v`` map each name to its loaded moment, as ``Adam(params, cfg,
-    state)`` takes them. No optimizer is built; the sidecar's ``optimizer``
-    settings are checked all the same.
+    Each payload is read once, straight into the array it ends up in: the
+    parameters into the model's arena ``model.params.flat``, ``adam.m.*``
+    and ``adam.v.*`` into the two flat moment arenas ``m`` and ``v``, in
+    ``params`` order, which ``Adam(params, cfg, state)`` takes as its
+    moments. The sidecar sizes the three arenas, so before any name is
+    listed or anything allocated, the container's byte size must hold them
+    at 4 bytes a float, its smallest item: no arena is larger than the file.
+    Every array is then checked for presence and shape before the model is
+    built. No optimizer is built; the sidecar's ``optimizer`` settings are
+    checked all the same.
 
     Any failure to read or rebuild the pair (a mistyped config value, an
     ``adam.step`` that is not one non-negative integer), a floating-point
@@ -662,25 +673,27 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, tuple
         fusion = build_config(FusionConfig, {**sidecar["fusion"]}, "fusion")
         settings = {key: sidecar["optimizer"][key] for key in _OPTIMIZER_SETTINGS}
         build_config(TrainConfig, {"model": model_cfg, **settings}, "optimizer")
-        arrays = load_tensors(path)
+        with_ne = fusion.method == METHOD_NBEST
+        count, size = param_count(model_cfg, with_ne, fusion.n), os.stat(path).st_size
+        if 3 * count * 4 > size:  # arithmetic only: no name listed, nothing allocated
+            raise ValueError(f"model_config asks for 3 x {count} floats, more than the "
+                             f"container's {size} bytes can hold")
+        specs = param_specs(model_cfg, with_ne, fusion.n)
+        arenas = [np.empty(count) for _ in range(3)]  # parameters, first and second moments
+        into = {prefix + name: view for prefix, arena in zip(("", "adam.m.", "adam.v."), arenas)
+                for name, view in tz.views(arena, specs).items()}
+        arrays = load_tensors(path, into)
         for name, arr in arrays.items():
             if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
                 raise ValueError(f"array {name!r} holds a non-finite value")
-        with_ne = fusion.method == METHOD_NBEST
-        layers = model_cfg.encoder_layers + model_cfg.decoder_layers + with_ne * model_cfg.ne_layers
-        if layers > len(arrays):  # each layer owns arrays of its own: reject before listing them
-            raise ValueError(f"model_config asks for {layers} layers, the container has "
-                             f"{len(arrays)} arrays")
-        specs = param_specs(model_cfg, with_ne, fusion.n)
-        layout = {prefix + name: shape for prefix in ("", "adam.m.", "adam.v.")
-                  for name, shape in specs.items()}
+        layout = {name: view.shape for name, view in into.items()}
         layout["adam.step"] = (1,)
+        # an entry of its view's shape was read into the view; any other is refused here
         _check_shapes({name: arr.shape for name, arr in arrays.items()}, layout)
-        step = arrays.pop("adam.step")
+        step = arrays["adam.step"]
         if step.dtype.kind != "i" or step[0] < 0:
             raise ValueError(f"adam.step {step.tolist()} is not one non-negative integer")
-        model = Model(model_cfg, fusion, seed=0, arrays=arrays)
-        moments = [{name: arrays[prefix + name] for name in specs} for prefix in ("adam.m.", "adam.v.")]
+        model = Model(model_cfg, fusion, seed=0, flat=arenas[0])
     except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as err:
         raise CheckpointError(f"{path}: unreadable checkpoint: {err}") from err
     if vocab is not None and vocab.content_hash() != sidecar.get("vocab_hash"):
@@ -689,7 +702,7 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, tuple
     if vocab is not None and model_cfg.vocab_size != vocab.size:
         raise CheckpointError(f"{path}: checkpoint model has vocab_size {model_cfg.vocab_size}, "
                               f"the vocabulary has {vocab.size} tokens")
-    return model, (int(step[0]), *moments), sidecar
+    return model, (int(step[0]), *arenas[1:]), sidecar
 
 
 _SELECTION_PREFIXES = {

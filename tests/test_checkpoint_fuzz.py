@@ -153,6 +153,7 @@ def test_dropped_sidecar_key(reference, path):
 @given(path=st.sampled_from(KEY_PATHS), value=SMALL_JSON)
 @example(path=("model_config", "num_heads"), value=0)  # d_model % num_heads
 @example(path=("model_config", "d_model"), value=0)  # parameter init scale
+@example(path=("model_config", "d_model"), value=4096)  # arenas far larger than the file
 def test_sidecar_key_set_to_small_value(reference, path, value):
     loads(write_pair(reference, reference["blob"], mutated(reference["sidecar"], path, value)))
 
@@ -210,6 +211,27 @@ def test_intact_pair_decodes_every_utterance(reference):
 def test_decode_exits_0_or_2(reference, key, value):
     path = write_pair(reference, reference["blob"], mutated(reference["sidecar"], key, value))
     decode_exits_0_or_2(reference, path)
+
+
+def test_a_sidecar_asking_for_a_larger_model_is_refused_before_allocating(reference, monkeypatch):
+    sidecar = mutated(reference["sidecar"], ("model_config", "d_model"), 4096)
+    path = write_pair(reference, reference["blob"], sidecar)
+    asked = []  # bytes each np.empty or np.zeros call asks for
+
+    def watched(real):
+        def allocate(shape, dtype=float, *args, **kwargs):
+            asked.append(math.prod(np.atleast_1d(shape).tolist()) * np.dtype(dtype).itemsize)
+            return real(shape, dtype, *args, **kwargs)
+        return allocate
+
+    monkeypatch.setattr(np, "empty", watched(np.empty))
+    monkeypatch.setattr(np, "zeros", watched(np.zeros))
+    with pytest.raises(CheckpointError, match="more than the container's .* bytes can hold"):
+        load_checkpoint(path)
+    lines = decode_exits_0_or_2(reference, path)
+    monkeypatch.undo()
+    assert len(lines) == 1 and "bytes can hold" in lines[0], lines
+    assert max(asked, default=0) <= path.stat().st_size
 
 
 # a sidecar value of the wrong JSON type, and what the one error line says about it

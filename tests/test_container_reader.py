@@ -2,13 +2,15 @@
 
 Beside the property tests of ``test_checkpoint_fuzz.py``: an empty entry, a
 size claim larger than the file, a read that comes back short, a repeated
-entry name, bytes after the last entry, and a saved
-desk checkpoint against the reader that copied entries out of a whole-file
-``bytes`` (``oracles.load_tensors_reference``).
+entry name, bytes after the last entry, entries read into arrays the caller
+gives, a save that copies no payload, and a saved desk checkpoint against
+the reader that copied entries out of a whole-file ``bytes``
+(``oracles.load_tensors_reference``).
 """
 
 import os
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from ctcfuse import tensor as T
 from ctcfuse.data import desk_synth_config, synth_corpus
 from ctcfuse.model import METHOD_NBEST, Model
-from ctcfuse.training import Adam, desk_train_config, save_checkpoint
+from ctcfuse.training import Adam, CheckpointError, desk_train_config, load_checkpoint, save_checkpoint
 
 from oracles import load_tensors_reference
 
@@ -82,14 +84,80 @@ def test_bytes_after_the_last_entry_are_refused(tmp_path):
         T.load_tensors(path)
 
 
-def test_a_desk_checkpoint_loads_as_through_the_whole_file_reader(tmp_path):
+def test_an_entry_of_the_given_shape_is_read_into_the_given_array(tmp_path, monkeypatch):
+    path = tmp_path / "into.bin"
+    T.save_tensors(path, {"w": np.arange(6.0).reshape(2, 3), "x": np.ones(2)})
+    arena = np.full(8, -1.0)
+    into = {"w": arena[:6].reshape(2, 3)}
+    asked = []
+    real_empty = np.empty
+
+    def watched_empty(shape, dtype=float):
+        asked.append(shape)
+        return real_empty(shape, dtype)
+
+    monkeypatch.setattr(T.np, "empty", watched_empty)
+    loaded = T.load_tensors(path, into)
+    monkeypatch.undo()
+    assert loaded["w"] is into["w"] and arena.tolist() == [0, 1, 2, 3, 4, 5, -1, -1]
+    assert asked == [(2,)]  # only x, which into does not name, gets an array of its own
+
+
+def test_a_float32_payload_is_cast_into_the_given_array(tmp_path):
+    path = tmp_path / "narrow.bin"
+    narrow = np.array([[0.1, -2.5], [3e38, 1e-40]], dtype=np.float32)
+    T.save_tensors(path, {"w": narrow})
+    target = np.zeros((2, 2))
+    loaded = T.load_tensors(path, {"w": target})
+    assert loaded["w"] is target and target.dtype == np.float64
+    assert target.tolist() == narrow.astype(np.float64).tolist()
+
+
+def desk_checkpoint(tmp_path):
+    """A fresh desk nbest_memory pair at ``tmp_path / "desk.ckpt"``."""
     vocab, _ = synth_corpus(desk_synth_config(seed=7))
     cfg = desk_train_config(vocab.size, method=METHOD_NBEST)
     model = Model(cfg.model, cfg.fusion, seed=cfg.seed)
     path = tmp_path / "desk.ckpt"
     save_checkpoint(path, model, Adam(model.params, cfg), cfg, vocab, epoch=1)
-    loaded, reference = T.load_tensors(path), load_tensors_reference(path)
-    assert list(loaded) == list(reference)
-    for name, arr in reference.items():
-        assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape
-        assert loaded[name].tobytes() == arr.tobytes()
+    return path
+
+
+def test_an_entry_of_another_shape_leaves_the_given_array_untouched(tmp_path):
+    path = tmp_path / "other.bin"
+    T.save_tensors(path, {"w": np.arange(6.0)})
+    target = np.full((2, 3), 7.0)
+    loaded = T.load_tensors(path, {"w": target})
+    assert loaded["w"] is not target and loaded["w"].tolist() == [0, 1, 2, 3, 4, 5]
+    assert (target == 7.0).all()
+    # in a checkpoint, the presence-and-shape check then refuses that entry
+    path = desk_checkpoint(tmp_path)
+    arrays = T.load_tensors(path)
+    arrays["adam.v.ctc_head.w"] = arrays["adam.v.ctc_head.w"].reshape(-1)
+    T.save_tensors(path, arrays)
+    with pytest.raises(CheckpointError, match=r"adam\.v\.ctc_head\.w \(\d+,\) not \(64, \d+\)"):
+        load_checkpoint(path)
+
+
+def test_save_writes_each_payload_from_its_own_buffer(tmp_path):
+    arrays = {"x": np.arange(100_000.0), "y": np.arange(100_000.0).reshape(100, 1000)}
+    tracemalloc.start()
+    try:
+        T.save_tensors(tmp_path / "big.bin", arrays)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < arrays["x"].nbytes / 10, peak
+
+
+def test_a_desk_checkpoint_loads_as_through_the_whole_file_reader(tmp_path):
+    path = desk_checkpoint(tmp_path)
+    reference = load_tensors_reference(path)
+    # read as they come, and read into one arena as load_checkpoint reads them
+    shapes = {name: arr.shape for name, arr in reference.items() if name != "adam.step"}
+    arena = np.empty(sum(arr.size for name, arr in reference.items() if name != "adam.step"))
+    for loaded in (T.load_tensors(path), T.load_tensors(path, T.views(arena, shapes))):
+        assert list(loaded) == list(reference)
+        for name, arr in reference.items():
+            assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape
+            assert loaded[name].tobytes() == arr.tobytes()

@@ -123,7 +123,7 @@ class TestAdam:
         assert abs(w[0]) < 1e-3
 
     def test_optimizer_updates_and_none_grad_is_zero(self):
-        params = tz.Parameters({"a": np.ones(2), "b": np.ones(2)})
+        params = tz.Parameters(np.ones(4), {"a": (2,), "b": (2,)})
         cfg = TrainConfig(model=toy_config(vocab_size=5))
         opt = Adam(params, cfg)
         params["a"].grad = np.ones(2)
@@ -233,7 +233,7 @@ class TestAdam:
 
     def test_no_parameters_still_count_steps(self):
         cfg = TrainConfig(model=toy_config(vocab_size=5), warmup_steps=4)
-        opt = Adam(tz.Parameters({}), cfg)
+        opt = Adam(tz.Parameters(np.empty(0), {}), cfg)
         assert [opt.step() for _ in range(2)] == [lr_schedule(cfg.lr_base, s, 4) for s in (1, 2)]
         assert opt.step_count == 2 and opt.m == opt.v == {}
 
@@ -269,6 +269,13 @@ class TestAdam:
         save_checkpoint(tmp_path / "model.ckpt", model, opt, cfg, vocab, epoch=1)
         loaded, state, _ = load_checkpoint(tmp_path / "model.ckpt", vocab)
         loaded_opt = Adam(loaded.params, cfg, state)
+        saved_step, m, v = state
+        for name in loaded.params:  # the loaded arenas are the moments, not copies of them
+            assert np.shares_memory(loaded_opt.m[name], m) and np.shares_memory(loaded_opt.v[name], v), name
+        for bad in (m[:-1], np.zeros(m.size + 1)):
+            with pytest.raises(ValueError, match=f"moment arena of {bad.size} float64 values; "
+                                                 f"these parameters need {m.size} float64"):
+                Adam(loaded.params, cfg, (saved_step, m, bad))
         for step in range(3, 8):
             for params, optimizer in ((model.params, opt), (loaded.params, loaded_opt)):
                 for name, p in params.items():
@@ -282,7 +289,7 @@ class TestAdam:
 
     def test_an_overflowing_update_is_named(self):
         # outside fp_guard numpy's flags do not raise: the scan after the update finds it
-        params = tz.Parameters({name: np.full(2, 1e308) for name in "abc"})
+        params = tz.Parameters(np.full(6, 1e308), {name: (2,) for name in "abc"})
         cfg = TrainConfig(model=toy_config(vocab_size=5), lr_base=1e308, warmup_steps=1)
         opt = Adam(params, cfg)
         params["b"].grad = -np.ones(2)  # a step of about lr upward, past the largest float
@@ -821,6 +828,21 @@ class TestCheckpoints:
                 assert p.data.flags.c_contiguous and p.data.ctypes.data == flat.ctypes.data + 8 * start, name
                 start += p.data.size
             assert start == flat.size
+
+    @pytest.mark.parametrize("method", [METHOD_ALIGNED, METHOD_NBEST])
+    def test_load_holds_at_most_three_parameter_copies(self, tmp_path, method):
+        # each payload is read into its arena: the parameters and the two moments
+        cfg = desk_train_config(vocab_size=12, method=method)
+        saved = Model(cfg.model, cfg.fusion, seed=0)
+        path = tmp_path / "desk.ckpt"
+        save_checkpoint(path, saved, Adam(saved.params, cfg), cfg, build_vocab(["abcdefgh"]), epoch=1)
+        tracemalloc.start()
+        try:
+            model, _, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * model.params.flat.nbytes, peak / model.params.flat.nbytes
 
     def saved_arrays(self, tmp_path):
         """A fresh pair at ``tmp_path / "s.ckpt"``, its container's arrays and its config."""
