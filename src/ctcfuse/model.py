@@ -48,7 +48,7 @@ class ModelConfig:
     feature_dim: int = 8
 
     def __post_init__(self):
-        for key in ("d_model", "num_heads", "ffn_dim"):
+        for key in ("d_model", "num_heads", "ffn_dim", "feature_dim"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
         if self.d_model % self.num_heads != 0:

@@ -647,10 +647,6 @@ class Parameters(dict):
     """
 
     def __init__(self, flat: np.ndarray, shapes: dict[str, tuple]):
-        size = sum(math.prod(shape) for shape in shapes.values())
-        if flat.dtype != np.float64 or flat.shape != (size,):
-            raise ValueError(f"a parameter arena of {flat.shape} {flat.dtype}; "
-                             f"these shapes need ({size},) float64")
         self.flat = flat
         super().__init__((name, Tensor(view, requires_grad=True))
                          for name, view in views(flat, shapes).items())

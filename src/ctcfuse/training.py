@@ -675,7 +675,9 @@ def load_checkpoint(path, vocab: Vocabulary | None = None) -> tuple[Model, tuple
         build_config(TrainConfig, {"model": model_cfg, **settings}, "optimizer")
         with_ne = fusion.method == METHOD_NBEST
         count, size = param_count(model_cfg, with_ne, fusion.n), os.stat(path).st_size
-        if 3 * count * 4 > size:  # arithmetic only: no name listed, nothing allocated
+        # arithmetic only: no name listed, nothing allocated. ModelConfig refuses every width
+        # below 1, so every name holds at least one float and this bounds the names listed next
+        if 3 * count * 4 > size:
             raise ValueError(f"model_config asks for 3 x {count} floats, more than the "
                              f"container's {size} bytes can hold")
         specs = param_specs(model_cfg, with_ne, fusion.n)

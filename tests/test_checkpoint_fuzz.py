@@ -154,6 +154,7 @@ def test_dropped_sidecar_key(reference, path):
 @example(path=("model_config", "num_heads"), value=0)  # d_model % num_heads
 @example(path=("model_config", "d_model"), value=0)  # parameter init scale
 @example(path=("model_config", "d_model"), value=4096)  # arenas far larger than the file
+@example(path=("model_config", "feature_dim"), value=-640000000)  # a negative block in param_count
 def test_sidecar_key_set_to_small_value(reference, path, value):
     loads(write_pair(reference, reference["blob"], mutated(reference["sidecar"], path, value)))
 
@@ -213,8 +214,21 @@ def test_decode_exits_0_or_2(reference, key, value):
     decode_exits_0_or_2(reference, path)
 
 
-def test_a_sidecar_asking_for_a_larger_model_is_refused_before_allocating(reference, monkeypatch):
-    sidecar = mutated(reference["sidecar"], ("model_config", "d_model"), 4096)
+# sidecar changes that ask for a far larger model, and what the refusal says
+LARGER_MODELS = [
+    ({"d_model": 4096}, "more than the container's .* bytes can hold"),
+    # a negative feature_dim would cancel 10**7 layers in param_count, down to 123 floats
+    ({"d_model": 1, "num_heads": 1, "ffn_dim": 1, "encoder_layers": 10**7, "feature_dim": -640000000},
+     "feature_dim must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("changes,message", LARGER_MODELS, ids=["d_model", "negative_feature_dim"])
+def test_a_sidecar_asking_for_a_larger_model_is_refused_before_allocating(
+        reference, monkeypatch, changes, message):
+    sidecar = reference["sidecar"]
+    for key, value in changes.items():
+        sidecar = mutated(sidecar, ("model_config", key), value)
     path = write_pair(reference, reference["blob"], sidecar)
     asked = []  # bytes each np.empty or np.zeros call asks for
 
@@ -226,11 +240,11 @@ def test_a_sidecar_asking_for_a_larger_model_is_refused_before_allocating(refere
 
     monkeypatch.setattr(np, "empty", watched(np.empty))
     monkeypatch.setattr(np, "zeros", watched(np.zeros))
-    with pytest.raises(CheckpointError, match="more than the container's .* bytes can hold"):
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
     lines = decode_exits_0_or_2(reference, path)
     monkeypatch.undo()
-    assert len(lines) == 1 and "bytes can hold" in lines[0], lines
+    assert len(lines) == 1 and re.search(message, lines[0]), lines
     assert max(asked, default=0) <= path.stat().st_size
 
 

@@ -1224,6 +1224,7 @@ class TestMalformedInput:
     RANGES = {
         "d_model": "must be >= 1",
         "ffn_dim": "must be >= 1",
+        "feature_dim": "must be >= 1",
         "dropout": "must lie in [0, 1)",
         "label_smoothing": "must lie in [0, 1)",
         "beta1": "must lie in [0, 1)",
@@ -1236,7 +1237,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "key,value",
         [
-            ("d_model", 0), ("d_model", -4), ("ffn_dim", 0),
+            ("d_model", 0), ("d_model", -4), ("ffn_dim", 0), ("feature_dim", 0), ("feature_dim", -3),
             ("dropout", -0.5), ("dropout", 1.0),
             ("label_smoothing", -1.0), ("label_smoothing", 1.0),
             ("beta1", 1.0), ("beta2", 1.5),

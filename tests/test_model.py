@@ -605,3 +605,10 @@ def test_fusion_config_needs_n_of_at_least_one(method, n, beam_width):
     """Every method takes ``n >= 1``, so ``beam_width >= n`` bounds the width too."""
     with pytest.raises(ValueError, match="n must be >= 1"):
         FusionConfig(method=method, n=n, beam_width=beam_width)
+
+
+@pytest.mark.parametrize("feature_dim", [0, -2, -640000000])
+def test_model_config_needs_a_feature_dim_of_at_least_one(feature_dim):
+    """So no block of ``param_count`` is negative and a count cannot cancel a larger one."""
+    with pytest.raises(ValueError, match="feature_dim must be >= 1"):
+        ModelConfig(feature_dim=feature_dim)
